@@ -3,6 +3,13 @@
 A subset S of the naturals is described by a deterministic membership
 predicate.  Densities are finite-prefix ratios count(S, N) / N reported
 with a trailing-window Cauchy diagnostic instead of a bare limit claim.
+
+Preimages of grid windows [a, x) have a faster route, the grid-binned
+counting core (:func:`grid_codes`, :func:`grid_counts`): each sequence's
+prefix is binned once against the sorted grid, and one ``bincount`` plus a
+cumulative sum along each axis (a summed-area table) yields the exact count
+of every grid rectangle at every checkpoint.  The rectangle test,
+measurability detection and extraction all count through it.
 """
 
 from __future__ import annotations
@@ -15,6 +22,11 @@ import numpy as np
 from .errors import CheckpointError, IntervalError
 from .sequences import BoundedSequence
 from .subsequence import SubsequenceIndex
+
+# Dense joint tables hold (G + 1)**m cells per checkpoint segment; above
+# this many, grid_counts counts corner by corner.  The cap also keeps the
+# int64 joint code far from overflow at the largest tuple arity.
+MAX_TABLE_CELLS = 2 ** 22
 
 
 @dataclass
@@ -52,19 +64,40 @@ class SetMembership:
 class DensityEstimate:
     """Finite-prefix density with convergence diagnostics.
 
-    ``trace`` holds (checkpoint, ratio) at every checkpoint; ``converged``
-    means the last ``window`` ratios vary by at most ``tol``.
+    ``checkpoints`` and ``trace_ratios`` hold the ratio at every checkpoint;
+    ``trace`` lists them as (checkpoint, ratio) pairs.  ``converged`` means
+    the last ``window`` ratios vary by at most ``tol``.
     """
 
     value: float
-    trace: list[tuple[int, float]]
+    checkpoints: np.ndarray
+    trace_ratios: np.ndarray
     oscillation: float
     converged: bool
     tol: float
     window: int
 
+    @classmethod
+    def from_counts(cls, checkpoints: np.ndarray, counts: np.ndarray,
+                    tol: float, window: int) -> "DensityEstimate":
+        """Estimate from exact counts at each checkpoint.
+
+        Each ratio is the single correctly rounded division count / k.
+        """
+        ratios = counts / checkpoints
+        ratios.setflags(write=False)
+        tail = ratios[-window:]
+        oscillation = float(tail.max() - tail.min())
+        return cls(value=float(ratios[-1]), checkpoints=checkpoints,
+                   trace_ratios=ratios, oscillation=oscillation,
+                   converged=oscillation <= tol, tol=tol, window=window)
+
+    @property
+    def trace(self) -> list[tuple[int, float]]:
+        return list(zip(self.checkpoints.tolist(), self.trace_ratios.tolist()))
+
     def ratios(self) -> np.ndarray:
-        return np.asarray([r for _, r in self.trace], dtype=np.float64)
+        return self.trace_ratios
 
 
 def prefix_count(s: SetMembership, n: int) -> int:
@@ -78,8 +111,11 @@ def kappa_density(s: SetMembership, kappa: SubsequenceIndex,
                   tol: float = 1e-2, window: int = 5) -> DensityEstimate:
     """Density of S along the checkpoints of kappa.
 
-    The counting pass is exact (integer cumulative sums); each trace ratio
-    is the single correctly rounded division count / k.
+    The counting pass is exact (integer cumulative sums over the per-n
+    indicator of S); each trace ratio is the single correctly rounded
+    division count / k.  This is the general route for any membership set;
+    grid preimages are counted by :func:`grid_counts`, which gives the same
+    integers.
     """
     if tol <= 0:
         raise ValueError(f"tol must be positive, got {tol}")
@@ -88,20 +124,76 @@ def kappa_density(s: SetMembership, kappa: SubsequenceIndex,
             f"kappa has {len(kappa)} checkpoints but the diagnostic window needs "
             f"{window}; deepen kappa")
     checkpoints = kappa.checkpoints
-    ind = s.indicator(int(checkpoints[-1]))
-    csum = np.cumsum(ind, dtype=np.int64)
-    counts = csum[checkpoints - 1]
-    ratios = counts / checkpoints
-    tail = ratios[-window:]
-    oscillation = float(tail.max() - tail.min())
-    return DensityEstimate(
-        value=float(ratios[-1]),
-        trace=[(int(k), float(r)) for k, r in zip(checkpoints, ratios)],
-        oscillation=oscillation,
-        converged=oscillation <= tol,
-        tol=tol,
-        window=window,
-    )
+    csum = np.cumsum(s.indicator(int(checkpoints[-1])), dtype=np.int64)
+    return DensityEstimate.from_counts(checkpoints, csum[checkpoints - 1],
+                                       tol, window)
+
+
+def check_window(seq: BoundedSequence, lo: float, hi: float) -> None:
+    """Raise IntervalError unless [lo, hi) is a window inside seq's interval."""
+    a, b = seq.interval.a, seq.interval.b
+    if not lo <= hi:
+        raise IntervalError(f"inverted bounds [{lo}, {hi})")
+    if lo < a or hi > b:
+        raise IntervalError(
+            f"preimage window [{lo}, {hi}) must sit inside [{a}, {b}]")
+
+
+def grid_codes(seq: BoundedSequence, n: int, points: np.ndarray) -> np.ndarray:
+    """Bin v(1..n) against sorted grid points.
+
+    code(n) = #{j : points[j] <= v(n)}, so v(n) < points[j] exactly when
+    code(n) <= j: every "strictly below a grid point" count is a count of
+    small codes.
+    """
+    return np.searchsorted(points, seq.prefix(n).values, side="right")
+
+
+def grid_counts(codes: Sequence[np.ndarray], n_points: int,
+                checkpoints: np.ndarray) -> np.ndarray:
+    """Exact grid-rectangle counts at every checkpoint.
+
+    ``codes[r]`` bins sequence r against the same ``n_points`` = G sorted
+    grid points (see :func:`grid_codes`) and covers at least
+    1..checkpoints[-1].  Returns int64 counts c of shape (M, G+1, ..., G+1),
+    one axis per sequence, with c[i, j_1, ..., j_m] = #{n <= k_i :
+    code_r(n) <= j_r for every r}: for j_r < G the number of n <= k_i with
+    v_r(n) < x_{j_r}, while j_r = G leaves sequence r unbounded, so
+    fixing every other index at G gives one sequence's marginal counts.
+
+    One ``bincount`` of (checkpoint segment, joint code) followed by a
+    cumulative sum along each axis gives every entry in O(k_M + M (G+1)^m).
+    When (G+1)^m exceeds MAX_TABLE_CELLS, each corner is counted instead by
+    one comparison pass over the code arrays.
+    """
+    checkpoints = np.asarray(checkpoints, dtype=np.int64)
+    depth = int(checkpoints[-1])
+    codes = [c[:depth] for c in codes]
+    m, g = len(codes), n_points
+    shape = (checkpoints.size,) + (g + 1,) * m
+    cells = (g + 1) ** m
+    if cells <= MAX_TABLE_CELLS:
+        segment_sizes = np.diff(checkpoints, prepend=0)
+        joint = np.repeat(np.arange(checkpoints.size, dtype=np.int64) * cells,
+                          segment_sizes)
+        stride = cells
+        for c in codes:
+            stride //= g + 1
+            joint += c * stride
+        table = np.bincount(joint, minlength=checkpoints.size * cells)
+        table = table.reshape(shape)
+        for axis in range(m + 1):
+            np.cumsum(table, axis=axis, out=table)
+        return table
+
+    ends = checkpoints - 1
+    out = np.empty(shape, dtype=np.int64)
+    for corner in np.ndindex(*shape[1:]):
+        inside = codes[0] <= corner[0]
+        for c, j in zip(codes[1:], corner[1:]):
+            inside &= c <= j
+        out[(slice(None),) + corner] = np.cumsum(inside, dtype=np.int64)[ends]
+    return out
 
 
 def preimage(seq: BoundedSequence, lo: float, hi: float,
@@ -111,12 +203,8 @@ def preimage(seq: BoundedSequence, lo: float, hi: float,
     ``closed_right`` is only meaningful for hi == b, where it closes the
     interval so the full-interval preimage carries total mass.
     """
-    a, b = seq.interval.a, seq.interval.b
-    if not lo <= hi:
-        raise IntervalError(f"inverted bounds [{lo}, {hi})")
-    if lo < a or hi > b:
-        raise IntervalError(
-            f"preimage window [{lo}, {hi}) must sit inside [{a}, {b}]")
+    b = seq.interval.b
+    check_window(seq, lo, hi)
     if closed_right and hi != b:
         raise IntervalError(
             f"closed_right is only available for the full right endpoint {b}, got {hi}")

@@ -20,9 +20,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .density import DensityEstimate, intersect, kappa_density, preimage
-from .distribution import StepCDF, cdf_eval, empirical_cdf
+from .density import grid_codes, grid_counts
+from .distribution import continuity_grid, empirical_cdf
 from .errors import IntervalError, MeasurabilityError
+from .selection import DEFAULT_TOL, detect_measurable
 from .sequences import BoundedSequence, Interval, UNIT
 from .subsequence import SubsequenceIndex
 
@@ -374,13 +375,18 @@ def kappa_independence_test(seqs: Sequence[BoundedSequence],
                             measurability_tol: float = 1e-2) -> RectangleReport:
     """Rectangle factorization residuals at the deepest checkpoint.
 
-    For every corner tuple from the grid (one coordinate per sequence),
-    residual = selective density of the intersected preimage rectangle
-    minus the product of marginal CDF values.  Sequences must first pass
-    the measurability check along kappa; failures are raised by name.
-    """
-    from .selection import detect_measurable
+    For every corner tuple from the grid (one coordinate per sequence, in
+    ``itertools.product`` order of the grid as given), residual = selective
+    density of the preimage rectangle {n : v_i(n) < x_i for all i} minus
+    the product of marginal CDF values.  Sequences must first pass the
+    measurability check along kappa; failures are raised by name.
 
+    Each prefix is binned once against the sorted grid, and one
+    :func:`grid_counts` table up to the deepest checkpoint gives the exact
+    count of every corner; the marginal CDF values come from the same
+    table's one-dimensional marginals.  Every density and CDF value is the
+    single division count / k.
+    """
     if len(seqs) == 0:
         raise ValueError("need at least one sequence")
     if len(seqs) > MAX_TUPLE_ARITY:
@@ -403,21 +409,27 @@ def kappa_independence_test(seqs: Sequence[BoundedSequence],
                 f"sequence {s.label} is not measurable along {kappa.label}: "
                 f"worst grid-point oscillation {worst:.4g} exceeds "
                 f"{measurability_tol:g}")
+    return _rectangle_test(seqs, kappa, grid, tol)
 
-    depth = kappa.deepest
-    cdfs = [empirical_cdf(s, kappa) for s in seqs]
-    a = seqs[0].interval.a
 
-    axis = [float(x) for x in grid]
-    corners = list(itertools.product(axis, repeat=len(seqs)))
-    densities = np.empty(len(corners))
-    products = np.empty(len(corners))
-    for idx, corner in enumerate(corners):
-        sets = [preimage(s, a, x) for s, x in zip(seqs, corner)]
-        est = kappa_density(intersect(sets), kappa, tol=tol, window=window)
-        densities[idx] = est.value
-        products[idx] = float(np.prod([cdf_eval(F, x)
-                                       for F, x in zip(cdfs, corner)]))
+def _rectangle_test(seqs: Sequence[BoundedSequence], kappa: SubsequenceIndex,
+                    grid: np.ndarray, tol: float) -> RectangleReport:
+    """The rectangle step of kappa_independence_test, on validated inputs
+    whose measurability has already been checked."""
+    m, depth = len(seqs), kappa.deepest
+    points, position = np.unique(grid, return_inverse=True)
+    codes = [grid_codes(s, depth, points) for s in seqs]
+    table = grid_counts(codes, points.size, np.asarray([depth]))[0]
+    densities = (table[np.ix_(*[position] * m)] / depth).ravel()
+    # Left-to-right products, as np.prod of the per-corner CDF values.
+    products = np.ones(())
+    for r in range(m):
+        marginal = table[tuple(position if k == r else points.size
+                               for k in range(m))]
+        products = np.multiply.outer(products, marginal / depth)
+    products = products.ravel()
+
+    corners = list(itertools.product([float(x) for x in grid], repeat=m))
     residuals = densities - products
     verdict = "independent" if float(np.max(np.abs(residuals))) <= tol \
         else "dependent"
@@ -484,9 +496,6 @@ def equivalence_harness(seqs: Sequence[BoundedSequence],
     decisive schedule verdict.  Corners default to a per-member continuity
     grid of grid_count points; fixed_grid overrides that everywhere.
     """
-    from .distribution import continuity_grid
-    from .selection import detect_measurable
-
     if not kappa_family:
         raise ValueError("kappa family must be nonempty")
     statind = statind_test(seqs, battery, schedule, tol)
@@ -500,7 +509,8 @@ def equivalence_harness(seqs: Sequence[BoundedSequence],
             grid = continuity_grid(cdfs, grid_count, atom_tol=atom_tol)
         blocker = None
         for s in seqs:
-            rep = detect_measurable(s, kappa, grid, tol=1e-2, window=window)
+            rep = detect_measurable(s, kappa, grid, tol=DEFAULT_TOL,
+                                    window=window)
             if not rep.measurable:
                 blocker = s.label
                 break
@@ -510,8 +520,7 @@ def equivalence_harness(seqs: Sequence[BoundedSequence],
                 skip_reason=f"sequence {blocker} not measurable along "
                             f"{kappa.label}", report=None))
             continue
-        report = kappa_independence_test(seqs, kappa, grid, tol=2 * tol,
-                                         window=window)
+        report = _rectangle_test(seqs, kappa, grid, tol=2 * tol)
         outcomes.append(KappaOutcome(kappa_label=kappa.label, tested=True,
                                      skip_reason=None, report=report))
     outcomes.sort(key=lambda o: o.kappa_label)

@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .density import DensityEstimate, kappa_density, preimage
+from .density import DensityEstimate, check_window, grid_codes, grid_counts
 from .distribution import StepCDF, empirical_cdf
 from .errors import CheckpointError, ExtractionError
 from .sequences import BoundedSequence
@@ -61,8 +61,12 @@ def detect_measurable(seq: BoundedSequence, kappa: SubsequenceIndex,
                       window: int = DEFAULT_WINDOW) -> MeasurabilityReport:
     """Check Cauchy behavior of F_k(x) at every grid point along kappa.
 
-    measurable is True exactly when each grid point's trailing-window
-    oscillation is at most tol.
+    The prefix is binned once against the sorted grid, and one
+    :func:`grid_counts` table gives #{n <= k : v(n) < x} at every
+    checkpoint and grid point, in O(k_M + M G).  Each trace ratio is the
+    same count / k that ``kappa_density(preimage(seq, a, x), kappa)``
+    returns.  measurable is True exactly when each grid point's
+    trailing-window oscillation is at most tol.
     """
     grid = np.asarray(grid, dtype=np.float64)
     if grid.size == 0:
@@ -71,9 +75,16 @@ def detect_measurable(seq: BoundedSequence, kappa: SubsequenceIndex,
         raise CheckpointError(
             f"index {kappa.label} has {len(kappa)} checkpoints; "
             f"need at least window = {window}")
-    a = seq.interval.a
-    traces = [kappa_density(preimage(seq, a, float(x)), kappa,
-                            tol=tol, window=window) for x in grid]
+    for x in grid:
+        check_window(seq, seq.interval.a, float(x))
+    if tol <= 0:
+        raise ValueError(f"tol must be positive, got {tol}")
+    points, position = np.unique(grid, return_inverse=True)
+    checkpoints = kappa.checkpoints
+    counts = grid_counts([grid_codes(seq, kappa.deepest, points)],
+                         points.size, checkpoints)
+    traces = [DensityEstimate.from_counts(checkpoints, counts[:, j], tol,
+                                          window) for j in position]
     oscillations = np.asarray([t.oscillation for t in traces])
     return MeasurabilityReport(
         sequence_label=seq.label, kappa_label=kappa.label, grid=grid,
@@ -105,10 +116,15 @@ def helly_extract(seqs: Sequence[BoundedSequence], pool: SubsequenceIndex,
     """Greedy diagonal extraction of a stabilizing checkpoint sub-index.
 
     Passes run over (sequence, grid point) pairs, sequences outer and grid
-    points inner, both in ascending order.  Each pass recomputes the
-    counting ratios on the surviving checkpoints and keeps the most
-    populous tol-wide band.  Extraction fails (naming the pair) if fewer
-    than ``window`` checkpoints survive a pass.
+    points inner, both in ascending order.  Each pass takes the counting
+    ratios on the surviving checkpoints and keeps the most populous
+    tol-wide band.  Extraction fails (naming the pair) if fewer than
+    ``window`` checkpoints survive a pass.
+
+    A checkpoint's count does not depend on which other checkpoints
+    survive, so each sequence is binned once up to the pool's deepest
+    checkpoint (which it must reach) and one :func:`grid_counts` table
+    serves all of its passes.
     """
     if len(seqs) == 0:
         raise ValueError("need at least one sequence")
@@ -120,14 +136,16 @@ def helly_extract(seqs: Sequence[BoundedSequence], pool: SubsequenceIndex,
             f"candidate pool has {len(pool)} checkpoints; need at least "
             f"{min_pool} (pass a deeper pool or lower min_pool)")
 
-    surviving = np.asarray(pool.checkpoints, dtype=np.int64)
+    checkpoints = pool.checkpoints
+    points = np.unique(grid)
+    surviving = np.arange(len(pool))
     for seq in seqs:
-        a = seq.interval.a
+        counts = grid_counts([grid_codes(seq, pool.deepest, points)],
+                             points.size, checkpoints)
         for x in np.sort(grid):
-            membership = preimage(seq, a, float(x))
-            indicator = membership.indicator(int(surviving[-1]))
-            csum = np.cumsum(indicator, dtype=np.int64)
-            ratios = csum[surviving - 1] / surviving
+            check_window(seq, seq.interval.a, float(x))
+            j = int(np.searchsorted(points, x))
+            ratios = counts[surviving, j] / checkpoints[surviving]
             keep = _best_band(ratios, tol)
             if int(np.count_nonzero(keep)) < window:
                 raise ExtractionError(
@@ -139,8 +157,8 @@ def helly_extract(seqs: Sequence[BoundedSequence], pool: SubsequenceIndex,
             surviving = surviving[keep]
 
     name = f"extract({pool.label})"
-    return SubsequenceIndex(surviving, rule=f"helly-extract tol={tol:g}",
-                            name=name)
+    return SubsequenceIndex(checkpoints[surviving],
+                            rule=f"helly-extract tol={tol:g}", name=name)
 
 
 def kappa_family_builder(base_depth: int, seed: int = 0) -> list[SubsequenceIndex]:

@@ -176,8 +176,28 @@ class VanDerCorputSequence(BoundedSequence):
         super().__init__(interval, "van_der_corput", f"van_der_corput(base={base})")
 
     def _eval_batch(self, ns: np.ndarray) -> np.ndarray:
+        # base^k <= n * base, so below this bound numer and denom fit int64;
+        # larger indices reverse their digits in Python integers instead.
+        big = ns >= -(-2 ** 63 // self.base)
+        if not big.any():
+            return self._eval_int64(ns)
+        out = np.empty(ns.shape, dtype=np.float64)
+        out[~big] = self._eval_int64(ns[~big])
+        out[big] = [self._eval_exact(int(n)) for n in ns[big]]
+        return out
+
+    def _eval_exact(self, n: int) -> float:
+        numer, denom = 0, 1
+        while n:
+            n, digit = divmod(n, self.base)
+            numer = numer * self.base + digit
+            denom *= self.base
+        return numer / denom  # int / int is correctly rounded in Python
+
+    def _eval_int64(self, ns: np.ndarray) -> np.ndarray:
         # Reverse the digits into an integer numerator and divide once, so
-        # every value is the correctly rounded rational reversed(n)/base^k.
+        # every value is the rational reversed(n)/base^k (correctly rounded
+        # while both fit in 53 bits).
         remaining = ns.copy()
         numer = np.zeros(ns.shape, dtype=np.int64)
         denom = np.ones(ns.shape, dtype=np.int64)

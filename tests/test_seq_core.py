@@ -5,6 +5,8 @@ Irrational-rotation values are checked against literals precomputed with
 fractions.
 """
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -115,6 +117,33 @@ class TestVanDerCorput:
         rebuilt = sum(d / base ** (i + 1) for i, d in enumerate(digits))
         assert x == pytest.approx(rebuilt, abs=1e-15)
         assert 0.0 <= x < 1.0
+
+    @staticmethod
+    def exact(base, n):
+        numer, denom = 0, 1
+        while n:
+            n, d = divmod(n, base)
+            numer, denom = numer * base + d, denom * base
+        return float(Fraction(numer, denom))
+
+    def test_no_int64_wrap_near_overflow(self):
+        # base**23 overflows int64; the radical inverse is 5/7 + 7**-23
+        n = 7 ** 22 + 5
+        x = VanDerCorputSequence(7).eval(n)
+        assert x == self.exact(7, n)
+        assert x == pytest.approx(0.7143, abs=1e-4)
+
+    def test_no_false_range_violation_near_overflow(self):
+        n = 2 ** 62
+        assert VanDerCorputSequence(3).eval(n) == self.exact(3, n)
+
+    def test_batch_mixes_int64_and_exact_paths(self):
+        seq = VanDerCorputSequence(3)
+        bound = -(-2 ** 63 // 3)
+        ns = np.asarray([1, 2, bound - 1, bound, 2 ** 63 - 1], dtype=np.int64)
+        got = seq._eval_batch(ns)
+        assert got[:3].tolist() == seq._eval_int64(ns[:3]).tolist()
+        assert got.tolist() == [self.exact(3, int(n)) for n in ns]
 
 
 class TestPeriodicConstant:
