@@ -23,10 +23,9 @@ from .errors import CheckpointError, IntervalError
 from .sequences import BoundedSequence
 from .subsequence import SubsequenceIndex
 
-# Dense joint tables hold (G + 1)**m cells per checkpoint segment; above
-# this many, grid_counts counts corner by corner.  The cap also keeps the
-# int64 joint code far from overflow at the largest tuple arity.
-MAX_TABLE_CELLS = 2 ** 22
+# Largest grid_counts table, in int64 cells (512 MiB).  Its joint codes
+# stay far below int64 overflow.
+MAX_TABLE_CELLS = 2 ** 26
 
 
 @dataclass
@@ -163,37 +162,29 @@ def grid_counts(codes: Sequence[np.ndarray], n_points: int,
 
     One ``bincount`` of (checkpoint segment, joint code) followed by a
     cumulative sum along each axis gives every entry in O(k_M + M (G+1)^m).
-    When (G+1)^m exceeds MAX_TABLE_CELLS, each corner is counted instead by
-    one comparison pass over the code arrays.
+    Raises ValueError when the table would exceed MAX_TABLE_CELLS cells.
     """
     checkpoints = np.asarray(checkpoints, dtype=np.int64)
     depth = int(checkpoints[-1])
-    codes = [c[:depth] for c in codes]
     m, g = len(codes), n_points
-    shape = (checkpoints.size,) + (g + 1,) * m
     cells = (g + 1) ** m
-    if cells <= MAX_TABLE_CELLS:
-        segment_sizes = np.diff(checkpoints, prepend=0)
-        joint = np.repeat(np.arange(checkpoints.size, dtype=np.int64) * cells,
-                          segment_sizes)
-        stride = cells
-        for c in codes:
-            stride //= g + 1
-            joint += c * stride
-        table = np.bincount(joint, minlength=checkpoints.size * cells)
-        table = table.reshape(shape)
-        for axis in range(m + 1):
-            np.cumsum(table, axis=axis, out=table)
-        return table
-
-    ends = checkpoints - 1
-    out = np.empty(shape, dtype=np.int64)
-    for corner in np.ndindex(*shape[1:]):
-        inside = codes[0] <= corner[0]
-        for c, j in zip(codes[1:], corner[1:]):
-            inside &= c <= j
-        out[(slice(None),) + corner] = np.cumsum(inside, dtype=np.int64)[ends]
-    return out
+    if checkpoints.size * cells > MAX_TABLE_CELLS:
+        raise ValueError(
+            f"counting table of {checkpoints.size} checkpoints x {g + 1}^{m} "
+            f"grid cells exceeds {MAX_TABLE_CELLS} cells; use fewer grid "
+            f"points, sequences or checkpoints")
+    segment_sizes = np.diff(checkpoints, prepend=0)
+    joint = np.repeat(np.arange(checkpoints.size, dtype=np.int64) * cells,
+                      segment_sizes)
+    stride = cells
+    for c in codes:
+        stride //= g + 1
+        joint += c[:depth] * stride
+    table = np.bincount(joint, minlength=checkpoints.size * cells)
+    table = table.reshape((checkpoints.size,) + (g + 1,) * m)
+    for axis in range(m + 1):
+        np.cumsum(table, axis=axis, out=table)
+    return table
 
 
 def preimage(seq: BoundedSequence, lo: float, hi: float,

@@ -400,25 +400,29 @@ def kappa_independence_test(seqs: Sequence[BoundedSequence],
     if tol <= 0:
         raise ValueError(f"tol must be positive, got {tol}")
 
+    points = np.unique(grid)
+    codes = []
     for s in seqs:
+        codes.append(grid_codes(s, kappa.deepest, points))
         report = detect_measurable(s, kappa, grid, tol=measurability_tol,
-                                   window=window)
+                                   window=window, codes=codes[-1])
         if not report.measurable:
             worst = float(np.max(report.oscillations))
             raise MeasurabilityError(
                 f"sequence {s.label} is not measurable along {kappa.label}: "
                 f"worst grid-point oscillation {worst:.4g} exceeds "
                 f"{measurability_tol:g}")
-    return _rectangle_test(seqs, kappa, grid, tol)
+    return _rectangle_test(seqs, kappa, grid, tol, codes)
 
 
 def _rectangle_test(seqs: Sequence[BoundedSequence], kappa: SubsequenceIndex,
-                    grid: np.ndarray, tol: float) -> RectangleReport:
+                    grid: np.ndarray, tol: float,
+                    codes: Sequence[np.ndarray]) -> RectangleReport:
     """The rectangle step of kappa_independence_test, on validated inputs
-    whose measurability has already been checked."""
+    whose measurability has already been checked.  ``codes[r]`` is
+    ``grid_codes(seqs[r], kappa.deepest, np.unique(grid))``."""
     m, depth = len(seqs), kappa.deepest
     points, position = np.unique(grid, return_inverse=True)
-    codes = [grid_codes(s, depth, points) for s in seqs]
     table = grid_counts(codes, points.size, np.asarray([depth]))[0]
     densities = (table[np.ix_(*[position] * m)] / depth).ravel()
     # Left-to-right products, as np.prod of the per-corner CDF values.
@@ -507,10 +511,12 @@ def equivalence_harness(seqs: Sequence[BoundedSequence],
         else:
             cdfs = [empirical_cdf(s, kappa) for s in seqs]
             grid = continuity_grid(cdfs, grid_count, atom_tol=atom_tol)
-        blocker = None
+        points = np.unique(grid)
+        blocker, codes = None, []
         for s in seqs:
+            codes.append(grid_codes(s, kappa.deepest, points))
             rep = detect_measurable(s, kappa, grid, tol=DEFAULT_TOL,
-                                    window=window)
+                                    window=window, codes=codes[-1])
             if not rep.measurable:
                 blocker = s.label
                 break
@@ -520,7 +526,7 @@ def equivalence_harness(seqs: Sequence[BoundedSequence],
                 skip_reason=f"sequence {blocker} not measurable along "
                             f"{kappa.label}", report=None))
             continue
-        report = _rectangle_test(seqs, kappa, grid, tol=2 * tol)
+        report = _rectangle_test(seqs, kappa, grid, 2 * tol, codes)
         outcomes.append(KappaOutcome(kappa_label=kappa.label, tested=True,
                                      skip_reason=None, report=report))
     outcomes.sort(key=lambda o: o.kappa_label)

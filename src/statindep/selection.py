@@ -58,7 +58,8 @@ class MeasurabilityReport:
 
 def detect_measurable(seq: BoundedSequence, kappa: SubsequenceIndex,
                       grid: np.ndarray, tol: float = DEFAULT_TOL,
-                      window: int = DEFAULT_WINDOW) -> MeasurabilityReport:
+                      window: int = DEFAULT_WINDOW, *,
+                      codes: np.ndarray | None = None) -> MeasurabilityReport:
     """Check Cauchy behavior of F_k(x) at every grid point along kappa.
 
     The prefix is binned once against the sorted grid, and one
@@ -67,6 +68,10 @@ def detect_measurable(seq: BoundedSequence, kappa: SubsequenceIndex,
     same count / k that ``kappa_density(preimage(seq, a, x), kappa)``
     returns.  measurable is True exactly when each grid point's
     trailing-window oscillation is at most tol.
+
+    A caller that has already binned the prefix passes it as ``codes``
+    (``grid_codes(seq, kappa.deepest, np.unique(grid))``), and it is not
+    binned again.
     """
     grid = np.asarray(grid, dtype=np.float64)
     if grid.size == 0:
@@ -81,8 +86,9 @@ def detect_measurable(seq: BoundedSequence, kappa: SubsequenceIndex,
         raise ValueError(f"tol must be positive, got {tol}")
     points, position = np.unique(grid, return_inverse=True)
     checkpoints = kappa.checkpoints
-    counts = grid_counts([grid_codes(seq, kappa.deepest, points)],
-                         points.size, checkpoints)
+    if codes is None:
+        codes = grid_codes(seq, kappa.deepest, points)
+    counts = grid_counts([codes], points.size, checkpoints)
     traces = [DensityEstimate.from_counts(checkpoints, counts[:, j], tol,
                                           window) for j in position]
     oscillations = np.asarray([t.oscillation for t in traces])
@@ -122,9 +128,11 @@ def helly_extract(seqs: Sequence[BoundedSequence], pool: SubsequenceIndex,
     ``window`` checkpoints survive a pass.
 
     A checkpoint's count does not depend on which other checkpoints
-    survive, so each sequence is binned once up to the pool's deepest
-    checkpoint (which it must reach) and one :func:`grid_counts` table
-    serves all of its passes.
+    survive, so each sequence is binned once and one :func:`grid_counts`
+    table serves all of its passes.  Binning reads up to the pool's deepest
+    checkpoint, so later stages find the prefix already generated; a
+    finite sequence is read only as far as it goes, which must reach the
+    deepest checkpoint still surviving.
     """
     if len(seqs) == 0:
         raise ValueError("need at least one sequence")
@@ -140,8 +148,13 @@ def helly_extract(seqs: Sequence[BoundedSequence], pool: SubsequenceIndex,
     points = np.unique(grid)
     surviving = np.arange(len(pool))
     for seq in seqs:
-        counts = grid_counts([grid_codes(seq, pool.deepest, points)],
-                             points.size, checkpoints)
+        depth = pool.deepest
+        if seq.length is not None:
+            depth = max(min(depth, seq.length),
+                        int(checkpoints[surviving[-1]]))
+        reach = int(np.searchsorted(checkpoints, depth, side="right"))
+        counts = grid_counts([grid_codes(seq, depth, points)], points.size,
+                             checkpoints[:reach])
         for x in np.sort(grid):
             check_window(seq, seq.interval.a, float(x))
             j = int(np.searchsorted(points, x))

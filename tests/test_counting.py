@@ -3,13 +3,12 @@
 Every count the rectangle test, measurability detection and extraction use
 comes from ``grid_counts``.  These tests rebuild each figure with plain
 per-n loops (or with the general indicator route of ``kappa_density``) and
-demand exact equality, on grids that hit sequence values exactly, unsorted
-and duplicate grids, and both the dense-table and corner-by-corner branches.
+demand exact equality, on grids that hit sequence values exactly and on
+unsorted and duplicate grids.
 """
 
 import itertools
 import math
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,12 +17,16 @@ from hypothesis import strategies as st
 
 import statindep.density as density
 import statindep.independence as independence
+import statindep.selection as selection
 from statindep import (
+    UNIT,
     CheckpointError,
     ExtractionError,
+    FileSequence,
     IntervalError,
     KroneckerSequence,
     PeriodicSequence,
+    SequenceExhausted,
     SubsequenceIndex,
     VanDerCorputSequence,
     cdf_eval,
@@ -73,12 +76,6 @@ def checkpoint_sets(draw, max_n=500):
     return SubsequenceIndex(sorted(picks | {n}))
 
 
-def table_branch(dense: bool):
-    """Force grid_counts onto the dense table or the per-corner branch."""
-    cap = density.MAX_TABLE_CELLS if dense else 0
-    return mock.patch.object(density, "MAX_TABLE_CELLS", cap)
-
-
 def brute_counts(seqs, points, checkpoints):
     """c[i, j_1..j_m] = #{n <= k_i : v_r(n) < points[j_r] for all r}, per n;
     the extra index j_r = len(points) leaves sequence r unbounded."""
@@ -99,23 +96,21 @@ def brute_counts(seqs, points, checkpoints):
 
 
 @settings(max_examples=80, deadline=None)
-@given(sequences, grids, checkpoint_sets(), st.booleans())
-def test_grid_counts_match_per_n_loop(seqs, grid, kappa, dense):
+@given(sequences, grids, checkpoint_sets())
+def test_grid_counts_match_per_n_loop(seqs, grid, kappa):
     points = np.unique(grid)
     codes = [grid_codes(s, kappa.deepest, points) for s in seqs]
-    with table_branch(dense):
-        got = grid_counts(codes, points.size, kappa.checkpoints)
+    got = grid_counts(codes, points.size, kappa.checkpoints)
     want = brute_counts(seqs, points.tolist(), kappa.checkpoints.tolist())
     assert got.dtype == np.int64
     assert np.array_equal(got, want)
 
 
 @settings(max_examples=60, deadline=None)
-@given(sequences, grids, checkpoint_sets(), st.booleans())
-def test_rectangle_densities_match_per_n_loop(seqs, grid, kappa, dense):
-    with table_branch(dense):
-        rep = kappa_independence_test(seqs, kappa, grid, tol=0.05, window=1,
-                                      measurability_tol=1.0)
+@given(sequences, grids, checkpoint_sets())
+def test_rectangle_densities_match_per_n_loop(seqs, grid, kappa):
+    rep = kappa_independence_test(seqs, kappa, grid, tol=0.05, window=1,
+                                  measurability_tol=1.0)
     depth = kappa.deepest
     values = [s.prefix(depth).values.tolist() for s in seqs]
     cdfs = [empirical_cdf(s, kappa) for s in seqs]
@@ -131,14 +126,11 @@ def test_rectangle_densities_match_per_n_loop(seqs, grid, kappa, dense):
 
 
 @settings(max_examples=60, deadline=None)
-@given(sequences, grids, checkpoint_sets(), st.integers(1, 4),
-       st.booleans())
-def test_measurability_ratios_match_kappa_density(seqs, grid, kappa, window,
-                                                  dense):
+@given(sequences, grids, checkpoint_sets(), st.integers(1, 4))
+def test_measurability_ratios_match_kappa_density(seqs, grid, kappa, window):
     seq = seqs[0]
     window = min(window, len(kappa))
-    with table_branch(dense):
-        rep = detect_measurable(seq, kappa, grid, tol=0.05, window=window)
+    rep = detect_measurable(seq, kappa, grid, tol=0.05, window=window)
     assert len(rep.traces) == grid.size
     for x, est in zip(grid, rep.traces):
         want = kappa_density(preimage(seq, seq.interval.a, float(x)), kappa,
@@ -169,36 +161,80 @@ def cumsum_extract(seqs, pool, grid, tol, window):
 
 @settings(max_examples=60, deadline=None)
 @given(sequences, grids, checkpoint_sets(), st.sampled_from([1e-9, 0.02, 0.2]),
-       st.integers(1, 3), st.booleans())
-def test_extraction_matches_cumsum_loop(seqs, grid, pool, tol, window, dense):
+       st.integers(1, 3))
+def test_extraction_matches_cumsum_loop(seqs, grid, pool, tol, window):
     try:
         want = cumsum_extract(seqs, pool, grid, tol, window)
     except ExtractionError as exc:
         label, point = str(exc).rsplit(" ", 1)
-        with table_branch(dense), pytest.raises(ExtractionError) as info:
+        with pytest.raises(ExtractionError) as info:
             helly_extract(seqs, pool, grid, tol=tol, window=window, min_pool=1)
         assert f"sequence {label}, grid point {point}:" in str(info.value)
         return
-    with table_branch(dense):
-        got = helly_extract(seqs, pool, grid, tol=tol, window=window,
-                            min_pool=1)
+    got = helly_extract(seqs, pool, grid, tol=tol, window=window, min_pool=1)
     assert np.array_equal(got.checkpoints, want)
 
 
-def test_arity_five_branches_agree():
-    # Decile corners at the largest arity stay on the dense table.
-    assert (9 + 1) ** independence.MAX_TUPLE_ARITY <= density.MAX_TABLE_CELLS
+def test_extraction_reads_only_surviving_depth():
+    # The first sequence's pass keeps checkpoints 1..60 of a 100-deep pool;
+    # the second sequence holds only 60 values and must still be enough.
+    first = FileSequence(np.repeat([0.0, 1.0], [60, 40]), UNIT, "first.txt")
+    short = FileSequence(np.linspace(0.0, 1.0, 60), UNIT, "short.txt")
+    pool = SubsequenceIndex(range(1, 101))
+    grid = np.array([0.5])
+    want = cumsum_extract([first, short], pool, grid, 0.01, 5)
+    got = helly_extract([first, short], pool, grid, tol=0.01, window=5,
+                        min_pool=1)
+    assert np.array_equal(got.checkpoints, want)
+    too_short = FileSequence(np.linspace(0.0, 1.0, 59), UNIT, "59.txt")
+    with pytest.raises(SequenceExhausted, match="prefix of length 60"):
+        cumsum_extract([first, too_short], pool, grid, 0.01, 5)
+    with pytest.raises(SequenceExhausted, match="prefix of length 60"):
+        helly_extract([first, too_short], pool, grid, tol=0.01, window=5,
+                      min_pool=1)
+
+
+def test_extraction_generates_each_prefix_once(monkeypatch):
+    # The second sequence's passes need only checkpoints 1..60, but it is
+    # read to the pool's end, so a later full-depth stage generates nothing.
+    first = FileSequence(np.repeat([0.0, 1.0], [60, 40]), UNIT, "first.txt")
+    kron = KroneckerSequence("sqrt2-1")
+    generated = []
+    real = kron._eval_batch
+
+    def counting(ns):
+        generated.append(ns.size)
+        return real(ns)
+
+    monkeypatch.setattr(kron, "_eval_batch", counting)
+    pool = SubsequenceIndex(range(1, 101))
+    got = helly_extract([first, kron], pool, np.array([0.5]), tol=0.01,
+                        window=5, min_pool=1)
+    assert got.deepest <= 60
+    kron.prefix(pool.deepest)
+    assert generated == [pool.deepest]
+
+
+def test_arity_five_table_matches_per_n_loop():
     seqs = [KroneckerSequence(a) for a in ("sqrt2-1", "sqrt3-1", "golden")] \
         + [VanDerCorputSequence(2), VanDerCorputSequence(3)]
+    assert len(seqs) == independence.MAX_TUPLE_ARITY
     points = np.array([0.25, 0.5, 0.75])
     kappa = SubsequenceIndex([64, 200])
     codes = [grid_codes(s, kappa.deepest, points) for s in seqs]
-    dense = grid_counts(codes, points.size, kappa.checkpoints)
-    with table_branch(False):
-        sparse = grid_counts(codes, points.size, kappa.checkpoints)
-    assert dense.shape == (2,) + (4,) * 5
-    assert np.array_equal(dense, sparse)
-    assert dense[(1,) + (3,) * 5] == 200
+    got = grid_counts(codes, points.size, kappa.checkpoints)
+    assert got.shape == (2,) + (4,) * 5
+    assert np.array_equal(got, brute_counts(seqs, points.tolist(), [64, 200]))
+    assert got[(1,) + (3,) * 5] == 200
+
+
+def test_oversized_table_rejected():
+    # Decile corners at the largest arity fit; far larger tables are refused
+    # before anything is allocated.
+    assert (9 + 1) ** independence.MAX_TUPLE_ARITY <= density.MAX_TABLE_CELLS
+    codes = [np.zeros(4, dtype=np.intp)] * 3
+    with pytest.raises(ValueError, match="exceeds"):
+        grid_counts(codes, 1024, np.array([2, 4]))
 
 
 def test_trace_property_lists_python_pairs():
@@ -251,19 +287,28 @@ class TestErrorsKept:
 
 
 def test_harness_checks_measurability_once_per_pair(monkeypatch):
-    calls = []
+    calls, binned = [], []
     real = independence.detect_measurable
+    real_codes = density.grid_codes
 
     def counting(seq, kappa, *args, **kwargs):
         calls.append((seq.label, kappa.label))
         return real(seq, kappa, *args, **kwargs)
 
+    def counting_codes(seq, n, points):
+        binned.append((seq.label, n))
+        return real_codes(seq, n, points)
+
     monkeypatch.setattr(independence, "detect_measurable", counting)
+    for module in (independence, selection):
+        monkeypatch.setattr(module, "grid_codes", counting_codes)
     seqs = [KroneckerSequence("sqrt2-1"), KroneckerSequence("sqrt3-1")]
     family = kappa_family_builder(2000)
     rep = equivalence_harness(seqs, default_battery(), family,
                               [100, 1000, 2000], 0.02)
     assert len(calls) == len(set(calls))
+    # Each checked prefix is binned once, for measurability and rectangles.
+    assert len(binned) == len(calls)
     tested = [o.kappa_label for o in rep.outcomes if o.tested]
     assert tested
     for label in tested:
