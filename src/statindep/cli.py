@@ -21,6 +21,7 @@ import json
 import sys
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -30,16 +31,16 @@ from .errors import SpecError, StatIndepError
 from .independence import FunctionBattery, NamedFunction, default_battery, \
     equivalence_harness
 from .reporting import fmt_float, write_csv, write_json
-from .selection import helly_extract, kappa_family_builder, detect_measurable
-from .sequences import BoundedSequence, Interval, from_spec as sequence_from_spec
+from .selection import DEFAULT_MIN_POOL, DEFAULT_TOL, DEFAULT_WINDOW, \
+    KAPPA_FAMILY, detect_measurable, helly_extract, kappa_family_builder
+from .sequences import BoundedSequence, Interval, _fail, _norm_float, \
+    _norm_floats, _norm_int, from_spec as sequence_from_spec, normalize_spec
 from .subsequence import SubsequenceIndex
 
-BUILTIN_BATTERY = ("one", "x", "x2", "sin2pix", "cos2pix", "ramp")
-FAMILY_MEMBERS = ("naturals", "evens", "odds", "squares", "pow2", "thinned")
+BUILTIN_BATTERY = default_battery().names
 DEFAULT_SCHEDULE = (100, 1000, 10000, 100000)
-DEFAULT_TOLERANCES = {"tol": 0.01, "window": 5, "atom_tol": 0.001,
-                      "epsilon_width": 0.05}
-MIN_POOL = 64
+DEFAULT_TOLERANCES = {"tol": DEFAULT_TOL, "window": DEFAULT_WINDOW,
+                      "atom_tol": 0.001}
 
 
 @dataclass
@@ -57,28 +58,6 @@ class ExperimentSpec:
     seed: int
 
 
-def _fail(path: str, message: str):
-    raise SpecError(f"{path}: {message}")
-
-
-def _norm_int(value, path: str, minimum: int | None = None) -> int:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        _fail(path, f"expected an integer, got {value!r}")
-    if isinstance(value, float):
-        if not value.is_integer():
-            _fail(path, f"expected an integer, got {value!r}")
-        value = int(value)
-    if minimum is not None and value < minimum:
-        _fail(path, f"must be >= {minimum}, got {value}")
-    return int(value)
-
-
-def _norm_float(value, path: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        _fail(path, f"expected a number, got {value!r}")
-    return float(value)
-
-
 def _norm_increasing(values, path: str, kind) -> tuple:
     if not isinstance(values, (list, tuple)) or not values:
         _fail(path, "expected a nonempty array")
@@ -86,52 +65,6 @@ def _norm_increasing(values, path: str, kind) -> tuple:
     if any(x >= y for x, y in zip(out, out[1:])):
         _fail(path, f"entries must be strictly increasing, got {out}")
     return tuple(out)
-
-
-_SEQ_PARAM_KEYS = {
-    "kronecker": ("alpha",),
-    "van_der_corput": ("base",),
-    "periodic": ("values",),
-    "constant": ("value",),
-    "block": ("low", "high", "growth"),
-    "affine_image": ("c", "d", "source"),
-    "file": ("path",),
-}
-
-
-def _norm_sequence_spec(obj, path: str) -> dict:
-    sequence_from_spec(obj, where=path)  # full validation with cited paths
-    kind = obj["kind"]
-    raw = obj.get("interval", [0.0, 1.0])
-    out = {"kind": kind, "interval": [float(raw[0]), float(raw[1])],
-           "params": {}}
-    params = obj.get("params", {})
-    for key in params:
-        if key not in _SEQ_PARAM_KEYS[kind]:
-            _fail(f"{path}.params.{key}", f"unknown parameter for kind {kind!r}")
-    p = out["params"]
-    if kind == "kronecker":
-        alpha = params["alpha"]
-        p["alpha"] = alpha if isinstance(alpha, str) else float(alpha)
-    elif kind == "van_der_corput":
-        p["base"] = _norm_int(params.get("base", 2), f"{path}.params.base", 2)
-    elif kind == "periodic":
-        p["values"] = [_norm_float(v, f"{path}.params.values[{i}]")
-                       for i, v in enumerate(params["values"])]
-    elif kind == "constant":
-        p["value"] = _norm_float(params["value"], f"{path}.params.value")
-    elif kind == "block":
-        p["low"] = _norm_float(params["low"], f"{path}.params.low")
-        p["high"] = _norm_float(params["high"], f"{path}.params.high")
-        p["growth"] = _norm_int(params["growth"], f"{path}.params.growth", 2)
-    elif kind == "affine_image":
-        p["c"] = _norm_float(params["c"], f"{path}.params.c")
-        p["d"] = _norm_float(params["d"], f"{path}.params.d")
-        p["source"] = _norm_sequence_spec(params["source"],
-                                          f"{path}.params.source")
-    elif kind == "file":
-        p["path"] = str(params["path"])
-    return out
 
 
 def _norm_battery_entry(entry, path: str):
@@ -149,20 +82,22 @@ def _norm_battery_entry(entry, path: str):
             _fail(f"{path}.name", "expected a nonempty string")
         knots = _norm_increasing(entry.get("knots"), f"{path}.knots",
                                  _norm_float)
-        if not isinstance(entry.get("values"), (list, tuple)) \
-                or len(entry["values"]) != len(knots):
+        values = entry.get("values")
+        if not isinstance(values, (list, tuple)) or len(values) != len(knots):
             _fail(f"{path}.values", "expected an array matching knots")
-        values = tuple(_norm_float(v, f"{path}.values[{i}]")
-                       for i, v in enumerate(entry["values"]))
-        return {"name": name, "knots": list(knots), "values": list(values)}
+        return {"name": name, "knots": list(knots),
+                "values": _norm_floats(values, f"{path}.values")}
     _fail(path, "expected a built-in name or a piecewise-linear object")
 
 
 def parse_experiment_spec(obj) -> ExperimentSpec:
     """Validate and normalize a JSON experiment description.
 
-    Errors cite the JSON path of the offending field.  Parsing is
-    idempotent: parse(serialize(spec)) == spec.
+    Each sequence is normalized by :func:`statindep.sequences.normalize_spec`
+    and nothing is built here: a constructor's range checks (low < high,
+    values inside the interval, readable files) run in
+    :func:`build_sequences`.  Errors cite the JSON path of the offending
+    field.  Parsing is idempotent: parse(serialize(spec)) == spec.
     """
     if not isinstance(obj, dict):
         raise SpecError(f"spec: expected a JSON object, got {type(obj).__name__}")
@@ -175,7 +110,7 @@ def parse_experiment_spec(obj) -> ExperimentSpec:
     raw_seqs = obj.get("sequences")
     if not isinstance(raw_seqs, list) or not raw_seqs:
         _fail("sequences", "expected a nonempty array of sequence specs")
-    sequences = tuple(_norm_sequence_spec(s, f"sequences[{i}]")
+    sequences = tuple(normalize_spec(s, f"sequences[{i}]")
                       for i, s in enumerate(raw_seqs))
 
     raw_battery = obj.get("battery", list(BUILTIN_BATTERY))
@@ -189,7 +124,7 @@ def parse_experiment_spec(obj) -> ExperimentSpec:
 
     raw_kappa = obj.get("kappa", "default")
     if isinstance(raw_kappa, str):
-        allowed = ("default", "extract") + FAMILY_MEMBERS
+        allowed = ("default", "extract") + KAPPA_FAMILY
         if raw_kappa not in allowed:
             _fail("kappa", f"expected one of {', '.join(allowed)}, or an "
                            f"explicit checkpoint array; got {raw_kappa!r}")
@@ -238,17 +173,23 @@ def parse_experiment_spec(obj) -> ExperimentSpec:
     if "pool" in obj:
         pool = _norm_increasing(obj["pool"], "pool",
                                 lambda v, p: _norm_int(v, p, 1))
-        if len(pool) < MIN_POOL:
-            _fail("pool", f"needs at least {MIN_POOL} checkpoints, got {len(pool)}")
+        if len(pool) < DEFAULT_MIN_POOL:
+            _fail("pool", f"needs at least {DEFAULT_MIN_POOL} checkpoints, "
+                          f"got {len(pool)}")
 
-    seed = _norm_int(obj.get("seed", 0), "seed", 0)
-    if seed >= 2 ** 64:
-        _fail("seed", f"must fit in 64 bits, got {seed}")
+    seed = _norm_seed(obj.get("seed", 0), "seed")
 
     return ExperimentSpec(sequences=sequences, battery=battery,
                           schedule=schedule, kappa=kappa, grid=grid,
                           tolerances=tolerances, outputs=outputs, pool=pool,
                           seed=seed)
+
+
+def _norm_seed(value, path: str) -> int:
+    seed = _norm_int(value, path, 0)
+    if seed >= 2 ** 64:
+        _fail(path, f"must fit in 64 bits, got {seed}")
+    return seed
 
 
 def serialize_experiment_spec(spec: ExperimentSpec) -> dict:
@@ -269,6 +210,7 @@ def serialize_experiment_spec(spec: ExperimentSpec) -> dict:
 
 
 def build_sequences(spec: ExperimentSpec) -> list[BoundedSequence]:
+    """Build the spec's sequences, each once, through ``from_spec``."""
     return [sequence_from_spec(s, where=f"sequences[{i}]")
             for i, s in enumerate(spec.sequences)]
 
@@ -286,31 +228,27 @@ def build_battery(spec: ExperimentSpec, interval: Interval) -> FunctionBattery:
     return FunctionBattery(tuple(members))
 
 
-def _decile_grid(interval: Interval) -> np.ndarray:
-    ks = np.arange(1, 10, dtype=np.float64)
-    return interval.a + interval.length * ks / 10.0
-
-
 def resolve_grid(spec: ExperimentSpec, interval: Interval,
-                 cdfs: list[StepCDF] | None = None):
-    """Returns (fixed_points | None, count).  Explicit points are validated
-    against the interval; a count is materialized only when CDFs are at
-    hand, otherwise it is passed through for per-index grids."""
+                 cdfs: Callable[[], list[StepCDF]] | None = None):
+    """The spec's grid points on ``interval``, or None for a count grid
+    that the harness places per kappa.  A count grid is placed here only
+    when ``cdfs`` is given: it is called, only then, for the CDFs to avoid.
+    """
     if isinstance(spec.grid, tuple):
         points = np.asarray(spec.grid, dtype=np.float64)
         if points[0] <= interval.a or points[-1] >= interval.b:
             raise SpecError(
                 f"grid: points must lie strictly inside "
                 f"({interval.a}, {interval.b})")
-        return points, None
+        return points
     if isinstance(spec.grid, dict):
-        return _decile_grid(interval), None
-    count = int(spec.grid)
-    if cdfs is not None:
-        return continuity_grid(cdfs, count,
-                               atom_tol=spec.tolerances["atom_tol"],
-                               interval=interval), None
-    return None, count
+        ks = np.arange(1, 10, dtype=np.float64)
+        return interval.a + interval.length * ks / 10.0
+    if cdfs is None:
+        return None
+    return continuity_grid(cdfs(), spec.grid,
+                           atom_tol=spec.tolerances["atom_tol"],
+                           interval=interval)
 
 
 def _derived_pool(depth: int) -> SubsequenceIndex:
@@ -329,7 +267,7 @@ def resolve_pool(spec: ExperimentSpec, depth: int) -> SubsequenceIndex:
         return SubsequenceIndex(np.asarray(spec.pool, dtype=np.int64),
                                 name="pool")
     pool = _derived_pool(depth)
-    if len(pool) < MIN_POOL:
+    if len(pool) < DEFAULT_MIN_POOL:
         raise SpecError(
             f"derived pool has only {len(pool)} checkpoints at depth {depth}; "
             f"raise --depth to at least 2048 or supply an explicit pool")
@@ -343,19 +281,20 @@ def resolve_kappa_family(spec: ExperimentSpec, seqs: list[BoundedSequence],
                                  name="explicit")]
     if spec.kappa == "default":
         return kappa_family_builder(depth, seed=seed)
-    if spec.kappa in FAMILY_MEMBERS:
+    if spec.kappa in KAPPA_FAMILY:
         family = kappa_family_builder(depth, seed=seed)
         return [k for k in family if k.name == spec.kappa]
-    # "extract": build a pool, extract, and use the result as the family.
+    return [_extract(spec, seqs, depth)[2]]
+
+
+def _extract(spec: ExperimentSpec, seqs: list[BoundedSequence], depth: int):
+    """Pool, grid and extracted checkpoints of a ``"kappa": "extract"`` run."""
     pool = resolve_pool(spec, depth)
-    interval = seqs[0].interval
-    fixed, count = resolve_grid(spec, interval,
-                                cdfs=[empirical_cdf(s, pool) for s in seqs]
-                                if not isinstance(spec.grid, (tuple, dict))
-                                else None)
-    grid = fixed if fixed is not None else _decile_grid(interval)
-    return [helly_extract(seqs, pool, grid, tol=spec.tolerances["tol"],
-                          window=spec.tolerances["window"])]
+    grid = resolve_grid(spec, seqs[0].interval,
+                        cdfs=lambda: [empirical_cdf(s, pool) for s in seqs])
+    kappa = helly_extract(seqs, pool, grid, tol=spec.tolerances["tol"],
+                          window=spec.tolerances["window"])
+    return pool, grid, kappa
 
 
 def _load_spec_file(path: str) -> dict:
@@ -372,20 +311,22 @@ def _outdir(args) -> Path:
     return out
 
 
+def _single_sequence(spec: ExperimentSpec, command: str) -> BoundedSequence:
+    if len(spec.sequences) != 1:
+        raise SpecError(f"sequences: {command} works on exactly one sequence, "
+                        f"got {len(spec.sequences)}")
+    return build_sequences(spec)[0]
+
+
 def cmd_generate(args) -> int:
     obj = _load_spec_file(args.spec)
     if isinstance(obj, dict) and "kind" in obj:
-        norm = _norm_sequence_spec(obj, "sequence")
+        seq = sequence_from_spec(obj, where="sequence")
         basename = "sequence"
     else:
         spec = parse_experiment_spec(obj)
-        if len(spec.sequences) != 1:
-            raise SpecError(
-                f"sequences: generate works on exactly one sequence, "
-                f"got {len(spec.sequences)}")
-        norm = spec.sequences[0]
+        seq = _single_sequence(spec, "generate")
         basename = spec.outputs["basename"]
-    seq = sequence_from_spec(norm, where="sequence")
     n = args.depth
     values = seq.prefix(n).values
     path = _outdir(args) / f"{basename}_values.txt"
@@ -398,20 +339,12 @@ def cmd_generate(args) -> int:
 
 def cmd_distribution(args) -> int:
     spec = parse_experiment_spec(_load_spec_file(args.spec))
-    if len(spec.sequences) != 1:
-        raise SpecError(
-            f"sequences: distribution works on exactly one sequence, "
-            f"got {len(spec.sequences)}")
-    seq = build_sequences(spec)[0]
+    seq = _single_sequence(spec, "distribution")
     battery = build_battery(spec, seq.interval)
     schedule = SubsequenceIndex(np.asarray(spec.schedule, dtype=np.int64),
                                 name="schedule")
     deepest_cdf = empirical_cdf(seq, schedule)
-    fixed, count = resolve_grid(spec, seq.interval,
-                                cdfs=[deepest_cdf]
-                                if not isinstance(spec.grid, (tuple, dict))
-                                else None)
-    grid = fixed if fixed is not None else _decile_grid(seq.interval)
+    grid = resolve_grid(spec, seq.interval, cdfs=lambda: [deepest_cdf])
 
     cdf_rows = []
     weyl_rows = []
@@ -450,12 +383,12 @@ def cmd_independence(args) -> int:
     battery = build_battery(spec, interval)
     seed = args.seed if args.seed is not None else spec.seed
     family = resolve_kappa_family(spec, seqs, args.depth, seed)
-    fixed, count = resolve_grid(spec, interval)
+    fixed = resolve_grid(spec, interval)
 
     tol = spec.tolerances["tol"]
     report = equivalence_harness(
         seqs, battery, family, list(spec.schedule), tol,
-        grid_count=count if count is not None else 9,
+        grid_count=spec.grid if fixed is None else 9,
         atom_tol=spec.tolerances["atom_tol"],
         window=spec.tolerances["window"],
         fixed_grid=fixed)
@@ -496,17 +429,9 @@ def cmd_extract(args) -> int:
     if spec.kappa != "extract":
         raise SpecError('kappa: extract requires "kappa": "extract"')
     seqs = build_sequences(spec)
-    interval = seqs[0].interval
-    pool = resolve_pool(spec, args.depth)
-    fixed, count = resolve_grid(spec, interval,
-                                cdfs=[empirical_cdf(s, pool) for s in seqs]
-                                if not isinstance(spec.grid, (tuple, dict))
-                                else None)
-    grid = fixed if fixed is not None else _decile_grid(interval)
-    tol = spec.tolerances["tol"]
-    window = spec.tolerances["window"]
-    kappa = helly_extract(seqs, pool, grid, tol=tol, window=window)
-    reports = [detect_measurable(s, kappa, grid, tol=tol, window=window)
+    pool, grid, kappa = _extract(spec, seqs, args.depth)
+    reports = [detect_measurable(s, kappa, grid, tol=spec.tolerances["tol"],
+                                 window=spec.tolerances["window"])
                for s in seqs]
 
     out = _outdir(args)
@@ -528,7 +453,15 @@ def build_parser() -> argparse.ArgumentParser:
         description="Independence diagnostics for bounded real sequences.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    for name, help_text, func in (
+            ("generate", "write sequence values to a file", cmd_generate),
+            ("distribution", "empirical CDF and averaged-integral tables",
+             cmd_distribution),
+            ("independence", "run both independence tests and compare "
+                             "verdicts", cmd_independence),
+            ("extract", "extract a stabilizing checkpoint subsequence",
+             cmd_extract)):
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("--spec", required=True,
                        help="path to a JSON experiment description")
         p.add_argument("--out", default=".",
@@ -538,25 +471,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--depth", type=int, default=10_000,
                        help="base depth: values for generate, deepest "
                             "checkpoint otherwise")
-
-    p = sub.add_parser("generate", help="write sequence values to a file")
-    common(p)
-    p.set_defaults(func=cmd_generate)
-
-    p = sub.add_parser("distribution", help="empirical CDF and averaged-"
-                                            "integral tables")
-    common(p)
-    p.set_defaults(func=cmd_distribution)
-
-    p = sub.add_parser("independence", help="run both independence tests "
-                                            "and compare verdicts")
-    common(p)
-    p.set_defaults(func=cmd_independence)
-
-    p = sub.add_parser("extract", help="extract a stabilizing checkpoint "
-                                       "subsequence")
-    common(p)
-    p.set_defaults(func=cmd_extract)
+        p.set_defaults(func=func)
     return parser
 
 
@@ -568,6 +483,9 @@ def main(argv=None) -> int:
         # argparse exits 2 on usage errors; 2 is reserved for disagreement.
         return 0 if exc.code in (0, None) else 1
     try:
+        _norm_int(args.depth, "--depth", 1)
+        if args.seed is not None:
+            _norm_seed(args.seed, "--seed")
         return args.func(args)
     except StatIndepError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -23,7 +23,7 @@ import numpy as np
 from .density import grid_codes, grid_counts
 from .distribution import continuity_grid, empirical_cdf
 from .errors import IntervalError, MeasurabilityError
-from .selection import DEFAULT_TOL, detect_measurable
+from .selection import DEFAULT_TOL, DEFAULT_WINDOW, detect_measurable
 from .sequences import BoundedSequence, Interval, UNIT
 from .subsequence import SubsequenceIndex
 
@@ -371,8 +371,8 @@ def kappa_independence_test(seqs: Sequence[BoundedSequence],
                             kappa: SubsequenceIndex,
                             grid: np.ndarray,
                             tol: float,
-                            window: int = 5,
-                            measurability_tol: float = 1e-2) -> RectangleReport:
+                            window: int = DEFAULT_WINDOW,
+                            measurability_tol: float = DEFAULT_TOL) -> RectangleReport:
     """Rectangle factorization residuals at the deepest checkpoint.
 
     For every corner tuple from the grid (one coordinate per sequence, in
@@ -490,7 +490,7 @@ def equivalence_harness(seqs: Sequence[BoundedSequence],
                         tol: float,
                         grid_count: int = 9,
                         atom_tol: float = 1e-3,
-                        window: int = 5,
+                        window: int = DEFAULT_WINDOW,
                         fixed_grid: np.ndarray | None = None) -> EquivalenceReport:
     """Run both tests and check that their verdicts agree.
 

@@ -26,6 +26,8 @@ from .subsequence import SubsequenceIndex
 DEFAULT_TOL = 1e-2
 DEFAULT_WINDOW = 5
 DEFAULT_MIN_POOL = 64
+# Member names of kappa_family_builder's family, in the order it returns them.
+KAPPA_FAMILY = ("naturals", "evens", "odds", "squares", "pow2", "thinned")
 
 
 @dataclass
@@ -195,12 +197,12 @@ def kappa_family_builder(base_depth: int, seed: int = 0) -> list[SubsequenceInde
     keep = rng.random(base_depth) < 0.5
     thinned = np.nonzero(keep)[0].astype(np.int64) + 1
 
-    return [
-        SubsequenceIndex(naturals, rule=f"k_N = {stride}N", name="naturals"),
-        SubsequenceIndex(evens, rule="k_N = 2N", name="evens"),
-        SubsequenceIndex(odds, rule="k_N = 2N-1", name="odds"),
-        SubsequenceIndex(squares, rule="k_N = N^2", name="squares"),
-        SubsequenceIndex(pow2, rule="k_N = 2^(N-1)", name="pow2"),
-        SubsequenceIndex(thinned, rule=f"coin-thinned, seed={seed}",
-                         name="thinned"),
-    ]
+    members = {
+        "naturals": (naturals, f"k_N = {stride}N"),
+        "evens": (evens, "k_N = 2N"),
+        "odds": (odds, "k_N = 2N-1"),
+        "squares": (squares, "k_N = N^2"),
+        "pow2": (pow2, "k_N = 2^(N-1)"),
+        "thinned": (thinned, f"coin-thinned, seed={seed}"),
+    }
+    return [SubsequenceIndex(*members[name], name=name) for name in KAPPA_FAMILY]

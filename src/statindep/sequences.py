@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -372,53 +373,129 @@ def load_sequence(path, interval: Interval) -> FileSequence:
     return FileSequence(values, interval, str(path))
 
 
-def from_spec(obj: dict, where: str = "sequence") -> BoundedSequence:
-    """Build a sequence from its JSON description.
+def _fail(path: str, message: str):
+    raise SpecError(f"{path}: {message}")
 
-    The wire format is ``{"kind": ..., "interval": [a, b], "params": {...}}``;
-    validation errors cite the JSON path of the offending field.
+
+def _norm_int(value, path: str, minimum: int | None = None) -> int:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        _fail(path, f"expected an integer, got {value!r}")
+    if isinstance(value, float):
+        if not value.is_integer():
+            _fail(path, f"expected an integer, got {value!r}")
+        value = int(value)
+    if minimum is not None and value < minimum:
+        _fail(path, f"must be >= {minimum}, got {value}")
+    return int(value)
+
+
+def _norm_float(value, path: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        _fail(path, f"expected a number, got {value!r}")
+    return float(value)
+
+
+def _norm_floats(value, path: str) -> list[float]:
+    if not isinstance(value, (list, tuple)):
+        _fail(path, f"expected an array of numbers, got {value!r}")
+    return [_norm_float(v, f"{path}[{i}]") for i, v in enumerate(value)]
+
+
+def _norm_alpha(value, path: str):
+    return value if isinstance(value, str) else _norm_float(value, path)
+
+
+def _norm_str(value, path: str) -> str:
+    if not isinstance(value, str):
+        _fail(path, f"expected a string, got {value!r}")
+    return value
+
+
+class SequenceKind(NamedTuple):
+    """``build(**params, interval=...)`` plus a {parameter: coercer(value,
+    path)} schema in normalized order, and defaults for absent parameters."""
+
+    build: Callable[..., BoundedSequence]
+    params: dict
+    defaults: dict = {}
+
+
+def normalize_spec(obj, where: str = "sequence") -> dict:
+    """Check a sequence's JSON description; return its normalized form.
+
+    That is ``{"kind", "interval": [a, b], "params"}`` with float endpoints
+    (default [0, 1]) and the parameters coerced, in schema order, defaults
+    filled in.  Unknown fields and parameters are rejected; errors cite the
+    JSON path.  Only shapes and types are checked here: range checks belong
+    to the constructors.  Normalizing twice gives the same dict.
     """
     if not isinstance(obj, dict):
-        raise SpecError(f"{where}: expected an object, got {type(obj).__name__}")
+        _fail(where, f"expected an object, got {type(obj).__name__}")
+    for key in obj:
+        if key not in ("kind", "interval", "params"):
+            _fail(f"{where}.{key}", "unknown field")
     kind = obj.get("kind")
     if kind is None:
-        raise SpecError(f"{where}.kind: missing")
+        _fail(f"{where}.kind", "missing")
+    if not isinstance(kind, str) or kind not in SEQUENCE_KINDS:
+        _fail(f"{where}.kind", f"unknown generator {kind!r}")
     raw_interval = obj.get("interval", [0.0, 1.0])
-    if (not isinstance(raw_interval, (list, tuple)) or len(raw_interval) != 2):
-        raise SpecError(f"{where}.interval: expected [a, b]")
+    if not isinstance(raw_interval, (list, tuple)) or len(raw_interval) != 2:
+        _fail(f"{where}.interval", "expected [a, b]")
     try:
         interval = Interval(float(raw_interval[0]), float(raw_interval[1]))
-    except (TypeError, ValueError, IntervalError) as exc:
+    except (TypeError, ValueError) as exc:
         raise SpecError(f"{where}.interval: {exc}") from None
     params = obj.get("params", {})
     if not isinstance(params, dict):
-        raise SpecError(f"{where}.params: expected an object")
+        _fail(f"{where}.params", "expected an object")
 
-    def need(key):
-        if key not in params:
-            raise SpecError(f"{where}.params.{key}: missing")
-        return params[key]
+    schema = SEQUENCE_KINDS[kind]
+    out = {}
+    for key, coerce in schema.params.items():
+        path = f"{where}.params.{key}"
+        if key in params:
+            out[key] = coerce(params[key], path)
+        elif key in schema.defaults:
+            out[key] = schema.defaults[key]
+        else:
+            _fail(path, "missing")
+    for key in params:
+        if key not in schema.params:
+            _fail(f"{where}.params.{key}", f"unknown parameter for kind {kind!r}")
+    return {"kind": kind, "interval": [interval.a, interval.b], "params": out}
 
+
+def from_spec(obj, where: str = "sequence") -> BoundedSequence:
+    """Build a sequence from its JSON description; the one spec-to-sequence path.
+
+    ``obj`` is checked by :func:`normalize_spec`, a nested ``source`` spec is
+    built first, and errors cite the JSON path: a constructor's own
+    :class:`SpecError` passes through, its other ValueError or TypeError is
+    cited at ``<where>.params``.
+    """
+    spec = normalize_spec(obj, where)
+    params = {key: from_spec(value, f"{where}.params.{key}")
+              if isinstance(value, dict) else value
+              for key, value in spec["params"].items()}
     try:
-        if kind == "kronecker":
-            return KroneckerSequence(need("alpha"), interval)
-        if kind == "van_der_corput":
-            return VanDerCorputSequence(int(params.get("base", 2)), interval)
-        if kind == "periodic":
-            return PeriodicSequence(need("values"), interval)
-        if kind == "constant":
-            return ConstantSequence(float(need("value")), interval)
-        if kind == "block":
-            return BlockSequence(float(need("low")), float(need("high")),
-                                 int(need("growth")), interval)
-        if kind == "affine_image":
-            source = from_spec(need("source"), where=f"{where}.params.source")
-            return AffineImageSequence(source, float(need("c")), float(need("d")),
-                                       interval)
-        if kind == "file":
-            return load_sequence(need("path"), interval)
+        return SEQUENCE_KINDS[spec["kind"]].build(
+            **params, interval=Interval(*spec["interval"]))
     except SpecError:
         raise
     except (TypeError, ValueError) as exc:
         raise SpecError(f"{where}.params: {exc}") from None
-    raise SpecError(f"{where}.kind: unknown generator {kind!r}")
+
+
+SEQUENCE_KINDS: dict[str, SequenceKind] = {
+    "kronecker": SequenceKind(KroneckerSequence, {"alpha": _norm_alpha}),
+    "van_der_corput": SequenceKind(VanDerCorputSequence, {"base": _norm_int},
+                                   {"base": 2}),
+    "periodic": SequenceKind(PeriodicSequence, {"values": _norm_floats}),
+    "constant": SequenceKind(ConstantSequence, {"value": _norm_float}),
+    "block": SequenceKind(BlockSequence, dict(
+        low=_norm_float, high=_norm_float, growth=_norm_int)),
+    "affine_image": SequenceKind(AffineImageSequence, dict(
+        c=_norm_float, d=_norm_float, source=normalize_spec)),
+    "file": SequenceKind(load_sequence, {"path": _norm_str}),
+}

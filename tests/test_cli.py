@@ -4,14 +4,27 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from statindep import SpecError, load_sequence
+from statindep import (
+    SpecError,
+    SubsequenceIndex,
+    UNIT,
+    continuity_grid,
+    empirical_cdf,
+    from_spec,
+    kappa_family_builder,
+    load_sequence,
+)
 from statindep.cli import (
+    DEFAULT_TOLERANCES,
     ExperimentSpec,
     main,
     parse_experiment_spec,
     serialize_experiment_spec,
 )
+from statindep.selection import DEFAULT_TOL, DEFAULT_WINDOW, KAPPA_FAMILY
+from statindep.sequences import SEQUENCE_KINDS, normalize_spec
 
 KRON = {"kind": "kronecker", "params": {"alpha": "sqrt2-1"}}
 MIRROR = {"kind": "affine_image",
@@ -68,10 +81,136 @@ class TestSpecParsing:
             ({"sequences": [KRON], "kappa": "fancy"}, "kappa"),
             ({"sequences": [KRON], "outputs": {"basename": "a/b"}},
              "outputs.basename"),
+            ({"sequences": [KRON, {"kind": "kronecker", "intervl": [0, 1],
+                                   "params": {"alpha": "golden"}}]},
+             r"^sequences\[1\]\.intervl: unknown field"),
+            ({"sequences": [KRON], "tolerances": {"epsilon_width": 0.05}},
+             r"^tolerances\.epsilon_width: unknown tolerance"),
         ]
         for obj, pattern in cases:
             with pytest.raises(SpecError, match=pattern):
                 parse_experiment_spec(obj)
+
+
+NUMBER = st.one_of(st.integers(-10 ** 6, 10 ** 6),
+                   st.floats(-1e6, 1e6, allow_nan=False))
+WHOLE = st.one_of(st.integers(-3, 40), st.integers(-3, 40).map(float))
+
+
+def optional(**fields):
+    return st.fixed_dictionaries({}, optional=fields)
+
+
+def kind_spec(kind, params, required=True):
+    params = (st.fixed_dictionaries(params) if required
+              else optional(**params))
+    interval = st.lists(st.floats(-1e6, 1e6, allow_nan=False), min_size=2,
+                        max_size=2, unique=True).map(sorted)
+    return st.tuples(params, optional(interval=interval)).map(
+        lambda t: {"kind": kind, "params": t[0], **t[1]})
+
+
+LEAF_SPECS = st.one_of(
+    kind_spec("kronecker", {"alpha": st.one_of(
+        st.sampled_from(["sqrt2-1", "golden"]), st.text(max_size=8), NUMBER)}),
+    kind_spec("van_der_corput", {"base": WHOLE}, required=False),
+    kind_spec("periodic", {"values": st.lists(NUMBER, max_size=4)}),
+    kind_spec("constant", {"value": NUMBER}),
+    kind_spec("block", {"low": NUMBER, "high": NUMBER, "growth": WHOLE}),
+    kind_spec("file", {"path": st.text(max_size=12)}),
+)
+SEQUENCE_SPECS = st.recursive(
+    LEAF_SPECS,
+    lambda source: kind_spec("affine_image",
+                             {"c": NUMBER, "d": NUMBER, "source": source}),
+    max_leaves=3)
+
+
+class TestSequenceRegistry:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(SEQUENCE_SPECS, min_size=1, max_size=3))
+    def test_round_trip_and_idempotent(self, raw):
+        spec = parse_experiment_spec({"sequences": raw})
+        assert parse_experiment_spec(serialize_experiment_spec(spec)) == spec
+        for i, obj in enumerate(raw):
+            norm = normalize_spec(obj, f"sequences[{i}]")
+            assert norm == spec.sequences[i]
+            assert normalize_spec(norm) == norm
+            assert list(norm) == ["kind", "interval", "params"]
+
+    def test_parse_builds_nothing(self, monkeypatch, tmp_path):
+        built = []
+        for kind, entry in list(SEQUENCE_KINDS.items()):
+            monkeypatch.setitem(SEQUENCE_KINDS, kind, entry._replace(
+                build=lambda *a, kind=kind, **k: built.append(kind)))
+        parse_experiment_spec({"sequences": [
+            KRON, MIRROR, PERIODIC, {"kind": "van_der_corput"},
+            {"kind": "constant", "params": {"value": 0.5}},
+            {"kind": "block", "params": {"low": 0, "high": 1, "growth": 2}},
+            {"kind": "file", "params": {"path": str(tmp_path / "none")}}]})
+        assert built == []
+
+    def test_independence_reads_a_file_sequence_once(self, monkeypatch,
+                                                     tmp_path, capsys):
+        values = from_spec(KRON).prefix(1000).values
+        path = tmp_path / "kron.txt"
+        path.write_text("".join(f"{float(v)!r}\n" for v in values))
+        loads = []
+        entry = SEQUENCE_KINDS["file"]
+
+        def counting_load(**kwargs):
+            loads.append(kwargs["path"])
+            return entry.build(**kwargs)
+
+        monkeypatch.setitem(SEQUENCE_KINDS, "file",
+                            entry._replace(build=counting_load))
+        spec = write_spec(tmp_path, {
+            "sequences": [{"kind": "file", "params": {"path": str(path)}},
+                          {"kind": "kronecker",
+                           "params": {"alpha": "sqrt3-1"}}],
+            "schedule": [100, 1000], "kappa": "pow2"})
+        assert main(["independence", "--spec", spec, "--out", str(tmp_path),
+                     "--depth", "1000"]) == 0
+        capsys.readouterr()
+        assert loads == [str(path)]
+
+    def test_block_low_above_high_fails_at_build(self, tmp_path, capsys):
+        block = {"kind": "block", "params": {"low": 1, "high": 0, "growth": 2}}
+        parse_experiment_spec({"sequences": [block, KRON]})
+        spec = write_spec(tmp_path, {"sequences": [block, KRON]})
+        assert main(["independence", "--spec", spec,
+                     "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == \
+            "error: block sequence requires low < high, got 1.0, 0.0\n"
+
+    def test_cli_defaults_come_from_the_library(self):
+        assert DEFAULT_TOLERANCES == {"tol": DEFAULT_TOL,
+                                      "window": DEFAULT_WINDOW,
+                                      "atom_tol": 0.001}
+        assert [k.name for k in kappa_family_builder(1000)] \
+            == list(KAPPA_FAMILY)
+
+
+class TestFlags:
+    @pytest.mark.parametrize("argv, flag", [
+        (["--depth", "0"], "--depth"),
+        (["--depth", "-5"], "--depth"),
+        (["--seed", "-1"], "--seed"),
+        (["--seed", str(2 ** 64)], "--seed"),
+    ])
+    def test_bad_flag_names_itself(self, tmp_path, capsys, argv, flag):
+        spec = write_spec(tmp_path, PERIODIC)
+        assert main(["generate", "--spec", spec, "--out", str(tmp_path),
+                     *argv]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {flag}: ")
+        assert not (tmp_path / "sequence_values.txt").exists()
+
+    def test_largest_seed_is_accepted(self, tmp_path, capsys):
+        spec = write_spec(tmp_path, PERIODIC)
+        assert main(["generate", "--spec", spec, "--out", str(tmp_path),
+                     "--depth", "1", "--seed", str(2 ** 64 - 1)]) == 0
+        capsys.readouterr()
 
 
 class TestGenerate:
@@ -120,6 +259,23 @@ class TestDistribution:
         doc = json.loads((tmp_path / "dist_cdf.json").read_text())
         assert set(doc) == {"points", "masses"}
         assert abs(sum(doc["masses"]) - 1.0) < 1e-12
+
+
+    def test_count_grid(self, tmp_path):
+        spec = write_spec(tmp_path, {
+            "sequences": [KRON],
+            "schedule": [100, 1000, 5000],
+            "grid": 5,
+            "outputs": {"basename": "dist"},
+        })
+        assert main(["distribution", "--spec", spec,
+                     "--out", str(tmp_path)]) == 0
+        rows = (tmp_path / "dist_cdf.csv").read_text().strip().split("\n")[1:]
+        assert len(rows) == 3 * 5
+        schedule = SubsequenceIndex([100, 1000, 5000])
+        want = continuity_grid([empirical_cdf(from_spec(KRON), schedule)], 5,
+                               atom_tol=0.001, interval=UNIT)
+        assert [float(r.split(",")[1]) for r in rows[:5]] == list(want)
 
 
 class TestIndependence:
@@ -215,6 +371,21 @@ class TestExtract:
         assert all(a < b for a, b in zip(cps, cps[1:]))
         reports = json.loads((tmp_path / "blk_measurability.json").read_text())
         assert reports[0]["measurable"] is True
+
+    def test_count_grid(self, tmp_path, capsys):
+        spec = write_spec(tmp_path, {
+            "sequences": [{"kind": "block",
+                           "params": {"low": 0.0, "high": 1.0, "growth": 2}}],
+            "kappa": "extract",
+            "grid": 5,
+            "outputs": {"basename": "blk"},
+        })
+        assert main(["extract", "--spec", spec, "--out", str(tmp_path),
+                     "--depth", "262144"]) == 0
+        assert "measurable=True" in capsys.readouterr().out
+        reports = json.loads((tmp_path / "blk_measurability.json").read_text())
+        grid = reports[0]["grid"]
+        assert len(grid) == 5 and all(0 < x < 1 for x in grid)
 
     def test_requires_extract_kappa(self, tmp_path, capsys):
         spec = write_spec(tmp_path, {"sequences": [KRON]})

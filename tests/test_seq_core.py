@@ -31,6 +31,7 @@ from statindep import (
     load_sequence,
     make_block,
 )
+from statindep.sequences import SEQUENCE_KINDS, normalize_spec
 
 # Fractional parts of n*alpha, precomputed at 50 digits and frozen.
 KRONECKER_ORACLE = {
@@ -270,6 +271,75 @@ class TestFromSpec:
         with pytest.raises(SpecError, match=r"seq\.interval"):
             from_spec({"kind": "constant", "interval": [1, 1],
                        "params": {"value": 1}}, where="seq")
+
+    @pytest.mark.parametrize("obj, path", [
+        ({"kind": "block", "params": {"low": 0, "high": 1, "growth": 2.5}},
+         r"seq\.params\.growth: expected an integer"),
+        ({"kind": "van_der_corput", "params": {"base": 3.9}},
+         r"seq\.params\.base: expected an integer"),
+        ({"kind": "van_der_corput", "params": {"base": "3"}},
+         r"seq\.params\.base: expected an integer"),
+        ({"kind": "constant", "params": {"value": True}},
+         r"seq\.params\.value: expected a number"),
+        ({"kind": "constant", "params": {"value": 0.5, "scale": 2}},
+         r"seq\.params\.scale: unknown parameter for kind 'constant'"),
+        ({"kind": "constant", "intervl": [0, 2], "params": {"value": 0.5}},
+         r"seq\.intervl: unknown field"),
+        ({"kind": "kronecker", "params": {"alpha": [1]}},
+         r"seq\.params\.alpha: expected a number"),
+        ({"kind": "file", "params": {"path": 5}},
+         r"seq\.params\.path: expected a string"),
+    ])
+    def test_rejections_cite_their_path(self, obj, path):
+        # each of these used to be built silently or fail with foreign text
+        with pytest.raises(SpecError, match="^" + path):
+            from_spec(obj, where="seq")
+
+    def test_nested_source_errors_cite_nested_path(self):
+        with pytest.raises(SpecError, match=r"^s\.params\.source\.params\.junk"):
+            from_spec({"kind": "affine_image",
+                       "params": {"c": 1, "d": 0, "source": {
+                           "kind": "constant",
+                           "params": {"value": 0.5, "junk": 1}}}}, where="s")
+
+    def test_normalized_form(self):
+        assert normalize_spec({"kind": "van_der_corput"}) == {
+            "kind": "van_der_corput", "interval": [0.0, 1.0],
+            "params": {"base": 2}}
+        norm = normalize_spec({"kind": "block", "interval": [0, 2],
+                               "params": {"growth": 3.0, "high": 2, "low": 0}})
+        assert norm == {"kind": "block", "interval": [0.0, 2.0],
+                        "params": {"low": 0.0, "high": 2.0, "growth": 3}}
+        assert list(norm["params"]) == ["low", "high", "growth"]
+        assert type(norm["params"]["growth"]) is int
+
+    def test_range_checks_stay_with_constructors(self):
+        spec = {"kind": "block", "params": {"low": 1, "high": 0, "growth": 2}}
+        normalize_spec(spec)  # shape and types are fine
+        with pytest.raises(SpecError, match="requires low < high"):
+            from_spec(spec)
+
+    def test_every_kind_builds_from_its_normal_form(self, tmp_path):
+        path = tmp_path / "values.txt"
+        path.write_text("0.25\n0.75\n")
+        kron = {"kind": "kronecker", "params": {"alpha": "golden"}}
+        specs = {
+            "kronecker": kron,
+            "van_der_corput": {"kind": "van_der_corput"},
+            "periodic": {"kind": "periodic", "params": {"values": [0, 1]}},
+            "constant": {"kind": "constant", "params": {"value": 0.5}},
+            "block": {"kind": "block",
+                      "params": {"low": 0, "high": 1, "growth": 2}},
+            "affine_image": {"kind": "affine_image",
+                             "params": {"c": -1, "d": 1, "source": kron}},
+            "file": {"kind": "file", "params": {"path": str(path)}},
+        }
+        assert set(specs) == set(SEQUENCE_KINDS)
+        for kind, spec in specs.items():
+            seq = from_spec(spec)
+            again = from_spec(normalize_spec(spec))
+            assert seq.kind == again.kind == kind
+            assert np.array_equal(seq.prefix(2).values, again.prefix(2).values)
 
 
 class TestSubsequenceIndex:
