@@ -14,6 +14,7 @@ flagging a counterexample record when they do not.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -120,55 +121,107 @@ def _apply(f, values: np.ndarray) -> np.ndarray:
     return fx
 
 
-def _constant_of(fx: np.ndarray) -> float | None:
-    """The common value when every entry is identical, else None."""
-    if fx.size and bool(np.all(fx == fx.flat[0])):
-        return float(fx.flat[0])
-    return None
+def _battery_column(f, values: np.ndarray
+                    ) -> tuple[np.ndarray | None, int, float]:
+    """One (sequence, member) evaluation as ``(fx, run, first)``.
+
+    ``run`` is the length of the leading stretch of f(v(n)) equal to its
+    first value ``first``, so f is constant on the prefix of length N exactly
+    when N <= run.  A member constant on the whole prefix (``one``, or any
+    member on a constant sequence) keeps only the scalar: ``fx`` is None.
+    """
+    fx = _apply(f, values)
+    differs = fx != fx[0]
+    run = int(np.argmax(differs))
+    if not differs[run]:
+        return None, fx.size, float(fx[0])
+    return fx, run, float(fx[0])
 
 
-def _delta_from_terms(fx_list: Sequence[np.ndarray], N: int) -> float:
-    # Constant slots factor out algebraically; doing so here keeps the gap
-    # against product_form exactly zero whenever only one slot varies.
-    term = None
-    for fx in fx_list:
-        if _constant_of(fx[:N]) is None:
-            term = fx[:N].copy() if term is None else term * fx[:N]
-    out = float(np.sum(term) / N) if term is not None else 1.0
-    for fx in fx_list:
-        c = _constant_of(fx[:N])
-        if c is not None:
-            out *= c
-    return float(out)
+def _multilinear(columns: Sequence[Sequence[tuple]],
+                 schedule: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Deltas and products of every tuple at every schedule point.
+
+    ``columns[i]`` holds the :func:`_battery_column` of each candidate for
+    slot i, evaluated on a prefix at least ``schedule[-1]`` long.  Returns
+    two arrays of shape ``(len(columns[0]), ..., len(columns[m-1]), S)``.
+
+    A slot constant on the first N terms factors out of the delta at N:
+    the delta is ``float(np.sum(term[:N]) / N)`` of the left-to-right
+    product ``term`` of the varying slots (1.0 when none varies), times the
+    constant slots' values in slot order.  A mean is the constant itself
+    or ``float(np.sum(fx[:N]) / N)``, so every gap is exactly zero when
+    only one slot varies.  Products of means are taken left to right.
+    """
+    means = []
+    for column in columns:
+        rows = np.empty((len(column), len(schedule)))
+        for j, (fx, run, first) in enumerate(column):
+            for k, n in enumerate(schedule):
+                rows[j, k] = first if n <= run else float(np.sum(fx[:n]) / n)
+        means.append(rows)
+    products = means[0]
+    for rows in means[1:]:
+        products = products[..., None, :] * rows
+    deltas = np.empty(products.shape)
+    # slot 0 starts every product, so only later slots need a buffer
+    buffers = [None] + [np.empty(schedule[-1]) for _ in columns[1:]]
+    _delta_walk(columns, buffers, schedule, deltas, 0, len(schedule), None, ())
+    return deltas, products
 
 
-def _mean(fx: np.ndarray, N: int) -> float:
-    c = _constant_of(fx[:N])
-    if c is not None:
-        return c
-    return float(np.sum(fx[:N]) / N)
+def _delta_walk(columns, buffers, schedule, out, lo, hi, term, constants):
+    """Fill ``out[..., lo:hi]`` for every choice of the remaining slots.
+
+    Depth-first over slots: ``term`` is the product of the varying slots
+    chosen so far (None when none varies), valid up to ``schedule[hi-1]``,
+    and ``constants`` the chosen constant slots' values in slot order.  A
+    slot's schedule points split where its constant run ends; the varying
+    part extends ``term`` into this level's buffer, written once per tuple
+    prefix and read only by deeper levels.
+    """
+    if not columns:
+        for k in range(lo, hi):
+            n = schedule[k]
+            delta = float(np.sum(term[:n]) / n) if term is not None else 1.0
+            for c in constants:
+                delta *= c
+            out[k] = delta
+        return
+    for j, (fx, run, first) in enumerate(columns[0]):
+        split = bisect.bisect_right(schedule, run, lo, hi)
+        if split > lo:
+            _delta_walk(columns[1:], buffers[1:], schedule, out[j], lo, split,
+                        term, constants + (first,))
+        if split < hi:
+            n = schedule[hi - 1]
+            extended = fx if term is None else \
+                np.multiply(term[:n], fx[:n], out=buffers[0][:n])
+            _delta_walk(columns[1:], buffers[1:], schedule, out[j], split, hi,
+                        extended, constants)
+
+
+def _single_tuple(seqs: Sequence[BoundedSequence], funcs: Sequence,
+                  N: int) -> tuple[float, float]:
+    _check_aligned(seqs, funcs)
+    if N < 1:
+        raise ValueError(f"N must be >= 1, got {N}")
+    columns = [[_battery_column(f, s.prefix(N).values)]
+               for s, f in zip(seqs, funcs)]
+    deltas, products = _multilinear(columns, [N])
+    return float(deltas.flat[0]), float(products.flat[0])
 
 
 def delta_form(seqs: Sequence[BoundedSequence], funcs: Sequence,
                N: int) -> float:
     """Average of products: (1/N) sum_n prod_i f_i(v_i(n))."""
-    _check_aligned(seqs, funcs)
-    if N < 1:
-        raise ValueError(f"N must be >= 1, got {N}")
-    fx_list = [_apply(f, s.prefix(N).values) for s, f in zip(seqs, funcs)]
-    return _delta_from_terms(fx_list, N)
+    return _single_tuple(seqs, funcs, N)[0]
 
 
 def product_form(seqs: Sequence[BoundedSequence], funcs: Sequence,
                  N: int) -> float:
     """Product of averages: prod_i (1/N) sum_n f_i(v_i(n))."""
-    _check_aligned(seqs, funcs)
-    if N < 1:
-        raise ValueError(f"N must be >= 1, got {N}")
-    out = 1.0
-    for s, f in zip(seqs, funcs):
-        out *= _mean(_apply(f, s.prefix(N).values), N)
-    return float(out)
+    return _single_tuple(seqs, funcs, N)[1]
 
 
 def rectangle_count(seqs: Sequence[BoundedSequence], corners: Sequence[float],
@@ -276,6 +329,16 @@ def statind_test(seqs: Sequence[BoundedSequence], battery: FunctionBattery,
 
     Tuples are all selections with repetition, one battery member per
     sequence; traces are listed sorted by tuple label.
+
+    Cost: each (sequence, member) is evaluated once on the longest prefix,
+    and its constant run is found once.  Tuples are walked depth-first, so
+    each tuple prefix costs one elementwise product (B + B^2 + ... + B^m
+    products of at most ``schedule[-1]`` terms, each level into one reused
+    buffer), and each (tuple, N) one sum.  Memory: one float64 array per
+    (sequence, member) that varies on the prefix, members constant on it
+    (such as ``one``) as scalars, plus one buffer per slot after the first.
+    Every value equals :func:`delta_form`/:func:`product_form` at that N
+    bit for bit: both are single-tuple calls of the same kernel.
     """
     if len(battery) == 0:
         raise ValueError("battery must be nonempty")
@@ -294,28 +357,15 @@ def statind_test(seqs: Sequence[BoundedSequence], battery: FunctionBattery,
     _check_aligned(seqs, [None] * m)
 
     n_max = schedule[-1]
-    # One function evaluation per (sequence, member); every (tuple, N) cell
-    # reuses these arrays, so the traces match delta_form/product_form bit
-    # for bit (the integrands are pointwise maps).
-    fx = [[_apply(member, s.prefix(n_max).values) for member in battery]
-          for s in seqs]
-    means = [[{} for _ in battery] for _ in seqs]
-    for i in range(m):
-        for j in range(len(battery)):
-            for n in schedule:
-                means[i][j][n] = _mean(fx[i][j], n)
-
+    columns = [[_battery_column(member, s.prefix(n_max).values)
+                for member in battery] for s in seqs]
+    deltas, products = _multilinear(columns, schedule)
     traces = []
     for combo in itertools.product(range(len(battery)), repeat=m):
         names = tuple(battery.members[j].name for j in combo)
-        deltas = np.asarray([
-            _delta_from_terms([fx[i][j] for i, j in enumerate(combo)], n)
-            for n in schedule])
-        products = np.asarray([
-            float(np.prod([means[i][j][n] for i, j in enumerate(combo)]))
-            for n in schedule])
         traces.append(TupleTrace(label="*".join(names), function_names=names,
-                                 deltas=deltas, products=products))
+                                 deltas=deltas[combo],
+                                 products=products[combo]))
     traces.sort(key=lambda t: t.label)
 
     verdict, max_terminal = _verdict_from_gaps(traces, tol)
@@ -499,6 +549,9 @@ def equivalence_harness(seqs: Sequence[BoundedSequence],
     counterexample is a tested member whose rectangle verdict contradicts a
     decisive schedule verdict.  Corners default to a per-member continuity
     grid of grid_count points; fixed_grid overrides that everywhere.
+
+    The schedule test uses ``tol``; the rectangle tests use ``2*tol``, and
+    measurability uses ``selection.DEFAULT_TOL``.
     """
     if not kappa_family:
         raise ValueError("kappa family must be nonempty")

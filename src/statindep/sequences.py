@@ -392,7 +392,10 @@ def _norm_int(value, path: str, minimum: int | None = None) -> int:
 def _norm_float(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         _fail(path, f"expected a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        _fail(path, "number too large for a float")
 
 
 def _norm_floats(value, path: str) -> list[float]:
@@ -442,9 +445,11 @@ def normalize_spec(obj, where: str = "sequence") -> dict:
     raw_interval = obj.get("interval", [0.0, 1.0])
     if not isinstance(raw_interval, (list, tuple)) or len(raw_interval) != 2:
         _fail(f"{where}.interval", "expected [a, b]")
+    ends = [_norm_float(v, f"{where}.interval[{i}]")
+            for i, v in enumerate(raw_interval)]
     try:
-        interval = Interval(float(raw_interval[0]), float(raw_interval[1]))
-    except (TypeError, ValueError) as exc:
+        interval = Interval(*ends)
+    except IntervalError as exc:
         raise SpecError(f"{where}.interval: {exc}") from None
     params = obj.get("params", {})
     if not isinstance(params, dict):
@@ -470,9 +475,9 @@ def from_spec(obj, where: str = "sequence") -> BoundedSequence:
     """Build a sequence from its JSON description; the one spec-to-sequence path.
 
     ``obj`` is checked by :func:`normalize_spec`, a nested ``source`` spec is
-    built first, and errors cite the JSON path: a constructor's own
-    :class:`SpecError` passes through, its other ValueError or TypeError is
-    cited at ``<where>.params``.
+    built first, and errors cite the JSON path: a constructor's ValueError
+    or TypeError (its own :class:`SpecError` included) is cited at
+    ``<where>.params``.
     """
     spec = normalize_spec(obj, where)
     params = {key: from_spec(value, f"{where}.params.{key}")
@@ -481,8 +486,6 @@ def from_spec(obj, where: str = "sequence") -> BoundedSequence:
     try:
         return SEQUENCE_KINDS[spec["kind"]].build(
             **params, interval=Interval(*spec["interval"]))
-    except SpecError:
-        raise
     except (TypeError, ValueError) as exc:
         raise SpecError(f"{where}.params: {exc}") from None
 

@@ -180,8 +180,25 @@ class TestSequenceRegistry:
         spec = write_spec(tmp_path, {"sequences": [block, KRON]})
         assert main(["independence", "--spec", spec,
                      "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == (
+            "error: sequences[0].params: "
+            "block sequence requires low < high, got 1.0, 0.0\n")
+
+    @pytest.mark.parametrize("bad, message", [
+        ({"kind": "van_der_corput", "params": {"base": 1}},
+         "van der Corput base must be an integer >= 2, got 1"),
+        ({"kind": "kronecker", "params": {"alpha": "zz"}},
+         "cannot parse kronecker alpha 'zz'"),
+        ({"kind": "periodic", "params": {"values": []}},
+         "periodic sequence needs at least one value"),
+    ])
+    def test_constructor_error_names_its_sequence(self, tmp_path, capsys,
+                                                  bad, message):
+        spec = write_spec(tmp_path, {"sequences": [KRON, bad]})
+        assert main(["independence", "--spec", spec,
+                     "--out", str(tmp_path)]) == 1
         assert capsys.readouterr().err == \
-            "error: block sequence requires low < high, got 1.0, 0.0\n"
+            f"error: sequences[1].params: {message}\n"
 
     def test_cli_defaults_come_from_the_library(self):
         assert DEFAULT_TOLERANCES == {"tol": DEFAULT_TOL,

@@ -1,5 +1,7 @@
 """Multilinear form, rectangle test, and equivalence harness tests."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -29,6 +31,7 @@ from statindep import (
     statind_test,
     stieltjes,
 )
+from statindep.independence import MAX_TUPLE_ARITY
 
 IDENT = lambda x: np.asarray(x, dtype=np.float64)
 
@@ -339,3 +342,125 @@ def test_delta_bounded_by_sup_product(n):
     for f in SMALL_FUNCS:
         val = delta_form(seqs, [f, f], n)
         assert abs(val) <= 1.0 + 1e-12
+
+
+# -- the multilinear kernel against a per-(tuple, N) reference loop ----------
+
+def _loop_constant_of(fx):
+    if fx.size and bool(np.all(fx == fx.flat[0])):
+        return float(fx.flat[0])
+    return None
+
+
+def _loop_delta(fx_list, N):
+    term = None
+    for fx in fx_list:
+        if _loop_constant_of(fx[:N]) is None:
+            term = fx[:N].copy() if term is None else term * fx[:N]
+    out = float(np.sum(term) / N) if term is not None else 1.0
+    for fx in fx_list:
+        c = _loop_constant_of(fx[:N])
+        if c is not None:
+            out *= c
+    return float(out)
+
+
+def _loop_mean(fx, N):
+    c = _loop_constant_of(fx[:N])
+    if c is not None:
+        return c
+    return float(np.sum(fx[:N]) / N)
+
+
+def _loop_traces(seqs, battery, schedule):
+    """{label: (deltas, products)} by one O(N) pass per (tuple, N)."""
+    n_max = schedule[-1]
+    fx = [[np.asarray(f(s.prefix(n_max).values), dtype=np.float64)
+           for f in battery] for s in seqs]
+    out = {}
+    for combo in itertools.product(range(len(battery)), repeat=len(seqs)):
+        label = "*".join(battery.members[j].name for j in combo)
+        deltas = np.asarray([
+            _loop_delta([fx[i][j] for i, j in enumerate(combo)], n)
+            for n in schedule])
+        products = np.asarray([
+            float(np.prod([_loop_mean(fx[i][j], n)
+                           for i, j in enumerate(combo)]))
+            for n in schedule])
+        out[label] = (deltas, products)
+    return out
+
+
+def _same_bits(a, b):
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64),
+                                                 b.view(np.uint64))
+
+
+KERNEL_MEMBERS = (
+    NamedFunction("one", lambda x: np.ones_like(np.asarray(x))),
+    NamedFunction("c037", lambda x: np.full(np.shape(x), 0.37)),
+    NamedFunction("x", IDENT),
+    NamedFunction("cos", lambda x: np.cos(2 * np.pi * np.asarray(x))),
+    NamedFunction("low", lambda x: (np.asarray(x) < 0.5).astype(np.float64)),
+)
+
+
+def _leading_run_periodic(run):
+    # constant on its first `run` terms only, so a member's constant pattern
+    # changes along a schedule that crosses `run`
+    return PeriodicSequence([0.25] * run + [0.75, 0.5])
+
+
+KERNEL_SEQUENCES = st.one_of(
+    st.just(KroneckerSequence("sqrt2-1")),
+    st.just(VanDerCorputSequence(3)),
+    st.just(ConstantSequence(0.37)),
+    st.integers(min_value=1, max_value=300).map(_leading_run_periodic),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(KERNEL_SEQUENCES, min_size=1, max_size=MAX_TUPLE_ARITY),
+       st.lists(st.sampled_from(KERNEL_MEMBERS), min_size=1, max_size=3,
+                unique_by=lambda f: f.name),
+       st.lists(st.integers(min_value=1, max_value=600), min_size=1,
+                max_size=5, unique=True).map(sorted))
+def test_kernel_bitwise_equals_per_tuple_loop(seqs, members, schedule):
+    # sums past 128 terms go through more than one pairwise block
+    battery = FunctionBattery(tuple(members))
+    rep = statind_test(seqs, battery, schedule, 0.01)
+    want = _loop_traces(seqs, battery, schedule)
+    assert sorted(want) == [t.label for t in rep.traces]
+    for trace in rep.traces:
+        deltas, products = want[trace.label]
+        assert _same_bits(trace.deltas, deltas), trace.label
+        assert _same_bits(trace.products, products), trace.label
+
+
+def test_traces_equal_single_tuple_forms_bitwise():
+    seqs = [_leading_run_periodic(5), KroneckerSequence("golden"),
+            ConstantSequence(0.37)]
+    battery = FunctionBattery(KERNEL_MEMBERS)
+    schedule = [2, 5, 6, 40, 97]
+    rep = statind_test(seqs, battery, schedule, 0.01)
+    by_name = {f.name: f for f in KERNEL_MEMBERS}
+    for trace in rep.traces:
+        funcs = [by_name[name] for name in trace.function_names]
+        for k, n in enumerate(schedule):
+            assert _same_bits(trace.deltas[k], delta_form(seqs, funcs, n))
+            assert _same_bits(trace.products[k],
+                              product_form(seqs, funcs, n))
+
+
+def test_constant_pattern_changes_along_the_schedule():
+    # "x" on the leading-run sequence is constant for N <= 5 and varies
+    # after; its gap against a varying second slot is exactly zero only
+    # while it is constant
+    seqs = [_leading_run_periodic(5), KroneckerSequence("sqrt2-1")]
+    battery = FunctionBattery((NamedFunction("x", IDENT),))
+    rep = statind_test(seqs, battery, [3, 5, 6, 50], 0.01)
+    gaps = rep.traces[0].gaps
+    assert np.all(gaps[:2] == 0.0)
+    assert np.all(gaps[2:] != 0.0)

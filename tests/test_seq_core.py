@@ -289,6 +289,17 @@ class TestFromSpec:
          r"seq\.params\.alpha: expected a number"),
         ({"kind": "file", "params": {"path": 5}},
          r"seq\.params\.path: expected a string"),
+        ({"kind": "constant", "interval": ["0", True],
+          "params": {"value": 0.5}},
+         r"seq\.interval\[0\]: expected a number, got '0'"),
+        ({"kind": "constant", "interval": [0, True],
+          "params": {"value": 0.5}},
+         r"seq\.interval\[1\]: expected a number, got True"),
+        ({"kind": "constant", "interval": [0, 10 ** 400],
+          "params": {"value": 0.5}},
+         r"seq\.interval\[1\]: number too large for a float"),
+        ({"kind": "block", "params": {"low": 0, "high": 1, "growth": 1}},
+         r"seq\.params: block growth must be an integer >= 2, got 1"),
     ])
     def test_rejections_cite_their_path(self, obj, path):
         # each of these used to be built silently or fail with foreign text
