@@ -16,8 +16,9 @@ from __future__ import annotations
 
 import bisect
 import itertools
+import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -75,6 +76,12 @@ class FunctionBattery:
 
 def _normalizer(interval: Interval) -> Callable:
     a, length = interval.a, interval.length
+    if math.copysign(1.0, a) == 1.0 and a == 0.0 and length == 1.0:
+        # (x - 0.0) / 1.0 is x for every float64 (x - (-0.0) is not: it
+        # maps -0.0 to +0.0), so a float64 array comes back as a view of
+        # itself; ``[()]`` makes a 0-d result a numpy scalar, as the
+        # arithmetic would
+        return lambda x: np.asarray(x, dtype=np.float64)[()]
     return lambda x: (np.asarray(x, dtype=np.float64) - a) / length
 
 
@@ -138,13 +145,16 @@ def _battery_column(f, values: np.ndarray
     return fx, run, float(fx[0])
 
 
-def _multilinear(columns: Sequence[Sequence[tuple]],
+def _multilinear(first: Iterable[tuple], rest: Sequence[Sequence[tuple]],
                  schedule: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
     """Deltas and products of every tuple at every schedule point.
 
-    ``columns[i]`` holds the :func:`_battery_column` of each candidate for
-    slot i, evaluated on a prefix at least ``schedule[-1]`` long.  Returns
-    two arrays of shape ``(len(columns[0]), ..., len(columns[m-1]), S)``.
+    ``first`` yields the :func:`_battery_column` of each candidate for slot
+    0 and ``rest[i]`` holds those of slot i+1, all evaluated on a prefix at
+    least ``schedule[-1]`` long.  ``first`` may evaluate its columns on
+    demand: each one is used for its mean row and its subtree of the walk
+    and dropped before the next is drawn, so only one slot-0 column is held
+    at a time.  Returns two arrays of shape ``(B_0, ..., B_{m-1}, S)``.
 
     A slot constant on the first N terms factors out of the delta at N:
     the delta is ``float(np.sum(term[:N]) / N)`` of the left-to-right
@@ -153,21 +163,31 @@ def _multilinear(columns: Sequence[Sequence[tuple]],
     or ``float(np.sum(fx[:N]) / N)``, so every gap is exactly zero when
     only one slot varies.  Products of means are taken left to right.
     """
-    means = []
-    for column in columns:
-        rows = np.empty((len(column), len(schedule)))
-        for j, (fx, run, first) in enumerate(column):
-            for k, n in enumerate(schedule):
-                rows[j, k] = first if n <= run else float(np.sum(fx[:n]) / n)
-        means.append(rows)
-    products = means[0]
-    for rows in means[1:]:
-        products = products[..., None, :] * rows
-    deltas = np.empty(products.shape)
+    means = [_mean_rows(column, schedule) for column in rest]
+    shape = tuple(len(column) for column in rest) + (len(schedule),)
     # slot 0 starts every product, so only later slots need a buffer
-    buffers = [None] + [np.empty(schedule[-1]) for _ in columns[1:]]
-    _delta_walk(columns, buffers, schedule, deltas, 0, len(schedule), None, ())
-    return deltas, products
+    buffers = [None] + [np.empty(schedule[-1]) for _ in rest]
+    first_means, deltas = [], []
+    for column in first:
+        first_means.append(_mean_rows([column], schedule)[0])
+        out = np.empty(shape)
+        _delta_walk([[column], *rest], buffers, schedule, out[None], 0,
+                    len(schedule), None, ())
+        deltas.append(out)
+        del column  # before ``first`` evaluates the next one
+    products = np.asarray(first_means)
+    for rows in means:
+        products = products[..., None, :] * rows
+    return np.asarray(deltas), products
+
+
+def _mean_rows(column: Sequence[tuple], schedule: Sequence[int]) -> np.ndarray:
+    """Mean of each candidate of one slot at each schedule point."""
+    rows = np.empty((len(column), len(schedule)))
+    for j, (fx, run, first) in enumerate(column):
+        for k, n in enumerate(schedule):
+            rows[j, k] = first if n <= run else float(np.sum(fx[:n]) / n)
+    return rows
 
 
 def _delta_walk(columns, buffers, schedule, out, lo, hi, term, constants):
@@ -208,7 +228,7 @@ def _single_tuple(seqs: Sequence[BoundedSequence], funcs: Sequence,
         raise ValueError(f"N must be >= 1, got {N}")
     columns = [[_battery_column(f, s.prefix(N).values)]
                for s, f in zip(seqs, funcs)]
-    deltas, products = _multilinear(columns, [N])
+    deltas, products = _multilinear(columns[0], columns[1:], [N])
     return float(deltas.flat[0]), float(products.flat[0])
 
 
@@ -335,8 +355,11 @@ def statind_test(seqs: Sequence[BoundedSequence], battery: FunctionBattery,
     each tuple prefix costs one elementwise product (B + B^2 + ... + B^m
     products of at most ``schedule[-1]`` terms, each level into one reused
     buffer), and each (tuple, N) one sum.  Memory: one float64 array per
-    (sequence, member) that varies on the prefix, members constant on it
-    (such as ``one``) as scalars, plus one buffer per slot after the first.
+    (sequence, member) that varies on the prefix for the sequences after
+    the first, but only one at a time for the first sequence, whose
+    columns are evaluated as the walk reaches them; members constant on
+    the prefix (such as ``one``) as scalars; ``x`` on [0, 1] as the cached
+    prefix itself; plus one buffer per slot after the first.
     Every value equals :func:`delta_form`/:func:`product_form` at that N
     bit for bit: both are single-tuple calls of the same kernel.
     """
@@ -356,10 +379,11 @@ def statind_test(seqs: Sequence[BoundedSequence], battery: FunctionBattery,
             f"tuple arity {m} exceeds the supported maximum {MAX_TUPLE_ARITY}")
     _check_aligned(seqs, [None] * m)
 
-    n_max = schedule[-1]
-    columns = [[_battery_column(member, s.prefix(n_max).values)
-                for member in battery] for s in seqs]
-    deltas, products = _multilinear(columns, schedule)
+    values = [s.prefix(schedule[-1]).values for s in seqs]
+    first = (_battery_column(member, values[0]) for member in battery)
+    rest = [[_battery_column(member, v) for member in battery]
+            for v in values[1:]]
+    deltas, products = _multilinear(first, rest, schedule)
     traces = []
     for combo in itertools.product(range(len(battery)), repeat=m):
         names = tuple(battery.members[j].name for j in combo)

@@ -13,6 +13,7 @@ automatically, since subsets of a tol-wide band stay within it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -32,17 +33,33 @@ KAPPA_FAMILY = ("naturals", "evens", "odds", "squares", "pow2", "thinned")
 
 @dataclass
 class MeasurabilityReport:
-    """Per-grid-point convergence evidence for one sequence along one index."""
+    """Per-grid-point convergence evidence for one sequence along one index.
 
-    sequence_label: str
-    kappa_label: str
+    ``limit_cdf``, the empirical CDF at kappa's deepest checkpoint, is
+    computed on first access: it sorts the whole prefix, and the verdict
+    does not need it.
+    """
+
+    sequence: BoundedSequence
+    kappa: SubsequenceIndex
     grid: np.ndarray
     traces: list[DensityEstimate]
     oscillations: np.ndarray
     measurable: bool
-    limit_cdf: StepCDF
     tol: float
     window: int
+
+    @property
+    def sequence_label(self) -> str:
+        return self.sequence.label
+
+    @property
+    def kappa_label(self) -> str:
+        return self.kappa.label
+
+    @cached_property
+    def limit_cdf(self) -> StepCDF:
+        return empirical_cdf(self.sequence, self.kappa)
 
     def to_json_obj(self) -> dict:
         return {
@@ -95,10 +112,9 @@ def detect_measurable(seq: BoundedSequence, kappa: SubsequenceIndex,
                                           window) for j in position]
     oscillations = np.asarray([t.oscillation for t in traces])
     return MeasurabilityReport(
-        sequence_label=seq.label, kappa_label=kappa.label, grid=grid,
-        traces=traces, oscillations=oscillations,
-        measurable=bool(np.all(oscillations <= tol)),
-        limit_cdf=empirical_cdf(seq, kappa), tol=tol, window=window)
+        sequence=seq, kappa=kappa, grid=grid, traces=traces,
+        oscillations=oscillations,
+        measurable=bool(np.all(oscillations <= tol)), tol=tol, window=window)
 
 
 def _best_band(ratios: np.ndarray, tol: float) -> np.ndarray:

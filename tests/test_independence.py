@@ -1,6 +1,7 @@
 """Multilinear form, rectangle test, and equivalence harness tests."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from statindep import (
     AffineImageSequence,
     ConstantSequence,
     FunctionBattery,
+    Interval,
     IntervalError,
     KroneckerSequence,
     MeasurabilityError,
@@ -464,3 +466,41 @@ def test_constant_pattern_changes_along_the_schedule():
     gaps = rep.traces[0].gaps
     assert np.all(gaps[:2] == 0.0)
     assert np.all(gaps[2:] != 0.0)
+
+
+# -- memory of the schedule test ---------------------------------------------
+
+def test_statind_test_peak_memory_is_bounded():
+    # slot-0 columns are evaluated one at a time and "x" on [0, 1] shares
+    # the prefix: the Kronecker slot keeps 4 varying columns, plus one
+    # buffer, one block column and one temporary while the next is made
+    # (7.0 x 8N; holding every column at once needs 10.0 x 8N)
+    n = 1 << 20
+    seqs = [make_block(0.0, 1.0, 2), KroneckerSequence("sqrt2-1")]
+    for s in seqs:
+        s.prefix(n)
+    tracemalloc.start()
+    try:
+        statind_test(seqs, default_battery(), [n // 16, n // 4, n], 0.01)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 7.5 * 8 * n, peak / (8 * n)
+
+
+def test_unit_interval_x_shares_the_prefix():
+    values = KroneckerSequence("sqrt2-1").prefix(1000).values
+    x = default_battery().member("x")
+    assert np.shares_memory(x(values), values)
+    assert _same_bits(x(values), values)
+    # a scalar still comes back as a numpy scalar, not a 0-d array
+    assert type(x(0.25)) is np.float64
+    assert type(x(np.float64(-0.0))) is np.float64
+    assert _same_bits(x(-0.0), -0.0)
+    # off [0, 1], and on [-0.0, 1] (where x - a maps -0.0 to +0.0), the
+    # normalizer computes (x - a) / length
+    for interval in (Interval(0.0, 2.0), Interval(-0.0, 1.0)):
+        t = default_battery(interval).member("x")
+        assert not np.shares_memory(t(values), values)
+        assert _same_bits(t(values), (values - interval.a) / interval.length)
+        assert _same_bits(t(-0.0), (-0.0 - interval.a) / interval.length)

@@ -12,11 +12,13 @@ from statindep import (
     KroneckerSequence,
     SubsequenceIndex,
     detect_measurable,
+    empirical_cdf,
     helly_extract,
     kappa_density,
     kappa_family_builder,
     make_block,
     preimage,
+    selection,
 )
 
 DECILES = np.linspace(0.1, 0.9, 9)
@@ -67,6 +69,23 @@ class TestDetectMeasurable:
         with pytest.raises(ValueError):
             detect_measurable(ConstantSequence(0.3), naturals(100),
                               np.array([]))
+
+    def test_limit_cdf_is_computed_once_on_first_access(self, monkeypatch):
+        seq, kappa = KroneckerSequence("sqrt2-1"), naturals(2000, 20)
+        want = empirical_cdf(seq, kappa)
+        calls = []
+        monkeypatch.setattr(
+            selection, "empirical_cdf",
+            lambda *args: (calls.append(args), empirical_cdf(*args))[1])
+        rep = detect_measurable(seq, kappa, DECILES)
+        assert rep.measurable and calls == []
+        assert rep.limit_cdf is rep.limit_cdf
+        assert calls == [(seq, kappa)]
+        assert np.array_equal(rep.limit_cdf.jump_points, want.jump_points)
+        assert np.array_equal(rep.limit_cdf.masses, want.masses)
+        obj = rep.to_json_obj()
+        assert obj["limit_cdf"] == want.to_json_obj()
+        assert (obj["sequence"], obj["kappa"]) == (seq.label, kappa.label)
 
 
 class TestHellyExtract:

@@ -5,7 +5,10 @@ Irrational-rotation values are checked against literals precomputed with
 fractions.
 """
 
+import tempfile
 from fractions import Fraction
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,6 +19,7 @@ from statindep import (
     BlockSequence,
     CheckpointError,
     ConstantSequence,
+    FileSequence,
     Interval,
     IntervalError,
     KroneckerSequence,
@@ -31,7 +35,8 @@ from statindep import (
     load_sequence,
     make_block,
 )
-from statindep.sequences import SEQUENCE_KINDS, normalize_spec
+from statindep import sequences
+from statindep.sequences import _CHUNK, SEQUENCE_KINDS, normalize_spec
 
 # Fractional parts of n*alpha, precomputed at 50 digits and frozen.
 KRONECKER_ORACLE = {
@@ -400,3 +405,130 @@ def test_prefix_consistency_across_lengths(n1, n2):
     a, b = seq.prefix(n1).values, seq.prefix(n2).values
     m = min(n1, n2)
     assert np.array_equal(a[:m], b[:m])
+
+
+# -- chunked, incrementally extended prefixes ---------------------------------
+
+def _same_bits(a, b):
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64),
+                                                 b.view(np.uint64))
+
+
+def _one_of_each_kind():
+    rng = np.random.default_rng(7)
+    seqs = {
+        "kronecker": KroneckerSequence("sqrt2-1"),
+        "van_der_corput": VanDerCorputSequence(3),
+        "periodic": PeriodicSequence([0.1, 0.7, 0.3]),
+        "constant": ConstantSequence(0.4),
+        "block": make_block(0.0, 1.0, 2),
+        "affine_image": AffineImageSequence(KroneckerSequence("golden"),
+                                            -1.0, 1.0),
+        "file": FileSequence(rng.random(3 * _CHUNK + 10), UNIT, "random"),
+    }
+    assert sorted(seqs) == sorted(SEQUENCE_KINDS)
+    return seqs
+
+
+def _one_shot(seq, n):
+    return seq._eval_batch(np.arange(1, n + 1, dtype=np.int64))
+
+
+@pytest.mark.parametrize("kind", sorted(SEQUENCE_KINDS))
+def test_prefix_equals_one_shot_evaluation_bitwise(kind):
+    for n in (1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 3):
+        seq = _one_of_each_kind()[kind]
+        assert _same_bits(seq.prefix(n).values, _one_shot(seq, n)), n
+    # one cache grown in three steps, read back at every length
+    seq = _one_of_each_kind()[kind]
+    lengths = (1000, _CHUNK + 5, 3 * _CHUNK + 7)
+    for n in lengths:
+        seq.prefix(n)
+    want = _one_shot(seq, lengths[-1])
+    for n in (1, *lengths):
+        assert _same_bits(seq.prefix(n).values, want[:n]), n
+
+
+def test_range_violation_in_a_later_chunk_cites_its_index():
+    values = np.full(3 * _CHUNK, 0.5)
+    bad = 2 * _CHUNK + 10  # 0-based, so n = bad + 1
+    values[bad] = 2.0
+    seq = FileSequence(values, UNIT, "spiked")
+    seq.prefix(_CHUNK)
+    with pytest.raises(RangeViolation, match=f"at n={bad + 1} "):
+        seq.prefix(3 * _CHUNK)
+    # the failed extension left the cache as it was
+    assert seq.prefix(bad).values.size == bad
+    with pytest.raises(RangeViolation, match=f"at n={bad + 1} "):
+        seq.prefix(bad + 1)
+
+
+def test_prefix_evaluates_only_new_indices():
+    seq = KroneckerSequence("golden")
+    calls = []
+    evaluate = seq._eval_batch
+    seq._eval_batch = lambda ns: (calls.append(ns.copy()), evaluate(ns))[1]
+    seq.prefix(100)
+    seq.prefix(50)
+    seq.prefix(100)
+    assert [c.tolist() for c in calls] == [list(range(1, 101))]
+    calls.clear()
+    seq.prefix(2 * _CHUNK + 300)
+    assert all(c.size <= _CHUNK for c in calls)
+    assert np.array_equal(np.concatenate(calls),
+                          np.arange(101, 2 * _CHUNK + 301))
+
+
+# -- vectorized file parsing ---------------------------------------------------
+
+_PADDING = st.sampled_from(["", " ", "  ", "\t", " \t ", " "])
+_NUMBER_LINES = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.floats(min_value=-1e3, max_value=1e3).map(lambda x: f"{x:.17e}"),
+    st.builds(lambda m, e: f"{m}e{e}", st.integers(-10 ** 6, 10 ** 6),
+              st.integers(-330, 330)),
+    st.builds(lambda m, e: f"{m}E+{e}", st.integers(0, 999),
+              st.integers(0, 5)),
+    st.sampled_from(["1_0", "1_000.5", "0.000_1", "-2_5e-1_0", ".5", "5.",
+                     "+0.25", "-0.0", "1e400", "-1e400", "1e-400", "nan",
+                     "inf"]),
+)
+_BAD_LINES = st.sampled_from(["", "   ", "abc", "1,5", "1__0", "_1", "0x10",
+                              "1 2", "0.1e"])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.one_of(
+    st.builds(lambda pre, x, post: pre + x + post,
+              _PADDING, _NUMBER_LINES, _PADDING),
+    _BAD_LINES), min_size=1, max_size=40))
+def test_vectorized_file_parse_equals_float_per_line(lines):
+    interval = Interval(-1e300, 1e300)
+    parsed, first_bad = [], None
+    for i, line in enumerate(lines):
+        try:
+            x = float(line)
+        except ValueError:
+            first_bad = first_bad or i + 1
+            continue
+        parsed.append(x)
+        if not interval.contains(x):
+            first_bad = first_bad or i + 1
+    fallback = []
+    parse_lines = sequences._parse_lines
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "values.txt"
+        path.write_text("\n".join(lines) + "\n")
+        with mock.patch.object(
+                sequences, "_parse_lines",
+                lambda *args: (fallback.append(1), parse_lines(*args))[1]):
+            if first_bad is None:
+                seq = load_sequence(path, interval)
+                assert _same_bits(seq.values, parsed)
+                assert not fallback  # the vectorized parse was used
+            else:
+                with pytest.raises((SequenceFileError, RangeViolation),
+                                   match=f": line {first_bad}: "):
+                    load_sequence(path, interval)
