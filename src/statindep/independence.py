@@ -87,7 +87,11 @@ def _normalizer(interval: Interval) -> Callable:
 
 def default_battery(interval: Interval = UNIT) -> FunctionBattery:
     """Bounded spanning set on [a, b]: constants, monomials, one harmonic pair,
-    and a plateau ramp.  All are defined through t = (x - a)/(b - a)."""
+    and a plateau ramp.  All are defined through t = (x - a)/(b - a).
+
+    On [0, 1] (left end +0.0), ``x`` returns its float64 input itself, so a
+    float64 array comes back as a view of the caller's array: callers must
+    not write into a member's result."""
     t = _normalizer(interval)
     members = (
         NamedFunction("one", lambda x: np.ones_like(np.asarray(x, dtype=np.float64))),

@@ -104,8 +104,8 @@ class BoundedSequence:
         if bad.any():
             i = int(np.argmax(bad))
             raise RangeViolation(
-                f"{self.label}: value {values[i]!r} at n={int(ns[i])} lies outside "
-                f"[{self._interval.a}, {self._interval.b}]")
+                f"{self.label}: value {float(values[i])!r} at n={int(ns[i])} "
+                f"lies outside [{self._interval.a}, {self._interval.b}]")
 
     def eval(self, n: int) -> float:
         """v(n) for n >= 1.  Deterministic; raises on out-of-interval values."""
@@ -376,38 +376,42 @@ def make_block(low: float, high: float, growth: int,
 def load_sequence(path, interval: Interval) -> FileSequence:
     """Parse a one-real-per-line file into a file-backed sequence.
 
-    Each line is read as ``float(line)`` does.  Values are validated against
+    Each line is read by ``float``.  Values are validated against
     ``interval`` on load; parse and range errors cite the 1-based line
-    number.
+    number of the first bad line.
     """
     lines = Path(path).read_text().splitlines()
     try:
-        # numpy parses each str as float() does, in one call
-        values = np.array(lines, dtype=np.float64)
+        values = np.fromiter(map(float, lines), dtype=np.float64,
+                             count=len(lines))
     except ValueError:
-        values = None
-    if values is None or not np.all((values >= interval.a)
-                                    & (values <= interval.b)):
-        values = _parse_lines(path, lines, interval)
+        raise _first_bad_line(path, lines, interval) from None
+    inside = (values >= interval.a) & (values <= interval.b)
+    if not inside.all():
+        i = int(np.argmax(~inside))
+        raise _outside(path, i, values[i], interval)
     if values.size == 0:
         raise SequenceFileError(f"{path}: file contains no values")
     return FileSequence(values, interval, str(path))
 
 
-def _parse_lines(path, lines: list[str], interval: Interval) -> np.ndarray:
-    """Line-by-line parse and range check, raising at the first bad line."""
-    values = np.empty(len(lines), dtype=np.float64)
+def _first_bad_line(path, lines: list[str], interval: Interval) -> Exception:
+    """The error for the first line that does not parse or lies outside
+    ``interval``, given that some line does not parse."""
     for i, raw in enumerate(lines):
         try:
-            values[i] = float(raw.strip())
+            value = float(raw)
         except ValueError:
-            raise SequenceFileError(
-                f"{path}: line {i + 1}: cannot parse {raw!r} as a real number") from None
-        if not interval.contains(values[i]):
-            raise RangeViolation(
-                f"{path}: line {i + 1}: value {values[i]!r} outside "
-                f"[{interval.a}, {interval.b}]")
-    return values
+            return SequenceFileError(
+                f"{path}: line {i + 1}: cannot parse {raw!r} as a real number")
+        if not interval.contains(value):
+            return _outside(path, i, value, interval)
+    raise AssertionError("every line parses")
+
+
+def _outside(path, i: int, value, interval: Interval) -> RangeViolation:
+    return RangeViolation(f"{path}: line {i + 1}: value {float(value)!r} "
+                          f"outside [{interval.a}, {interval.b}]")
 
 
 def _fail(path: str, message: str):

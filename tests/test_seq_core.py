@@ -37,6 +37,7 @@ from statindep import (
 )
 from statindep import sequences
 from statindep.sequences import _CHUNK, SEQUENCE_KINDS, normalize_spec
+from test_independence import _same_bits
 
 # Fractional parts of n*alpha, precomputed at 50 digits and frozen.
 KRONECKER_ORACLE = {
@@ -409,13 +410,6 @@ def test_prefix_consistency_across_lengths(n1, n2):
 
 # -- chunked, incrementally extended prefixes ---------------------------------
 
-def _same_bits(a, b):
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    return a.shape == b.shape and np.array_equal(a.view(np.uint64),
-                                                 b.view(np.uint64))
-
-
 def _one_of_each_kind():
     rng = np.random.default_rng(7)
     seqs = {
@@ -506,29 +500,50 @@ _BAD_LINES = st.sampled_from(["", "   ", "abc", "1,5", "1__0", "_1", "0x10",
     _BAD_LINES), min_size=1, max_size=40))
 def test_vectorized_file_parse_equals_float_per_line(lines):
     interval = Interval(-1e300, 1e300)
-    parsed, first_bad = [], None
+    parsed, first_bad, error, unparsable = [], None, None, False
     for i, line in enumerate(lines):
         try:
             x = float(line)
         except ValueError:
-            first_bad = first_bad or i + 1
+            unparsable = True
+            if first_bad is None:
+                first_bad, error = i + 1, SequenceFileError
             continue
         parsed.append(x)
-        if not interval.contains(x):
-            first_bad = first_bad or i + 1
+        if not interval.contains(x) and first_bad is None:
+            first_bad, error = i + 1, RangeViolation
     fallback = []
-    parse_lines = sequences._parse_lines
+    first_bad_line = sequences._first_bad_line
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "values.txt"
         path.write_text("\n".join(lines) + "\n")
         with mock.patch.object(
-                sequences, "_parse_lines",
-                lambda *args: (fallback.append(1), parse_lines(*args))[1]):
+                sequences, "_first_bad_line",
+                lambda *args: (fallback.append(1), first_bad_line(*args))[1]):
             if first_bad is None:
                 seq = load_sequence(path, interval)
                 assert _same_bits(seq.values, parsed)
-                assert not fallback  # the vectorized parse was used
             else:
-                with pytest.raises((SequenceFileError, RangeViolation),
-                                   match=f": line {first_bad}: "):
+                with pytest.raises(error, match=f": line {first_bad}: "):
                     load_sequence(path, interval)
+    # the per-line pass runs only to find a line that does not parse
+    assert bool(fallback) == unparsable
+
+
+def test_range_errors_print_plain_floats(tmp_path):
+    path = tmp_path / "values.txt"
+    path.write_text("0.25\n1.5\n")
+    with pytest.raises(RangeViolation,
+                       match=r": line 2: value 1\.5 outside \[0\.0, 1\.0\]$"):
+        load_sequence(path, UNIT)
+    path.write_text("0.25\n1.5\nx\n")
+    with pytest.raises(RangeViolation, match=r": line 2: value 1\.5 outside"):
+        load_sequence(path, UNIT)
+    for bad in ("-0.5", "nan"):
+        path.write_text(f"0.25\n{bad}\n0.5\n")
+        with pytest.raises(RangeViolation, match=f": line 2: value {bad} "):
+            load_sequence(path, UNIT)
+    seq = FileSequence(np.array([0.5, 2.0]), UNIT, "spiked")
+    with pytest.raises(RangeViolation,
+                       match=r"^file\(spiked\): value 2\.0 at n=2 lies outside"):
+        seq.prefix(2)
