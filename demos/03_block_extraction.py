@@ -15,9 +15,7 @@ from statindep import (
     SubsequenceIndex,
     detect_measurable,
     helly_extract,
-    kappa_density,
     make_block,
-    preimage,
 )
 
 
@@ -30,17 +28,16 @@ def geometric_pool(max_exp=18, per_octave=8):
 
 def main():
     blk = make_block(0.0, 1.0, 2)
-    member = preimage(blk, 0.0, 0.5)
     grid = np.array([0.5])
 
     pow2 = SubsequenceIndex(2 ** np.arange(0, 18), name="pow2")
-    est = kappa_density(member, pow2)
+    rep = detect_measurable(blk, pow2, grid)
+    est = rep.traces[0]
     print("share of terms below 0.5 along powers of two:")
-    print("  " + "  ".join(f"{r:.3f}" for r in est.ratios()[-10:])
+    print("  " + "  ".join(f"{r:.3f}" for r in est.trace_ratios[-10:])
           + "  (last 10)")
     print(f"  trailing oscillation {est.oscillation:.3f} -> no density along "
           f"this checkpoint sequence")
-    rep = detect_measurable(blk, pow2, grid)
     print(f"  detect_measurable: measurable={rep.measurable}")
 
     pool = geometric_pool()
@@ -48,13 +45,12 @@ def main():
     print(f"\nextraction kept {len(kappa)} of {len(pool)} checkpoints "
           f"(deepest {kappa.deepest}):")
     print("  " + ", ".join(str(int(k)) for k in kappa.checkpoints))
-    est2 = kappa_density(member, kappa)
+    rep2 = detect_measurable(blk, kappa, grid)
+    est2 = rep2.traces[0]
     print("  ratios along the extracted checkpoints:")
-    print("  " + "  ".join(f"{r:.4f}" for r in est2.ratios()))
+    print("  " + "  ".join(f"{r:.4f}" for r in est2.trace_ratios))
     print(f"  trailing oscillation {est2.oscillation:.2e} -> density exists "
           f"along these checkpoints")
-
-    rep2 = detect_measurable(blk, kappa, grid)
     print(f"  detect_measurable: measurable={rep2.measurable}, "
           f"limiting F(0.5) ~ {rep2.traces[0].value:.4f}")
 

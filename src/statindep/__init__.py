@@ -42,15 +42,7 @@ from .sequences import (
     make_block,
 )
 from .subsequence import SubsequenceIndex
-from .density import (
-    DensityEstimate,
-    SetMembership,
-    from_predicate,
-    intersect,
-    kappa_density,
-    prefix_count,
-    preimage,
-)
+from .density import DensityEstimate
 from .distribution import (
     FunctionSandwich,
     PiecewiseLinear,
@@ -78,7 +70,6 @@ from .independence import (
     indicator_below,
     kappa_independence_test,
     product_form,
-    rectangle_count,
     statind_test,
 )
 from .selection import (
@@ -91,22 +82,20 @@ from .selection import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ALPHA_GOLDEN", "ALPHA_SQRT2", "ALPHA_SQRT3",
-    "AffineImageSequence", "BlockSequence", "BoundedSequence",
-    "CheckpointError", "ConstantSequence", "DensityEstimate",
-    "EnvelopeError", "EquivalenceReport", "ExtractionError", "FileSequence",
-    "FunctionBattery", "FunctionSandwich", "GridError", "IndependenceReport",
-    "Interval", "IntervalError", "KappaOutcome", "KroneckerSequence",
-    "MeasurabilityError", "MeasurabilityReport", "NamedFunction",
-    "PeriodicSequence", "PiecewiseLinear", "PrefixView", "RangeViolation",
-    "RectangleReport", "SequenceExhausted", "SequenceFileError",
-    "SetMembership", "SpecError", "StatIndepError", "StepCDF", "StepEnvelope",
-    "StepFunction", "SubsequenceIndex", "TupleTrace", "UNIT",
-    "VanDerCorputSequence", "cdf_eval", "continuity_grid", "default_battery",
-    "delta_form", "detect_measurable", "empirical_cdf", "equivalence_harness",
-    "from_predicate", "from_spec", "helly_extract", "indicator_below",
-    "intersect", "kappa_density", "kappa_family_builder",
-    "kappa_independence_test", "load_sequence", "make_block", "preimage",
-    "prefix_count", "product_form", "rectangle_count", "sandwich_indicator",
+    "ALPHA_GOLDEN", "ALPHA_SQRT2", "ALPHA_SQRT3", "AffineImageSequence",
+    "BlockSequence", "BoundedSequence", "CheckpointError", "ConstantSequence",
+    "DensityEstimate", "EnvelopeError", "EquivalenceReport",
+    "ExtractionError", "FileSequence", "FunctionBattery", "FunctionSandwich",
+    "GridError", "IndependenceReport", "Interval", "IntervalError",
+    "KappaOutcome", "KroneckerSequence", "MeasurabilityError",
+    "MeasurabilityReport", "NamedFunction", "PeriodicSequence",
+    "PiecewiseLinear", "PrefixView", "RangeViolation", "RectangleReport",
+    "SequenceExhausted", "SequenceFileError", "SpecError", "StatIndepError",
+    "StepCDF", "StepEnvelope", "StepFunction", "SubsequenceIndex",
+    "TupleTrace", "UNIT", "VanDerCorputSequence", "cdf_eval",
+    "continuity_grid", "default_battery", "delta_form", "detect_measurable",
+    "empirical_cdf", "equivalence_harness", "from_spec", "helly_extract",
+    "indicator_below", "kappa_family_builder", "kappa_independence_test",
+    "load_sequence", "make_block", "product_form", "sandwich_indicator",
     "statind_test", "step_envelope", "stieltjes",
 ]

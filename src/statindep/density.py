@@ -1,62 +1,28 @@
-"""Counting functions, asymptotic density, and selective (kappa) density.
+"""Preimage counts and selective (kappa) densities.
 
-A subset S of the naturals is described by a deterministic membership
-predicate.  Densities are finite-prefix ratios count(S, N) / N reported
-with a trailing-window Cauchy diagnostic instead of a bare limit claim.
-
-Preimages of grid windows [a, x) have a faster route, the grid-binned
-counting core (:func:`grid_codes`, :func:`grid_counts`): each sequence's
-prefix is binned once against the sorted grid, and one ``bincount`` plus a
-cumulative sum along each axis (a summed-area table) yields the exact count
+Every count is a count of grid preimages {n : v(n) < x}, made by one
+counting core: each sequence's prefix is binned once against the sorted
+grid (:func:`grid_codes`), and one ``bincount`` plus a cumulative sum along
+each axis (a summed-area table, :func:`grid_counts`) yields the exact count
 of every grid rectangle at every checkpoint.  The rectangle test,
-measurability detection and extraction all count through it.
+measurability detection and extraction all count through it.  Densities
+are finite-prefix ratios count / k, reported with a trailing-window Cauchy
+diagnostic (:class:`DensityEstimate`) instead of a bare limit claim.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .errors import CheckpointError, IntervalError
+from .errors import IntervalError
 from .sequences import BoundedSequence
-from .subsequence import SubsequenceIndex
 
 # Largest grid_counts table, in int64 cells (512 MiB).  Its joint codes
 # stay far below int64 overflow.
 MAX_TABLE_CELLS = 2 ** 26
-
-
-@dataclass
-class SetMembership:
-    """Deterministic membership test for a subset of the naturals.
-
-    ``indicator(N)`` returns membership of 1..N as a bool array; factory
-    functions that can do better attach a vectorized ``bulk`` implementation,
-    otherwise the predicate is looped.
-    """
-
-    description: str
-    predicate: Callable[[int], bool]
-    bulk: Callable[[int], np.ndarray] | None = None
-
-    def contains(self, n: int) -> bool:
-        return bool(self.predicate(n))
-
-    def indicator(self, n_max: int) -> np.ndarray:
-        if self.bulk is not None:
-            out = np.asarray(self.bulk(n_max), dtype=bool)
-        else:
-            out = np.fromiter((self.predicate(n) for n in range(1, n_max + 1)),
-                              dtype=bool, count=n_max)
-        return out
-
-    def complement(self) -> "SetMembership":
-        bulk = None if self.bulk is None else (lambda n_max: ~self.indicator(n_max))
-        return SetMembership(description=f"not({self.description})",
-                             predicate=lambda n: not self.predicate(n),
-                             bulk=bulk)
 
 
 @dataclass
@@ -94,38 +60,6 @@ class DensityEstimate:
     @property
     def trace(self) -> list[tuple[int, float]]:
         return list(zip(self.checkpoints.tolist(), self.trace_ratios.tolist()))
-
-    def ratios(self) -> np.ndarray:
-        return self.trace_ratios
-
-
-def prefix_count(s: SetMembership, n: int) -> int:
-    """|S intersect [1, n]|, exactly."""
-    if n < 1:
-        raise ValueError(f"prefix length must be >= 1, got {n}")
-    return int(s.indicator(n).sum())
-
-
-def kappa_density(s: SetMembership, kappa: SubsequenceIndex,
-                  tol: float = 1e-2, window: int = 5) -> DensityEstimate:
-    """Density of S along the checkpoints of kappa.
-
-    The counting pass is exact (integer cumulative sums over the per-n
-    indicator of S); each trace ratio is the single correctly rounded
-    division count / k.  This is the general route for any membership set;
-    grid preimages are counted by :func:`grid_counts`, which gives the same
-    integers.
-    """
-    if tol <= 0:
-        raise ValueError(f"tol must be positive, got {tol}")
-    if len(kappa) < window:
-        raise CheckpointError(
-            f"kappa has {len(kappa)} checkpoints but the diagnostic window needs "
-            f"{window}; deepen kappa")
-    checkpoints = kappa.checkpoints
-    csum = np.cumsum(s.indicator(int(checkpoints[-1])), dtype=np.int64)
-    return DensityEstimate.from_counts(checkpoints, csum[checkpoints - 1],
-                                       tol, window)
 
 
 def check_window(seq: BoundedSequence, lo: float, hi: float) -> None:
@@ -185,65 +119,3 @@ def grid_counts(codes: Sequence[np.ndarray], n_points: int,
     for axis in range(m + 1):
         np.cumsum(table, axis=axis, out=table)
     return table
-
-
-def preimage(seq: BoundedSequence, lo: float, hi: float,
-             closed_right: bool = False) -> SetMembership:
-    """The set {n : v(n) in [lo, hi)} (or [lo, b] with ``closed_right``).
-
-    ``closed_right`` is only meaningful for hi == b, where it closes the
-    interval so the full-interval preimage carries total mass.
-    """
-    b = seq.interval.b
-    check_window(seq, lo, hi)
-    if closed_right and hi != b:
-        raise IntervalError(
-            f"closed_right is only available for the full right endpoint {b}, got {hi}")
-
-    if closed_right:
-        def predicate(n: int) -> bool:
-            return lo <= seq.eval(n)
-
-        def bulk(n_max: int) -> np.ndarray:
-            return seq.prefix(n_max).values >= lo
-
-        desc = f"{seq.label}^-1([{lo:g}, {hi:g}])"
-    else:
-        def predicate(n: int) -> bool:
-            return lo <= seq.eval(n) < hi
-
-        def bulk(n_max: int) -> np.ndarray:
-            vals = seq.prefix(n_max).values
-            return (vals >= lo) & (vals < hi)
-
-        desc = f"{seq.label}^-1([{lo:g}, {hi:g}))"
-    return SetMembership(description=desc, predicate=predicate, bulk=bulk)
-
-
-def intersect(sets: Sequence[SetMembership]) -> SetMembership:
-    """Conjunction of the given membership sets."""
-    if not sets:
-        raise ValueError("intersect needs at least one set")
-    if len(sets) == 1:
-        only = sets[0]
-        return SetMembership(description=only.description,
-                             predicate=only.predicate, bulk=only.bulk)
-    members = list(sets)
-
-    def predicate(n: int) -> bool:
-        return all(s.predicate(n) for s in members)
-
-    def bulk(n_max: int) -> np.ndarray:
-        out = members[0].indicator(n_max)
-        for s in members[1:]:
-            out = out & s.indicator(n_max)
-        return out
-
-    return SetMembership(description=" & ".join(s.description for s in members),
-                         predicate=predicate, bulk=bulk)
-
-
-def from_predicate(predicate: Callable[[int], bool], description: str,
-                   bulk: Callable[[int], np.ndarray] | None = None) -> SetMembership:
-    """Wrap a plain predicate; supply ``bulk`` when a vectorized form exists."""
-    return SetMembership(description=description, predicate=predicate, bulk=bulk)

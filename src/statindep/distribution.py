@@ -5,7 +5,8 @@ Conventions that everything downstream relies on:
 * A :class:`StepCDF` evaluates as "mass strictly below x".  With that
   convention the empirical CDF of a sequence along a checkpoint index
   agrees *exactly* (same integer count, same single division) with the
-  selective density of the preimage of [a, x).
+  grid-counted density of {n : v(n) < x} at the deepest checkpoint, as
+  ``selection.detect_measurable`` reports it.
 * Stieltjes integration against a StepCDF is the finite weighted sum over
   jump points; it is exact for the measure, not a quadrature.
 * "Continuity points" at finite depth are points whose neighborhood

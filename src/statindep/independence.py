@@ -25,7 +25,8 @@ import numpy as np
 from .density import grid_codes, grid_counts
 from .distribution import continuity_grid, empirical_cdf
 from .errors import IntervalError, MeasurabilityError
-from .selection import DEFAULT_TOL, DEFAULT_WINDOW, detect_measurable
+from .selection import (DEFAULT_TOL, DEFAULT_WINDOW, MeasurabilityReport,
+                        detect_measurable)
 from .sequences import BoundedSequence, Interval, UNIT
 from .subsequence import SubsequenceIndex
 
@@ -248,28 +249,6 @@ def product_form(seqs: Sequence[BoundedSequence], funcs: Sequence,
     return _single_tuple(seqs, funcs, N)[1]
 
 
-def rectangle_count(seqs: Sequence[BoundedSequence], corners: Sequence[float],
-                    N: int) -> int:
-    """Number of n <= N with v_i(n) < x_i for every i.
-
-    Corners above b simply see the whole interval; corners at or below a
-    are rejected (the empty rectangle is never a continuity corner).
-    """
-    if len(seqs) == 0 or len(seqs) != len(corners):
-        raise ValueError(
-            f"need equally many sequences and corners, got {len(seqs)} "
-            f"and {len(corners)}")
-    _check_aligned(seqs, [None] * len(seqs))
-    a = seqs[0].interval.a
-    for x in corners:
-        if x <= a:
-            raise IntervalError(f"corner {x} must exceed the left endpoint {a}")
-    mask = np.ones(N, dtype=bool)
-    for s, x in zip(seqs, corners):
-        mask &= s.prefix(N).values < x
-    return int(np.count_nonzero(mask))
-
-
 @dataclass
 class TupleTrace:
     """Convergence record for one battery tuple along the schedule."""
@@ -478,19 +457,36 @@ def kappa_independence_test(seqs: Sequence[BoundedSequence],
     if tol <= 0:
         raise ValueError(f"tol must be positive, got {tol}")
 
+    codes, blocker = _binned_measurability(seqs, kappa, grid,
+                                           measurability_tol, window)
+    if blocker is not None:
+        worst = float(np.max(blocker.oscillations))
+        raise MeasurabilityError(
+            f"sequence {blocker.sequence_label} is not measurable along "
+            f"{kappa.label}: worst grid-point oscillation {worst:.4g} exceeds "
+            f"{measurability_tol:g}")
+    return _rectangle_test(seqs, kappa, grid, tol, codes)
+
+
+def _binned_measurability(seqs: Sequence[BoundedSequence],
+                          kappa: SubsequenceIndex, grid: np.ndarray,
+                          tol: float, window: int
+                          ) -> tuple[list[np.ndarray], MeasurabilityReport | None]:
+    """Bin each prefix once against the sorted grid and check it for
+    measurability along kappa, sequences in order.
+
+    Returns the codes binned so far and the first failing report, or None
+    when every sequence is measurable; the pass stops at the first failure.
+    """
     points = np.unique(grid)
     codes = []
     for s in seqs:
         codes.append(grid_codes(s, kappa.deepest, points))
-        report = detect_measurable(s, kappa, grid, tol=measurability_tol,
-                                   window=window, codes=codes[-1])
+        report = detect_measurable(s, kappa, grid, tol=tol, window=window,
+                                   codes=codes[-1])
         if not report.measurable:
-            worst = float(np.max(report.oscillations))
-            raise MeasurabilityError(
-                f"sequence {s.label} is not measurable along {kappa.label}: "
-                f"worst grid-point oscillation {worst:.4g} exceeds "
-                f"{measurability_tol:g}")
-    return _rectangle_test(seqs, kappa, grid, tol, codes)
+            return codes, report
+    return codes, None
 
 
 def _rectangle_test(seqs: Sequence[BoundedSequence], kappa: SubsequenceIndex,
@@ -592,24 +588,19 @@ def equivalence_harness(seqs: Sequence[BoundedSequence],
         else:
             cdfs = [empirical_cdf(s, kappa) for s in seqs]
             grid = continuity_grid(cdfs, grid_count, atom_tol=atom_tol)
-        points = np.unique(grid)
-        blocker, codes = None, []
-        for s in seqs:
-            codes.append(grid_codes(s, kappa.deepest, points))
-            rep = detect_measurable(s, kappa, grid, tol=DEFAULT_TOL,
-                                    window=window, codes=codes[-1])
-            if not rep.measurable:
-                blocker = s.label
-                break
-        if blocker is not None:
+        codes, blocker = _binned_measurability(seqs, kappa, grid,
+                                               DEFAULT_TOL, window)
+        if blocker is None:
+            report = _rectangle_test(seqs, kappa, grid, 2 * tol, codes)
+            outcomes.append(KappaOutcome(kappa_label=kappa.label, tested=True,
+                                         skip_reason=None, report=report))
+        else:
             outcomes.append(KappaOutcome(
                 kappa_label=kappa.label, tested=False,
-                skip_reason=f"sequence {blocker} not measurable along "
-                            f"{kappa.label}", report=None))
-            continue
-        report = _rectangle_test(seqs, kappa, grid, 2 * tol, codes)
-        outcomes.append(KappaOutcome(kappa_label=kappa.label, tested=True,
-                                     skip_reason=None, report=report))
+                skip_reason=f"sequence {blocker.sequence_label} not "
+                            f"measurable along {kappa.label}", report=None))
+        # Free this member's binned prefixes before the next one bins its own.
+        del codes
     outcomes.sort(key=lambda o: o.kappa_label)
 
     counterexample = None

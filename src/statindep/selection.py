@@ -84,9 +84,10 @@ def detect_measurable(seq: BoundedSequence, kappa: SubsequenceIndex,
     The prefix is binned once against the sorted grid, and one
     :func:`grid_counts` table gives #{n <= k : v(n) < x} at every
     checkpoint and grid point, in O(k_M + M G).  Each trace ratio is the
-    same count / k that ``kappa_density(preimage(seq, a, x), kappa)``
-    returns.  measurable is True exactly when each grid point's
-    trailing-window oscillation is at most tol.
+    single division count / k, so each trace's value equals
+    ``empirical_cdf(seq, kappa)`` at x bit for bit.  measurable is True
+    exactly when each grid point's trailing-window oscillation is at most
+    tol; ``window`` must be >= 1.
 
     A caller that has already binned the prefix passes it as ``codes``
     (``grid_codes(seq, kappa.deepest, np.unique(grid))``), and it is not
@@ -95,6 +96,8 @@ def detect_measurable(seq: BoundedSequence, kappa: SubsequenceIndex,
     grid = np.asarray(grid, dtype=np.float64)
     if grid.size == 0:
         raise ValueError("grid must be nonempty")
+    if window < 1:
+        raise ValueError(f"window must be >= 1, got {window}")
     if len(kappa) < window:
         raise CheckpointError(
             f"index {kappa.label} has {len(kappa)} checkpoints; "
@@ -157,6 +160,10 @@ def helly_extract(seqs: Sequence[BoundedSequence], pool: SubsequenceIndex,
     grid = np.asarray(grid, dtype=np.float64)
     if grid.size == 0:
         raise ValueError("grid must be nonempty")
+    if tol <= 0:
+        raise ValueError(f"tol must be positive, got {tol}")
+    if window < 1:
+        raise ValueError(f"window must be >= 1, got {window}")
     if len(pool) < min_pool:
         raise ExtractionError(
             f"candidate pool has {len(pool)} checkpoints; need at least "

@@ -12,6 +12,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _brute import brute_rectangle_count
 from statindep import (
     AffineImageSequence,
     KroneckerSequence,
@@ -27,19 +28,16 @@ from statindep import (
     equivalence_harness,
     helly_extract,
     indicator_below,
-    kappa_density,
     kappa_family_builder,
     kappa_independence_test,
     make_block,
-    prefix_count,
-    preimage,
     product_form,
-    rectangle_count,
     sandwich_indicator,
     statind_test,
     step_envelope,
     stieltjes,
 )
+from statindep.density import grid_codes, grid_counts
 
 DECILES = np.linspace(0.1, 0.9, 9)
 
@@ -77,7 +75,7 @@ def test_c1_exact_identity_suite():
         # tolerance-free form of N*delta == count
         inds = [indicator_below(x) for x in corners]
         lhs = delta_form(seqs, inds, N)
-        count = rectangle_count(seqs, corners, N)
+        count = brute_rectangle_count(seqs, corners, N)
         if lhs != count / N:
             failures.append(
                 f"trial {trial}: delta {lhs!r} != {count}/{N}")
@@ -198,12 +196,12 @@ def test_c4_disagreement_detector(tmp_path):
 
 def test_c5_measurability_machinery():
     blk = make_block(0.0, 1.0, 2)
-    member = preimage(blk, 0.0, 0.5)
+    half = np.array([0.5])
     failures = []
 
     # along octave checkpoints the density ratio keeps swinging
     pow2 = SubsequenceIndex(2 ** np.arange(0, 18), name="pow2")
-    rep = detect_measurable(blk, pow2, np.array([0.5]))
+    rep = detect_measurable(blk, pow2, half)
     if rep.measurable:
         failures.append("block sequence wrongly detected measurable")
     osc = float(rep.oscillations[0])
@@ -212,16 +210,16 @@ def test_c5_measurability_machinery():
     pool = SubsequenceIndex(
         np.unique(np.round(np.exp2(np.arange(0, 8 * 18 + 1) / 8.0))
                   .astype(np.int64)), name="geometric")
-    ratios = kappa_density(member, pool).ratios()
+    ratios = detect_measurable(blk, pool, half).traces[0].trace_ratios
     swing = float(np.max(ratios) - np.min(ratios))
     if not swing > 0.2:
         failures.append(f"full-pool ratio swing {swing} not > 0.2")
 
-    kappa = helly_extract([blk], pool, np.array([0.5]))
-    est = kappa_density(member, kappa)
+    kappa = helly_extract([blk], pool, half)
+    est = detect_measurable(blk, kappa, half).traces[0]
     if not est.oscillation <= 1e-2:
         failures.append(f"extracted trace oscillation {est.oscillation}")
-    again = helly_extract([blk], kappa, np.array([0.5]), min_pool=5)
+    again = helly_extract([blk], kappa, half, min_pool=5)
     if again != kappa:
         failures.append("extraction is not idempotent")
     _finish("C5", f"block sequence: oscillation {osc:.2f} > 0.2 before, "
@@ -330,8 +328,9 @@ def test_c7_invariant_suite():
     def complement_counting(values, x, n):
         counter["cases"] += 1
         seq = PeriodicSequence(values)
-        member = preimage(seq, 0.0, x)
-        if prefix_count(member, n) + prefix_count(member.complement(), n) != n:
+        codes = grid_codes(seq, n, np.array([x]))
+        below, total = grid_counts([codes], 1, np.array([n]))[0]
+        if below + np.count_nonzero(codes > 0) != n or total != n:
             failures.append(f"complement counts at n={n}")
 
     @common

@@ -2,7 +2,7 @@
 
 Every count the rectangle test, measurability detection and extraction use
 comes from ``grid_counts``.  These tests rebuild each figure with plain
-per-n loops (or with the general indicator route of ``kappa_density``) and
+per-n loops (or with the mask-and-cumsum densities of ``_brute``) and
 demand exact equality, on grids that hit sequence values exactly and on
 unsorted and duplicate grids.
 """
@@ -15,6 +15,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _brute import brute_density
+import statindep
 import statindep.density as density
 import statindep.independence as independence
 import statindep.selection as selection
@@ -35,10 +37,8 @@ from statindep import (
     empirical_cdf,
     equivalence_harness,
     helly_extract,
-    kappa_density,
     kappa_family_builder,
     kappa_independence_test,
-    preimage,
 )
 from statindep.density import grid_codes, grid_counts
 from statindep.selection import _best_band
@@ -133,10 +133,9 @@ def test_measurability_ratios_match_kappa_density(seqs, grid, kappa, window):
     rep = detect_measurable(seq, kappa, grid, tol=0.05, window=window)
     assert len(rep.traces) == grid.size
     for x, est in zip(grid, rep.traces):
-        want = kappa_density(preimage(seq, seq.interval.a, float(x)), kappa,
-                             tol=0.05, window=window)
+        want = brute_density(seq, float(x), kappa, tol=0.05, window=window)
         assert np.array_equal(est.checkpoints, want.checkpoints)
-        assert np.array_equal(est.ratios(), want.ratios())
+        assert np.array_equal(est.trace_ratios, want.trace_ratios)
         assert est.trace == want.trace
         assert (est.value, est.oscillation, est.converged) == \
             (want.value, want.oscillation, want.converged)
@@ -146,10 +145,8 @@ def cumsum_extract(seqs, pool, grid, tol, window):
     """The per-pass indicator-and-cumsum extraction loop, kept as reference."""
     surviving = np.asarray(pool.checkpoints, dtype=np.int64)
     for seq in seqs:
-        a = seq.interval.a
         for x in np.sort(grid):
-            indicator = preimage(seq, a, float(x)).indicator(
-                int(surviving[-1]))
+            indicator = seq.prefix(int(surviving[-1])).values < x
             csum = np.cumsum(indicator, dtype=np.int64)
             ratios = csum[surviving - 1] / surviving
             keep = _best_band(ratios, tol)
@@ -284,6 +281,44 @@ class TestErrorsKept:
                            match=r"sequence kronecker\(.*\), grid point 0\.5:"):
             helly_extract([seq], pool, np.array([0.5, 0.5]), tol=1e-9,
                           min_pool=5)
+
+    @pytest.mark.parametrize("window", [0, -3, -200])
+    def test_window_below_one(self, window):
+        seq = KroneckerSequence("sqrt2-1")
+        kappa = SubsequenceIndex(range(1, 101))
+        grid = np.array([0.5])
+        with pytest.raises(ValueError, match="window must be >= 1"):
+            detect_measurable(seq, kappa, grid, window=window)
+        with pytest.raises(ValueError, match="window must be >= 1"):
+            kappa_independence_test([seq], kappa, grid, 0.05, window=window)
+        with pytest.raises(ValueError, match="window must be >= 1"):
+            equivalence_harness([seq], default_battery(), [kappa], [100],
+                                0.05, window=window)
+        with pytest.raises(ValueError, match="window must be >= 1"):
+            helly_extract([seq], kappa, grid, window=window, min_pool=1)
+
+    @pytest.mark.parametrize("tol", [0.0, -0.01])
+    def test_nonpositive_extraction_tol(self, tol):
+        seq = KroneckerSequence("sqrt2-1")
+        with pytest.raises(ValueError, match="tol must be positive"):
+            helly_extract([seq], SubsequenceIndex(range(1, 101)),
+                          np.array([0.5]), tol=tol, min_pool=1)
+
+
+# The per-n predicate route that grid_codes/grid_counts replaced.
+PER_N_PATH = ("SetMembership", "from_predicate", "intersect", "kappa_density",
+              "prefix_count", "preimage", "rectangle_count")
+
+
+def test_public_surface_is_consistent():
+    names = statindep.__all__
+    assert len(names) == len(set(names))
+    assert [n for n in names if not hasattr(statindep, n)] == []
+    for name in PER_N_PATH:
+        assert name not in names
+        assert not any(hasattr(module, name)
+                       for module in (statindep, density, independence))
+    assert not hasattr(statindep.DensityEstimate, "ratios")
 
 
 def test_harness_checks_measurability_once_per_pair(monkeypatch):

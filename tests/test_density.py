@@ -1,108 +1,99 @@
-"""Counting, preimage, and selective-density tests.
+"""Preimage counts and selective-density tests.
 
-Density values here are checked against exact finite counts (periodic and
-block sequences give closed-form prefix counts), never against asserted
-limits.
+Counts come from the grid counting core (``grid_codes``/``grid_counts``)
+and densities from ``detect_measurable``'s traces.  They are checked
+against exact finite counts (periodic and block sequences give closed-form
+prefix counts) and brute-force masks, never against asserted limits.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from _brute import brute_rectangle_count
 from statindep import (
     CheckpointError,
     IntervalError,
     KroneckerSequence,
     PeriodicSequence,
     SubsequenceIndex,
-    UNIT,
     VanDerCorputSequence,
-    from_predicate,
-    intersect,
-    kappa_density,
+    detect_measurable,
     make_block,
-    prefix_count,
-    preimage,
 )
+from statindep.density import check_window, grid_codes, grid_counts
 
 
-def naturals(depth, stride=1):
-    return SubsequenceIndex(np.arange(stride, depth + 1, stride),
-                            name="naturals")
+def below_counts(seq, points, checkpoints):
+    """#{n <= k : v(n) < points[j]} per checkpoint k (rows) and point j;
+    the last column, leaving v unbounded, is k itself."""
+    points = np.asarray(points, dtype=np.float64)
+    checkpoints = np.asarray(checkpoints, dtype=np.int64)
+    codes = grid_codes(seq, int(checkpoints[-1]), points)
+    return grid_counts([codes], points.size, checkpoints)
+
+
+def trace_below(seq, x, kappa, **kwargs):
+    return detect_measurable(seq, kappa, np.array([x]), **kwargs).traces[0]
 
 
 class TestPrefixCount:
     def test_periodic_exact(self):
         seq = PeriodicSequence([0.0, 1.0, 0.0])  # two lows per period of 3
-        lows = preimage(seq, 0.0, 0.5)
-        assert prefix_count(lows, 3) == 2
-        assert prefix_count(lows, 30) == 20
-        assert prefix_count(lows, 31) == 21
+        assert below_counts(seq, [0.5], [3, 30, 31])[:, 0].tolist() == \
+            [2, 20, 21]
 
     def test_brute_force_agreement(self):
         seq = VanDerCorputSequence(2)
-        lows = preimage(seq, 0.0, 0.3)
         vals = seq.prefix(500).values
-        assert prefix_count(lows, 500) == int(np.sum(vals < 0.3))
-
-    def test_predicate_and_bulk_agree(self):
-        seq = KroneckerSequence("sqrt2-1")
-        s = preimage(seq, 0.2, 0.7)
-        loop = sum(1 for n in range(1, 201) if s.contains(n))
-        assert prefix_count(s, 200) == loop
+        assert below_counts(seq, [0.3], [500])[0, 0] == int(np.sum(vals < 0.3))
 
 
 class TestPreimage:
     def test_half_open_convention(self):
         seq = PeriodicSequence([0.0, 0.5, 1.0])
-        assert prefix_count(preimage(seq, 0.0, 0.5), 3) == 1   # only 0.0
-        assert prefix_count(preimage(seq, 0.0, 0.5, closed_right=False), 3) == 1
-        assert prefix_count(preimage(seq, 0.5, 1.0), 3) == 1   # only 0.5
-        assert prefix_count(preimage(seq, 0.5, 1.0, closed_right=True), 3) == 2
+        # below 0.5 is only 0.0, below 1.0 adds 0.5; unbounded counts all 3
+        assert below_counts(seq, [0.5, 1.0], [3])[0].tolist() == [1, 2, 3]
 
     def test_invalid_bounds(self):
         seq = PeriodicSequence([0.0, 1.0])
-        with pytest.raises(IntervalError):
-            preimage(seq, 0.7, 0.3)
-        with pytest.raises(IntervalError):
-            preimage(seq, -0.5, 0.5)
-        with pytest.raises(IntervalError):
-            preimage(seq, 0.0, 0.5, closed_right=True)
-
-    def test_complement_partitions_prefix(self):
-        seq = KroneckerSequence("golden")
-        s = preimage(seq, 0.0, 0.37)
-        c = s.complement()
-        for n in (1, 17, 300):
-            assert prefix_count(s, n) + prefix_count(c, n) == n
+        with pytest.raises(IntervalError, match="inverted bounds"):
+            check_window(seq, 0.7, 0.3)
+        with pytest.raises(IntervalError, match="must sit inside"):
+            check_window(seq, -0.5, 0.5)
+        with pytest.raises(IntervalError, match="must sit inside"):
+            check_window(seq, 0.0, 1.5)
 
 
 class TestIntersect:
+    """An intersection of preimages is one cell of the joint grid table."""
+
     def test_conjunction_counts(self):
         v1 = KroneckerSequence("sqrt2-1")
         v2 = KroneckerSequence("sqrt3-1")
-        s = intersect([preimage(v1, 0.0, 0.5), preimage(v2, 0.0, 0.5)])
-        vals1 = v1.prefix(1000).values
-        vals2 = v2.prefix(1000).values
-        want = int(np.sum((vals1 < 0.5) & (vals2 < 0.5)))
-        assert prefix_count(s, 1000) == want
+        codes = [grid_codes(v, 1000, np.array([0.5])) for v in (v1, v2)]
+        table = grid_counts(codes, 1, np.array([1000]))
+        assert table[0, 0, 0] == brute_rectangle_count([v1, v2], (0.5, 0.5),
+                                                       1000)
 
     def test_single_passthrough(self):
-        seq = KroneckerSequence("sqrt2-1")
-        s = preimage(seq, 0.0, 0.5)
-        merged = intersect([s])
-        assert prefix_count(merged, 97) == prefix_count(s, 97)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            intersect([])
+        # leaving one sequence unbounded gives the other's own counts
+        seqs = [KroneckerSequence("sqrt2-1"), VanDerCorputSequence(3)]
+        points = np.array([0.25, 0.5])
+        checkpoints = np.array([10, 97])
+        codes = [grid_codes(s, 97, points) for s in seqs]
+        joint = grid_counts(codes, points.size, checkpoints)
+        assert np.array_equal(joint[:, :, -1],
+                              grid_counts(codes[:1], points.size, checkpoints))
+        assert np.array_equal(joint[:, -1, :],
+                              grid_counts(codes[1:], points.size, checkpoints))
 
 
 class TestKappaDensity:
     def test_periodic_exact_ratios(self):
         seq = PeriodicSequence([0.0, 1.0])
         kappa = SubsequenceIndex([2, 4, 6, 8, 10, 12])
-        est = kappa_density(preimage(seq, 0.0, 0.5), kappa)
+        est = trace_below(seq, 0.5, kappa)
         # at even checkpoints the ratio is exactly 1/2
         assert [r for _, r in est.trace] == [0.5] * 6
         assert est.oscillation == 0.0
@@ -113,47 +104,40 @@ class TestKappaDensity:
         blk = make_block(0.0, 1.0, 2)
         ends = blk.block_ends(10 ** 5)  # 2, 6, 14, ...
         high_ends = ends.take(np.arange(1, len(ends), 2))  # 6, 30, 126, ...
-        est = kappa_density(preimage(blk, 0.0, 0.5), high_ends)
+        est = trace_below(blk, 0.5, high_ends)
         for _, ratio in est.trace:
             assert ratio == pytest.approx(1 / 3, abs=1e-15)
 
     def test_oscillation_detects_block_swings(self):
         blk = make_block(0.0, 1.0, 2)
         pow2 = SubsequenceIndex(2 ** np.arange(0, 15), name="pow2")
-        est = kappa_density(preimage(blk, 0.0, 0.5), pow2)
+        est = trace_below(blk, 0.5, pow2)
         assert est.oscillation > 0.2
         assert not est.converged
 
     def test_shallow_kappa_rejected(self):
         seq = PeriodicSequence([0.0, 1.0])
         with pytest.raises(CheckpointError):
-            kappa_density(preimage(seq, 0.0, 0.5),
-                          SubsequenceIndex([2, 4]), window=5)
+            trace_below(seq, 0.5, SubsequenceIndex([2, 4]), window=5)
 
     def test_trace_matches_brute_force(self):
         seq = VanDerCorputSequence(3)
         kappa = SubsequenceIndex([7, 20, 33, 81, 100, 243])
-        est = kappa_density(preimage(seq, 0.1, 0.6), kappa)
+        est = trace_below(seq, 0.6, kappa)
         vals = seq.prefix(243).values
         for k, ratio in est.trace:
-            want = int(np.sum((vals[:k] >= 0.1) & (vals[:k] < 0.6))) / k
-            assert ratio == want
-
-    def test_from_predicate(self):
-        s = from_predicate(lambda n: n % 3 == 0, "multiples of 3")
-        kappa = SubsequenceIndex([3, 6, 9, 12, 15, 30])
-        est = kappa_density(s, kappa)
-        assert est.value == pytest.approx(1 / 3, abs=1e-15)
-        assert est.oscillation == 0.0
+            assert ratio == int(np.sum(vals[:k] < 0.6)) / k
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(min_value=1, max_value=400),
        st.floats(min_value=0.05, max_value=0.95))
 def test_count_complement_identity(n, x):
+    # the counted preimage and the codes above the grid point partition 1..n
     seq = KroneckerSequence("sqrt2-1")
-    below = preimage(seq, 0.0, x)
-    assert prefix_count(below, n) + prefix_count(below.complement(), n) == n
+    codes = grid_codes(seq, n, np.array([x]))
+    below = grid_counts([codes], 1, np.array([n]))[0, 0]
+    assert below + np.count_nonzero(codes > 0) == n
 
 
 @settings(max_examples=40, deadline=None)
@@ -161,6 +145,6 @@ def test_count_complement_identity(n, x):
 def test_density_value_is_last_trace_entry(m):
     seq = VanDerCorputSequence(2)
     kappa = SubsequenceIndex(np.arange(1, m + 1) * 7)
-    est = kappa_density(preimage(seq, 0.0, 0.5), kappa)
+    est = trace_below(seq, 0.5, kappa)
     assert est.value == est.trace[-1][1]
     assert len(est.trace) == m

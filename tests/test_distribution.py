@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from _brute import brute_density
 from statindep import (
     ConstantSequence,
     EnvelopeError,
@@ -18,9 +19,8 @@ from statindep import (
     VanDerCorputSequence,
     cdf_eval,
     continuity_grid,
+    detect_measurable,
     empirical_cdf,
-    kappa_density,
-    preimage,
     sandwich_indicator,
     step_envelope,
     stieltjes,
@@ -91,9 +91,11 @@ class TestEmpiricalCDF:
         seq = KroneckerSequence("sqrt2-1")
         kappa = naturals(2000, stride=40)
         F = empirical_cdf(seq, kappa)
-        for x in (0.1, 0.33333, 0.5, 0.717, 0.9):
-            est = kappa_density(preimage(seq, 0.0, x), kappa)
+        grid = np.array([0.1, 0.33333, 0.5, 0.717, 0.9])
+        rep = detect_measurable(seq, kappa, grid)
+        for x, est in zip(grid, rep.traces):
             assert cdf_eval(F, x) == est.value
+            assert est.value == brute_density(seq, x, kappa).value
 
     def test_total_mass_exact_for_counts(self):
         seq = VanDerCorputSequence(2)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from _brute import brute_rectangle_count
 from statindep import (
     AffineImageSequence,
     ConstantSequence,
@@ -29,10 +30,10 @@ from statindep import (
     kappa_independence_test,
     make_block,
     product_form,
-    rectangle_count,
     statind_test,
     stieltjes,
 )
+from statindep.density import grid_codes, grid_counts
 from statindep.independence import MAX_TUPLE_ARITY
 
 IDENT = lambda x: np.asarray(x, dtype=np.float64)
@@ -73,6 +74,13 @@ class TestForms:
             delta_form([seq, other], [IDENT, IDENT], 10)
 
 
+def grid_rectangle_count(seqs, corner, n):
+    """#{k <= n : v_i(k) < x_i for every i}, from one grid_counts table."""
+    points, position = np.unique(corner, return_inverse=True)
+    codes = [grid_codes(s, n, points) for s in seqs]
+    return int(grid_counts(codes, points.size, np.array([n]))[(0, *position)])
+
+
 class TestRectangleCount:
     def test_indicator_identity_exact(self):
         v1 = KroneckerSequence("sqrt2-1")
@@ -80,24 +88,24 @@ class TestRectangleCount:
         for corners, n in (((0.5, 0.5), 100), ((0.3, 0.8), 997),
                            ((0.123, 0.456), 5000)):
             funcs = [indicator_below(x) for x in corners]
-            c = rectangle_count([v1, v2], corners, n)
+            c = brute_rectangle_count([v1, v2], corners, n)
             assert delta_form([v1, v2], funcs, n) == c / n
 
     def test_mirrored_pair_empty_rectangle(self):
         v = KroneckerSequence("sqrt2-1")
         w = AffineImageSequence(v, -1.0, 1.0)
         # v(n) < 0.5 and 1 - v(n) < 0.5 cannot both hold
-        assert rectangle_count([v, w], (0.5, 0.5), 10 ** 4) == 0
+        assert grid_rectangle_count([v, w], (0.5, 0.5), 10 ** 4) == 0
 
     def test_full_interval_corner(self):
         v = KroneckerSequence("sqrt2-1")
-        assert rectangle_count([v], (1.5,), 321) == 321
+        assert grid_rectangle_count([v], (1.0,), 321) == 321
 
     def test_independent_pair_near_quarter(self):
         v1 = KroneckerSequence("sqrt2-1")
         v2 = KroneckerSequence("sqrt3-1")
         n = 10 ** 4
-        c = rectangle_count([v1, v2], (0.5, 0.5), n)
+        c = grid_rectangle_count([v1, v2], (0.5, 0.5), n)
         assert abs(c - n / 4) < 0.02 * n
 
     def test_direct_scan_agreement(self):
@@ -107,12 +115,7 @@ class TestRectangleCount:
         a = v1.prefix(n).values
         b = v2.prefix(n).values
         want = int(np.sum((a < 0.41) & (b < 0.77)))
-        assert rectangle_count([v1, v2], (0.41, 0.77), n) == want
-
-    def test_corner_at_or_below_left_endpoint(self):
-        v = KroneckerSequence("sqrt2-1")
-        with pytest.raises(IntervalError):
-            rectangle_count([v], (0.0,), 10)
+        assert grid_rectangle_count([v1, v2], (0.41, 0.77), n) == want
 
 
 class TestStatind:
@@ -203,7 +206,7 @@ class TestKappaIndependence:
         grid = np.array([0.3, 0.6])
         rep = kappa_independence_test([v1, v2], kappa, grid, 0.05)
         for corner, density in zip(rep.corners, rep.densities):
-            c = rectangle_count([v1, v2], corner, kappa.deepest)
+            c = brute_rectangle_count([v1, v2], corner, kappa.deepest)
             assert density == c / kappa.deepest
 
     def test_unmeasurable_sequence_named(self):
@@ -332,7 +335,7 @@ def test_permutation_symmetry(n, perm):
 def test_indicator_identity_random_corners(n, x1, x2):
     v1 = KroneckerSequence("sqrt2-1")
     v2 = KroneckerSequence("sqrt3-1")
-    c = rectangle_count([v1, v2], (x1, x2), n)
+    c = brute_rectangle_count([v1, v2], (x1, x2), n)
     d = delta_form([v1, v2], [indicator_below(x1), indicator_below(x2)], n)
     assert d == c / n
 

@@ -5,6 +5,7 @@ import re
 import numpy as np
 import pytest
 
+from _brute import brute_density
 from statindep import (
     CheckpointError,
     ConstantSequence,
@@ -14,10 +15,8 @@ from statindep import (
     detect_measurable,
     empirical_cdf,
     helly_extract,
-    kappa_density,
     kappa_family_builder,
     make_block,
-    preimage,
     selection,
 )
 
@@ -97,7 +96,7 @@ class TestHellyExtract:
         assert np.all(np.isin(kappa.checkpoints, pool.checkpoints))
         assert np.all(np.diff(kappa.checkpoints) > 0)
         # trailing-window ratios are Cauchy within tol
-        est = kappa_density(preimage(blk, 0.0, 0.5), kappa)
+        est = brute_density(blk, 0.5, kappa)
         assert est.oscillation <= 1e-2
         assert detect_measurable(blk, kappa, np.array([0.5])).measurable
 
