@@ -29,7 +29,7 @@ from .distribution import StepCDF, cdf_eval, continuity_grid, empirical_cdf, \
     stieltjes, PiecewiseLinear
 from .errors import SpecError, StatIndepError
 from .independence import FunctionBattery, NamedFunction, default_battery, \
-    equivalence_harness
+    equivalence_harness, product_form
 from .reporting import fmt_float, write_csv, write_json
 from .selection import DEFAULT_MIN_POOL, DEFAULT_TOL, DEFAULT_WINDOW, \
     KAPPA_FAMILY, detect_measurable, helly_extract, kappa_family_builder
@@ -352,12 +352,8 @@ def cmd_distribution(args) -> int:
         cdf = empirical_cdf(seq, schedule, depth=j)
         for x in grid:
             cdf_rows.append((int(n), float(x), cdf_eval(cdf, float(x))))
-        values = seq.prefix(int(n)).values
         for member in battery:
-            fx = np.asarray(member(values), dtype=np.float64)
-            if fx.shape != values.shape:
-                fx = np.broadcast_to(fx, values.shape)
-            mean = float(np.sum(fx) / int(n))
+            mean = product_form([seq], [member], int(n))
             integral = stieltjes(member, cdf)
             weyl_rows.append((int(n), member.name, mean, integral,
                               abs(mean - integral)))

@@ -18,19 +18,29 @@ import bisect
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from types import SimpleNamespace
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .density import grid_codes, grid_counts
+from .density import check_window, grid_codes, grid_counts
 from .distribution import continuity_grid, empirical_cdf
 from .errors import IntervalError, MeasurabilityError
 from .selection import (DEFAULT_TOL, DEFAULT_WINDOW, MeasurabilityReport,
-                        detect_measurable)
-from .sequences import BoundedSequence, Interval, UNIT
+                        check_window_length, detect_measurable)
+from .sequences import _CHUNK, BoundedSequence, Interval, UNIT
 from .subsequence import SubsequenceIndex
 
 MAX_TUPLE_ARITY = 5
+
+# The schedule test sums over fixed absolute blocks of this many indices
+# (the prefix cache's chunk), so its bits do not depend on how the blocks
+# are evaluated.
+_BLOCK = _CHUNK
+# Whole blocks evaluated per walk step, as (_GROUP, _BLOCK) rows.  Per-row
+# np.sum and einsum equal the one-block results bit for bit, so this sets
+# only speed and memory.
+_GROUP = 2
 
 
 @dataclass(frozen=True)
@@ -127,103 +137,184 @@ def _check_aligned(seqs: Sequence[BoundedSequence], funcs: Sequence) -> None:
 
 
 def _apply(f, values: np.ndarray) -> np.ndarray:
-    fx = np.asarray(f(values), dtype=np.float64)
-    if fx.shape != values.shape:
-        fx = np.broadcast_to(fx, values.shape).copy()
-    return fx
+    """f on ``values`` as float64 of their shape (a scalar is broadcast)."""
+    return np.broadcast_to(np.asarray(f(values), dtype=np.float64),
+                           values.shape)
 
 
-def _battery_column(f, values: np.ndarray
-                    ) -> tuple[np.ndarray | None, int, float]:
-    """One (sequence, member) evaluation as ``(fx, run, first)``.
-
-    ``run`` is the length of the leading stretch of f(v(n)) equal to its
-    first value ``first``, so f is constant on the prefix of length N exactly
-    when N <= run.  A member constant on the whole prefix (``one``, or any
-    member on a constant sequence) keeps only the scalar: ``fx`` is None.
+def _constant_run(f, values: np.ndarray) -> tuple[int, float]:
+    """``(run, first)``: f(v(n)) equals ``first`` = f(v(1)) for the first
+    ``run`` terms of ``values`` and differs at the next one, so f is
+    constant on the prefix of length N exactly when N <= run.  Scans whole
+    groups of blocks and stops at the first group with a differing value.
     """
-    fx = _apply(f, values)
-    differs = fx != fx[0]
-    run = int(np.argmax(differs))
-    if not differs[run]:
-        return None, fx.size, float(fx[0])
-    return fx, run, float(fx[0])
+    step = _GROUP * _BLOCK
+    first = None
+    for lo in range(0, values.size, step):
+        fx = _apply(f, values[lo:lo + step])
+        if first is None:
+            first = fx[0]
+        differs = fx != first
+        if differs.any():
+            return lo + int(np.argmax(differs)), float(first)
+    return values.size, float(first)
 
 
-def _multilinear(first: Iterable[tuple], rest: Sequence[Sequence[tuple]],
+def _block_plan(schedule: Sequence[int]):
+    """The blocks of the schedule test's sums, in order, as ``(pos,
+    blocks, length, lo, hi)``: ``blocks`` consecutive blocks of ``length``
+    indices from ``pos`` (0-based), whose sums go to schedule points
+    [lo, hi).  Whole blocks come in groups of at most ``_GROUP``; a
+    schedule point inside a block also gets that block cut at the point,
+    for itself alone, and the whole block follows for the later points.
+    """
+    pos = 0
+    for k, n in enumerate(schedule):
+        while pos + _BLOCK <= n:
+            blocks = min(_GROUP, (n - pos) // _BLOCK)
+            yield pos, blocks, _BLOCK, k, len(schedule)
+            pos += blocks * _BLOCK
+        if pos < n:
+            yield pos, 1, n - pos, k, k + 1
+
+
+def _multilinear(values: Sequence[np.ndarray], funcs: Sequence[Sequence],
                  schedule: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
     """Deltas and products of every tuple at every schedule point.
 
-    ``first`` yields the :func:`_battery_column` of each candidate for slot
-    0 and ``rest[i]`` holds those of slot i+1, all evaluated on a prefix at
-    least ``schedule[-1]`` long.  ``first`` may evaluate its columns on
-    demand: each one is used for its mean row and its subtree of the walk
-    and dropped before the next is drawn, so only one slot-0 column is held
-    at a time.  Returns two arrays of shape ``(B_0, ..., B_{m-1}, S)``.
+    ``funcs[i]`` are the candidates for slot i, evaluated on ``values[i]``,
+    a prefix at least ``schedule[-1]`` long.  Returns two arrays of shape
+    ``(B_0, ..., B_{m-1}, S)``.
 
-    A slot constant on the first N terms factors out of the delta at N:
-    the delta is ``float(np.sum(term[:N]) / N)`` of the left-to-right
-    product ``term`` of the varying slots (1.0 when none varies), times the
-    constant slots' values in slot order.  A mean is the constant itself
-    or ``float(np.sum(fx[:N]) / N)``, so every gap is exactly zero when
-    only one slot varies.  Products of means are taken left to right.
+    Sum contract: a sum over n = 1..N is the sum, left to right in block
+    order, of one sum per fixed absolute block of ``_BLOCK`` indices, the
+    last block ending at N.  A block's sum is ``np.sum`` of the block when
+    one slot varies, and otherwise the left-to-right elementwise product of
+    the varying slots but the last, contracted with the last one by
+    ``np.einsum``.  No BLAS call is made, so the bits do not depend on its
+    thread count.
+
+    A slot constant on the first N terms factors out at N.  A mean is the
+    constant itself or the block-summed sum over N; a delta is the product,
+    left to right in slot order, of the constant slots' values with the
+    varying slots' block-summed mean in place of the first varying slot
+    (just the constants when none varies), and a product of means is taken
+    left to right.  So every gap is exactly zero when at most one slot
+    varies.
+
+    Members that vary on the prefix are evaluated one group of at most
+    ``_GROUP`` whole blocks at a time (or one partial block) into one
+    ``(members, block)`` matrix per slot; nothing of length N is held.
     """
-    means = [_mean_rows(column, schedule) for column in rest]
-    shape = tuple(len(column) for column in rest) + (len(schedule),)
-    # slot 0 starts every product, so only later slots need a buffer
-    buffers = [None] + [np.empty(schedule[-1]) for _ in rest]
-    first_means, deltas = [], []
-    for column in first:
-        first_means.append(_mean_rows([column], schedule)[0])
-        out = np.empty(shape)
-        _delta_walk([[column], *rest], buffers, schedule, out[None], 0,
-                    len(schedule), None, ())
-        deltas.append(out)
-        del column  # before ``first`` evaluates the next one
-    products = np.asarray(first_means)
-    for rows in means:
-        products = products[..., None, :] * rows
-    return np.asarray(deltas), products
+    m, n_max, count = len(values), schedule[-1], len(schedule)
+    ns = np.asarray(schedule, dtype=np.float64)
+    width = _GROUP * _BLOCK
+    # Per slot: each candidate's constant run and first value, and the
+    # members that vary on the prefix with their block matrix, product
+    # buffer and running sums.  Each step below sets ``mat`` (members,
+    # blocks, length), its row sums ``rowsum`` and the buffer view ``term``.
+    slots = []
+    for v, column in zip(values, funcs):
+        runs, firsts = zip(*(_constant_run(f, v[:n_max]) for f in column))
+        varies = np.asarray(runs) < n_max
+        slots.append(SimpleNamespace(
+            runs=runs, firsts=np.asarray(firsts)[:, None],
+            constant=ns <= np.asarray(runs)[:, None],
+            members=[f for f, flag in zip(column, varies) if flag],
+            # a member constant on the whole prefix gets no row; the last
+            # slot masks what it reads there
+            rows=np.cumsum(varies) - 1,
+            matrix=np.empty((int(np.sum(varies)), width)),
+            buffer=np.empty(width),
+            # running sum of each varying member per schedule point
+            total=np.full((int(np.sum(varies)), count), -0.0)))
+    # A contraction short of the last slot is needed only at points where
+    # every later slot has a constant member.
+    for i, slot in enumerate(slots):
+        slot.contract_upto = min((max(later.runs) for later in slots[i + 1:]),
+                                 default=math.inf)
+    shape = tuple(len(column) for column in funcs)
+    sums = np.zeros(shape + (count, _GROUP))
+    totals = np.full(shape + (count,), -0.0)  # -0.0 + x is x for every x
+
+    for pos, blocks, length, lo, hi in _block_plan(schedule):
+        span = blocks * length
+        for slot, v in zip(slots, values):
+            x = v[pos:pos + span]
+            for r, f in enumerate(slot.members):
+                slot.matrix[r, :span] = _apply(f, x)
+            slot.mat = slot.matrix[:, :span].reshape(len(slot.members), blocks,
+                                                     length)
+            slot.rowsum = np.sum(slot.mat, axis=2)
+            slot.term = slot.buffer[:span].reshape(blocks, length)
+            for g in range(blocks):
+                slot.total[:, lo:hi] += slot.rowsum[:, g, None]
+        block_sums = sums[..., :blocks]
+        _block_walk(slots, schedule, block_sums, 0, lo, hi, None, None, ())
+        for g in range(blocks):
+            totals[..., lo:hi] += block_sums[..., lo:hi, g]
+
+    joint = totals / ns
+    deltas = products = varied = None
+    for i, slot in enumerate(slots):
+        means = np.where(slot.constant, slot.firsts,
+                         slot.total[slot.rows] / ns if slot.members else 0.0)
+        products = means if products is None \
+            else products[..., None, :] * means
+        axes = (1,) * i + (len(slot.runs),) + (1,) * (m - 1 - i)
+        constant = slot.constant.reshape(axes + (count,))
+        factor = np.where(constant, slot.firsts.reshape(axes + (1,)),
+                          joint if varied is None
+                          else np.where(varied, 1.0, joint))
+        deltas = factor if deltas is None else deltas * factor
+        varied = ~constant if varied is None else varied | ~constant
+    return deltas, products
 
 
-def _mean_rows(column: Sequence[tuple], schedule: Sequence[int]) -> np.ndarray:
-    """Mean of each candidate of one slot at each schedule point."""
-    rows = np.empty((len(column), len(schedule)))
-    for j, (fx, run, first) in enumerate(column):
-        for k, n in enumerate(schedule):
-            rows[j, k] = first if n <= run else float(np.sum(fx[:n]) / n)
-    return rows
+def _block_walk(slots, schedule, sums, level, lo, hi, term, last, index):
+    """Block sums of every tuple that extends ``index``, at schedule points
+    [lo, hi), into ``sums[tuple][lo:hi]`` (left at zero where no slot
+    varies).
 
-
-def _delta_walk(columns, buffers, schedule, out, lo, hi, term, constants):
-    """Fill ``out[..., lo:hi]`` for every choice of the remaining slots.
-
-    Depth-first over slots: ``term`` is the product of the varying slots
-    chosen so far (None when none varies), valid up to ``schedule[hi-1]``,
-    and ``constants`` the chosen constant slots' values in slot order.  A
-    slot's schedule points split where its constant run ends; the varying
-    part extends ``term`` into this level's buffer, written once per tuple
-    prefix and read only by deeper levels.
+    Depth-first over slots: ``term`` is the left-to-right product of the
+    varying slots chosen so far (None when none varies) and ``last`` the
+    block sums of the tuple prefix ``index`` itself, its last varying slot
+    contracted with the product of the ones before.  A slot's schedule
+    points split where its member's constant run ends.  Each level writes
+    its products into its own buffer, read only by deeper levels, and
+    contracts all of its members against ``term`` with one ``einsum``.
     """
-    if not columns:
-        for k in range(lo, hi):
-            n = schedule[k]
-            delta = float(np.sum(term[:n]) / n) if term is not None else 1.0
-            for c in constants:
-                delta *= c
-            out[k] = delta
+    slot = slots[level]
+    if level == len(slots) - 1:
+        constant = slot.constant[:, lo:hi, None]
+        if not constant.all():
+            sums[index][:, lo:hi] = np.where(
+                constant, 0.0 if last is None else last,
+                (slot.rowsum if term is None else
+                 np.einsum("jkn,kn->jk", slot.mat, term))[slot.rows][:, None])
+        elif last is not None:
+            sums[index][:, lo:hi] = last
         return
-    for j, (fx, run, first) in enumerate(columns[0]):
+    contracted = None
+    for j, run in enumerate(slot.runs):
         split = bisect.bisect_right(schedule, run, lo, hi)
         if split > lo:
-            _delta_walk(columns[1:], buffers[1:], schedule, out[j], lo, split,
-                        term, constants + (first,))
-        if split < hi:
-            n = schedule[hi - 1]
-            extended = fx if term is None else \
-                np.multiply(term[:n], fx[:n], out=buffers[0][:n])
-            _delta_walk(columns[1:], buffers[1:], schedule, out[j], split, hi,
-                        extended, constants)
+            _block_walk(slots, schedule, sums, level + 1, lo, split, term,
+                        last, index + (j,))
+        if split == hi:
+            continue
+        row = slot.mat[slot.rows[j]]
+        if term is None:
+            sub_last, sub_term = slot.rowsum[slot.rows[j]], row
+        else:
+            sub_last = None
+            if schedule[split] <= slot.contract_upto:
+                if contracted is None:
+                    contracted = np.einsum("jkn,kn->jk", slot.mat, term)
+                sub_last = contracted[slot.rows[j]]
+            sub_term = np.multiply(term, row, out=slot.term)
+        _block_walk(slots, schedule, sums, level + 1, split, hi, sub_term,
+                    sub_last, index + (j,))
 
 
 def _single_tuple(seqs: Sequence[BoundedSequence], funcs: Sequence,
@@ -231,9 +322,8 @@ def _single_tuple(seqs: Sequence[BoundedSequence], funcs: Sequence,
     _check_aligned(seqs, funcs)
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
-    columns = [[_battery_column(f, s.prefix(N).values)]
-               for s, f in zip(seqs, funcs)]
-    deltas, products = _multilinear(columns[0], columns[1:], [N])
+    deltas, products = _multilinear([s.prefix(N).values for s in seqs],
+                                    [[f] for f in funcs], [N])
     return float(deltas.flat[0]), float(products.flat[0])
 
 
@@ -333,16 +423,25 @@ def statind_test(seqs: Sequence[BoundedSequence], battery: FunctionBattery,
     Tuples are all selections with repetition, one battery member per
     sequence; traces are listed sorted by tuple label.
 
-    Cost: each (sequence, member) is evaluated once on the longest prefix,
-    and its constant run is found once.  Tuples are walked depth-first, so
-    each tuple prefix costs one elementwise product (B + B^2 + ... + B^m
-    products of at most ``schedule[-1]`` terms, each level into one reused
-    buffer), and each (tuple, N) one sum.  Memory: one float64 array per
-    (sequence, member) that varies on the prefix for the sequences after
-    the first, but only one at a time for the first sequence, whose
-    columns are evaluated as the walk reaches them; members constant on
-    the prefix (such as ``one``) as scalars; ``x`` on [0, 1] as the cached
-    prefix itself; plus one buffer per slot after the first.
+    Sums: every sum over n = 1..N adds, left to right in block order, one
+    sum per fixed absolute block of 2^13 indices, the last block ending at
+    N.  A block's sum is ``np.sum`` of the block when one slot varies, and
+    otherwise the left-to-right product of the varying slots but the last,
+    contracted with the last by ``np.einsum`` (no BLAS, so no dependence
+    on its thread count).  A slot constant on the first N terms factors
+    out at N, and means use the same block sums, so the gap is exactly
+    zero whenever at most one slot varies.
+
+    Cost: a first pass finds each (sequence, member)'s constant run,
+    scanning blocks until the first differing value.  Then the prefixes
+    are walked block by block: each member that varies is evaluated once
+    per block (twice for a block cut by a schedule point), tuples are
+    walked depth-first with one elementwise product per tuple prefix short
+    of the last slot, and the last slot of every tuple prefix is
+    contracted in one ``einsum``.  Memory:
+    O(m*B*2^13 + B^m*S) for m sequences, B members and S schedule points,
+    independent of N beyond the cached prefixes: one block matrix and one
+    product buffer per sequence, and running sums per (tuple, N).
     Every value equals :func:`delta_form`/:func:`product_form` at that N
     bit for bit: both are single-tuple calls of the same kernel.
     """
@@ -362,11 +461,9 @@ def statind_test(seqs: Sequence[BoundedSequence], battery: FunctionBattery,
             f"tuple arity {m} exceeds the supported maximum {MAX_TUPLE_ARITY}")
     _check_aligned(seqs, [None] * m)
 
-    values = [s.prefix(schedule[-1]).values for s in seqs]
-    first = (_battery_column(member, values[0]) for member in battery)
-    rest = [[_battery_column(member, v) for member in battery]
-            for v in values[1:]]
-    deltas, products = _multilinear(first, rest, schedule)
+    deltas, products = _multilinear(
+        [s.prefix(schedule[-1]).values for s in seqs],
+        [battery.members] * m, schedule)
     traces = []
     for combo in itertools.product(range(len(battery)), repeat=m):
         names = tuple(battery.members[j].name for j in combo)
@@ -579,6 +676,15 @@ def equivalence_harness(seqs: Sequence[BoundedSequence],
     """
     if not kappa_family:
         raise ValueError("kappa family must be nonempty")
+    # Reject bad sequences, window or grid before the schedule test runs
+    # the whole battery, with the errors the later steps would raise.
+    _check_aligned(seqs, [None] * len(seqs))
+    check_window_length(window)
+    if fixed_grid is not None:
+        if np.size(fixed_grid) == 0:
+            raise ValueError("grid must be nonempty")
+        for x in np.asarray(fixed_grid, dtype=np.float64):
+            check_window(seqs[0], seqs[0].interval.a, float(x))
     statind = statind_test(seqs, battery, schedule, tol)
 
     outcomes: list[KappaOutcome] = []

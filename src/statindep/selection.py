@@ -75,6 +75,13 @@ class MeasurabilityReport:
         }
 
 
+def check_window_length(window: int) -> None:
+    """Raise ValueError unless the trailing window holds at least one
+    checkpoint."""
+    if window < 1:
+        raise ValueError(f"window must be >= 1, got {window}")
+
+
 def detect_measurable(seq: BoundedSequence, kappa: SubsequenceIndex,
                       grid: np.ndarray, tol: float = DEFAULT_TOL,
                       window: int = DEFAULT_WINDOW, *,
@@ -96,8 +103,7 @@ def detect_measurable(seq: BoundedSequence, kappa: SubsequenceIndex,
     grid = np.asarray(grid, dtype=np.float64)
     if grid.size == 0:
         raise ValueError("grid must be nonempty")
-    if window < 1:
-        raise ValueError(f"window must be >= 1, got {window}")
+    check_window_length(window)
     if len(kappa) < window:
         raise CheckpointError(
             f"index {kappa.label} has {len(kappa)} checkpoints; "
@@ -162,8 +168,7 @@ def helly_extract(seqs: Sequence[BoundedSequence], pool: SubsequenceIndex,
         raise ValueError("grid must be nonempty")
     if tol <= 0:
         raise ValueError(f"tol must be positive, got {tol}")
-    if window < 1:
-        raise ValueError(f"window must be >= 1, got {window}")
+    check_window_length(window)
     if len(pool) < min_pool:
         raise ExtractionError(
             f"candidate pool has {len(pool)} checkpoints; need at least "

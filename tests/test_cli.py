@@ -11,10 +11,12 @@ from statindep import (
     SubsequenceIndex,
     UNIT,
     continuity_grid,
+    default_battery,
     empirical_cdf,
     from_spec,
     kappa_family_builder,
     load_sequence,
+    product_form,
 )
 from statindep.cli import (
     DEFAULT_TOLERANCES,
@@ -23,6 +25,7 @@ from statindep.cli import (
     parse_experiment_spec,
     serialize_experiment_spec,
 )
+from statindep.reporting import fmt_float
 from statindep.selection import DEFAULT_TOL, DEFAULT_WINDOW, KAPPA_FAMILY
 from statindep.sequences import SEQUENCE_KINDS, normalize_spec
 
@@ -277,6 +280,26 @@ class TestDistribution:
         assert set(doc) == {"points", "masses"}
         assert abs(sum(doc["masses"]) - 1.0) < 1e-12
 
+
+    def test_weyl_mean_is_the_schedule_test_mean(self, tmp_path):
+        # one mean per quantity: the table's mean is product_form's, bit for
+        # bit, on a schedule that crosses block boundaries
+        schedule = [100, 8191, 8193, 3 * 8192 + 5]
+        spec = write_spec(tmp_path, {
+            "sequences": [KRON],
+            "schedule": schedule,
+            "outputs": {"basename": "dist"},
+        })
+        assert main(["distribution", "--spec", spec,
+                     "--out", str(tmp_path)]) == 0
+        rows = (tmp_path / "dist_weyl.csv").read_text().strip().split("\n")[1:]
+        seq = from_spec(KRON)
+        battery = default_battery(seq.interval)
+        assert len(rows) == len(schedule) * len(battery)
+        for row in rows:
+            n, name, mean = row.split(",")[:3]
+            want = product_form([seq], [battery.member(name)], int(n))
+            assert float(mean) == want and fmt_float(want) == mean, row
 
     def test_count_grid(self, tmp_path):
         spec = write_spec(tmp_path, {

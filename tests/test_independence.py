@@ -1,13 +1,17 @@
 """Multilinear form, rectangle test, and equivalence harness tests."""
 
-import itertools
+import os
+import subprocess
+import sys
 import tracemalloc
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from _brute import brute_rectangle_count
+from _brute import BLOCK, brute_forms, brute_rectangle_count
 from statindep import (
     AffineImageSequence,
     ConstantSequence,
@@ -34,8 +38,10 @@ from statindep import (
     stieltjes,
 )
 from statindep.density import grid_codes, grid_counts
+from statindep import independence
 from statindep.independence import MAX_TUPLE_ARITY
 
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 IDENT = lambda x: np.asarray(x, dtype=np.float64)
 
 
@@ -278,6 +284,24 @@ class TestEquivalenceHarness:
         assert rep.counterexample is not None
         assert rep.counterexample["rectangle_verdict"] == "dependent"
 
+    @pytest.mark.parametrize("bad, error, message", [
+        ({"window": 0}, ValueError, "window must be >= 1"),
+        ({"fixed_grid": [0.5, 1.5]}, IntervalError, "must sit inside"),
+        ({"fixed_grid": [-0.5]}, IntervalError, "inverted bounds"),
+        ({"fixed_grid": []}, ValueError, "grid must be nonempty"),
+    ])
+    def test_bad_arguments_fail_before_the_schedule_test(
+            self, monkeypatch, bad, error, message):
+        def schedule_test(*args, **kwargs):
+            raise AssertionError("the schedule test ran")
+
+        monkeypatch.setattr(independence, "statind_test", schedule_test)
+        seqs = [KroneckerSequence("sqrt2-1"), KroneckerSequence("sqrt3-1")]
+        with pytest.raises(error, match=message):
+            equivalence_harness(seqs, default_battery(),
+                                kappa_family_builder(1000), [100, 1000],
+                                0.02, **bad)
+
     def test_outcomes_sorted_by_kappa_label(self):
         v1 = KroneckerSequence("sqrt2-1")
         v2 = KroneckerSequence("sqrt3-1")
@@ -349,52 +373,7 @@ def test_delta_bounded_by_sup_product(n):
         assert abs(val) <= 1.0 + 1e-12
 
 
-# -- the multilinear kernel against a per-(tuple, N) reference loop ----------
-
-def _loop_constant_of(fx):
-    if fx.size and bool(np.all(fx == fx.flat[0])):
-        return float(fx.flat[0])
-    return None
-
-
-def _loop_delta(fx_list, N):
-    term = None
-    for fx in fx_list:
-        if _loop_constant_of(fx[:N]) is None:
-            term = fx[:N].copy() if term is None else term * fx[:N]
-    out = float(np.sum(term) / N) if term is not None else 1.0
-    for fx in fx_list:
-        c = _loop_constant_of(fx[:N])
-        if c is not None:
-            out *= c
-    return float(out)
-
-
-def _loop_mean(fx, N):
-    c = _loop_constant_of(fx[:N])
-    if c is not None:
-        return c
-    return float(np.sum(fx[:N]) / N)
-
-
-def _loop_traces(seqs, battery, schedule):
-    """{label: (deltas, products)} by one O(N) pass per (tuple, N)."""
-    n_max = schedule[-1]
-    fx = [[np.asarray(f(s.prefix(n_max).values), dtype=np.float64)
-           for f in battery] for s in seqs]
-    out = {}
-    for combo in itertools.product(range(len(battery)), repeat=len(seqs)):
-        label = "*".join(battery.members[j].name for j in combo)
-        deltas = np.asarray([
-            _loop_delta([fx[i][j] for i, j in enumerate(combo)], n)
-            for n in schedule])
-        products = np.asarray([
-            float(np.prod([_loop_mean(fx[i][j], n)
-                           for i, j in enumerate(combo)]))
-            for n in schedule])
-        out[label] = (deltas, products)
-    return out
-
+# -- the schedule-test kernel against the block-contract reference -----------
 
 def _same_bits(a, b):
     a = np.asarray(a, dtype=np.float64)
@@ -423,32 +402,50 @@ KERNEL_SEQUENCES = st.one_of(
     st.just(VanDerCorputSequence(3)),
     st.just(ConstantSequence(0.37)),
     st.integers(min_value=1, max_value=300).map(_leading_run_periodic),
+    # constant runs that end just before, at and just after a block end
+    st.sampled_from((8191, 8192, 8193)).map(_leading_run_periodic),
 )
 
 
+# schedule points around block boundaries, so sums cross blocks and end
+# mid-block, at a block end and one past it
+BLOCK_POINTS = (BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5)
+
+
 @settings(max_examples=150, deadline=None)
+# a slot that starts to vary at a schedule point just past a block end,
+# and two constants before the varying slot
+@example([KroneckerSequence("sqrt2-1"), VanDerCorputSequence(3),
+          _leading_run_periodic(BLOCK)], [KERNEL_MEMBERS[2]],
+         [BLOCK, BLOCK + 1])
+@example([ConstantSequence(0.37), ConstantSequence(0.37),
+          KroneckerSequence("sqrt2-1")], list(KERNEL_MEMBERS[1:3]), [5, 600])
 @given(st.lists(KERNEL_SEQUENCES, min_size=1, max_size=MAX_TUPLE_ARITY),
        st.lists(st.sampled_from(KERNEL_MEMBERS), min_size=1, max_size=3,
                 unique_by=lambda f: f.name),
-       st.lists(st.integers(min_value=1, max_value=600), min_size=1,
+       st.lists(st.integers(min_value=1, max_value=600)
+                | st.sampled_from(BLOCK_POINTS), min_size=1,
                 max_size=5, unique=True).map(sorted))
-def test_kernel_bitwise_equals_per_tuple_loop(seqs, members, schedule):
-    # sums past 128 terms go through more than one pairwise block
+def test_kernel_bitwise_equals_block_reference(seqs, members, schedule):
     battery = FunctionBattery(tuple(members))
     rep = statind_test(seqs, battery, schedule, 0.01)
-    want = _loop_traces(seqs, battery, schedule)
-    assert sorted(want) == [t.label for t in rep.traces]
+    by_name = {f.name: f for f in members}
+    assert len(rep.traces) == len(members) ** len(seqs)
     for trace in rep.traces:
-        deltas, products = want[trace.label]
-        assert _same_bits(trace.deltas, deltas), trace.label
-        assert _same_bits(trace.products, products), trace.label
+        funcs = [by_name[name] for name in trace.function_names]
+        for k, n in enumerate(schedule):
+            delta, product, varying = brute_forms(seqs, funcs, n)
+            assert _same_bits(trace.deltas[k], delta), (trace.label, n)
+            assert _same_bits(trace.products[k], product), (trace.label, n)
+            if varying <= 1:
+                assert trace.gaps[k] == 0.0, (trace.label, n)
 
 
 def test_traces_equal_single_tuple_forms_bitwise():
     seqs = [_leading_run_periodic(5), KroneckerSequence("golden"),
             ConstantSequence(0.37)]
     battery = FunctionBattery(KERNEL_MEMBERS)
-    schedule = [2, 5, 6, 40, 97]
+    schedule = [2, 5, 6, 40, 97, BLOCK + 1]
     rep = statind_test(seqs, battery, schedule, 0.01)
     by_name = {f.name: f for f in KERNEL_MEMBERS}
     for trace in rep.traces:
@@ -469,26 +466,118 @@ def test_constant_pattern_changes_along_the_schedule():
     gaps = rep.traces[0].gaps
     assert np.all(gaps[:2] == 0.0)
     assert np.all(gaps[2:] != 0.0)
+    # the same with a constant run that ends in the middle of a later block
+    seqs = [_leading_run_periodic(BLOCK + 9), KroneckerSequence("sqrt2-1")]
+    rep = statind_test(seqs, battery, [BLOCK, BLOCK + 9, BLOCK + 10,
+                                       3 * BLOCK + 5], 0.01)
+    gaps = rep.traces[0].gaps
+    assert np.all(gaps[:2] == 0.0)
+    assert np.all(gaps[2:] != 0.0)
+
+
+def test_whole_block_grouping_leaves_the_bits(monkeypatch):
+    # per-row sums and contractions of a (blocks, BLOCK) group equal the
+    # one-block ones, so the group size moves no bit
+    seqs = [VanDerCorputSequence(3), KroneckerSequence("sqrt2-1"),
+            _leading_run_periodic(2 * BLOCK + 7)]
+    schedule = [BLOCK - 1, 2 * BLOCK + 7, 5 * BLOCK + 3, 11 * BLOCK]
+    results = []
+    for group in (1, 2, 3, 8):
+        monkeypatch.setattr(independence, "_GROUP", group)
+        rep = statind_test(seqs, default_battery(), schedule, 0.01)
+        results.append(np.stack([np.array([t.deltas, t.products])
+                                 for t in rep.traces]))
+    for other in results[1:]:
+        assert _same_bits(other, results[0])
+
+
+BLAS_PROBE = """
+import hashlib
+import numpy as np
+from statindep import KroneckerSequence, VanDerCorputSequence, default_battery
+from statindep import statind_test
+rep = statind_test([KroneckerSequence("sqrt2-1"), VanDerCorputSequence(3),
+                    KroneckerSequence("golden")], default_battery(),
+                   [{points}], 0.01)
+values = np.array([[t.deltas, t.products] for t in rep.traces])
+print(hashlib.sha256(values.tobytes()).hexdigest())
+"""
+
+
+def test_bits_do_not_depend_on_blas_threads():
+    # the kernel makes no BLAS call, so its bits cannot follow the BLAS
+    # library's thread count
+    code = BLAS_PROBE.format(points=", ".join(map(str, BLOCK_POINTS)))
+    digests = set()
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads,
+                   PYTHONPATH=SRC)
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        digests.add(out.stdout.strip())
+    assert len(digests) == 1
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.sampled_from((KroneckerSequence("sqrt2-1"),
+                                 VanDerCorputSequence(3),
+                                 ConstantSequence(0.37),
+                                 _leading_run_periodic(40))),
+                min_size=1, max_size=3),
+       st.lists(st.sampled_from(KERNEL_MEMBERS), min_size=3, max_size=3),
+       st.integers(min_value=1, max_value=600)
+       | st.sampled_from(BLOCK_POINTS[:3]))
+def test_delta_within_blocked_summation_bound_of_exact(seqs, funcs, n):
+    # exact rational average of the products of the float64 values; the
+    # rounding of m products, a division and any summation order within a
+    # block of b terms and across K block sums is at most
+    # gamma(b + K + 2m) * mean |term| (Higham, SIAM J. Sci. Comput. 1993)
+    funcs = funcs[:len(seqs)]
+    columns = [np.broadcast_to(np.asarray(f(s.prefix(n).values),
+                                          dtype=np.float64), (n,))
+               for s, f in zip(seqs, funcs)]
+    exact = Fraction(0)
+    size = Fraction(0)
+    for k in range(n):
+        term = Fraction(1)
+        for column in columns:
+            term *= Fraction(float(column[k]))
+        exact += term
+        size += abs(term)
+    exact, size = exact / n, size / n
+    steps = min(n, BLOCK) + -(-n // BLOCK) + 2 * len(seqs)
+    gamma = steps * 2.0 ** -53 / (1 - steps * 2.0 ** -53)
+    delta = delta_form(seqs, funcs, n)
+    assert abs(Fraction(delta) - exact) <= Fraction(gamma) * size
 
 
 # -- memory of the schedule test ---------------------------------------------
 
-def test_statind_test_peak_memory_is_bounded():
-    # slot-0 columns are evaluated one at a time and "x" on [0, 1] shares
-    # the prefix: the Kronecker slot keeps 4 varying columns, plus one
-    # buffer, one block column and one temporary while the next is made
-    # (7.0 x 8N; holding every column at once needs 10.0 x 8N)
-    n = 1 << 20
+# about 13 rows of one group of blocks are live at the peak here: 10
+# varying members, the product buffers and a member's temporaries
+PEAK_LIMIT = 16 * 8 * BLOCK * independence._GROUP
+
+
+def _statind_peak(n):
     seqs = [make_block(0.0, 1.0, 2), KroneckerSequence("sqrt2-1")]
     for s in seqs:
         s.prefix(n)
     tracemalloc.start()
     try:
         statind_test(seqs, default_battery(), [n // 16, n // 4, n], 0.01)
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 7.5 * 8 * n, peak / (8 * n)
+
+
+def test_statind_test_peak_memory_is_bounded():
+    # the kernel holds block matrices and buffers of one group of blocks,
+    # never a column or product of length N, so its peak does not grow
+    # with N
+    small, large = _statind_peak(1 << 18), _statind_peak(1 << 20)
+    assert large <= small + (64 << 10), (small, large)
+    assert large <= PEAK_LIMIT, large
 
 
 def test_unit_interval_x_shares_the_prefix():
