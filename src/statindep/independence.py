@@ -23,11 +23,11 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .density import check_window, grid_codes, grid_counts
+from .density import grid_codes, grid_counts
 from .distribution import continuity_grid, empirical_cdf
 from .errors import IntervalError, MeasurabilityError
 from .selection import (DEFAULT_TOL, DEFAULT_WINDOW, MeasurabilityReport,
-                        check_window_length, detect_measurable)
+                        check_grid, detect_measurable)
 from .sequences import _CHUNK, BoundedSequence, Interval, UNIT
 from .subsequence import SubsequenceIndex
 
@@ -228,11 +228,6 @@ def _multilinear(values: Sequence[np.ndarray], funcs: Sequence[Sequence],
             buffer=np.empty(width),
             # running sum of each varying member per schedule point
             total=np.full((int(np.sum(varies)), count), -0.0)))
-    # A contraction short of the last slot is needed only at points where
-    # every later slot has a constant member.
-    for i, slot in enumerate(slots):
-        slot.contract_upto = min((max(later.runs) for later in slots[i + 1:]),
-                                 default=math.inf)
     shape = tuple(len(column) for column in funcs)
     sums = np.zeros(shape + (count, _GROUP))
     totals = np.full(shape + (count,), -0.0)  # -0.0 + x is x for every x
@@ -307,11 +302,9 @@ def _block_walk(slots, schedule, sums, level, lo, hi, term, last, index):
         if term is None:
             sub_last, sub_term = slot.rowsum[slot.rows[j]], row
         else:
-            sub_last = None
-            if schedule[split] <= slot.contract_upto:
-                if contracted is None:
-                    contracted = np.einsum("jkn,kn->jk", slot.mat, term)
-                sub_last = contracted[slot.rows[j]]
+            if contracted is None:
+                contracted = np.einsum("jkn,kn->jk", slot.mat, term)
+            sub_last = contracted[slot.rows[j]]
             sub_term = np.multiply(term, row, out=slot.term)
         _block_walk(slots, schedule, sums, level + 1, split, hi, sub_term,
                     sub_last, index + (j,))
@@ -679,18 +672,13 @@ def equivalence_harness(seqs: Sequence[BoundedSequence],
     # Reject bad sequences, window or grid before the schedule test runs
     # the whole battery, with the errors the later steps would raise.
     _check_aligned(seqs, [None] * len(seqs))
-    check_window_length(window)
-    if fixed_grid is not None:
-        if np.size(fixed_grid) == 0:
-            raise ValueError("grid must be nonempty")
-        for x in np.asarray(fixed_grid, dtype=np.float64):
-            check_window(seqs[0], seqs[0].interval.a, float(x))
+    fixed_grid = check_grid(seqs[0], fixed_grid, window)
     statind = statind_test(seqs, battery, schedule, tol)
 
     outcomes: list[KappaOutcome] = []
     for kappa in kappa_family:
         if fixed_grid is not None:
-            grid = np.asarray(fixed_grid, dtype=np.float64)
+            grid = fixed_grid
         else:
             cdfs = [empirical_cdf(s, kappa) for s in seqs]
             grid = continuity_grid(cdfs, grid_count, atom_tol=atom_tol)

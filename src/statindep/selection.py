@@ -75,11 +75,26 @@ class MeasurabilityReport:
         }
 
 
-def check_window_length(window: int) -> None:
-    """Raise ValueError unless the trailing window holds at least one
-    checkpoint."""
+def check_grid(seq: BoundedSequence, grid: np.ndarray | None,
+               window: int) -> np.ndarray | None:
+    """Check a trailing window and a grid of CDF points for ``seq``.
+
+    ``window`` must be >= 1, and ``grid`` nonempty with every point x
+    giving a window [a, x] inside the interval [a, b] of ``seq``
+    (ValueError, or IntervalError from :func:`check_window`).  Returns the
+    grid as float64, or None when ``grid`` is None (only the window is
+    checked then).
+    """
     if window < 1:
         raise ValueError(f"window must be >= 1, got {window}")
+    if grid is None:
+        return None
+    grid = np.asarray(grid, dtype=np.float64)
+    if grid.size == 0:
+        raise ValueError("grid must be nonempty")
+    for x in grid:
+        check_window(seq, seq.interval.a, float(x))
+    return grid
 
 
 def detect_measurable(seq: BoundedSequence, kappa: SubsequenceIndex,
@@ -100,16 +115,11 @@ def detect_measurable(seq: BoundedSequence, kappa: SubsequenceIndex,
     (``grid_codes(seq, kappa.deepest, np.unique(grid))``), and it is not
     binned again.
     """
-    grid = np.asarray(grid, dtype=np.float64)
-    if grid.size == 0:
-        raise ValueError("grid must be nonempty")
-    check_window_length(window)
+    grid = check_grid(seq, grid, window)
     if len(kappa) < window:
         raise CheckpointError(
             f"index {kappa.label} has {len(kappa)} checkpoints; "
             f"need at least window = {window}")
-    for x in grid:
-        check_window(seq, seq.interval.a, float(x))
     if tol <= 0:
         raise ValueError(f"tol must be positive, got {tol}")
     points, position = np.unique(grid, return_inverse=True)
@@ -163,12 +173,10 @@ def helly_extract(seqs: Sequence[BoundedSequence], pool: SubsequenceIndex,
     """
     if len(seqs) == 0:
         raise ValueError("need at least one sequence")
-    grid = np.asarray(grid, dtype=np.float64)
-    if grid.size == 0:
-        raise ValueError("grid must be nonempty")
+    for seq in seqs:
+        grid = check_grid(seq, grid, window)
     if tol <= 0:
         raise ValueError(f"tol must be positive, got {tol}")
-    check_window_length(window)
     if len(pool) < min_pool:
         raise ExtractionError(
             f"candidate pool has {len(pool)} checkpoints; need at least "
@@ -186,7 +194,6 @@ def helly_extract(seqs: Sequence[BoundedSequence], pool: SubsequenceIndex,
         counts = grid_counts([grid_codes(seq, depth, points)], points.size,
                              checkpoints[:reach])
         for x in np.sort(grid):
-            check_window(seq, seq.interval.a, float(x))
             j = int(np.searchsorted(points, x))
             ratios = counts[surviving, j] / checkpoints[surviving]
             keep = _best_band(ratios, tol)

@@ -7,9 +7,11 @@ import pytest
 
 from _brute import brute_density
 from statindep import (
+    AffineImageSequence,
     CheckpointError,
     ConstantSequence,
     ExtractionError,
+    IntervalError,
     KroneckerSequence,
     SubsequenceIndex,
     detect_measurable,
@@ -143,6 +145,19 @@ class TestHellyExtract:
             helly_extract([seq], pool, np.array([0.5]), tol=1e-9, min_pool=5)
         with pytest.raises(ExtractionError, match=re.escape(seq.label)):
             helly_extract([seq], pool, np.array([0.5]), tol=1e-9, min_pool=5)
+
+    def test_every_sequence_checked_before_any_pass(self):
+        # the first sequence would exhaust the pool, but the grid point
+        # lies outside the second sequence's interval [0, 0.25]
+        seq = KroneckerSequence("sqrt2-1")
+        short = AffineImageSequence(seq, 0.25, 0.0)
+        pool = SubsequenceIndex([2, 3, 4, 5, 6, 7])
+        with pytest.raises(IntervalError, match="must sit inside"):
+            helly_extract([seq, short], pool, np.array([0.5]), tol=1e-9,
+                          min_pool=5)
+        with pytest.raises(ValueError, match="window must be >= 1"):
+            helly_extract([seq], pool, np.array([0.5]), window=0,
+                          min_pool=5)
 
 
 class TestKappaFamily:
