@@ -1,11 +1,14 @@
 """Preimage counts and selective (kappa) densities.
 
 Every count is a count of grid preimages {n : v(n) < x}, made by one
-counting core: each sequence's prefix is binned once against the sorted
-grid (:func:`grid_codes`), and one ``bincount`` plus a cumulative sum along
-each axis (a summed-area table, :func:`grid_counts`) yields the exact count
-of every grid rectangle at every checkpoint.  The rectangle test,
-measurability detection and extraction all count through it.  Densities
+counting core, :func:`grid_counts`: it streams the cached prefixes in
+slices of ``sequences._CHUNK`` indices, bins each slice against the sorted
+grid and adds it into a (checkpoint, grid cell) table with one
+``bincount``; a cumulative sum along each axis (a summed-area table) then
+yields the exact count of every grid rectangle at every checkpoint.
+Besides the prefixes it holds one slice's codes and the table, never an
+array of one entry per index.  The rectangle test, measurability
+detection and extraction all count through it.  Densities
 are finite-prefix ratios count / k, reported with a trailing-window Cauchy
 diagnostic (:class:`DensityEstimate`) instead of a bare limit claim.
 """
@@ -18,7 +21,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import IntervalError
-from .sequences import BoundedSequence
+from .sequences import _CHUNK, BoundedSequence
+from .subsequence import check_checkpoints
 
 # Largest grid_counts table, in int64 cells (512 MiB).  Its joint codes
 # stay far below int64 overflow.
@@ -72,50 +76,68 @@ def check_window(seq: BoundedSequence, lo: float, hi: float) -> None:
             f"preimage window [{lo}, {hi}) must sit inside [{a}, {b}]")
 
 
-def grid_codes(seq: BoundedSequence, n: int, points: np.ndarray) -> np.ndarray:
-    """Bin v(1..n) against sorted grid points.
-
-    code(n) = #{j : points[j] <= v(n)}, so v(n) < points[j] exactly when
-    code(n) <= j: every "strictly below a grid point" count is a count of
-    small codes.
-    """
-    return np.searchsorted(points, seq.prefix(n).values, side="right")
-
-
-def grid_counts(codes: Sequence[np.ndarray], n_points: int,
+def grid_counts(seqs: Sequence[BoundedSequence], points: np.ndarray,
                 checkpoints: np.ndarray) -> np.ndarray:
     """Exact grid-rectangle counts at every checkpoint.
 
-    ``codes[r]`` bins sequence r against the same ``n_points`` = G sorted
-    grid points (see :func:`grid_codes`) and covers at least
-    1..checkpoints[-1].  Returns int64 counts c of shape (M, G+1, ..., G+1),
-    one axis per sequence, with c[i, j_1, ..., j_m] = #{n <= k_i :
-    code_r(n) <= j_r for every r}: for j_r < G the number of n <= k_i with
-    v_r(n) < x_{j_r}, while j_r = G leaves sequence r unbounded, so
-    fixing every other index at G gives one sequence's marginal counts.
+    ``points`` holds the G sorted, unique grid points, and ``checkpoints``
+    the strictly increasing k_1 < ... < k_M.  Returns int64 counts c of
+    shape (M, G+1, ..., G+1), one axis per sequence, with
+    c[i, j_1, ..., j_m] = #{n <= k_i : v_r(n) < x_{j_r} for every r} for
+    j_r < G, while j_r = G leaves sequence r unbounded, so fixing every
+    other index at G gives one sequence's marginal counts.
 
-    One ``bincount`` of (checkpoint segment, joint code) followed by a
-    cumulative sum along each axis gives every entry in O(k_M + M (G+1)^m).
-    Raises ValueError when the table would exceed MAX_TABLE_CELLS cells.
+    Each cached prefix is read in slices of ``_CHUNK`` indices.  A slice
+    is binned as code(n) = #{j : x_j <= v(n)} (so v(n) < x_j exactly when
+    code(n) <= j), its codes are combined into one joint code per index
+    plus its checkpoint segment's offset, and one ``bincount`` adds it
+    into the slice's rows of the table; a cumulative sum along each axis
+    then gives every entry, in O(k_M + M (G+1)^m) time and
+    O(m _CHUNK + M (G+1)^m) memory besides the prefixes.
+
+    Raises CheckpointError for checkpoints that are empty, below 1 or not
+    strictly increasing, SequenceExhausted (from ``prefix``) when k_M lies
+    past a finite sequence's end, and ValueError when the table would
+    exceed MAX_TABLE_CELLS cells.
     """
-    checkpoints = np.asarray(checkpoints, dtype=np.int64)
-    depth = int(checkpoints[-1])
-    m, g = len(codes), n_points
+    if len(seqs) == 0:
+        raise ValueError("need at least one sequence")
+    checkpoints = check_checkpoints(checkpoints)
+    points = np.asarray(points, dtype=np.float64)
+    m, g, rows = len(seqs), points.size, checkpoints.size
     cells = (g + 1) ** m
-    if checkpoints.size * cells > MAX_TABLE_CELLS:
+    if rows * cells > MAX_TABLE_CELLS:
         raise ValueError(
-            f"counting table of {checkpoints.size} checkpoints x {g + 1}^{m} "
+            f"counting table of {rows} checkpoints x {g + 1}^{m} "
             f"grid cells exceeds {MAX_TABLE_CELLS} cells; use fewer grid "
             f"points, sequences or checkpoints")
-    segment_sizes = np.diff(checkpoints, prepend=0)
-    joint = np.repeat(np.arange(checkpoints.size, dtype=np.int64) * cells,
-                      segment_sizes)
-    stride = cells
-    for c in codes:
-        stride //= g + 1
-        joint += c[:depth] * stride
-    table = np.bincount(joint, minlength=checkpoints.size * cells)
-    table = table.reshape((checkpoints.size,) + (g + 1,) * m)
+    depth = int(checkpoints[-1])
+    prefixes = [s.prefix(depth).values for s in seqs]
+    strides = [(g + 1) ** (m - 1 - r) for r in range(m)]
+    offsets = np.arange(rows, dtype=np.int64) * cells
+    segments = np.diff(checkpoints, prepend=0)
+    starts = np.arange(0, depth, _CHUNK)
+    # Rows of the segments holding each slice's first and last index.
+    first = np.searchsorted(checkpoints, starts + 1)
+    last = np.searchsorted(checkpoints, np.minimum(starts + _CHUNK, depth))
+    table = np.zeros(rows * cells, dtype=np.int64)
+    for lo, i, j in zip(starts.tolist(), first.tolist(), last.tolist()):
+        hi = min(lo + _CHUNK, depth)
+        joint = np.searchsorted(points, prefixes[0][lo:hi], side="right")
+        if m > 1:
+            joint *= strides[0]
+        for values, stride in zip(prefixes[1:], strides[1:]):
+            joint += np.searchsorted(points, values[lo:hi],
+                                     side="right") * stride
+        if j > i:
+            # The slice's pieces of segments i..j: clip the first and last.
+            sizes = segments[i:j + 1].copy()
+            sizes[0] = checkpoints[i] - lo
+            sizes[-1] = hi - checkpoints[j - 1]
+            joint += np.repeat(offsets[:j - i + 1], sizes)
+        table[i * cells:(j + 1) * cells] += np.bincount(
+            joint, minlength=(j - i + 1) * cells)
+    table = table.reshape((rows,) + (g + 1,) * m)
     for axis in range(m + 1):
         np.cumsum(table, axis=axis, out=table)
     return table

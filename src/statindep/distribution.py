@@ -126,7 +126,8 @@ def stieltjes(f: Callable, cdf: StepCDF) -> float:
     if not finite.all():
         bad = int(np.argmin(finite))
         raise ValueError(
-            f"integrand is not finite at jump point {cdf.jump_points[bad]!r}")
+            f"integrand is not finite at jump point "
+            f"{float(cdf.jump_points[bad])!r}")
     return float(np.sum(fx * cdf.masses))
 
 

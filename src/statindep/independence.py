@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .density import grid_codes, grid_counts
+from .density import grid_counts
 from .distribution import continuity_grid, empirical_cdf
 from .errors import IntervalError, MeasurabilityError
 from .selection import (DEFAULT_TOL, DEFAULT_WINDOW, MeasurabilityReport,
@@ -528,8 +528,7 @@ def kappa_independence_test(seqs: Sequence[BoundedSequence],
     the product of marginal CDF values.  Sequences must first pass the
     measurability check along kappa; failures are raised by name.
 
-    Each prefix is binned once against the sorted grid, and one
-    :func:`grid_counts` table up to the deepest checkpoint gives the exact
+    One :func:`grid_counts` table at the deepest checkpoint gives the exact
     count of every corner; the marginal CDF values come from the same
     table's one-dimensional marginals.  Every density and CDF value is the
     single division count / k.
@@ -547,47 +546,39 @@ def kappa_independence_test(seqs: Sequence[BoundedSequence],
     if tol <= 0:
         raise ValueError(f"tol must be positive, got {tol}")
 
-    codes, blocker = _binned_measurability(seqs, kappa, grid,
-                                           measurability_tol, window)
+    blocker = _first_unmeasurable(seqs, kappa, grid, measurability_tol,
+                                  window)
     if blocker is not None:
         worst = float(np.max(blocker.oscillations))
         raise MeasurabilityError(
             f"sequence {blocker.sequence_label} is not measurable along "
             f"{kappa.label}: worst grid-point oscillation {worst:.4g} exceeds "
             f"{measurability_tol:g}")
-    return _rectangle_test(seqs, kappa, grid, tol, codes)
+    return _rectangle_test(seqs, kappa, grid, tol)
 
 
-def _binned_measurability(seqs: Sequence[BoundedSequence],
-                          kappa: SubsequenceIndex, grid: np.ndarray,
-                          tol: float, window: int
-                          ) -> tuple[list[np.ndarray], MeasurabilityReport | None]:
-    """Bin each prefix once against the sorted grid and check it for
-    measurability along kappa, sequences in order.
+def _first_unmeasurable(seqs: Sequence[BoundedSequence],
+                        kappa: SubsequenceIndex, grid: np.ndarray,
+                        tol: float, window: int) -> MeasurabilityReport | None:
+    """Check each sequence for measurability along kappa, in order.
 
-    Returns the codes binned so far and the first failing report, or None
-    when every sequence is measurable; the pass stops at the first failure.
+    Returns the first failing report, or None when every sequence is
+    measurable; the pass stops at the first failure.
     """
-    points = np.unique(grid)
-    codes = []
     for s in seqs:
-        codes.append(grid_codes(s, kappa.deepest, points))
-        report = detect_measurable(s, kappa, grid, tol=tol, window=window,
-                                   codes=codes[-1])
+        report = detect_measurable(s, kappa, grid, tol=tol, window=window)
         if not report.measurable:
-            return codes, report
-    return codes, None
+            return report
+    return None
 
 
 def _rectangle_test(seqs: Sequence[BoundedSequence], kappa: SubsequenceIndex,
-                    grid: np.ndarray, tol: float,
-                    codes: Sequence[np.ndarray]) -> RectangleReport:
+                    grid: np.ndarray, tol: float) -> RectangleReport:
     """The rectangle step of kappa_independence_test, on validated inputs
-    whose measurability has already been checked.  ``codes[r]`` is
-    ``grid_codes(seqs[r], kappa.deepest, np.unique(grid))``."""
+    whose measurability has already been checked."""
     m, depth = len(seqs), kappa.deepest
     points, position = np.unique(grid, return_inverse=True)
-    table = grid_counts(codes, points.size, np.asarray([depth]))[0]
+    table = grid_counts(seqs, points, [depth])[0]
     densities = (table[np.ix_(*[position] * m)] / depth).ravel()
     # Left-to-right products, as np.prod of the per-corner CDF values.
     products = np.ones(())
@@ -682,10 +673,9 @@ def equivalence_harness(seqs: Sequence[BoundedSequence],
         else:
             cdfs = [empirical_cdf(s, kappa) for s in seqs]
             grid = continuity_grid(cdfs, grid_count, atom_tol=atom_tol)
-        codes, blocker = _binned_measurability(seqs, kappa, grid,
-                                               DEFAULT_TOL, window)
+        blocker = _first_unmeasurable(seqs, kappa, grid, DEFAULT_TOL, window)
         if blocker is None:
-            report = _rectangle_test(seqs, kappa, grid, 2 * tol, codes)
+            report = _rectangle_test(seqs, kappa, grid, 2 * tol)
             outcomes.append(KappaOutcome(kappa_label=kappa.label, tested=True,
                                          skip_reason=None, report=report))
         else:
@@ -693,8 +683,6 @@ def equivalence_harness(seqs: Sequence[BoundedSequence],
                 kappa_label=kappa.label, tested=False,
                 skip_reason=f"sequence {blocker.sequence_label} not "
                             f"measurable along {kappa.label}", report=None))
-        # Free this member's binned prefixes before the next one bins its own.
-        del codes
     outcomes.sort(key=lambda o: o.kappa_label)
 
     counterexample = None

@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .density import DensityEstimate, check_window, grid_codes, grid_counts
+from .density import DensityEstimate, check_window, grid_counts
 from .distribution import StepCDF, empirical_cdf
 from .errors import CheckpointError, ExtractionError
 from .sequences import BoundedSequence
@@ -99,21 +99,16 @@ def check_grid(seq: BoundedSequence, grid: np.ndarray | None,
 
 def detect_measurable(seq: BoundedSequence, kappa: SubsequenceIndex,
                       grid: np.ndarray, tol: float = DEFAULT_TOL,
-                      window: int = DEFAULT_WINDOW, *,
-                      codes: np.ndarray | None = None) -> MeasurabilityReport:
+                      window: int = DEFAULT_WINDOW) -> MeasurabilityReport:
     """Check Cauchy behavior of F_k(x) at every grid point along kappa.
 
-    The prefix is binned once against the sorted grid, and one
-    :func:`grid_counts` table gives #{n <= k : v(n) < x} at every
-    checkpoint and grid point, in O(k_M + M G).  Each trace ratio is the
-    single division count / k, so each trace's value equals
+    One :func:`grid_counts` table gives #{n <= k : v(n) < x} at every
+    checkpoint and grid point, in O(k_M + M G) time and, besides the
+    cached prefix and one slice of it, O(M G) memory.  Each trace ratio
+    is the single division count / k, so each trace's value equals
     ``empirical_cdf(seq, kappa)`` at x bit for bit.  measurable is True
     exactly when each grid point's trailing-window oscillation is at most
     tol; ``window`` must be >= 1.
-
-    A caller that has already binned the prefix passes it as ``codes``
-    (``grid_codes(seq, kappa.deepest, np.unique(grid))``), and it is not
-    binned again.
     """
     grid = check_grid(seq, grid, window)
     if len(kappa) < window:
@@ -124,9 +119,7 @@ def detect_measurable(seq: BoundedSequence, kappa: SubsequenceIndex,
         raise ValueError(f"tol must be positive, got {tol}")
     points, position = np.unique(grid, return_inverse=True)
     checkpoints = kappa.checkpoints
-    if codes is None:
-        codes = grid_codes(seq, kappa.deepest, points)
-    counts = grid_counts([codes], points.size, checkpoints)
+    counts = grid_counts([seq], points, checkpoints)
     traces = [DensityEstimate.from_counts(checkpoints, counts[:, j], tol,
                                           window) for j in position]
     oscillations = np.asarray([t.oscillation for t in traces])
@@ -165,10 +158,10 @@ def helly_extract(seqs: Sequence[BoundedSequence], pool: SubsequenceIndex,
     ``window`` checkpoints survive a pass.
 
     A checkpoint's count does not depend on which other checkpoints
-    survive, so each sequence is binned once and one :func:`grid_counts`
-    table serves all of its passes.  Binning reads up to the pool's deepest
-    checkpoint, so later stages find the prefix already generated; a
-    finite sequence is read only as far as it goes, which must reach the
+    survive, so one :func:`grid_counts` table per sequence serves all of
+    its passes.  Counting reads up to the pool's deepest checkpoint, so
+    later stages find the prefix already generated; a finite sequence is
+    counted only at the checkpoints it reaches, which must include the
     deepest checkpoint still surviving.
     """
     if len(seqs) == 0:
@@ -186,13 +179,12 @@ def helly_extract(seqs: Sequence[BoundedSequence], pool: SubsequenceIndex,
     points = np.unique(grid)
     surviving = np.arange(len(pool))
     for seq in seqs:
-        depth = pool.deepest
+        reach = len(pool)
         if seq.length is not None:
-            depth = max(min(depth, seq.length),
-                        int(checkpoints[surviving[-1]]))
-        reach = int(np.searchsorted(checkpoints, depth, side="right"))
-        counts = grid_counts([grid_codes(seq, depth, points)], points.size,
-                             checkpoints[:reach])
+            reach = max(int(np.searchsorted(checkpoints, seq.length,
+                                            side="right")),
+                        int(surviving[-1]) + 1)
+        counts = grid_counts([seq], points, checkpoints[:reach])
         for x in np.sort(grid):
             j = int(np.searchsorted(points, x))
             ratios = counts[surviving, j] / checkpoints[surviving]

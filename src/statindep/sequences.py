@@ -246,7 +246,7 @@ class PeriodicSequence(BoundedSequence):
         for v in vals:
             if not interval.contains(v):
                 raise RangeViolation(
-                    f"periodic value {v!r} outside [{interval.a}, {interval.b}]")
+                    f"periodic value {float(v)!r} outside [{interval.a}, {interval.b}]")
         vals.setflags(write=False)
         self.values = vals
         short = ",".join(f"{v:g}" for v in vals[:4]) + (",..." if vals.size > 4 else "")
@@ -261,7 +261,8 @@ class ConstantSequence(BoundedSequence):
 
     def __init__(self, value: float, interval: Interval = UNIT):
         if not interval.contains(value):
-            raise RangeViolation(f"constant {value!r} outside [{interval.a}, {interval.b}]")
+            raise RangeViolation(
+                f"constant {float(value)!r} outside [{interval.a}, {interval.b}]")
         self.value = float(value)
         super().__init__(interval, "constant", f"constant({value:g})")
 

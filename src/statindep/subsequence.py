@@ -9,6 +9,20 @@ import numpy as np
 from .errors import CheckpointError
 
 
+def check_checkpoints(checkpoints: Iterable[int]) -> np.ndarray:
+    """The checkpoints as an int64 array, or CheckpointError unless they
+    form a nonempty 1-d run of strictly increasing naturals."""
+    arr = np.asarray(list(checkpoints) if not isinstance(checkpoints, np.ndarray)
+                     else checkpoints, dtype=np.int64)
+    if arr.ndim != 1 or arr.size == 0:
+        raise CheckpointError("checkpoint list must be a nonempty 1-d sequence")
+    if arr[0] < 1:
+        raise CheckpointError(f"checkpoints must start at 1 or later, got {arr[0]}")
+    if arr.size > 1 and not np.all(np.diff(arr) > 0):
+        raise CheckpointError("checkpoints must be strictly increasing")
+    return arr
+
+
 class SubsequenceIndex:
     """A finite materialization of strictly increasing naturals k_1 < k_2 < ...
 
@@ -20,14 +34,7 @@ class SubsequenceIndex:
 
     def __init__(self, checkpoints: Iterable[int], rule: str | None = None,
                  name: str | None = None):
-        arr = np.asarray(list(checkpoints) if not isinstance(checkpoints, np.ndarray)
-                         else checkpoints, dtype=np.int64)
-        if arr.ndim != 1 or arr.size == 0:
-            raise CheckpointError("checkpoint list must be a nonempty 1-d sequence")
-        if arr[0] < 1:
-            raise CheckpointError(f"checkpoints must start at 1 or later, got {arr[0]}")
-        if arr.size > 1 and not np.all(np.diff(arr) > 0):
-            raise CheckpointError("checkpoints must be strictly increasing")
+        arr = check_checkpoints(checkpoints)
         arr.setflags(write=False)
         self.checkpoints = arr
         self.rule = rule

@@ -2,10 +2,12 @@
 
 Each count is a plain boolean mask over the cached prefix, reduced by
 ``np.count_nonzero`` or an integer cumulative sum; tests demand exact
-equality between these and the library's ``grid_codes``/``grid_counts``
-route.  ``brute_forms`` evaluates one schedule-test tuple at a time by the
+equality between these and the library's ``grid_counts`` route.
+``brute_forms`` evaluates one schedule-test tuple at a time by the
 documented block contract, for bitwise comparison with the kernel.
 """
+
+import itertools
 
 import numpy as np
 
@@ -27,6 +29,25 @@ def brute_rectangle_count(seqs, corners, n):
     for s, x in zip(seqs, corners):
         mask &= s.prefix(n).values < x
     return int(np.count_nonzero(mask))
+
+
+def brute_grid_counts(seqs, points, checkpoints):
+    """The ``grid_counts`` table, one corner at a time: c[i, j_1..j_m] =
+    #{n <= k_i : v_r(n) < points[j_r] for every r}, where the extra index
+    j_r = len(points) leaves sequence r unbounded."""
+    checkpoints = np.asarray(checkpoints, dtype=np.int64)
+    depth = int(checkpoints[-1])
+    values = [s.prefix(depth).values for s in seqs]
+    bounds = list(points) + [np.inf]
+    out = np.zeros((checkpoints.size,) + (len(bounds),) * len(seqs),
+                   dtype=np.int64)
+    for corner in itertools.product(range(len(bounds)), repeat=len(seqs)):
+        mask = np.ones(depth, dtype=bool)
+        for v, j in zip(values, corner):
+            mask &= v < bounds[j]
+        out[(slice(None),) + corner] = np.cumsum(mask, dtype=np.int64)[
+            checkpoints - 1]
+    return out
 
 
 BLOCK = 1 << 13  # the schedule test's block length

@@ -1,4 +1,4 @@
-"""The grid-binned counting core against brute-force per-n references.
+"""The streamed grid counting core against brute-force per-n references.
 
 Every count the rectangle test, measurability detection and extraction use
 comes from ``grid_counts``.  These tests rebuild each figure with plain
@@ -9,13 +9,14 @@ unsorted and duplicate grids.
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _brute import brute_density
+from _brute import brute_density, brute_grid_counts
 import statindep
 import statindep.density as density
 import statindep.independence as independence
@@ -39,9 +40,11 @@ from statindep import (
     helly_extract,
     kappa_family_builder,
     kappa_independence_test,
+    make_block,
 )
-from statindep.density import grid_codes, grid_counts
+from statindep.density import grid_counts
 from statindep.selection import _best_band
+from statindep.sequences import _CHUNK
 
 # Grid points drawn from here coincide with values of the periodic and
 # dyadic van der Corput sequences below, so the strict "<" is exercised.
@@ -99,8 +102,7 @@ def brute_counts(seqs, points, checkpoints):
 @given(sequences, grids, checkpoint_sets())
 def test_grid_counts_match_per_n_loop(seqs, grid, kappa):
     points = np.unique(grid)
-    codes = [grid_codes(s, kappa.deepest, points) for s in seqs]
-    got = grid_counts(codes, points.size, kappa.checkpoints)
+    got = grid_counts(seqs, points, kappa.checkpoints)
     want = brute_counts(seqs, points.tolist(), kappa.checkpoints.tolist())
     assert got.dtype == np.int64
     assert np.array_equal(got, want)
@@ -218,8 +220,7 @@ def test_arity_five_table_matches_per_n_loop():
     assert len(seqs) == independence.MAX_TUPLE_ARITY
     points = np.array([0.25, 0.5, 0.75])
     kappa = SubsequenceIndex([64, 200])
-    codes = [grid_codes(s, kappa.deepest, points) for s in seqs]
-    got = grid_counts(codes, points.size, kappa.checkpoints)
+    got = grid_counts(seqs, points, kappa.checkpoints)
     assert got.shape == (2,) + (4,) * 5
     assert np.array_equal(got, brute_counts(seqs, points.tolist(), [64, 200]))
     assert got[(1,) + (3,) * 5] == 200
@@ -229,9 +230,102 @@ def test_oversized_table_rejected():
     # Decile corners at the largest arity fit; far larger tables are refused
     # before anything is allocated.
     assert (9 + 1) ** independence.MAX_TUPLE_ARITY <= density.MAX_TABLE_CELLS
-    codes = [np.zeros(4, dtype=np.intp)] * 3
+    seqs = [VanDerCorputSequence(2)] * 3
     with pytest.raises(ValueError, match="exceeds"):
-        grid_counts(codes, 1024, np.array([2, 4]))
+        grid_counts(seqs, np.linspace(0.0, 1.0, 1024), np.array([2, 4]))
+    assert seqs[0]._cache is None
+
+
+@st.composite
+def slice_checkpoints(draw):
+    """Checkpoints around the counting core's slice edges: some of 8191,
+    8192, 8193 and 16385, a dense run inside one slice, scattered picks,
+    and a deepest checkpoint one segment of several slices past them."""
+    edges = draw(st.sets(st.sampled_from([8191, 8192, 8193, 16385]),
+                         min_size=1))
+    start, step = draw(st.integers(1, 2 * _CHUNK)), draw(st.integers(1, 3))
+    run = range(start, start + step * draw(st.integers(1, 40)), step)
+    picks = draw(st.sets(st.integers(1, 2 * _CHUNK + 200), max_size=10))
+    deepest = draw(st.integers(5 * _CHUNK, 6 * _CHUNK))
+    return np.array(sorted(edges | set(run) | picks | {deepest}))
+
+
+@settings(max_examples=40, deadline=None)
+@given(sequences, grids, slice_checkpoints())
+def test_streamed_counts_match_brute_force(seqs, grid, checkpoints):
+    points = np.unique(grid)
+    got = grid_counts(seqs, points, checkpoints)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, brute_grid_counts(seqs, points, checkpoints))
+
+
+def _counting_peak(fn, n):
+    """Peak traced bytes of fn(seqs, n), with both prefixes cached."""
+    seqs = [make_block(0.0, 1.0, 2), KroneckerSequence("sqrt2-1")]
+    for s in seqs:
+        s.prefix(n)
+    fn(seqs, n)  # first-call allocations inside numpy are not counted
+    tracemalloc.start()
+    try:
+        fn(seqs, n)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _peak_kappa(n):
+    # 64 spread checkpoints and a dense run: the same count at every n
+    spread = np.linspace(1, n, 64).astype(np.int64)
+    return SubsequenceIndex(np.union1d(spread, np.arange(4000, 4100)))
+
+
+PEAK_GRID = np.linspace(0.1, 0.9, 9)
+COUNTING_CALLS = {
+    "grid_counts": lambda seqs, n: grid_counts(
+        seqs, PEAK_GRID, _peak_kappa(n).checkpoints),
+    "detect_measurable": lambda seqs, n: detect_measurable(
+        seqs[1], _peak_kappa(n), PEAK_GRID),
+    "helly_extract": lambda seqs, n: helly_extract(
+        seqs, _peak_kappa(n), PEAK_GRID, tol=0.5),
+    "equivalence_harness": lambda seqs, n: equivalence_harness(
+        seqs, default_battery(), [_peak_kappa(n)], [n], 0.05,
+        fixed_grid=PEAK_GRID),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COUNTING_CALLS))
+def test_counting_peak_memory_is_bounded(name):
+    # Counting reads the cached prefixes a slice at a time and holds no
+    # code, joint or segment array of length N, so the peak is a few
+    # slices plus the table (the harness's includes the schedule test's
+    # blocks) and does not grow with N.
+    small = _counting_peak(COUNTING_CALLS[name], 1 << 18)
+    large = _counting_peak(COUNTING_CALLS[name], 1 << 20)
+    assert large <= small + (64 << 10), (small, large)
+    assert large <= 2 << 20, large
+
+
+class TestGridCountsInputErrors:
+    @pytest.mark.parametrize("checkpoints", [[], [0, 5], [-3], [5, 5],
+                                             [2, 9, 4], [[1, 2]]])
+    def test_checkpoints_rejected_as_by_subsequence_index(self, checkpoints):
+        with pytest.raises(CheckpointError) as want:
+            SubsequenceIndex(checkpoints)
+        with pytest.raises(CheckpointError) as got:
+            grid_counts([VanDerCorputSequence(2)], np.array([0.5]),
+                        np.array(checkpoints, dtype=np.int64))
+        assert str(got.value) == str(want.value)
+
+    def test_checkpoint_past_finite_sequence(self):
+        seq = FileSequence(np.linspace(0.0, 1.0, 10), UNIT, "ten")
+        assert grid_counts([seq], np.array([0.5]), [4, 10])[-1, -1] == 10
+        with pytest.raises(SequenceExhausted, match="beyond sequence length"):
+            grid_counts([VanDerCorputSequence(2), seq], np.array([0.5]),
+                        [4, 11])
+
+    def test_no_sequences(self):
+        with pytest.raises(ValueError, match="at least one sequence"):
+            grid_counts([], np.array([0.5]), [4])
 
 
 def test_trace_property_lists_python_pairs():
@@ -305,7 +399,7 @@ class TestErrorsKept:
                           np.array([0.5]), tol=tol, min_pool=1)
 
 
-# The per-n predicate route that grid_codes/grid_counts replaced.
+# The per-n predicate route that grid_counts replaced.
 PER_N_PATH = ("SetMembership", "from_predicate", "intersect", "kappa_density",
               "prefix_count", "preimage", "rectangle_count")
 
@@ -322,29 +416,35 @@ def test_public_surface_is_consistent():
 
 
 def test_harness_checks_measurability_once_per_pair(monkeypatch):
-    calls, binned = [], []
+    calls, reads = [], []
     real = independence.detect_measurable
-    real_codes = density.grid_codes
+    real_counts = density.grid_counts
 
     def counting(seq, kappa, *args, **kwargs):
         calls.append((seq.label, kappa.label))
         return real(seq, kappa, *args, **kwargs)
 
-    def counting_codes(seq, n, points):
-        binned.append((seq.label, n))
-        return real_codes(seq, n, points)
+    def counting_reads(seqs, points, checkpoints):
+        reads.append((tuple(s.label for s in seqs), len(checkpoints)))
+        return real_counts(seqs, points, checkpoints)
 
     monkeypatch.setattr(independence, "detect_measurable", counting)
     for module in (independence, selection):
-        monkeypatch.setattr(module, "grid_codes", counting_codes)
+        monkeypatch.setattr(module, "grid_counts", counting_reads)
     seqs = [KroneckerSequence("sqrt2-1"), KroneckerSequence("sqrt3-1")]
+    labels = tuple(s.label for s in seqs)
     family = kappa_family_builder(2000)
     rep = equivalence_harness(seqs, default_battery(), family,
                               [100, 1000, 2000], 0.02)
     assert len(calls) == len(set(calls))
-    # Each checked prefix is binned once, for measurability and rectangles.
-    assert len(binned) == len(calls)
     tested = [o.kappa_label for o in rep.outcomes if o.tested]
     assert tested
     for label in tested:
         assert all((s.label, label) in calls for s in seqs)
+    # One measurability read of the prefix per (sequence, kappa) pair, at
+    # every checkpoint, and one joint read per tested member, at the
+    # deepest checkpoint only.
+    by_label = {k.label: len(k) for k in family}
+    assert sorted(r for r in reads if len(r[0]) == 1) == sorted(
+        ((s,), by_label[k]) for s, k in calls)
+    assert [r for r in reads if len(r[0]) > 1] == [(labels, 1)] * len(tested)

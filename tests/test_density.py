@@ -1,6 +1,6 @@
 """Preimage counts and selective-density tests.
 
-Counts come from the grid counting core (``grid_codes``/``grid_counts``)
+Counts come from the grid counting core (``grid_counts``)
 and densities from ``detect_measurable``'s traces.  They are checked
 against exact finite counts (periodic and block sequences give closed-form
 prefix counts) and brute-force masks, never against asserted limits.
@@ -21,16 +21,13 @@ from statindep import (
     detect_measurable,
     make_block,
 )
-from statindep.density import check_window, grid_codes, grid_counts
+from statindep.density import check_window, grid_counts
 
 
 def below_counts(seq, points, checkpoints):
     """#{n <= k : v(n) < points[j]} per checkpoint k (rows) and point j;
     the last column, leaving v unbounded, is k itself."""
-    points = np.asarray(points, dtype=np.float64)
-    checkpoints = np.asarray(checkpoints, dtype=np.int64)
-    codes = grid_codes(seq, int(checkpoints[-1]), points)
-    return grid_counts([codes], points.size, checkpoints)
+    return grid_counts([seq], points, checkpoints)
 
 
 def trace_below(seq, x, kappa, **kwargs):
@@ -71,8 +68,7 @@ class TestIntersect:
     def test_conjunction_counts(self):
         v1 = KroneckerSequence("sqrt2-1")
         v2 = KroneckerSequence("sqrt3-1")
-        codes = [grid_codes(v, 1000, np.array([0.5])) for v in (v1, v2)]
-        table = grid_counts(codes, 1, np.array([1000]))
+        table = grid_counts([v1, v2], np.array([0.5]), np.array([1000]))
         assert table[0, 0, 0] == brute_rectangle_count([v1, v2], (0.5, 0.5),
                                                        1000)
 
@@ -81,12 +77,11 @@ class TestIntersect:
         seqs = [KroneckerSequence("sqrt2-1"), VanDerCorputSequence(3)]
         points = np.array([0.25, 0.5])
         checkpoints = np.array([10, 97])
-        codes = [grid_codes(s, 97, points) for s in seqs]
-        joint = grid_counts(codes, points.size, checkpoints)
+        joint = grid_counts(seqs, points, checkpoints)
         assert np.array_equal(joint[:, :, -1],
-                              grid_counts(codes[:1], points.size, checkpoints))
+                              grid_counts(seqs[:1], points, checkpoints))
         assert np.array_equal(joint[:, -1, :],
-                              grid_counts(codes[1:], points.size, checkpoints))
+                              grid_counts(seqs[1:], points, checkpoints))
 
 
 class TestKappaDensity:
@@ -133,11 +128,11 @@ class TestKappaDensity:
 @given(st.integers(min_value=1, max_value=400),
        st.floats(min_value=0.05, max_value=0.95))
 def test_count_complement_identity(n, x):
-    # the counted preimage and the codes above the grid point partition 1..n
+    # the counted preimage and the values at or above x partition 1..n
     seq = KroneckerSequence("sqrt2-1")
-    codes = grid_codes(seq, n, np.array([x]))
-    below = grid_counts([codes], 1, np.array([n]))[0, 0]
-    assert below + np.count_nonzero(codes > 0) == n
+    below, total = grid_counts([seq], np.array([x]), np.array([n]))[0]
+    assert below + np.count_nonzero(seq.prefix(n).values >= x) == n
+    assert total == n
 
 
 @settings(max_examples=40, deadline=None)

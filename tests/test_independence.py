@@ -37,7 +37,7 @@ from statindep import (
     statind_test,
     stieltjes,
 )
-from statindep.density import grid_codes, grid_counts
+from statindep.density import grid_counts
 from statindep import independence
 from statindep.independence import MAX_TUPLE_ARITY
 
@@ -83,8 +83,7 @@ class TestForms:
 def grid_rectangle_count(seqs, corner, n):
     """#{k <= n : v_i(k) < x_i for every i}, from one grid_counts table."""
     points, position = np.unique(corner, return_inverse=True)
-    codes = [grid_codes(s, n, points) for s in seqs]
-    return int(grid_counts(codes, points.size, np.array([n]))[(0, *position)])
+    return int(grid_counts(seqs, points, np.array([n]))[(0, *position)])
 
 
 class TestRectangleCount:

@@ -5,6 +5,7 @@ Irrational-rotation values are checked against literals precomputed with
 fractions.
 """
 
+import math
 import tempfile
 from fractions import Fraction
 from pathlib import Path
@@ -31,9 +32,11 @@ from statindep import (
     SubsequenceIndex,
     UNIT,
     VanDerCorputSequence,
+    empirical_cdf,
     from_spec,
     load_sequence,
     make_block,
+    stieltjes,
 )
 from statindep import sequences
 from statindep.sequences import _CHUNK, SEQUENCE_KINDS, normalize_spec
@@ -547,3 +550,17 @@ def test_range_errors_print_plain_floats(tmp_path):
     with pytest.raises(RangeViolation,
                        match=r"^file\(spiked\): value 2\.0 at n=2 lies outside"):
         seq.prefix(2)
+    with pytest.raises(SpecError, match=r"^sequences\[0\]\.params: periodic "
+                       r"value nan outside \[0\.0, 1\.0\]$"):
+        from_spec({"kind": "periodic", "params": {"values": [math.nan, 0.5]}},
+                  "sequences[0]")
+    with pytest.raises(RangeViolation,
+                       match=r"^periodic value 1\.5 outside \[0\.0, 1\.0\]$"):
+        PeriodicSequence(np.array([0.5, 1.5]))
+    with pytest.raises(RangeViolation,
+                       match=r"^constant 2\.0 outside \[0\.0, 1\.0\]$"):
+        ConstantSequence(np.float64(2.0))
+    cdf = empirical_cdf(PeriodicSequence([0.0, 0.5]), SubsequenceIndex([2]))
+    with pytest.raises(ValueError,
+                       match=r"^integrand is not finite at jump point 0\.5$"):
+        stieltjes(lambda x: np.where(x > 0.25, np.inf, 0.0), cdf)
