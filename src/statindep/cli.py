@@ -230,9 +230,10 @@ def build_battery(spec: ExperimentSpec, interval: Interval) -> FunctionBattery:
 
 def resolve_grid(spec: ExperimentSpec, interval: Interval,
                  cdfs: Callable[[], list[StepCDF]] | None = None):
-    """The spec's grid points on ``interval``, or None for a count grid
-    that the harness places per kappa.  A count grid is placed here only
-    when ``cdfs`` is given: it is called, only then, for the CDFs to avoid.
+    """The spec's grid points on ``interval``, or the spec's count when
+    ``cdfs`` is None (the harness places a count grid per kappa).  A count
+    grid is placed here only when ``cdfs`` is given: it is called, only
+    then, for the CDFs to avoid.
     """
     if isinstance(spec.grid, tuple):
         points = np.asarray(spec.grid, dtype=np.float64)
@@ -245,7 +246,7 @@ def resolve_grid(spec: ExperimentSpec, interval: Interval,
         ks = np.arange(1, 10, dtype=np.float64)
         return interval.a + interval.length * ks / 10.0
     if cdfs is None:
-        return None
+        return spec.grid
     return continuity_grid(cdfs(), spec.grid,
                            atom_tol=spec.tolerances["atom_tol"],
                            interval=interval)
@@ -379,15 +380,13 @@ def cmd_independence(args) -> int:
     battery = build_battery(spec, interval)
     seed = args.seed if args.seed is not None else spec.seed
     family = resolve_kappa_family(spec, seqs, args.depth, seed)
-    fixed = resolve_grid(spec, interval)
 
     tol = spec.tolerances["tol"]
     report = equivalence_harness(
         seqs, battery, family, list(spec.schedule), tol,
-        grid_count=spec.grid if fixed is None else 9,
+        grid=resolve_grid(spec, interval),
         atom_tol=spec.tolerances["atom_tol"],
-        window=spec.tolerances["window"],
-        fixed_grid=fixed)
+        window=spec.tolerances["window"])
 
     out = _outdir(args)
     base = spec.outputs["basename"]

@@ -20,7 +20,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import IntervalError
 from .sequences import _CHUNK, BoundedSequence
 from .subsequence import check_checkpoints
 
@@ -64,16 +63,6 @@ class DensityEstimate:
     @property
     def trace(self) -> list[tuple[int, float]]:
         return list(zip(self.checkpoints.tolist(), self.trace_ratios.tolist()))
-
-
-def check_window(seq: BoundedSequence, lo: float, hi: float) -> None:
-    """Raise IntervalError unless [lo, hi) is a window inside seq's interval."""
-    a, b = seq.interval.a, seq.interval.b
-    if not lo <= hi:
-        raise IntervalError(f"inverted bounds [{lo}, {hi})")
-    if lo < a or hi > b:
-        raise IntervalError(
-            f"preimage window [{lo}, {hi}) must sit inside [{a}, {b}]")
 
 
 def grid_counts(seqs: Sequence[BoundedSequence], points: np.ndarray,

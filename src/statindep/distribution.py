@@ -26,6 +26,8 @@ from .sequences import BoundedSequence, Interval
 from .subsequence import SubsequenceIndex
 
 MASS_TOL = 1e-12
+# Samples of f per step cell in step_envelope, ends included.
+CELL_SAMPLES = 33
 
 
 class StepCDF:
@@ -248,13 +250,16 @@ def continuity_grid(cdfs: Sequence[StepCDF], count: int, atom_tol: float = 1e-3,
                     interval: Interval | None = None) -> np.ndarray:
     """``count`` points in (a, b), each >= atom_tol away from every heavy atom.
 
-    Starts from the equispaced grid a + i*(b-a)/(count+1); blocked candidates
-    are moved to the nearest clear position (ties resolve left), and any
+    ``count`` must be >= 1 and ``atom_tol`` positive (ValueError).  Starts
+    from the equispaced grid a + i*(b-a)/(count+1); blocked candidates are
+    moved to the nearest clear position (ties resolve left), and any
     shortfall is filled from midpoints of the largest clear segments.
     Deterministic throughout.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
+    if not atom_tol > 0:
+        raise ValueError(f"atom_tol must be positive, got {atom_tol}")
     if interval is None:
         if not cdfs:
             raise ValueError("need an interval when no CDFs are supplied")
@@ -341,15 +346,15 @@ def sandwich_indicator(x: float, eps_width: float, interval: Interval,
 
 
 def step_envelope(f: Callable, cdfs: Sequence[StepCDF], eps: float,
-                  atom_tol: float = 1e-3, max_breakpoints: int = 10 ** 6,
-                  samples_per_cell: int = 33) -> StepEnvelope:
+                  atom_tol: float = 1e-3,
+                  max_breakpoints: int = 10 ** 6) -> StepEnvelope:
     """Step functions s <= f <= S with integral gap below eps against every CDF.
 
     Breakpoints come from :func:`continuity_grid` and are refined (count
     doubles) until the achieved gap drops under ``eps``.  Levels per cell are
-    the sampled min/max of f widened by the largest adjacent-sample jump, a
-    margin that covers between-sample variation for the continuous targets
-    this package integrates.
+    the min/max of ``CELL_SAMPLES`` samples of f widened by the largest
+    adjacent-sample jump, a margin that covers between-sample variation for
+    the continuous targets this package integrates.
     """
     if eps <= 0:
         raise ValueError(f"eps must be positive, got {eps}")
@@ -366,7 +371,7 @@ def step_envelope(f: Callable, cdfs: Sequence[StepCDF], eps: float,
         lo_levels = []
         hi_levels = []
         for left, right in zip(edges, edges[1:]):
-            xs = np.linspace(left, right, samples_per_cell)
+            xs = np.linspace(left, right, CELL_SAMPLES)
             s = np.asarray(f(xs), dtype=np.float64)
             if s.shape != xs.shape:
                 s = np.broadcast_to(s, xs.shape)

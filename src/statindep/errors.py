@@ -42,7 +42,14 @@ class EnvelopeError(StatIndepError, RuntimeError):
 
 
 class MeasurabilityError(StatIndepError, ValueError):
-    """A sequence failed a measurability check it was required to pass."""
+    """A sequence failed a measurability check it was required to pass.
+
+    ``report`` is the failing ``selection.MeasurabilityReport``.
+    """
+
+    def __init__(self, message: str, report=None):
+        super().__init__(message)
+        self.report = report
 
 
 class ExtractionError(StatIndepError, RuntimeError):

@@ -17,7 +17,8 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import Callable, Sequence
 
@@ -26,8 +27,8 @@ import numpy as np
 from .density import grid_counts
 from .distribution import continuity_grid, empirical_cdf
 from .errors import IntervalError, MeasurabilityError
-from .selection import (DEFAULT_TOL, DEFAULT_WINDOW, MeasurabilityReport,
-                        check_grid, detect_measurable)
+from .selection import (DEFAULT_TOL, DEFAULT_WINDOW, check_grid,
+                        detect_measurable)
 from .sequences import _CHUNK, BoundedSequence, Interval, UNIT
 from .subsequence import SubsequenceIndex
 
@@ -359,10 +360,9 @@ class TupleTrace:
 class IndependenceReport:
     """Outcome of the schedule test over every battery tuple.
 
-    verdict: "independent" when every terminal |gap| (and every rectangle
-    residual, when present) is within tol; "dependent" when some terminal
-    gap exceeds 3*tol without shrinking between the half-schedule point and
-    the end; "inconclusive" otherwise.
+    verdict: "independent" when every terminal |gap| is within tol;
+    "dependent" when some terminal gap exceeds 3*tol without shrinking
+    between the half-schedule point and the end; "inconclusive" otherwise.
     """
 
     schedule: tuple[int, ...]
@@ -371,7 +371,6 @@ class IndependenceReport:
     verdict: str
     max_terminal_gap: float
     battery_names: tuple[str, ...]
-    rectangle_residuals: list["RectangleReport"] = field(default_factory=list)
 
     def gap_rows(self) -> list[tuple]:
         """Rows (N, tuple label, delta, product, gap) in canonical order."""
@@ -394,11 +393,11 @@ class IndependenceReport:
         }
 
 
-def _verdict_from_gaps(traces: Sequence[TupleTrace], tol: float,
-                       extra_residual: float = 0.0) -> tuple[str, float]:
+def _verdict_from_gaps(traces: Sequence[TupleTrace],
+                       tol: float) -> tuple[str, float]:
     terminal = np.asarray([abs(float(t.gaps[-1])) for t in traces])
     max_terminal = float(terminal.max())
-    if max_terminal <= tol and extra_residual <= tol:
+    if max_terminal <= tol:
         return "independent", max_terminal
     half = len(traces[0].gaps) // 2
     for t in traces:
@@ -525,8 +524,10 @@ def kappa_independence_test(seqs: Sequence[BoundedSequence],
     For every corner tuple from the grid (one coordinate per sequence, in
     ``itertools.product`` order of the grid as given), residual = selective
     density of the preimage rectangle {n : v_i(n) < x_i for all i} minus
-    the product of marginal CDF values.  Sequences must first pass the
-    measurability check along kappa; failures are raised by name.
+    the product of marginal CDF values.  The grid must pass
+    :func:`selection.check_grid`.  Each sequence, in order, must first pass
+    :func:`detect_measurable` along kappa; the first that fails raises
+    MeasurabilityError, whose ``report`` is its failing report.
 
     One :func:`grid_counts` table at the deepest checkpoint gives the exact
     count of every corner; the marginal CDF values come from the same
@@ -535,48 +536,25 @@ def kappa_independence_test(seqs: Sequence[BoundedSequence],
     """
     if len(seqs) == 0:
         raise ValueError("need at least one sequence")
-    if len(seqs) > MAX_TUPLE_ARITY:
+    m, depth = len(seqs), kappa.deepest
+    if m > MAX_TUPLE_ARITY:
         raise ValueError(
-            f"tuple arity {len(seqs)} exceeds the supported maximum "
-            f"{MAX_TUPLE_ARITY}")
-    _check_aligned(seqs, [None] * len(seqs))
-    grid = np.asarray(grid, dtype=np.float64)
-    if grid.size == 0:
-        raise ValueError("grid must be nonempty")
+            f"tuple arity {m} exceeds the supported maximum {MAX_TUPLE_ARITY}")
+    _check_aligned(seqs, [None] * m)
+    grid = check_grid(seqs[0], grid, window)
     if tol <= 0:
         raise ValueError(f"tol must be positive, got {tol}")
 
-    blocker = _first_unmeasurable(seqs, kappa, grid, measurability_tol,
-                                  window)
-    if blocker is not None:
-        worst = float(np.max(blocker.oscillations))
-        raise MeasurabilityError(
-            f"sequence {blocker.sequence_label} is not measurable along "
-            f"{kappa.label}: worst grid-point oscillation {worst:.4g} exceeds "
-            f"{measurability_tol:g}")
-    return _rectangle_test(seqs, kappa, grid, tol)
-
-
-def _first_unmeasurable(seqs: Sequence[BoundedSequence],
-                        kappa: SubsequenceIndex, grid: np.ndarray,
-                        tol: float, window: int) -> MeasurabilityReport | None:
-    """Check each sequence for measurability along kappa, in order.
-
-    Returns the first failing report, or None when every sequence is
-    measurable; the pass stops at the first failure.
-    """
     for s in seqs:
-        report = detect_measurable(s, kappa, grid, tol=tol, window=window)
+        report = detect_measurable(s, kappa, grid, tol=measurability_tol,
+                                   window=window)
         if not report.measurable:
-            return report
-    return None
+            worst = float(np.max(report.oscillations))
+            raise MeasurabilityError(
+                f"sequence {s.label} is not measurable along {kappa.label}: "
+                f"worst grid-point oscillation {worst:.4g} exceeds "
+                f"{measurability_tol:g}", report=report)
 
-
-def _rectangle_test(seqs: Sequence[BoundedSequence], kappa: SubsequenceIndex,
-                    grid: np.ndarray, tol: float) -> RectangleReport:
-    """The rectangle step of kappa_independence_test, on validated inputs
-    whose measurability has already been checked."""
-    m, depth = len(seqs), kappa.deepest
     points, position = np.unique(grid, return_inverse=True)
     table = grid_counts(seqs, points, [depth])[0]
     densities = (table[np.ix_(*[position] * m)] / depth).ravel()
@@ -643,46 +621,51 @@ def equivalence_harness(seqs: Sequence[BoundedSequence],
                         kappa_family: Sequence[SubsequenceIndex],
                         schedule: Sequence[int],
                         tol: float,
-                        grid_count: int = 9,
+                        grid: int | np.ndarray = 9,
                         atom_tol: float = 1e-3,
-                        window: int = DEFAULT_WINDOW,
-                        fixed_grid: np.ndarray | None = None) -> EquivalenceReport:
+                        window: int = DEFAULT_WINDOW) -> EquivalenceReport:
     """Run both tests and check that their verdicts agree.
 
-    Rectangle tests run along every family member for which all sequences
-    pass measurability detection; others are recorded as skipped.  A
-    counterexample is a tested member whose rectangle verdict contradicts a
-    decisive schedule verdict.  Corners default to a per-member continuity
-    grid of grid_count points; fixed_grid overrides that everywhere.
+    Each family member's rectangle test is one
+    :func:`kappa_independence_test` call with tolerance ``2*tol``; when it
+    raises MeasurabilityError the member is recorded as skipped, naming
+    the sequence that failed.  A counterexample is a tested member whose
+    rectangle verdict contradicts a decisive schedule verdict.
 
-    The schedule test uses ``tol``; the rectangle tests use ``2*tol``, and
-    measurability uses ``selection.DEFAULT_TOL``.
+    An int ``grid`` is a count: each member's corners are then
+    :func:`continuity_grid` of that many points, clear of the atoms of
+    every sequence's empirical CDF along the member.  Anything else is
+    the grid points for every member.  The schedule test uses ``tol``, and
+    measurability ``selection.DEFAULT_TOL``.
     """
     if not kappa_family:
         raise ValueError("kappa family must be nonempty")
     # Reject bad sequences, window or grid before the schedule test runs
     # the whole battery, with the errors the later steps would raise.
     _check_aligned(seqs, [None] * len(seqs))
-    fixed_grid = check_grid(seqs[0], fixed_grid, window)
+    count = isinstance(grid, numbers.Integral)
+    if count:
+        # continuity_grid's own checks of the count and atom_tol
+        continuity_grid([], grid, atom_tol=atom_tol,
+                        interval=seqs[0].interval)
+    points = check_grid(seqs[0], None if count else grid, window)
     statind = statind_test(seqs, battery, schedule, tol)
 
     outcomes: list[KappaOutcome] = []
     for kappa in kappa_family:
-        if fixed_grid is not None:
-            grid = fixed_grid
-        else:
-            cdfs = [empirical_cdf(s, kappa) for s in seqs]
-            grid = continuity_grid(cdfs, grid_count, atom_tol=atom_tol)
-        blocker = _first_unmeasurable(seqs, kappa, grid, DEFAULT_TOL, window)
-        if blocker is None:
-            report = _rectangle_test(seqs, kappa, grid, 2 * tol)
-            outcomes.append(KappaOutcome(kappa_label=kappa.label, tested=True,
-                                         skip_reason=None, report=report))
-        else:
-            outcomes.append(KappaOutcome(
-                kappa_label=kappa.label, tested=False,
-                skip_reason=f"sequence {blocker.sequence_label} not "
-                            f"measurable along {kappa.label}", report=None))
+        if count:
+            points = continuity_grid([empirical_cdf(s, kappa) for s in seqs],
+                                     grid, atom_tol=atom_tol)
+        report = skip_reason = None
+        try:
+            report = kappa_independence_test(seqs, kappa, points, 2 * tol,
+                                             window=window)
+        except MeasurabilityError as err:
+            skip_reason = (f"sequence {err.report.sequence_label} not "
+                           f"measurable along {kappa.label}")
+        outcomes.append(KappaOutcome(kappa_label=kappa.label,
+                                     tested=report is not None,
+                                     skip_reason=skip_reason, report=report))
     outcomes.sort(key=lambda o: o.kappa_label)
 
     counterexample = None

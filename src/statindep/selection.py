@@ -18,9 +18,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .density import DensityEstimate, check_window, grid_counts
+from .density import DensityEstimate, grid_counts
 from .distribution import StepCDF, empirical_cdf
-from .errors import CheckpointError, ExtractionError
+from .errors import CheckpointError, ExtractionError, IntervalError
 from .sequences import BoundedSequence
 from .subsequence import SubsequenceIndex
 
@@ -79,11 +79,10 @@ def check_grid(seq: BoundedSequence, grid: np.ndarray | None,
                window: int) -> np.ndarray | None:
     """Check a trailing window and a grid of CDF points for ``seq``.
 
-    ``window`` must be >= 1, and ``grid`` nonempty with every point x
-    giving a window [a, x] inside the interval [a, b] of ``seq``
-    (ValueError, or IntervalError from :func:`check_window`).  Returns the
-    grid as float64, or None when ``grid`` is None (only the window is
-    checked then).
+    ``window`` must be >= 1 and ``grid`` nonempty (ValueError), with every
+    point inside the interval [a, b] of ``seq`` (IntervalError naming the
+    first point outside, NaN included).  Returns the grid as float64, or
+    None when ``grid`` is None (only the window is checked then).
     """
     if window < 1:
         raise ValueError(f"window must be >= 1, got {window}")
@@ -92,8 +91,11 @@ def check_grid(seq: BoundedSequence, grid: np.ndarray | None,
     grid = np.asarray(grid, dtype=np.float64)
     if grid.size == 0:
         raise ValueError("grid must be nonempty")
-    for x in grid:
-        check_window(seq, seq.interval.a, float(x))
+    a, b = seq.interval.a, seq.interval.b
+    outside = ~((a <= grid) & (grid <= b))
+    if outside.any():
+        raise IntervalError(
+            f"grid point {float(grid[outside][0])} outside [{a}, {b}]")
     return grid
 
 

@@ -372,6 +372,24 @@ class TestIndependence:
         assert report["agreement"] is False
         assert report["counterexample"] is not None
 
+    def test_count_grid_placed_per_kappa(self, tmp_path, capsys):
+        spec = self.spec_pair(tmp_path, schedule=[100, 1000, 4000], grid=5)
+        assert main(["independence", "--spec", spec, "--out", str(tmp_path),
+                     "--depth", "4000"]) == 0
+        capsys.readouterr()
+        report = json.loads((tmp_path / "pair_report.json").read_text())
+        seqs = [from_spec(s) for s in json.loads(
+            (tmp_path / "spec.json").read_text())["sequences"]]
+        family = {k.label: k for k in kappa_family_builder(4000)}
+        tested = [o for o in report["kappa_outcomes"] if o["tested"]]
+        assert tested
+        for outcome in tested:
+            kappa = family[outcome["kappa"]]
+            grid = continuity_grid([empirical_cdf(s, kappa) for s in seqs], 5,
+                                   atom_tol=0.001)
+            assert outcome["rectangle"]["corners"] == [
+                [x, y] for x in grid.tolist() for y in grid.tolist()]
+
     def test_single_sequence_is_operational_error(self, tmp_path, capsys):
         spec = write_spec(tmp_path, {"sequences": [KRON]})
         assert main(["independence", "--spec", spec,

@@ -289,7 +289,7 @@ COUNTING_CALLS = {
         seqs, _peak_kappa(n), PEAK_GRID, tol=0.5),
     "equivalence_harness": lambda seqs, n: equivalence_harness(
         seqs, default_battery(), [_peak_kappa(n)], [n], 0.05,
-        fixed_grid=PEAK_GRID),
+        grid=PEAK_GRID),
 }
 
 
@@ -355,8 +355,10 @@ class TestErrorsKept:
             kappa_independence_test([seq], kappa, np.array([0.5]), 0.05,
                                     measurability_tol=-1.0)
 
-    @pytest.mark.parametrize("x, message", [(1.5, "must sit inside"),
-                                            (-0.5, "inverted bounds")])
+    @pytest.mark.parametrize("x, message", [
+        (1.5, r"grid point 1\.5 outside \[0\.0, 1\.0\]"),
+        (-0.5, "grid point -0.5 outside"),
+        (np.nan, "grid point nan outside")])
     def test_grid_point_outside_interval(self, x, message):
         seq = VanDerCorputSequence(2)
         kappa = SubsequenceIndex(range(1, 11))

@@ -21,7 +21,8 @@ from statindep import (
     detect_measurable,
     make_block,
 )
-from statindep.density import check_window, grid_counts
+from statindep.density import grid_counts
+from statindep.selection import check_grid
 
 
 def below_counts(seq, points, checkpoints):
@@ -54,12 +55,11 @@ class TestPreimage:
 
     def test_invalid_bounds(self):
         seq = PeriodicSequence([0.0, 1.0])
-        with pytest.raises(IntervalError, match="inverted bounds"):
-            check_window(seq, 0.7, 0.3)
-        with pytest.raises(IntervalError, match="must sit inside"):
-            check_window(seq, -0.5, 0.5)
-        with pytest.raises(IntervalError, match="must sit inside"):
-            check_window(seq, 0.0, 1.5)
+        for x in (-0.5, 1.5, np.nan):
+            with pytest.raises(IntervalError,
+                               match=rf"grid point {x} outside \[0\.0, 1\.0\]"):
+                check_grid(seq, np.array([0.5, x]), 5)
+        assert check_grid(seq, [0.0, 1.0], 5).tolist() == [0.0, 1.0]
 
 
 class TestIntersect:

@@ -163,6 +163,16 @@ class TestContinuityGrid:
         # only the 0.4 atom blocks; its exclusion zone stays clear
         assert np.all((grid <= 0.2) | (grid >= 0.8))
 
+    @pytest.mark.parametrize("atom_tol", [-0.05, 0.0])
+    def test_nonpositive_atom_tol_rejected(self, atom_tol):
+        # a full-mass atom at 0.5: a nonpositive exclusion radius would
+        # leave the equispaced point on it
+        F = empirical_cdf(ConstantSequence(0.5),
+                          SubsequenceIndex(range(100, 10001, 100)))
+        assert continuity_grid([F], 3).tolist() == [0.25, 0.499, 0.75]
+        with pytest.raises(ValueError, match="atom_tol must be positive"):
+            continuity_grid([F], 3, atom_tol=atom_tol)
+
     def test_interval_required_without_cdfs(self):
         with pytest.raises(ValueError):
             continuity_grid([], 5)

@@ -220,6 +220,17 @@ class TestKappaIndependence:
         with pytest.raises(MeasurabilityError, match="block"):
             kappa_independence_test([blk], pow2, np.array([0.5]), 0.02)
 
+    def test_measurability_error_carries_the_failing_report(self):
+        v = KroneckerSequence("sqrt2-1")
+        blk = make_block(0.0, 1.0, 2)
+        pow2 = SubsequenceIndex(2 ** np.arange(0, 14), name="pow2")
+        with pytest.raises(MeasurabilityError) as caught:
+            kappa_independence_test([v, blk], pow2, np.array([0.5]), 0.02)
+        report = caught.value.report
+        assert report.sequence_label == blk.label
+        assert report.kappa_label == "pow2"
+        assert report.measurable is False
+
 
 class TestProductIntegralIdentity:
     def test_product_form_equals_stieltjes_product(self):
@@ -285,9 +296,12 @@ class TestEquivalenceHarness:
 
     @pytest.mark.parametrize("bad, error, message", [
         ({"window": 0}, ValueError, "window must be >= 1"),
-        ({"fixed_grid": [0.5, 1.5]}, IntervalError, "must sit inside"),
-        ({"fixed_grid": [-0.5]}, IntervalError, "inverted bounds"),
-        ({"fixed_grid": []}, ValueError, "grid must be nonempty"),
+        ({"grid": [0.5, 1.5]}, IntervalError,
+         r"grid point 1\.5 outside \[0\.0, 1\.0\]"),
+        ({"grid": [-0.5]}, IntervalError, "grid point -0.5 outside"),
+        ({"grid": []}, ValueError, "grid must be nonempty"),
+        ({"grid": 0}, ValueError, "count must be >= 1"),
+        ({"atom_tol": 0.0}, ValueError, "atom_tol must be positive"),
     ])
     def test_bad_arguments_fail_before_the_schedule_test(
             self, monkeypatch, bad, error, message):
@@ -300,6 +314,28 @@ class TestEquivalenceHarness:
             equivalence_harness(seqs, default_battery(),
                                 kappa_family_builder(1000), [100, 1000],
                                 0.02, **bad)
+
+    def test_each_member_tested_through_kappa_independence_test(
+            self, monkeypatch):
+        calls = []
+        real = independence.kappa_independence_test
+
+        def spy(seqs, kappa, grid, tol, **kwargs):
+            calls.append((kappa.label, tol, kwargs))
+            return real(seqs, kappa, grid, tol, **kwargs)
+
+        monkeypatch.setattr(independence, "kappa_independence_test", spy)
+        seqs = [make_block(0.0, 1.0, 2), KroneckerSequence("sqrt2-1")]
+        family = kappa_family_builder(4096)
+        rep = equivalence_harness(seqs, default_battery(), family,
+                                  [100, 1000, 4096], 0.02, window=4)
+        assert sorted(c[0] for c in calls) == sorted(k.label for k in family)
+        assert all(c[1:] == (0.04, {"window": 4}) for c in calls)
+        skipped = [o for o in rep.outcomes if not o.tested]
+        assert skipped and len(skipped) < len(family)
+        assert all(o.skip_reason == f"sequence {seqs[0].label} not "
+                                    f"measurable along {o.kappa_label}"
+                   for o in skipped)
 
     def test_outcomes_sorted_by_kappa_label(self):
         v1 = KroneckerSequence("sqrt2-1")

@@ -152,7 +152,8 @@ class TestHellyExtract:
         seq = KroneckerSequence("sqrt2-1")
         short = AffineImageSequence(seq, 0.25, 0.0)
         pool = SubsequenceIndex([2, 3, 4, 5, 6, 7])
-        with pytest.raises(IntervalError, match="must sit inside"):
+        with pytest.raises(IntervalError,
+                           match=r"grid point 0\.5 outside \[0\.0, 0\.25\]"):
             helly_extract([seq, short], pool, np.array([0.5]), tol=1e-9,
                           min_pool=5)
         with pytest.raises(ValueError, match="window must be >= 1"):
