@@ -73,6 +73,7 @@ from .independence import (
     statind_test,
 )
 from .selection import (
+    Extraction,
     MeasurabilityReport,
     detect_measurable,
     helly_extract,
@@ -84,7 +85,7 @@ __version__ = "0.1.0"
 __all__ = [
     "ALPHA_GOLDEN", "ALPHA_SQRT2", "ALPHA_SQRT3", "AffineImageSequence",
     "BlockSequence", "BoundedSequence", "CheckpointError", "ConstantSequence",
-    "DensityEstimate", "EnvelopeError", "EquivalenceReport",
+    "DensityEstimate", "EnvelopeError", "EquivalenceReport", "Extraction",
     "ExtractionError", "FileSequence", "FunctionBattery", "FunctionSandwich",
     "GridError", "IndependenceReport", "Interval", "IntervalError",
     "KappaOutcome", "KroneckerSequence", "MeasurabilityError",

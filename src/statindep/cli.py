@@ -28,11 +28,12 @@ import numpy as np
 from .distribution import StepCDF, cdf_eval, continuity_grid, empirical_cdf, \
     stieltjes, PiecewiseLinear
 from .errors import SpecError, StatIndepError
-from .independence import FunctionBattery, NamedFunction, default_battery, \
-    equivalence_harness, product_form
+from .independence import FunctionBattery, NamedFunction, _multilinear, \
+    default_battery, equivalence_harness
 from .reporting import fmt_float, write_csv, write_json
 from .selection import DEFAULT_MIN_POOL, DEFAULT_TOL, DEFAULT_WINDOW, \
-    KAPPA_FAMILY, detect_measurable, helly_extract, kappa_family_builder
+    KAPPA_FAMILY, Extraction, _measurability, _pool_counts, helly_extract, \
+    kappa_family_builder
 from .sequences import BoundedSequence, Interval, _fail, _norm_float, \
     _norm_floats, _norm_int, from_spec as sequence_from_spec, normalize_spec
 from .subsequence import SubsequenceIndex
@@ -275,8 +276,11 @@ def resolve_pool(spec: ExperimentSpec, depth: int) -> SubsequenceIndex:
     return pool
 
 
-def resolve_kappa_family(spec: ExperimentSpec, seqs: list[BoundedSequence],
-                         depth: int, seed: int) -> list[SubsequenceIndex]:
+def resolve_kappa_family(spec: ExperimentSpec, depth: int,
+                         seed: int) -> list[SubsequenceIndex | Extraction]:
+    """The spec's kappa family at ``depth``; ``"extract"`` gives one
+    :class:`Extraction` from :func:`resolve_pool`, which the equivalence
+    harness extracts from the counts of its own walk."""
     if isinstance(spec.kappa, tuple):
         return [SubsequenceIndex(np.asarray(spec.kappa, dtype=np.int64),
                                  name="explicit")]
@@ -285,17 +289,8 @@ def resolve_kappa_family(spec: ExperimentSpec, seqs: list[BoundedSequence],
     if spec.kappa in KAPPA_FAMILY:
         family = kappa_family_builder(depth, seed=seed)
         return [k for k in family if k.name == spec.kappa]
-    return [_extract(spec, seqs, depth)[2]]
-
-
-def _extract(spec: ExperimentSpec, seqs: list[BoundedSequence], depth: int):
-    """Pool, grid and extracted checkpoints of a ``"kappa": "extract"`` run."""
-    pool = resolve_pool(spec, depth)
-    grid = resolve_grid(spec, seqs[0].interval,
-                        cdfs=lambda: [empirical_cdf(s, pool) for s in seqs])
-    kappa = helly_extract(seqs, pool, grid, tol=spec.tolerances["tol"],
-                          window=spec.tolerances["window"])
-    return pool, grid, kappa
+    return [Extraction(resolve_pool(spec, depth), tol=spec.tolerances["tol"],
+                       window=spec.tolerances["window"])]
 
 
 def _load_spec_file(path: str) -> dict:
@@ -342,19 +337,22 @@ def cmd_distribution(args) -> int:
     spec = parse_experiment_spec(_load_spec_file(args.spec))
     seq = _single_sequence(spec, "distribution")
     battery = build_battery(spec, seq.interval)
-    schedule = SubsequenceIndex(np.asarray(spec.schedule, dtype=np.int64),
-                                name="schedule")
-    deepest_cdf = empirical_cdf(seq, schedule)
+    deepest = spec.schedule[-1]
+    # One prefix for every CDF, and one kernel walk for every mean: the
+    # products of single-member tuples are the members' means.
+    values = seq.prefix(deepest).values
+    deepest_cdf = StepCDF.from_values(values, seq.interval)
     grid = resolve_grid(spec, seq.interval, cdfs=lambda: [deepest_cdf])
+    means = _multilinear([seq], [battery.members], list(spec.schedule))[1]
 
     cdf_rows = []
     weyl_rows = []
-    for j, n in enumerate(spec.schedule, start=1):
-        cdf = empirical_cdf(seq, schedule, depth=j)
+    for j, n in enumerate(spec.schedule):
+        cdf = deepest_cdf if n == deepest \
+            else StepCDF.from_values(values[:n], seq.interval)
         for x in grid:
             cdf_rows.append((int(n), float(x), cdf_eval(cdf, float(x))))
-        for member in battery:
-            mean = product_form([seq], [member], int(n))
+        for member, mean in zip(battery, means[:, j].tolist()):
             integral = stieltjes(member, cdf)
             weyl_rows.append((int(n), member.name, mean, integral,
                               abs(mean - integral)))
@@ -379,7 +377,7 @@ def cmd_independence(args) -> int:
     interval = seqs[0].interval
     battery = build_battery(spec, interval)
     seed = args.seed if args.seed is not None else spec.seed
-    family = resolve_kappa_family(spec, seqs, args.depth, seed)
+    family = resolve_kappa_family(spec, args.depth, seed)
 
     tol = spec.tolerances["tol"]
     report = equivalence_harness(
@@ -424,10 +422,18 @@ def cmd_extract(args) -> int:
     if spec.kappa != "extract":
         raise SpecError('kappa: extract requires "kappa": "extract"')
     seqs = build_sequences(spec)
-    pool, grid, kappa = _extract(spec, seqs, args.depth)
-    reports = [detect_measurable(s, kappa, grid, tol=spec.tolerances["tol"],
-                                 window=spec.tolerances["window"])
-               for s in seqs]
+    tol, window = spec.tolerances["tol"], spec.tolerances["window"]
+    pool = resolve_pool(spec, args.depth)
+    grid = resolve_grid(spec, seqs[0].interval,
+                        cdfs=lambda: [empirical_cdf(s, pool) for s in seqs])
+    # One walk counts the pool; the extraction and each measurability
+    # report read their rows, as kappa's checkpoints are pool checkpoints.
+    counts = _pool_counts(seqs, pool, np.unique(grid))
+    kappa = helly_extract(seqs, pool, grid, tol=tol, window=window,
+                          counts=counts)
+    rows = np.searchsorted(pool.checkpoints, kappa.checkpoints)
+    reports = [_measurability(s, kappa, grid, c[rows], tol, window)
+               for s, c in zip(seqs, counts)]
 
     out = _outdir(args)
     base = spec.outputs["basename"]

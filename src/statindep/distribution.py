@@ -73,6 +73,12 @@ class StepCDF:
         cum = np.cumsum(counts, dtype=np.int64) / total
         return cls(points, counts / total, interval, _cum=cum)
 
+    @classmethod
+    def from_values(cls, values: np.ndarray, interval: Interval) -> "StepCDF":
+        """Empirical CDF of ``values``, one jump per distinct value."""
+        points, counts = np.unique(values, return_counts=True)
+        return cls.from_counts(points, counts, values.size, interval)
+
     def eval(self, x) -> np.ndarray | float:
         """Mass strictly below x (scalar in, scalar out)."""
         xs = np.asarray(x, dtype=np.float64)
@@ -85,8 +91,8 @@ class StepCDF:
         return float(self._cum[-1])
 
     def heavy_atoms(self, threshold: float) -> np.ndarray:
-        """Jump points carrying mass >= threshold."""
-        return self.jump_points[self.masses >= threshold]
+        """Jump points carrying mass strictly above threshold."""
+        return self.jump_points[self.masses > threshold]
 
     def to_json_obj(self) -> dict:
         return {"points": [float(p) for p in self.jump_points],
@@ -109,9 +115,7 @@ def empirical_cdf(seq: BoundedSequence, kappa: SubsequenceIndex,
         raise CheckpointError(
             f"depth {depth} out of range 1..{len(kappa)}")
     k = int(kappa.checkpoints[depth - 1])
-    values = seq.prefix(k).values
-    points, counts = np.unique(values, return_counts=True)
-    return StepCDF.from_counts(points, counts, k, seq.interval)
+    return StepCDF.from_values(seq.prefix(k).values, seq.interval)
 
 
 def cdf_eval(cdf: StepCDF, x: float) -> float:
@@ -199,7 +203,7 @@ def _merged_blocked(cdfs: Sequence[StepCDF], atom_tol: float) -> list[tuple[floa
     """
     atoms: list[float] = []
     for cdf in cdfs:
-        atoms.extend(float(p) for p in cdf.jump_points[cdf.masses > atom_tol])
+        atoms.extend(cdf.heavy_atoms(atom_tol).tolist())
     if not atoms:
         return []
     atoms.sort()

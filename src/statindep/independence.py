@@ -24,19 +24,20 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .density import grid_counts
+from .density import (MAX_TABLE_CELLS, Tally, check_table_size, grid_counts,
+                      marginal)
 from .distribution import continuity_grid, empirical_cdf
 from .errors import IntervalError, MeasurabilityError
-from .selection import (DEFAULT_TOL, DEFAULT_WINDOW, check_grid,
-                        detect_measurable)
-from .sequences import _CHUNK, BoundedSequence, Interval, UNIT
+from .selection import (DEFAULT_TOL, DEFAULT_WINDOW, Extraction, check_grid,
+                        _check_window, _measurability)
+from .sequences import _CHUNK, BoundedSequence, Interval, UNIT, walk
 from .subsequence import SubsequenceIndex
 
 MAX_TUPLE_ARITY = 5
 
 # The schedule test sums over fixed absolute blocks of this many indices
-# (the prefix cache's chunk), so its bits do not depend on how the blocks
-# are evaluated.
+# (the sequences' chunk), so its bits do not depend on how the blocks are
+# evaluated.
 _BLOCK = _CHUNK
 # Whole blocks evaluated per walk step, as (_GROUP, _BLOCK) rows.  Per-row
 # np.sum and einsum equal the one-block results bit for bit, so this sets
@@ -51,6 +52,9 @@ class NamedFunction:
     name: str
     fn: Callable
     sup_bound: float = 1.0
+    # fn's value everywhere, when it is a known constant: the schedule
+    # test then takes it as is and never scans the sequence for it
+    constant: float | None = None
 
     def __call__(self, x):
         return self.fn(x)
@@ -106,7 +110,8 @@ def default_battery(interval: Interval = UNIT) -> FunctionBattery:
     not write into a member's result."""
     t = _normalizer(interval)
     members = (
-        NamedFunction("one", lambda x: np.ones_like(np.asarray(x, dtype=np.float64))),
+        NamedFunction("one", lambda x: np.ones_like(np.asarray(x, dtype=np.float64)),
+                      constant=1.0),
         NamedFunction("x", t),
         NamedFunction("x2", lambda x: t(x) ** 2),
         NamedFunction("sin2pix", lambda x: np.sin(2.0 * np.pi * t(x))),
@@ -143,49 +148,72 @@ def _apply(f, values: np.ndarray) -> np.ndarray:
                            values.shape)
 
 
-def _constant_run(f, values: np.ndarray) -> tuple[int, float]:
-    """``(run, first)``: f(v(n)) equals ``first`` = f(v(1)) for the first
-    ``run`` terms of ``values`` and differs at the next one, so f is
-    constant on the prefix of length N exactly when N <= run.  Scans whole
-    groups of blocks and stops at the first group with a differing value.
+def _constant_runs(seq: BoundedSequence, funcs: Sequence,
+                   n: int) -> tuple[list[int], list[float]]:
+    """``(runs, firsts)``: f(v(k)) equals ``first`` = f(v(1)) for the
+    first ``run`` of the indices 1..n and differs at the next one, so f is
+    constant on the prefix of length N exactly when N <= run.  A member
+    that declares its ``constant`` is taken at its word; the others are
+    scanned over ``seq.chunks`` until each has met its first differing
+    value, and no further chunk is generated.
     """
-    step = _GROUP * _BLOCK
-    first = None
-    for lo in range(0, values.size, step):
-        fx = _apply(f, values[lo:lo + step])
-        if first is None:
-            first = fx[0]
-        differs = fx != first
-        if differs.any():
-            return lo + int(np.argmax(differs)), float(first)
-    return values.size, float(first)
+    runs: list = [n if getattr(f, "constant", None) is not None else None
+                  for f in funcs]
+    firsts: list = [getattr(f, "constant", None) for f in funcs]
+    pending = [i for i, run in enumerate(runs) if run is None]
+    lo = 0
+    for chunk in seq.chunks(0, n) if pending else ():
+        for i in list(pending):
+            fx = _apply(funcs[i], chunk)
+            if firsts[i] is None:
+                firsts[i] = fx[0]
+            differs = fx != firsts[i]
+            if differs.any():
+                runs[i] = lo + int(np.argmax(differs))
+                pending.remove(i)
+        if not pending:
+            break
+        lo += chunk.size
+    for i in pending:
+        runs[i] = n
+    return runs, [float(first) for first in firsts]
 
 
-def _block_plan(schedule: Sequence[int]):
-    """The blocks of the schedule test's sums, in order, as ``(pos,
-    blocks, length, lo, hi)``: ``blocks`` consecutive blocks of ``length``
-    indices from ``pos`` (0-based), whose sums go to schedule points
-    [lo, hi).  Whole blocks come in groups of at most ``_GROUP``; a
-    schedule point inside a block also gets that block cut at the point,
-    for itself alone, and the whole block follows for the later points.
+def _block_steps(schedule: Sequence[int], start: int, stop: int):
+    """The blocks of the schedule test's sums from ``start`` (a multiple
+    of ``_BLOCK``) to ``stop``, in order, as ``(pos, blocks, length, lo,
+    hi)``: ``blocks`` consecutive blocks of ``length`` indices from
+    ``pos`` (0-based), whose sums go to schedule points [lo, hi).  A
+    schedule point inside a block gets that block cut at the point, for
+    itself alone; the whole block follows for the later points, and
+    consecutive whole blocks for the same points come as one group.
     """
-    pos = 0
-    for k, n in enumerate(schedule):
-        while pos + _BLOCK <= n:
-            blocks = min(_GROUP, (n - pos) // _BLOCK)
-            yield pos, blocks, _BLOCK, k, len(schedule)
-            pos += blocks * _BLOCK
-        if pos < n:
-            yield pos, 1, n - pos, k, k + 1
+    count = len(schedule)
+    group = None  # whole blocks not yet yielded: [pos, blocks, lo]
+    for pos in range(start, min(stop, schedule[-1]), _BLOCK):
+        end = pos + _BLOCK
+        k = bisect.bisect_right(schedule, pos)
+        cut = bisect.bisect_left(schedule, end)
+        if group is not None and cut != group[2]:
+            yield group[0], group[1], _BLOCK, group[2], count
+            group = None
+        for j in range(k, cut):
+            yield pos, 1, schedule[j] - pos, j, j + 1
+        if cut < count:
+            if group is None:
+                group = [pos, 0, cut]
+            group[1] += 1
+    if group is not None:
+        yield group[0], group[1], _BLOCK, group[2], count
 
 
-def _multilinear(values: Sequence[np.ndarray], funcs: Sequence[Sequence],
-                 schedule: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+def _multilinear(seqs: Sequence[BoundedSequence], funcs: Sequence[Sequence],
+                 schedule: Sequence[int],
+                 tallies: Sequence[Tally] = ()) -> tuple[np.ndarray, np.ndarray]:
     """Deltas and products of every tuple at every schedule point.
 
-    ``funcs[i]`` are the candidates for slot i, evaluated on ``values[i]``,
-    a prefix at least ``schedule[-1]`` long.  Returns two arrays of shape
-    ``(B_0, ..., B_{m-1}, S)``.
+    ``funcs[i]`` are the candidates for slot i, evaluated on the values of
+    ``seqs[i]``.  Returns two arrays of shape ``(B_0, ..., B_{m-1}, S)``.
 
     Sum contract: a sum over n = 1..N is the sum, left to right in block
     order, of one sum per fixed absolute block of ``_BLOCK`` indices, the
@@ -203,11 +231,15 @@ def _multilinear(values: Sequence[np.ndarray], funcs: Sequence[Sequence],
     left to right.  So every gap is exactly zero when at most one slot
     varies.
 
-    Members that vary on the prefix are evaluated one group of at most
-    ``_GROUP`` whole blocks at a time (or one partial block) into one
+    The sequences are read in one :func:`walk` of ``_GROUP`` blocks a
+    step, after :func:`_constant_runs` has scanned each for its members'
+    constant runs.  Members that vary on the prefix are evaluated one
+    group of whole blocks at a time (or one partial block) into one
     ``(members, block)`` matrix per slot; nothing of length N is held.
+    Each step also feeds every tally, and the walk runs on past the
+    schedule to the deepest tally checkpoint.
     """
-    m, n_max, count = len(values), schedule[-1], len(schedule)
+    m, n_max, count = len(seqs), schedule[-1], len(schedule)
     ns = np.asarray(schedule, dtype=np.float64)
     width = _GROUP * _BLOCK
     # Per slot: each candidate's constant run and first value, and the
@@ -215,8 +247,8 @@ def _multilinear(values: Sequence[np.ndarray], funcs: Sequence[Sequence],
     # buffer and running sums.  Each step below sets ``mat`` (members,
     # blocks, length), its row sums ``rowsum`` and the buffer view ``term``.
     slots = []
-    for v, column in zip(values, funcs):
-        runs, firsts = zip(*(_constant_run(f, v[:n_max]) for f in column))
+    for seq, column in zip(seqs, funcs):
+        runs, firsts = _constant_runs(seq, column, n_max)
         varies = np.asarray(runs) < n_max
         slots.append(SimpleNamespace(
             runs=runs, firsts=np.asarray(firsts)[:, None],
@@ -233,22 +265,32 @@ def _multilinear(values: Sequence[np.ndarray], funcs: Sequence[Sequence],
     sums = np.zeros(shape + (count, _GROUP))
     totals = np.full(shape + (count,), -0.0)  # -0.0 + x is x for every x
 
-    for pos, blocks, length, lo, hi in _block_plan(schedule):
-        span = blocks * length
-        for slot, v in zip(slots, values):
-            x = v[pos:pos + span]
-            for r, f in enumerate(slot.members):
-                slot.matrix[r, :span] = _apply(f, x)
-            slot.mat = slot.matrix[:, :span].reshape(len(slot.members), blocks,
-                                                     length)
-            slot.rowsum = np.sum(slot.mat, axis=2)
-            slot.term = slot.buffer[:span].reshape(blocks, length)
+    depth = max([n_max] + [t.depth for t in tallies])
+    for start, values in walk(seqs, [depth] * m, width):
+        steps = _block_steps(schedule, start, start + width)
+        for pos, blocks, length, lo, hi in steps:
+            span = blocks * length
+            for slot, v in zip(slots, values):
+                x = v[pos - start:pos - start + span]
+                for r, f in enumerate(slot.members):
+                    slot.matrix[r, :span] = _apply(f, x)
+                slot.mat = slot.matrix[:, :span].reshape(len(slot.members),
+                                                         blocks, length)
+                slot.rowsum = np.sum(slot.mat, axis=2)
+                slot.term = slot.buffer[:span].reshape(blocks, length)
+                for g in range(blocks):
+                    slot.total[:, lo:hi] += slot.rowsum[:, g, None]
+            block_sums = sums[..., :blocks]
+            _block_walk(slots, schedule, block_sums, 0, lo, hi, None, None,
+                        ())
             for g in range(blocks):
-                slot.total[:, lo:hi] += slot.rowsum[:, g, None]
-        block_sums = sums[..., :blocks]
-        _block_walk(slots, schedule, block_sums, 0, lo, hi, None, None, ())
-        for g in range(blocks):
-            totals[..., lo:hi] += block_sums[..., lo:hi, g]
+                totals[..., lo:hi] += block_sums[..., lo:hi, g]
+        # one block at a time, so that the binning temporaries stay a
+        # block long
+        for at in range(0, values[0].size, _BLOCK):
+            block = [v[at:at + _BLOCK] for v in values]
+            for tally in tallies:
+                tally.add(start + at, block)
 
     joint = totals / ns
     deltas = products = varied = None
@@ -316,8 +358,7 @@ def _single_tuple(seqs: Sequence[BoundedSequence], funcs: Sequence,
     _check_aligned(seqs, funcs)
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
-    deltas, products = _multilinear([s.prefix(N).values for s in seqs],
-                                    [[f] for f in funcs], [N])
+    deltas, products = _multilinear(seqs, [[f] for f in funcs], [N])
     return float(deltas.flat[0]), float(products.flat[0])
 
 
@@ -408,8 +449,30 @@ def _verdict_from_gaps(traces: Sequence[TupleTrace],
     return "inconclusive", max_terminal
 
 
+def _check_schedule_args(seqs: Sequence[BoundedSequence],
+                         battery: FunctionBattery, schedule: Sequence[int],
+                         tol: float) -> list[int]:
+    """The schedule as ints, after :func:`statind_test`'s argument checks."""
+    if len(battery) == 0:
+        raise ValueError("battery must be nonempty")
+    schedule = [int(n) for n in schedule]
+    if not schedule:
+        raise ValueError("schedule must be nonempty")
+    if any(n < 1 for n in schedule) or any(
+            x >= y for x, y in zip(schedule, schedule[1:])):
+        raise ValueError(f"schedule must be strictly increasing and >= 1: {schedule}")
+    if tol <= 0:
+        raise ValueError(f"tol must be positive, got {tol}")
+    if len(seqs) > MAX_TUPLE_ARITY:
+        raise ValueError(f"tuple arity {len(seqs)} exceeds the supported "
+                         f"maximum {MAX_TUPLE_ARITY}")
+    _check_aligned(seqs, [None] * len(seqs))
+    return schedule
+
+
 def statind_test(seqs: Sequence[BoundedSequence], battery: FunctionBattery,
-                 schedule: Sequence[int], tol: float) -> IndependenceReport:
+                 schedule: Sequence[int], tol: float,
+                 tallies: Sequence[Tally] = ()) -> IndependenceReport:
     """Trace delta/product/gap for every battery tuple along the schedule.
 
     Tuples are all selections with repetition, one battery member per
@@ -424,38 +487,29 @@ def statind_test(seqs: Sequence[BoundedSequence], battery: FunctionBattery,
     out at N, and means use the same block sums, so the gap is exactly
     zero whenever at most one slot varies.
 
-    Cost: a first pass finds each (sequence, member)'s constant run,
-    scanning blocks until the first differing value.  Then the prefixes
-    are walked block by block: each member that varies is evaluated once
+    Cost: a first pass reads each sequence's chunks until every battery
+    member without a declared ``constant`` has met its first differing
+    value, which gives its constant run.  Then one walk reads the
+    sequences block by block: each member that varies is evaluated once
     per block (twice for a block cut by a schedule point), tuples are
     walked depth-first with one elementwise product per tuple prefix short
     of the last slot, and the last slot of every tuple prefix is
-    contracted in one ``einsum``.  Memory:
-    O(m*B*2^13 + B^m*S) for m sequences, B members and S schedule points,
-    independent of N beyond the cached prefixes: one block matrix and one
-    product buffer per sequence, and running sums per (tuple, N).
+    contracted in one ``einsum``.  Memory: O(m*B*2^13 + B^m*S) for m
+    sequences, B members and S schedule points, independent of N: one
+    block of values, one block matrix and one product buffer per
+    sequence, and running sums per (tuple, N).
     Every value equals :func:`delta_form`/:func:`product_form` at that N
     bit for bit: both are single-tuple calls of the same kernel.
-    """
-    if len(battery) == 0:
-        raise ValueError("battery must be nonempty")
-    schedule = [int(n) for n in schedule]
-    if not schedule:
-        raise ValueError("schedule must be nonempty")
-    if any(n < 1 for n in schedule) or any(
-            x >= y for x, y in zip(schedule, schedule[1:])):
-        raise ValueError(f"schedule must be strictly increasing and >= 1: {schedule}")
-    if tol <= 0:
-        raise ValueError(f"tol must be positive, got {tol}")
-    m = len(seqs)
-    if m > MAX_TUPLE_ARITY:
-        raise ValueError(
-            f"tuple arity {m} exceeds the supported maximum {MAX_TUPLE_ARITY}")
-    _check_aligned(seqs, [None] * m)
 
-    deltas, products = _multilinear(
-        [s.prefix(schedule[-1]).values for s in seqs],
-        [battery.members] * m, schedule)
+    ``tallies`` (see :class:`density.Tally`) are fed from the same walk,
+    which then runs on to their deepest checkpoint, so every index of
+    every sequence is generated once for both tests.
+    """
+    schedule = _check_schedule_args(seqs, battery, schedule, tol)
+    m = len(seqs)
+
+    deltas, products = _multilinear(seqs, [battery.members] * m, schedule,
+                                    tallies)
     traces = []
     for combo in itertools.product(range(len(battery)), repeat=m):
         names = tuple(battery.members[j].name for j in combo)
@@ -527,16 +581,19 @@ def kappa_independence_test(seqs: Sequence[BoundedSequence],
     the product of marginal CDF values.  The grid must pass
     :func:`selection.check_grid`.  Each sequence, in order, must first pass
     :func:`detect_measurable` along kappa; the first that fails raises
-    MeasurabilityError, whose ``report`` is its failing report.
+    MeasurabilityError, whose ``report`` is its failing report, traced at
+    kappa's last ``window`` checkpoints (all that its verdict reads).
 
-    One :func:`grid_counts` table at the deepest checkpoint gives the exact
-    count of every corner; the marginal CDF values come from the same
-    table's one-dimensional marginals.  Every density and CDF value is the
-    single division count / k.
+    One :func:`grid_counts` table at those checkpoints holds every count
+    used: its one-dimensional marginals decide measurability, and its
+    deepest row gives the exact count of every corner and, from its
+    marginals, the marginal CDF values.  Every density and CDF value is
+    the single division count / k.  The equivalence harness takes the same
+    route from the rows of its own counting tables.
     """
     if len(seqs) == 0:
         raise ValueError("need at least one sequence")
-    m, depth = len(seqs), kappa.deepest
+    m = len(seqs)
     if m > MAX_TUPLE_ARITY:
         raise ValueError(
             f"tuple arity {m} exceeds the supported maximum {MAX_TUPLE_ARITY}")
@@ -544,10 +601,25 @@ def kappa_independence_test(seqs: Sequence[BoundedSequence],
     grid = check_grid(seqs[0], grid, window)
     if tol <= 0:
         raise ValueError(f"tol must be positive, got {tol}")
+    _check_window(kappa, window)
+    if measurability_tol <= 0:
+        raise ValueError(f"tol must be positive, got {measurability_tol}")
+    counts = grid_counts(seqs, np.unique(grid), kappa.checkpoints[-window:])
+    return _rectangle_test(seqs, kappa, grid, counts, tol, window,
+                           measurability_tol)
 
-    for s in seqs:
-        report = detect_measurable(s, kappa, grid, tol=measurability_tol,
-                                   window=window)
+
+def _rectangle_test(seqs: Sequence[BoundedSequence], kappa: SubsequenceIndex,
+                    grid: np.ndarray, counts: np.ndarray, tol: float,
+                    window: int, measurability_tol: float) -> RectangleReport:
+    """The measurability verdicts and rectangle report along ``kappa``
+    from ``counts``, a :class:`density.Tally` table of every sequence over
+    the sorted unique grid points at kappa's last ``window`` checkpoints.
+    """
+    m, depth = len(seqs), kappa.deepest
+    for r, s in enumerate(seqs):
+        report = _measurability(s, kappa, grid, marginal(counts, r),
+                                measurability_tol, window)
         if not report.measurable:
             worst = float(np.max(report.oscillations))
             raise MeasurabilityError(
@@ -555,15 +627,14 @@ def kappa_independence_test(seqs: Sequence[BoundedSequence],
                 f"worst grid-point oscillation {worst:.4g} exceeds "
                 f"{measurability_tol:g}", report=report)
 
-    points, position = np.unique(grid, return_inverse=True)
-    table = grid_counts(seqs, points, [depth])[0]
+    position = np.unique(grid, return_inverse=True)[1]
+    table = counts[-1]
     densities = (table[np.ix_(*[position] * m)] / depth).ravel()
     # Left-to-right products, as np.prod of the per-corner CDF values.
     products = np.ones(())
     for r in range(m):
-        marginal = table[tuple(position if k == r else points.size
-                               for k in range(m))]
-        products = np.multiply.outer(products, marginal / depth)
+        cdf = marginal(counts, r)[-1, position] / depth
+        products = np.multiply.outer(products, cdf)
     products = products.ravel()
 
     corners = list(itertools.product([float(x) for x in grid], repeat=m))
@@ -616,9 +687,19 @@ class EquivalenceReport:
         }
 
 
+def _pool_in_walk(seqs: Sequence[BoundedSequence], pool: SubsequenceIndex,
+                  points: np.ndarray) -> bool:
+    """Whether the harness's walk can count ``pool`` for an Extraction:
+    one joint table over the whole pool fits, and every sequence reaches
+    the pool's deepest checkpoint."""
+    cells = len(pool) * (np.unique(points).size + 1) ** len(seqs)
+    return cells <= MAX_TABLE_CELLS and all(
+        s.length is None or s.length >= pool.deepest for s in seqs)
+
+
 def equivalence_harness(seqs: Sequence[BoundedSequence],
                         battery: FunctionBattery,
-                        kappa_family: Sequence[SubsequenceIndex],
+                        kappa_family: Sequence[SubsequenceIndex | Extraction],
                         schedule: Sequence[int],
                         tol: float,
                         grid: int | np.ndarray = 9,
@@ -626,40 +707,89 @@ def equivalence_harness(seqs: Sequence[BoundedSequence],
                         window: int = DEFAULT_WINDOW) -> EquivalenceReport:
     """Run both tests and check that their verdicts agree.
 
-    Each family member's rectangle test is one
-    :func:`kappa_independence_test` call with tolerance ``2*tol``; when it
-    raises MeasurabilityError the member is recorded as skipped, naming
-    the sequence that failed.  A counterexample is a tested member whose
-    rectangle verdict contradicts a decisive schedule verdict.
+    A family member is an index or an :class:`selection.Extraction`, which
+    is extracted from its pool once the pool is counted.  Every count comes
+    from the walk that runs the schedule test: one :class:`density.Tally`
+    of every sequence per distinct grid, at the union of the checkpoints
+    anything reads (each index's last ``window`` checkpoints and each
+    Extraction's whole pool).  Each member's rectangle test, with
+    tolerance ``2*tol``, then takes its rows the way
+    :func:`kappa_independence_test` takes its own; a member along which a
+    sequence is not measurable is recorded as skipped, naming the
+    sequence.  A counterexample is a tested member whose rectangle
+    verdict contradicts a decisive schedule verdict.
 
     An int ``grid`` is a count: each member's corners are then
     :func:`continuity_grid` of that many points, clear of the atoms of
-    every sequence's empirical CDF along the member.  Anything else is
-    the grid points for every member.  The schedule test uses ``tol``, and
-    measurability ``selection.DEFAULT_TOL``.
+    every sequence's empirical CDF along the member, and an Extraction
+    uses such a grid along its pool.  Those CDFs materialize prefixes
+    before the walk, and the Extraction is then made before the walk, in
+    a walk of its own, as it is when a finite sequence ends before its
+    pool does or a joint table over the whole pool would exceed
+    ``MAX_TABLE_CELLS``.  Anything else is the grid points for every
+    member.  The schedule test uses ``tol``, and measurability
+    ``selection.DEFAULT_TOL``.
+    Every argument, and the size of every table, is checked before the
+    schedule test runs.
     """
     if not kappa_family:
         raise ValueError("kappa family must be nonempty")
-    # Reject bad sequences, window or grid before the schedule test runs
-    # the whole battery, with the errors the later steps would raise.
-    _check_aligned(seqs, [None] * len(seqs))
+    # Reject bad arguments before the schedule test runs the whole
+    # battery, with the errors the later steps would raise.
+    _check_schedule_args(seqs, battery, schedule, tol)
     count = isinstance(grid, numbers.Integral)
     if count:
         # continuity_grid's own checks of the count and atom_tol
         continuity_grid([], grid, atom_tol=atom_tol,
                         interval=seqs[0].interval)
+        # before any grid is placed: a member's own rows must fit
+        for member in kappa_family:
+            rows = member.pool if isinstance(member, Extraction) else member
+            check_table_size(min(window, len(rows)), grid, len(seqs))
     points = check_grid(seqs[0], None if count else grid, window)
-    statind = statind_test(seqs, battery, schedule, tol)
+
+    def grid_along(kappa: SubsequenceIndex | Extraction) -> np.ndarray:
+        if not count:
+            return points
+        return continuity_grid([empirical_cdf(s, kappa) for s in seqs],
+                               grid, atom_tol=atom_tol)
+
+    # Each member with its grid, and the checkpoints it reads per grid.
+    members, plans = [], {}
+    for member in kappa_family:
+        if isinstance(member, Extraction) and (
+                count or not _pool_in_walk(seqs, member.pool, points)):
+            member = member.extract(seqs, grid_along(member.pool))
+        if isinstance(member, Extraction):
+            rows = member.pool.checkpoints
+        else:
+            _check_window(member, window)
+            rows = member.checkpoints[-window:]
+        member_grid = grid_along(member)
+        unique = np.unique(member_grid)
+        members.append((member, member_grid, unique.tobytes()))
+        plans.setdefault(unique.tobytes(), (unique, []))[1].append(rows)
+    tallies = {key: Tally(unique, np.unique(np.concatenate(rows)),
+                          range(len(seqs)))
+               for key, (unique, rows) in plans.items()}
+    statind = statind_test(seqs, battery, schedule, tol,
+                           tallies=list(tallies.values()))
 
     outcomes: list[KappaOutcome] = []
-    for kappa in kappa_family:
-        if count:
-            points = continuity_grid([empirical_cdf(s, kappa) for s in seqs],
-                                     grid, atom_tol=atom_tol)
+    for kappa, member_grid, key in members:
+        tally = tallies[key]
+        if isinstance(kappa, Extraction):
+            rows = np.searchsorted(tally.checkpoints, kappa.pool.checkpoints)
+            pool_table = tally.table()[rows]
+            kappa = kappa.extract(seqs, member_grid, counts=[
+                marginal(pool_table, r) for r in range(len(seqs))])
+            _check_window(kappa, window)
+        rows = np.searchsorted(tally.checkpoints, kappa.checkpoints[-window:])
         report = skip_reason = None
         try:
-            report = kappa_independence_test(seqs, kappa, points, 2 * tol,
-                                             window=window)
+            report = _rectangle_test(seqs, kappa, member_grid,
+                                     tally.table()[rows], 2 * tol, window,
+                                     DEFAULT_TOL)
         except MeasurabilityError as err:
             skip_reason = (f"sequence {err.report.sequence_label} not "
                            f"measurable along {kappa.label}")

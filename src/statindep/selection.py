@@ -18,9 +18,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .density import DensityEstimate, grid_counts
+from .density import DensityEstimate, Tally, fill, grid_counts
 from .distribution import StepCDF, empirical_cdf
-from .errors import CheckpointError, ExtractionError, IntervalError
+from .errors import (CheckpointError, ExtractionError, IntervalError,
+                     SequenceExhausted)
 from .sequences import BoundedSequence
 from .subsequence import SubsequenceIndex
 
@@ -105,23 +106,39 @@ def detect_measurable(seq: BoundedSequence, kappa: SubsequenceIndex,
     """Check Cauchy behavior of F_k(x) at every grid point along kappa.
 
     One :func:`grid_counts` table gives #{n <= k : v(n) < x} at every
-    checkpoint and grid point, in O(k_M + M G) time and, besides the
-    cached prefix and one slice of it, O(M G) memory.  Each trace ratio
+    checkpoint and grid point, in O(k_M + M G) time and, besides one
+    chunk of the sequence, O(M G) memory.  Each trace ratio
     is the single division count / k, so each trace's value equals
     ``empirical_cdf(seq, kappa)`` at x bit for bit.  measurable is True
     exactly when each grid point's trailing-window oscillation is at most
     tol; ``window`` must be >= 1.
     """
     grid = check_grid(seq, grid, window)
+    _check_window(kappa, window)
+    if tol <= 0:
+        raise ValueError(f"tol must be positive, got {tol}")
+    counts = grid_counts([seq], np.unique(grid), kappa.checkpoints)
+    return _measurability(seq, kappa, grid, counts, tol, window)
+
+
+def _check_window(kappa: SubsequenceIndex, window: int) -> None:
     if len(kappa) < window:
         raise CheckpointError(
             f"index {kappa.label} has {len(kappa)} checkpoints; "
             f"need at least window = {window}")
-    if tol <= 0:
-        raise ValueError(f"tol must be positive, got {tol}")
-    points, position = np.unique(grid, return_inverse=True)
-    checkpoints = kappa.checkpoints
-    counts = grid_counts([seq], points, checkpoints)
+
+
+def _measurability(seq: BoundedSequence, kappa: SubsequenceIndex,
+                   grid: np.ndarray, counts: np.ndarray, tol: float,
+                   window: int) -> MeasurabilityReport:
+    """The report of ``seq`` along ``kappa`` from its counts: ``counts``
+    holds #{n <= k : v(n) < x} for the sorted unique grid points x (and
+    k itself in the last column) at kappa's last ``len(counts)``
+    checkpoints, at least ``window`` of them.  The traces cover those
+    checkpoints, which hold everything the verdict reads.
+    """
+    position = np.unique(grid, return_inverse=True)[1]
+    checkpoints = kappa.checkpoints[len(kappa) - counts.shape[0]:]
     traces = [DensityEstimate.from_counts(checkpoints, counts[:, j], tol,
                                           window) for j in position]
     oscillations = np.asarray([t.oscillation for t in traces])
@@ -150,7 +167,8 @@ def _best_band(ratios: np.ndarray, tol: float) -> np.ndarray:
 def helly_extract(seqs: Sequence[BoundedSequence], pool: SubsequenceIndex,
                   grid: np.ndarray, tol: float = DEFAULT_TOL,
                   window: int = DEFAULT_WINDOW,
-                  min_pool: int = DEFAULT_MIN_POOL) -> SubsequenceIndex:
+                  min_pool: int = DEFAULT_MIN_POOL,
+                  counts: Sequence[np.ndarray] | None = None) -> SubsequenceIndex:
     """Greedy diagonal extraction of a stabilizing checkpoint sub-index.
 
     Passes run over (sequence, grid point) pairs, sequences outer and grid
@@ -160,11 +178,14 @@ def helly_extract(seqs: Sequence[BoundedSequence], pool: SubsequenceIndex,
     ``window`` checkpoints survive a pass.
 
     A checkpoint's count does not depend on which other checkpoints
-    survive, so one :func:`grid_counts` table per sequence serves all of
-    its passes.  Counting reads up to the pool's deepest checkpoint, so
-    later stages find the prefix already generated; a finite sequence is
-    counted only at the checkpoints it reaches, which must include the
-    deepest checkpoint still surviving.
+    survive, so each sequence's counts at the pool's checkpoints serve all
+    of its passes.  They are ``counts`` when given: ``counts[r]`` holds
+    sequence r's counts at the first rows of the pool, in the layout of
+    :func:`density.marginal` over the sorted unique grid points.
+    Otherwise they come from one walk (:func:`_pool_counts`), in which a
+    finite sequence is counted only at the checkpoints it reaches.  Those
+    must include the deepest checkpoint still surviving at the sequence's
+    passes, or SequenceExhausted is raised.
     """
     if len(seqs) == 0:
         raise ValueError("need at least one sequence")
@@ -179,17 +200,18 @@ def helly_extract(seqs: Sequence[BoundedSequence], pool: SubsequenceIndex,
 
     checkpoints = pool.checkpoints
     points = np.unique(grid)
+    if counts is None:
+        counts = _pool_counts(seqs, pool, points)
     surviving = np.arange(len(pool))
-    for seq in seqs:
-        reach = len(pool)
-        if seq.length is not None:
-            reach = max(int(np.searchsorted(checkpoints, seq.length,
-                                            side="right")),
-                        int(surviving[-1]) + 1)
-        counts = grid_counts([seq], points, checkpoints[:reach])
+    for seq, table in zip(seqs, counts):
+        if surviving[-1] >= len(table):
+            raise SequenceExhausted(
+                f"{seq.label}: prefix of length "
+                f"{int(checkpoints[surviving[-1]])} beyond sequence length "
+                f"{seq.length}")
         for x in np.sort(grid):
             j = int(np.searchsorted(points, x))
-            ratios = counts[surviving, j] / checkpoints[surviving]
+            ratios = table[surviving, j] / checkpoints[surviving]
             keep = _best_band(ratios, tol)
             if int(np.count_nonzero(keep)) < window:
                 raise ExtractionError(
@@ -203,6 +225,44 @@ def helly_extract(seqs: Sequence[BoundedSequence], pool: SubsequenceIndex,
     name = f"extract({pool.label})"
     return SubsequenceIndex(checkpoints[surviving],
                             rule=f"helly-extract tol={tol:g}", name=name)
+
+
+def _pool_counts(seqs: Sequence[BoundedSequence], pool: SubsequenceIndex,
+                 points: np.ndarray) -> list[np.ndarray]:
+    """Each sequence's (rows, G+1) counts at the pool checkpoints it
+    reaches (all of them unless it is finite), from one walk."""
+    checkpoints = pool.checkpoints
+    tallies = []
+    for r, seq in enumerate(seqs):
+        reach = len(pool) if seq.length is None else int(
+            np.searchsorted(checkpoints, seq.length, side="right"))
+        tallies.append(Tally(points, checkpoints[:reach], [r])
+                       if reach else None)
+    fill(seqs, [t for t in tallies if t is not None])
+    return [t.table() if t is not None
+            else np.zeros((0, points.size + 1), dtype=np.int64)
+            for t in tallies]
+
+
+@dataclass(frozen=True)
+class Extraction:
+    """A family member still to be extracted from ``pool`` by
+    :func:`helly_extract` with these settings.
+
+    The equivalence harness counts the pool's checkpoints in the walk that
+    runs its schedule test, and extracts from those counts.
+    """
+
+    pool: SubsequenceIndex
+    tol: float = DEFAULT_TOL
+    window: int = DEFAULT_WINDOW
+    min_pool: int = DEFAULT_MIN_POOL
+
+    def extract(self, seqs: Sequence[BoundedSequence], grid: np.ndarray,
+                counts: Sequence[np.ndarray] | None = None) -> SubsequenceIndex:
+        return helly_extract(seqs, self.pool, grid, tol=self.tol,
+                             window=self.window, min_pool=self.min_pool,
+                             counts=counts)
 
 
 def kappa_family_builder(base_depth: int, seed: int = 0) -> list[SubsequenceIndex]:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -61,22 +61,22 @@ _NAMED_ALPHAS = {
     "golden": ALPHA_GOLDEN,
 }
 
-# Indices evaluated per batch when a prefix is materialized or extended.
+# Indices evaluated per batch, in blocks aligned to multiples of _CHUNK.
 # A chunk's temporaries (16-byte longdouble for Kronecker) stay near 128 KiB,
 # glibc's default mmap threshold; at 2^16 they are mapped and unmapped per
-# chunk, and a 4M-term Kronecker prefix takes 60x the page faults and is
-# slower than evaluating it whole.
+# chunk, and 4M Kronecker terms take 60x the page faults and are slower
+# than evaluating them at once.
 _CHUNK = 1 << 13
 
 
 class BoundedSequence:
     """Deterministic real sequence v(1), v(2), ... inside a fixed interval.
 
-    Evaluation is pure: instances may be shared across concurrent readers
-    with no synchronization.  ``prefix`` caches the longest materialized
-    prefix and extends it in place of recomputing it; a cache write is
-    idempotent (re-computation yields the identical array), so a racing
-    write is harmless.
+    Evaluation is pure and nothing is cached: instances may be shared
+    across concurrent readers with no synchronization.  The analyses read
+    values through :meth:`chunks` (see also :func:`walk`), a block of
+    ``_CHUNK`` indices at a time; :meth:`prefix` materializes a whole
+    prefix for callers that need one array.
     """
 
     def __init__(self, interval: Interval, kind: str, label: str,
@@ -85,7 +85,6 @@ class BoundedSequence:
         self.kind = kind
         self.label = label
         self.length = length
-        self._cache: np.ndarray | None = None
 
     @property
     def interval(self) -> Interval:
@@ -119,34 +118,54 @@ class BoundedSequence:
         self._check_range(ns, values)
         return float(values[0])
 
-    def prefix(self, n: int) -> "PrefixView":
-        """Materialized view of v(1) ... v(n), elementwise equal to ``eval``.
+    def chunks(self, lo: int, hi: int) -> Iterator[np.ndarray]:
+        """Range-checked values v(lo+1) ... v(hi), one block at a time.
 
-        A longer prefix than the cached one is built in one float64 array:
-        the cached values are copied and only the new indices are
-        evaluated and range-checked, in chunks of ``_CHUNK`` indices, so
-        the temporaries stay chunk-sized.
+        Blocks are aligned to absolute positions: every block but the
+        first and last covers indices j*_CHUNK+1 .. (j+1)*_CHUNK, so the
+        same indices fall in the same block whoever reads them.  Each
+        block is evaluated when it is reached; a RangeViolation cites its
+        index then.  SequenceExhausted is raised at once when ``hi`` lies
+        past a finite sequence's end.
+        """
+        if not 0 <= lo <= hi:
+            raise IndexError(f"chunk range must satisfy 0 <= lo <= hi, "
+                             f"got {lo}, {hi}")
+        if self.length is not None and hi > self.length:
+            raise SequenceExhausted(
+                f"{self.label}: prefix of length {hi} beyond sequence length "
+                f"{self.length}")
+        return self._chunks(lo, hi)
+
+    def _chunks(self, lo: int, hi: int) -> Iterator[np.ndarray]:
+        while lo < hi:
+            stop = min((lo // _CHUNK + 1) * _CHUNK, hi)
+            yield self._checked(lo, stop)
+            lo = stop
+
+    def _checked(self, lo: int, hi: int) -> np.ndarray:
+        # A function of its own, so that a suspended chunk generator holds
+        # neither the indices nor the values it has yielded.
+        ns = np.arange(lo + 1, hi + 1, dtype=np.int64)
+        values = np.asarray(self._eval_batch(ns), dtype=np.float64)
+        self._check_range(ns, values)
+        return values
+
+    def prefix(self, n: int) -> "PrefixView":
+        """Materialized, read-only v(1) ... v(n), elementwise equal to ``eval``.
+
+        Uncached: each call evaluates the n values again, through
+        :meth:`chunks`, into one new float64 array.
         """
         if n < 1:
             raise IndexError(f"prefix length must be >= 1, got {n}")
-        if self.length is not None and n > self.length:
-            raise SequenceExhausted(
-                f"{self.label}: prefix of length {n} beyond sequence length {self.length}")
-        cache = self._cache
-        if cache is None or cache.size < n:
-            values = np.empty(n, dtype=np.float64)
-            start = 0
-            if cache is not None:
-                start = cache.size
-                values[:start] = cache
-            for lo in range(start, n, _CHUNK):
-                hi = min(lo + _CHUNK, n)
-                ns = np.arange(lo + 1, hi + 1, dtype=np.int64)
-                values[lo:hi] = self._eval_batch(ns)
-                self._check_range(ns, values[lo:hi])
-            values.setflags(write=False)
-            self._cache = cache = values
-        return PrefixView(values=cache[:n], source=self, n=n)
+        values = np.empty(n, dtype=np.float64)
+        lo = 0
+        for chunk in self.chunks(0, n):
+            values[lo:lo + chunk.size] = chunk
+            lo += chunk.size
+        values.setflags(write=False)
+        return PrefixView(values=values, source=self, n=n)
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {self.label}>"
@@ -159,6 +178,38 @@ class PrefixView:
     values: np.ndarray
     source: BoundedSequence
     n: int
+
+
+def walk(seqs: Sequence[BoundedSequence], depths: Sequence[int],
+         width: int = _CHUNK) -> Iterator[tuple[int, list]]:
+    """One pass over the first ``depths[r]`` terms of each ``seqs[r]``.
+
+    Yields ``(lo, values)`` for lo = 0, width, 2*width, ...: ``values[r]``
+    holds v_r(lo+1) ... v_r(min(lo + width, depths[r])), or is None once
+    lo has reached ``depths[r]``.  ``width`` is a multiple of ``_CHUNK``;
+    each sequence's :meth:`~BoundedSequence.chunks` are generated once,
+    and, when ``width`` exceeds one chunk, copied into one buffer per
+    sequence that the next step overwrites.
+    """
+    readers = [s.chunks(0, d) for s, d in zip(seqs, depths)]
+    buffers = [np.empty(width) if width > _CHUNK else None for _ in seqs]
+    for lo in range(0, max(depths, default=0), width):
+        values = []
+        for reader, depth, buffer in zip(readers, depths, buffers):
+            if depth <= lo:
+                values.append(None)
+            elif buffer is None:
+                values.append(next(reader))
+            else:
+                filled, stop = 0, min(width, depth - lo)
+                while filled < stop:
+                    chunk = next(reader)
+                    buffer[filled:filled + chunk.size] = chunk
+                    filled += chunk.size
+                    # hold no chunk while the next is generated or we yield
+                    del chunk
+                values.append(buffer[:stop])
+        yield lo, values
 
 
 class KroneckerSequence(BoundedSequence):
@@ -177,7 +228,9 @@ class KroneckerSequence(BoundedSequence):
         super().__init__(interval, "kronecker", label)
 
     def _eval_batch(self, ns: np.ndarray) -> np.ndarray:
-        vals = (ns.astype(np.longdouble) * self.alpha) % np.longdouble(1.0)
+        vals = ns.astype(np.longdouble)
+        vals *= self.alpha
+        vals %= np.longdouble(1.0)
         return vals.astype(np.float64)
 
 

@@ -10,22 +10,27 @@ from statindep import (
     SpecError,
     SubsequenceIndex,
     UNIT,
+    cdf_eval,
     continuity_grid,
     default_battery,
+    detect_measurable,
     empirical_cdf,
     from_spec,
+    helly_extract,
     kappa_family_builder,
     load_sequence,
     product_form,
+    stieltjes,
 )
 from statindep.cli import (
     DEFAULT_TOLERANCES,
     ExperimentSpec,
+    _derived_pool,
     main,
     parse_experiment_spec,
     serialize_experiment_spec,
 )
-from statindep.reporting import fmt_float
+from statindep.reporting import canonical_json, csv_text, fmt_float
 from statindep.selection import DEFAULT_TOL, DEFAULT_WINDOW, KAPPA_FAMILY
 from statindep.sequences import SEQUENCE_KINDS, normalize_spec
 
@@ -318,6 +323,41 @@ class TestDistribution:
         assert [float(r.split(",")[1]) for r in rows[:5]] == list(want)
 
 
+    @pytest.mark.parametrize("obj", [
+        {"sequences": [KRON], "schedule": [10, 8191, 8192, 20001]},
+        {"sequences": [{"kind": "block", "params": {
+            "low": 0.0, "high": 1.0, "growth": 2}}],
+         "schedule": [3, 100, 8193, 20000], "grid": 4},
+    ])
+    def test_files_match_the_per_point_route(self, tmp_path, obj):
+        # one prefix for every CDF and one kernel walk for every mean write
+        # the bytes of one empirical_cdf and one product_form per point
+        spec = write_spec(tmp_path, dict(obj, outputs={"basename": "d"}))
+        assert main(["distribution", "--spec", spec,
+                     "--out", str(tmp_path)]) == 0
+        seq = from_spec(obj["sequences"][0])
+        battery = default_battery(seq.interval)
+        schedule = SubsequenceIndex(obj["schedule"])
+        deepest = empirical_cdf(seq, schedule)
+        grid = (continuity_grid([deepest], obj["grid"], atom_tol=0.001)
+                if "grid" in obj else np.arange(1, 10) / 10.0)
+        cdf_rows, weyl_rows = [], []
+        for j, n in enumerate(obj["schedule"], start=1):
+            cdf = empirical_cdf(seq, schedule, depth=j)
+            cdf_rows += [(n, float(x), cdf_eval(cdf, float(x))) for x in grid]
+            for member in battery:
+                mean = product_form([seq], [member], n)
+                integral = stieltjes(member, cdf)
+                weyl_rows.append((n, member.name, mean, integral,
+                                  abs(mean - integral)))
+        assert (tmp_path / "d_cdf.json").read_text() == \
+            canonical_json(deepest.to_json_obj())
+        assert (tmp_path / "d_cdf.csv").read_text() == \
+            csv_text(["N", "x", "F"], cdf_rows)
+        assert (tmp_path / "d_weyl.csv").read_text() == csv_text(
+            ["N", "function", "mean", "stieltjes", "abs_diff"], weyl_rows)
+
+
 class TestIndependence:
     def spec_pair(self, tmp_path, **overrides):
         obj = {
@@ -444,6 +484,29 @@ class TestExtract:
         reports = json.loads((tmp_path / "blk_measurability.json").read_text())
         grid = reports[0]["grid"]
         assert len(grid) == 5 and all(0 < x < 1 for x in grid)
+
+    @pytest.mark.parametrize("grid", [[0.25, 0.5, 0.75], 5])
+    def test_files_match_the_two_step_route(self, tmp_path, grid):
+        # one counting walk over the pool gives the bytes of extracting
+        # first and detecting measurability along the extracted index after
+        seqs = [{"kind": "block",
+                 "params": {"low": 0.0, "high": 1.0, "growth": 2}}, KRON]
+        spec = write_spec(tmp_path, {"sequences": seqs, "kappa": "extract",
+                                     "grid": grid,
+                                     "outputs": {"basename": "x"}})
+        assert main(["extract", "--spec", spec, "--out", str(tmp_path),
+                     "--depth", "100000"]) == 0
+        seqs = [from_spec(s) for s in seqs]
+        pool = _derived_pool(100000)
+        points = (np.asarray(grid) if isinstance(grid, list) else
+                  continuity_grid([empirical_cdf(s, pool) for s in seqs],
+                                  grid, atom_tol=0.001))
+        kappa = helly_extract(seqs, pool, points)
+        reports = [detect_measurable(s, kappa, points) for s in seqs]
+        assert (tmp_path / "x_kappa.json").read_text() == \
+            canonical_json(kappa.to_json_obj())
+        assert (tmp_path / "x_measurability.json").read_text() == \
+            canonical_json([r.to_json_obj() for r in reports])
 
     def test_requires_extract_kappa(self, tmp_path, capsys):
         spec = write_spec(tmp_path, {"sequences": [KRON]})

@@ -1,7 +1,8 @@
 """The streamed grid counting core against brute-force per-n references.
 
 Every count the rectangle test, measurability detection and extraction use
-comes from ``grid_counts``.  These tests rebuild each figure with plain
+comes from ``density.Tally``, filled by ``grid_counts``, ``density.fill`` or
+the schedule test's walk.  These tests rebuild each figure with plain
 per-n loops (or with the mask-and-cumsum densities of ``_brute``) and
 demand exact equality, on grids that hit sequence values exactly and on
 unsorted and duplicate grids.
@@ -20,7 +21,6 @@ from _brute import brute_density, brute_grid_counts
 import statindep
 import statindep.density as density
 import statindep.independence as independence
-import statindep.selection as selection
 from statindep import (
     UNIT,
     CheckpointError,
@@ -194,15 +194,16 @@ def test_extraction_reads_only_surviving_depth():
 
 
 def test_extraction_generates_each_prefix_once(monkeypatch):
-    # The second sequence's passes need only checkpoints 1..60, but it is
-    # read to the pool's end, so a later full-depth stage generates nothing.
+    # One walk counts every sequence at the pool checkpoints it reaches:
+    # each index is generated once, a chunk at a time, even though the
+    # second sequence's passes need only checkpoints 1..60.
     first = FileSequence(np.repeat([0.0, 1.0], [60, 40]), UNIT, "first.txt")
     kron = KroneckerSequence("sqrt2-1")
     generated = []
     real = kron._eval_batch
 
     def counting(ns):
-        generated.append(ns.size)
+        generated.append(ns.tolist())
         return real(ns)
 
     monkeypatch.setattr(kron, "_eval_batch", counting)
@@ -210,8 +211,7 @@ def test_extraction_generates_each_prefix_once(monkeypatch):
     got = helly_extract([first, kron], pool, np.array([0.5]), tol=0.01,
                         window=5, min_pool=1)
     assert got.deepest <= 60
-    kron.prefix(pool.deepest)
-    assert generated == [pool.deepest]
+    assert generated == [list(range(1, pool.deepest + 1))]
 
 
 def test_arity_five_table_matches_per_n_loop():
@@ -231,9 +231,11 @@ def test_oversized_table_rejected():
     # before anything is allocated.
     assert (9 + 1) ** independence.MAX_TUPLE_ARITY <= density.MAX_TABLE_CELLS
     seqs = [VanDerCorputSequence(2)] * 3
+    generated = []
+    seqs[0]._eval_batch = lambda ns: generated.append(ns)
     with pytest.raises(ValueError, match="exceeds"):
         grid_counts(seqs, np.linspace(0.0, 1.0, 1024), np.array([2, 4]))
-    assert seqs[0]._cache is None
+    assert generated == []
 
 
 @st.composite
@@ -259,11 +261,26 @@ def test_streamed_counts_match_brute_force(seqs, grid, checkpoints):
     assert np.array_equal(got, brute_grid_counts(seqs, points, checkpoints))
 
 
+@settings(max_examples=40, deadline=None)
+@given(sequences, grids, checkpoint_sets(), st.lists(st.integers(1, 300),
+                                                     min_size=1, max_size=8))
+def test_tally_fed_in_any_slices_matches_per_n_loop(seqs, grid, kappa, sizes):
+    # a Tally's counts do not depend on how the walk is sliced
+    points = np.unique(grid)
+    tally = density.Tally(points, kappa.checkpoints, range(len(seqs)))
+    values = [s.prefix(kappa.deepest).values for s in seqs]
+    lo, k = 0, 0
+    while lo < kappa.deepest:
+        hi = lo + sizes[k % len(sizes)]
+        tally.add(lo, [v[lo:hi] for v in values])
+        lo, k = hi, k + 1
+    want = brute_counts(seqs, points.tolist(), kappa.checkpoints.tolist())
+    assert np.array_equal(tally.table(), want)
+
+
 def _counting_peak(fn, n):
-    """Peak traced bytes of fn(seqs, n), with both prefixes cached."""
+    """Peak traced bytes of fn(seqs, n), generation of the values included."""
     seqs = [make_block(0.0, 1.0, 2), KroneckerSequence("sqrt2-1")]
-    for s in seqs:
-        s.prefix(n)
     fn(seqs, n)  # first-call allocations inside numpy are not counted
     tracemalloc.start()
     try:
@@ -295,10 +312,10 @@ COUNTING_CALLS = {
 
 @pytest.mark.parametrize("name", sorted(COUNTING_CALLS))
 def test_counting_peak_memory_is_bounded(name):
-    # Counting reads the cached prefixes a slice at a time and holds no
-    # code, joint or segment array of length N, so the peak is a few
-    # slices plus the table (the harness's includes the schedule test's
-    # blocks) and does not grow with N.
+    # Counting generates and reads the sequences a chunk at a time and
+    # holds no value, code, joint or segment array of length N, so the
+    # peak is a few chunks plus the table (the harness's includes the
+    # schedule test's blocks) and does not grow with N.
     small = _counting_peak(COUNTING_CALLS[name], 1 << 18)
     large = _counting_peak(COUNTING_CALLS[name], 1 << 20)
     assert large <= small + (64 << 10), (small, large)
@@ -417,36 +434,37 @@ def test_public_surface_is_consistent():
     assert not hasattr(statindep.DensityEstimate, "ratios")
 
 
-def test_harness_checks_measurability_once_per_pair(monkeypatch):
-    calls, reads = [], []
-    real = independence.detect_measurable
-    real_counts = density.grid_counts
+def test_harness_counts_once_in_the_schedule_walk(monkeypatch):
+    # No counting walk of its own: one tally of both sequences, at the
+    # union of the members' last-window checkpoints, is filled by the
+    # schedule test's walk, and each (sequence, kappa) pair's
+    # measurability is read from it once.
+    tallies, calls = [], []
+    real_tally = independence.Tally
+    real_measurability = independence._measurability
 
-    def counting(seq, kappa, *args, **kwargs):
+    def tally(points, checkpoints, members):
+        tallies.append((np.asarray(checkpoints).tolist(), tuple(members)))
+        return real_tally(points, checkpoints, members)
+
+    def measurability(seq, kappa, *args):
         calls.append((seq.label, kappa.label))
-        return real(seq, kappa, *args, **kwargs)
+        return real_measurability(seq, kappa, *args)
 
-    def counting_reads(seqs, points, checkpoints):
-        reads.append((tuple(s.label for s in seqs), len(checkpoints)))
-        return real_counts(seqs, points, checkpoints)
+    def no_walk(*args, **kwargs):
+        raise AssertionError("a counting walk of its own")
 
-    monkeypatch.setattr(independence, "detect_measurable", counting)
-    for module in (independence, selection):
-        monkeypatch.setattr(module, "grid_counts", counting_reads)
+    monkeypatch.setattr(independence, "Tally", tally)
+    monkeypatch.setattr(independence, "_measurability", measurability)
+    monkeypatch.setattr(independence, "grid_counts", no_walk)
     seqs = [KroneckerSequence("sqrt2-1"), KroneckerSequence("sqrt3-1")]
-    labels = tuple(s.label for s in seqs)
     family = kappa_family_builder(2000)
     rep = equivalence_harness(seqs, default_battery(), family,
-                              [100, 1000, 2000], 0.02)
+                              [100, 1000, 2000], 0.02, window=4)
+    rows = np.unique(np.concatenate([k.checkpoints[-4:] for k in family]))
+    assert tallies == [(rows.tolist(), (0, 1))]
     assert len(calls) == len(set(calls))
     tested = [o.kappa_label for o in rep.outcomes if o.tested]
     assert tested
-    for label in tested:
-        assert all((s.label, label) in calls for s in seqs)
-    # One measurability read of the prefix per (sequence, kappa) pair, at
-    # every checkpoint, and one joint read per tested member, at the
-    # deepest checkpoint only.
-    by_label = {k.label: len(k) for k in family}
-    assert sorted(r for r in reads if len(r[0]) == 1) == sorted(
-        ((s,), by_label[k]) for s, k in calls)
-    assert [r for r in reads if len(r[0]) > 1] == [(labels, 1)] * len(tested)
+    assert {label for _, label in calls} == {k.label for k in family}
+    assert all((s.label, label) in calls for s in seqs for label in tested)

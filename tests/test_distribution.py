@@ -25,6 +25,7 @@ from statindep import (
     step_envelope,
     stieltjes,
 )
+from statindep.distribution import _merged_blocked
 
 
 def naturals(depth, stride=1):
@@ -57,6 +58,16 @@ class TestStepCDF:
     def test_heavy_atoms(self):
         F = StepCDF(np.array([0.2, 0.5]), np.array([0.999, 0.001]), UNIT)
         assert F.heavy_atoms(0.01).tolist() == [0.2]
+
+    def test_atom_of_mass_exactly_atom_tol_is_not_heavy(self):
+        # one strict rule: heavy_atoms and the grid's exclusions agree, so
+        # a grid point may sit on an atom of mass exactly atom_tol
+        F = StepCDF.from_counts(np.array([0.25, 0.5]), np.array([1, 999]),
+                                1000, UNIT)
+        assert F.masses[0] == 0.001
+        assert F.heavy_atoms(0.001).tolist() == [0.5]
+        assert _merged_blocked([F], 0.001) == [(0.5 - 0.001, 0.5 + 0.001)]
+        assert 0.25 in continuity_grid([F], 3, atom_tol=0.001).tolist()
 
     def test_json_shape(self):
         F = StepCDF(np.array([0.3]), np.array([1.0]), UNIT)

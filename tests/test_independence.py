@@ -15,6 +15,8 @@ from _brute import BLOCK, brute_forms, brute_rectangle_count
 from statindep import (
     AffineImageSequence,
     ConstantSequence,
+    Extraction,
+    FileSequence,
     FunctionBattery,
     Interval,
     IntervalError,
@@ -25,10 +27,12 @@ from statindep import (
     SubsequenceIndex,
     UNIT,
     VanDerCorputSequence,
+    continuity_grid,
     default_battery,
     delta_form,
     empirical_cdf,
     equivalence_harness,
+    helly_extract,
     indicator_below,
     kappa_family_builder,
     kappa_independence_test,
@@ -39,6 +43,9 @@ from statindep import (
 )
 from statindep.density import grid_counts
 from statindep import independence
+from statindep import density as density_module
+from statindep.reporting import canonical_json
+from statindep.sequences import _CHUNK
 from statindep.independence import MAX_TUPLE_ARITY
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -302,6 +309,7 @@ class TestEquivalenceHarness:
         ({"grid": []}, ValueError, "grid must be nonempty"),
         ({"grid": 0}, ValueError, "count must be >= 1"),
         ({"atom_tol": 0.0}, ValueError, "atom_tol must be positive"),
+        ({"grid": 9000}, ValueError, "counting table"),
     ])
     def test_bad_arguments_fail_before_the_schedule_test(
             self, monkeypatch, bad, error, message):
@@ -315,22 +323,40 @@ class TestEquivalenceHarness:
                                 kappa_family_builder(1000), [100, 1000],
                                 0.02, **bad)
 
-    def test_each_member_tested_through_kappa_independence_test(
+    def test_each_member_tested_through_the_rectangle_route(
             self, monkeypatch):
+        # the harness's rows go through the function that
+        # kappa_independence_test ends in, and give its reports
         calls = []
-        real = independence.kappa_independence_test
+        real = independence._rectangle_test
 
-        def spy(seqs, kappa, grid, tol, **kwargs):
-            calls.append((kappa.label, tol, kwargs))
-            return real(seqs, kappa, grid, tol, **kwargs)
+        def spy(seqs, kappa, grid, counts, tol, window, measurability_tol):
+            calls.append((kappa.label, counts.shape[0], tol, window,
+                          measurability_tol))
+            return real(seqs, kappa, grid, counts, tol, window,
+                        measurability_tol)
 
-        monkeypatch.setattr(independence, "kappa_independence_test", spy)
+        monkeypatch.setattr(independence, "_rectangle_test", spy)
         seqs = [make_block(0.0, 1.0, 2), KroneckerSequence("sqrt2-1")]
         family = kappa_family_builder(4096)
         rep = equivalence_harness(seqs, default_battery(), family,
                                   [100, 1000, 4096], 0.02, window=4)
         assert sorted(c[0] for c in calls) == sorted(k.label for k in family)
-        assert all(c[1:] == (0.04, {"window": 4}) for c in calls)
+        assert all(c[1:] == (4, 0.04, 4, 0.01) for c in calls)
+        monkeypatch.setattr(independence, "_rectangle_test", real)
+        by_label = {k.label: k for k in family}
+        for outcome in rep.outcomes:
+            kappa = by_label[outcome.kappa_label]
+            grid = continuity_grid([empirical_cdf(s, kappa) for s in seqs],
+                                   9)
+            if outcome.tested:
+                want = kappa_independence_test(seqs, kappa, grid, 0.04,
+                                               window=4)
+                assert outcome.report.to_json_obj() == want.to_json_obj()
+            else:
+                with pytest.raises(MeasurabilityError):
+                    kappa_independence_test(seqs, kappa, grid, 0.04,
+                                            window=4)
         skipped = [o for o in rep.outcomes if not o.tested]
         assert skipped and len(skipped) < len(family)
         assert all(o.skip_reason == f"sequence {seqs[0].label} not "
@@ -596,8 +622,6 @@ PEAK_LIMIT = 16 * 8 * BLOCK * independence._GROUP
 
 def _statind_peak(n):
     seqs = [make_block(0.0, 1.0, 2), KroneckerSequence("sqrt2-1")]
-    for s in seqs:
-        s.prefix(n)
     tracemalloc.start()
     try:
         statind_test(seqs, default_battery(), [n // 16, n // 4, n], 0.01)
@@ -607,12 +631,123 @@ def _statind_peak(n):
 
 
 def test_statind_test_peak_memory_is_bounded():
-    # the kernel holds block matrices and buffers of one group of blocks,
-    # never a column or product of length N, so its peak does not grow
-    # with N
+    # the kernel generates the values and holds block matrices and buffers
+    # of one group of blocks, never a column or product of length N, so
+    # its peak does not grow with N
     small, large = _statind_peak(1 << 18), _statind_peak(1 << 20)
     assert large <= small + (64 << 10), (small, large)
     assert large <= PEAK_LIMIT, large
+
+
+def _harness_peak(n):
+    seqs = [make_block(0.0, 1.0, 2), KroneckerSequence("sqrt2-1")]
+    family = [SubsequenceIndex(np.linspace(1, n, 64).astype(np.int64),
+                               name="spread"),
+              SubsequenceIndex(2 ** np.arange(0, n.bit_length()), name="pow2")]
+    tracemalloc.start()
+    try:
+        equivalence_harness(seqs, default_battery(), family,
+                            [n // 16, n // 4, n], 0.01,
+                            grid=np.linspace(0.1, 0.9, 9))
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_equivalence_harness_peak_memory_is_bounded():
+    # one walk generates both sequences for the schedule test and the
+    # counting table; nothing of length N is held
+    small, large = _harness_peak(1 << 18), _harness_peak(1 << 20)
+    assert large <= small + (64 << 10), (small, large)
+    assert large <= PEAK_LIMIT, large
+
+
+def test_harness_generates_each_index_once(monkeypatch):
+    # the constant-run scan reads one chunk of each Kronecker sequence,
+    # and the one walk reads the rest for both tests
+    seqs = [KroneckerSequence("sqrt2-1"), KroneckerSequence("sqrt3-1")]
+    generated = {}
+    for seq in seqs:
+        real = seq._eval_batch
+
+        def counting(ns, seq=seq, real=real):
+            generated[seq.label] = generated.get(seq.label, 0) + ns.size
+            return real(ns)
+
+        monkeypatch.setattr(seq, "_eval_batch", counting)
+    depth = 40_000
+    family = kappa_family_builder(depth)
+    rep = equivalence_harness(seqs, default_battery(), family,
+                              [100, 1000, 30_000], 0.02,
+                              grid=np.linspace(0.1, 0.9, 9))
+    assert all(o.tested for o in rep.outcomes)
+    assert generated == {s.label: depth + _CHUNK for s in seqs}
+
+
+def _two_walk_extract(seqs, extraction, schedule, tol, grid):
+    kappa = helly_extract(seqs, extraction.pool, grid, tol=extraction.tol,
+                          window=extraction.window,
+                          min_pool=extraction.min_pool)
+    return equivalence_harness(seqs, default_battery(), [kappa], schedule,
+                               tol, grid=grid)
+
+
+@pytest.mark.parametrize("grid", [np.linspace(0.1, 0.9, 9), 5])
+def test_harness_extraction_equals_the_two_walk_route(grid):
+    # extracting from the counts of the schedule walk gives the report of
+    # extracting first and testing the extracted index after
+    seqs = [make_block(0.0, 1.0, 2), KroneckerSequence("sqrt2-1")]
+    pool = SubsequenceIndex(np.unique(np.round(
+        2 ** (np.arange(8, 8 * 17) / 8)).astype(np.int64)), name="pool")
+    extraction = Extraction(pool)
+    schedule = [100, 1000, 50_000]
+    got = equivalence_harness(seqs, default_battery(), [extraction],
+                              schedule, 0.02, grid=grid)
+    if isinstance(grid, int):
+        points = continuity_grid([empirical_cdf(s, pool) for s in seqs], grid)
+        kappa = helly_extract(seqs, pool, points)
+        want = equivalence_harness(seqs, default_battery(), [kappa],
+                                   schedule, 0.02, grid=grid)
+    else:
+        want = _two_walk_extract(seqs, extraction, schedule, 0.02, grid)
+    assert [o.kappa_label for o in got.outcomes] == ["extract(pool)"]
+    assert canonical_json(got.to_json_obj()) == \
+        canonical_json(want.to_json_obj())
+
+
+def test_harness_extraction_when_the_pool_table_does_not_fit(monkeypatch):
+    # a joint table over the whole pool would exceed MAX_TABLE_CELLS while
+    # the marginal pool tables and the extracted index's rows fit: the
+    # extraction is made first, in a walk of its own
+    for module in (independence, density_module):
+        monkeypatch.setattr(module, "MAX_TABLE_CELLS", 1000)
+    seqs = [make_block(0.0, 1.0, 2), KroneckerSequence("sqrt2-1")]
+    pool = SubsequenceIndex(np.unique(np.round(
+        2 ** (np.arange(48, 112) / 8)).astype(np.int64)), name="pool")
+    extraction = Extraction(pool, window=5)
+    grid = np.linspace(0.1, 0.9, 9)
+    assert len(pool) * 10 ** 2 > 1000 >= len(pool) * 10
+    got = equivalence_harness(seqs, default_battery(), [extraction],
+                              [100, 5000], 0.02, grid=grid)
+    want = _two_walk_extract(seqs, extraction, [100, 5000], 0.02, grid)
+    assert canonical_json(got.to_json_obj()) == \
+        canonical_json(want.to_json_obj())
+
+
+def test_harness_extraction_with_a_sequence_shorter_than_the_pool():
+    # a finite sequence that ends before the pool's deepest checkpoint is
+    # counted only as far as it reaches, in an extraction of its own
+    first = FileSequence(np.repeat([0.0, 1.0], [60, 40]), UNIT, "first.txt")
+    short = FileSequence(np.linspace(0.0, 1.0, 60), UNIT, "short.txt")
+    extraction = Extraction(SubsequenceIndex(range(1, 101)), tol=0.01,
+                            min_pool=1)
+    grid = np.array([0.5])
+    got = equivalence_harness([first, short], default_battery(),
+                              [extraction], [10, 60], 0.02, grid=grid)
+    want = _two_walk_extract([first, short], extraction, [10, 60], 0.02,
+                             grid)
+    assert canonical_json(got.to_json_obj()) == \
+        canonical_json(want.to_json_obj())
 
 
 def test_unit_interval_x_shares_the_prefix():

@@ -89,7 +89,7 @@ class TestKronecker:
         for n in (1, 7, 199, 200):
             assert seq.eval(n) == pre[n - 1]
 
-    def test_prefix_cache_is_reused(self):
+    def test_prefix_is_consistent_and_read_only(self):
         seq = KroneckerSequence("golden")
         a = seq.prefix(50).values
         b = seq.prefix(30).values
@@ -411,7 +411,7 @@ def test_prefix_consistency_across_lengths(n1, n2):
     assert np.array_equal(a[:m], b[:m])
 
 
-# -- chunked, incrementally extended prefixes ---------------------------------
+# -- chunks and chunked prefixes -----------------------------------------------
 
 def _one_of_each_kind():
     rng = np.random.default_rng(7)
@@ -438,7 +438,7 @@ def test_prefix_equals_one_shot_evaluation_bitwise(kind):
     for n in (1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 3):
         seq = _one_of_each_kind()[kind]
         assert _same_bits(seq.prefix(n).values, _one_shot(seq, n)), n
-    # one cache grown in three steps, read back at every length
+    # one instance read at three lengths, then at every length again
     seq = _one_of_each_kind()[kind]
     lengths = (1000, _CHUNK + 5, 3 * _CHUNK + 7)
     for n in lengths:
@@ -456,26 +456,51 @@ def test_range_violation_in_a_later_chunk_cites_its_index():
     seq.prefix(_CHUNK)
     with pytest.raises(RangeViolation, match=f"at n={bad + 1} "):
         seq.prefix(3 * _CHUNK)
-    # the failed extension left the cache as it was
+    # the prefix short of the bad value is still there
     assert seq.prefix(bad).values.size == bad
     with pytest.raises(RangeViolation, match=f"at n={bad + 1} "):
         seq.prefix(bad + 1)
 
 
-def test_prefix_evaluates_only_new_indices():
+def test_chunks_evaluate_each_index_once_in_aligned_blocks():
     seq = KroneckerSequence("golden")
     calls = []
     evaluate = seq._eval_batch
-    seq._eval_batch = lambda ns: (calls.append(ns.copy()), evaluate(ns))[1]
-    seq.prefix(100)
-    seq.prefix(50)
-    seq.prefix(100)
-    assert [c.tolist() for c in calls] == [list(range(1, 101))]
-    calls.clear()
-    seq.prefix(2 * _CHUNK + 300)
-    assert all(c.size <= _CHUNK for c in calls)
-    assert np.array_equal(np.concatenate(calls),
-                          np.arange(101, 2 * _CHUNK + 301))
+    seq._eval_batch = lambda ns: (calls.append(ns.tolist()), evaluate(ns))[1]
+    lo, hi = 100, 2 * _CHUNK + 300
+    got = list(seq.chunks(lo, hi))
+    # blocks end at multiples of _CHUNK: one partial block, one whole
+    # block, and the tail
+    assert calls == [list(range(lo + 1, _CHUNK + 1)),
+                     list(range(_CHUNK + 1, 2 * _CHUNK + 1)),
+                     list(range(2 * _CHUNK + 1, hi + 1))]
+    assert [c.size for c in got] == [len(c) for c in calls]
+    assert list(seq.chunks(5, 5)) == []
+    with pytest.raises(IndexError):
+        seq.chunks(6, 5)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(SEQUENCE_KINDS)),
+       st.integers(0, 3 * _CHUNK + 10), st.integers(0, 2 * _CHUNK))
+def test_chunks_equal_prefix_bitwise_across_chunk_edges(kind, lo, size):
+    seq = _one_of_each_kind()[kind]
+    hi = min(lo + size, 3 * _CHUNK + 10)
+    chunks = list(seq.chunks(lo, hi))
+    assert all(c.size <= _CHUNK for c in chunks)
+    got = np.concatenate(chunks) if chunks else np.empty(0)
+    want = seq.prefix(hi).values[lo:] if hi else np.empty(0)
+    assert _same_bits(got, want)
+
+
+def test_chunks_past_a_finite_end_fail_at_once():
+    seq = FileSequence(np.full(10, 0.5), UNIT, "ten")
+    calls = []
+    seq._eval_batch = lambda ns: calls.append(ns)
+    with pytest.raises(SequenceExhausted,
+                       match=r"prefix of length 11 beyond sequence length 10"):
+        seq.chunks(0, 11)
+    assert calls == []
 
 
 # -- vectorized file parsing ---------------------------------------------------
