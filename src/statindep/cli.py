@@ -34,8 +34,9 @@ from .reporting import fmt_float, write_csv, write_json
 from .selection import DEFAULT_MIN_POOL, DEFAULT_TOL, DEFAULT_WINDOW, \
     KAPPA_FAMILY, Extraction, _measurability, _pool_counts, helly_extract, \
     kappa_family_builder
-from .sequences import BoundedSequence, Interval, _fail, _norm_float, \
-    _norm_floats, _norm_int, from_spec as sequence_from_spec, normalize_spec
+from .sequences import BoundedSequence, Interval, MaterializedSequence, \
+    _fail, _norm_float, _norm_floats, _norm_int, \
+    from_spec as sequence_from_spec, normalize_spec
 from .subsequence import SubsequenceIndex
 
 BUILTIN_BATTERY = default_battery().names
@@ -338,8 +339,9 @@ def cmd_distribution(args) -> int:
     seq = _single_sequence(spec, "distribution")
     battery = build_battery(spec, seq.interval)
     deepest = spec.schedule[-1]
-    # One prefix for every CDF, and one kernel walk for every mean: the
-    # products of single-member tuples are the members' means.
+    # One prefix for every CDF and for the one kernel walk of every mean:
+    # the products of single-member tuples are the members' means.
+    seq = MaterializedSequence(seq, deepest)
     values = seq.prefix(deepest).values
     deepest_cdf = StepCDF.from_values(values, seq.interval)
     grid = resolve_grid(spec, seq.interval, cdfs=lambda: [deepest_cdf])
@@ -424,6 +426,10 @@ def cmd_extract(args) -> int:
     seqs = build_sequences(spec)
     tol, window = spec.tolerances["tol"], spec.tolerances["window"]
     pool = resolve_pool(spec, args.depth)
+    # Each report's limit CDF sorts a whole prefix along kappa, a subset of
+    # the pool: each sequence is generated once, up to the pool's deepest
+    # checkpoint, for the CDFs along the pool, the counts and those.
+    seqs = [MaterializedSequence(s, pool.deepest) for s in seqs]
     grid = resolve_grid(spec, seqs[0].interval,
                         cdfs=lambda: [empirical_cdf(s, pool) for s in seqs])
     # One walk counts the pool; the extraction and each measurability

@@ -24,13 +24,14 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .density import (MAX_TABLE_CELLS, Tally, check_table_size, grid_counts,
+from .density import (MAX_TABLE_CELLS, Tally, check_table_size, fill,
                       marginal)
 from .distribution import continuity_grid, empirical_cdf
 from .errors import IntervalError, MeasurabilityError
 from .selection import (DEFAULT_TOL, DEFAULT_WINDOW, Extraction, check_grid,
                         _check_window, _measurability)
-from .sequences import _CHUNK, BoundedSequence, Interval, UNIT, walk
+from .sequences import (_CHUNK, BoundedSequence, Interval,
+                        MaterializedSequence, UNIT, walk)
 from .subsequence import SubsequenceIndex
 
 MAX_TUPLE_ARITY = 5
@@ -584,12 +585,13 @@ def kappa_independence_test(seqs: Sequence[BoundedSequence],
     MeasurabilityError, whose ``report`` is its failing report, traced at
     kappa's last ``window`` checkpoints (all that its verdict reads).
 
-    One :func:`grid_counts` table at those checkpoints holds every count
-    used: its one-dimensional marginals decide measurability, and its
-    deepest row gives the exact count of every corner and, from its
-    marginals, the marginal CDF values.  Every density and CDF value is
-    the single division count / k.  The equivalence harness takes the same
-    route from the rows of its own counting tables.
+    One walk (:func:`density.fill`) counts every sequence on its own at
+    those checkpoints, which decides measurability and gives the marginal
+    CDF values, and all of them jointly at the deepest checkpoint only,
+    which gives the exact count of every corner: a (G+1)^m table of one
+    row.  Every density and CDF value is the single division count / k.
+    The equivalence harness takes the same route from the rows of its own
+    counting tables.
     """
     if len(seqs) == 0:
         raise ValueError("need at least one sequence")
@@ -604,21 +606,28 @@ def kappa_independence_test(seqs: Sequence[BoundedSequence],
     _check_window(kappa, window)
     if measurability_tol <= 0:
         raise ValueError(f"tol must be positive, got {measurability_tol}")
-    counts = grid_counts(seqs, np.unique(grid), kappa.checkpoints[-window:])
-    return _rectangle_test(seqs, kappa, grid, counts, tol, window,
-                           measurability_tol)
+    points, rows = np.unique(grid), kappa.checkpoints[-window:]
+    tallies = [Tally(points, rows, [r]) for r in range(m)]
+    joint = Tally(points, rows[-1:], range(m))
+    fill(seqs, tallies + [joint])
+    return _rectangle_test(seqs, kappa, grid, [t.table() for t in tallies],
+                           joint.table()[0], tol, window, measurability_tol)
 
 
 def _rectangle_test(seqs: Sequence[BoundedSequence], kappa: SubsequenceIndex,
-                    grid: np.ndarray, counts: np.ndarray, tol: float,
-                    window: int, measurability_tol: float) -> RectangleReport:
+                    grid: np.ndarray, marginals: Sequence[np.ndarray],
+                    joint: np.ndarray, tol: float, window: int,
+                    measurability_tol: float) -> RectangleReport:
     """The measurability verdicts and rectangle report along ``kappa``
-    from ``counts``, a :class:`density.Tally` table of every sequence over
-    the sorted unique grid points at kappa's last ``window`` checkpoints.
+    from counts over the sorted unique grid points: ``marginals[r]``
+    holds sequence r's counts at kappa's last ``window`` checkpoints, in
+    the layout of :func:`density.marginal`, and ``joint`` the joint counts
+    of every sequence at kappa's deepest checkpoint, in the layout of one
+    row of a :class:`density.Tally` table.
     """
     m, depth = len(seqs), kappa.deepest
     for r, s in enumerate(seqs):
-        report = _measurability(s, kappa, grid, marginal(counts, r),
+        report = _measurability(s, kappa, grid, marginals[r],
                                 measurability_tol, window)
         if not report.measurable:
             worst = float(np.max(report.oscillations))
@@ -628,12 +637,11 @@ def _rectangle_test(seqs: Sequence[BoundedSequence], kappa: SubsequenceIndex,
                 f"{measurability_tol:g}", report=report)
 
     position = np.unique(grid, return_inverse=True)[1]
-    table = counts[-1]
-    densities = (table[np.ix_(*[position] * m)] / depth).ravel()
+    densities = (joint[np.ix_(*[position] * m)] / depth).ravel()
     # Left-to-right products, as np.prod of the per-corner CDF values.
     products = np.ones(())
     for r in range(m):
-        cdf = marginal(counts, r)[-1, position] / depth
+        cdf = marginals[r][-1, position] / depth
         products = np.multiply.outer(products, cdf)
     products = products.ravel()
 
@@ -687,14 +695,9 @@ class EquivalenceReport:
         }
 
 
-def _pool_in_walk(seqs: Sequence[BoundedSequence], pool: SubsequenceIndex,
-                  points: np.ndarray) -> bool:
-    """Whether the harness's walk can count ``pool`` for an Extraction:
-    one joint table over the whole pool fits, and every sequence reaches
-    the pool's deepest checkpoint."""
-    cells = len(pool) * (np.unique(points).size + 1) ** len(seqs)
-    return cells <= MAX_TABLE_CELLS and all(
-        s.length is None or s.length >= pool.deepest for s in seqs)
+def _rows(tally: Tally, checkpoints: np.ndarray) -> np.ndarray:
+    """The rows of ``tally``'s table at these of its checkpoints."""
+    return tally.table()[np.searchsorted(tally.checkpoints, checkpoints)]
 
 
 def equivalence_harness(seqs: Sequence[BoundedSequence],
@@ -708,88 +711,136 @@ def equivalence_harness(seqs: Sequence[BoundedSequence],
     """Run both tests and check that their verdicts agree.
 
     A family member is an index or an :class:`selection.Extraction`, which
-    is extracted from its pool once the pool is counted.  Every count comes
-    from the walk that runs the schedule test: one :class:`density.Tally`
-    of every sequence per distinct grid, at the union of the checkpoints
-    anything reads (each index's last ``window`` checkpoints and each
-    Extraction's whole pool).  Each member's rectangle test, with
-    tolerance ``2*tol``, then takes its rows the way
+    is extracted from its pool once the pool is counted.  The counts come
+    from the walk that runs the schedule test, into :class:`density.Tally`
+    tables per distinct grid: each sequence on its own at each index's
+    last ``window`` checkpoints, and all of them jointly at each index's
+    deepest checkpoint and at each Extraction's whole pool.  Each member's
+    rectangle test, with tolerance ``2*tol``, then takes its rows the way
     :func:`kappa_independence_test` takes its own; a member along which a
     sequence is not measurable is recorded as skipped, naming the
     sequence.  A counterexample is a tested member whose rectangle
     verdict contradicts a decisive schedule verdict.
 
+    The walk's joint tables share ``MAX_TABLE_CELLS`` cells, taken in
+    family order.  An index whose joint row does not fit in what is left
+    is tested by :func:`kappa_independence_test`, in a walk of its own,
+    after the schedule test.  An Extraction whose pool table does not fit,
+    or whose pool runs past a finite sequence's end, is extracted first,
+    in a walk of its own, and then counted as an index.
+
     An int ``grid`` is a count: each member's corners are then
     :func:`continuity_grid` of that many points, clear of the atoms of
-    every sequence's empirical CDF along the member, and an Extraction
-    uses such a grid along its pool.  Those CDFs materialize prefixes
-    before the walk, and the Extraction is then made before the walk, in
-    a walk of its own, as it is when a finite sequence ends before its
-    pool does or a joint table over the whole pool would exceed
-    ``MAX_TABLE_CELLS``.  Anything else is the grid points for every
-    member.  The schedule test uses ``tol``, and measurability
-    ``selection.DEFAULT_TOL``.
+    every sequence's empirical CDF along the member, and an Extraction is
+    extracted first, along such a grid for its pool.  Those CDFs sort
+    whole prefixes, so each sequence is then generated once, up to the
+    deepest checkpoint or schedule point anything reads, and kept
+    (:class:`sequences.MaterializedSequence`) for every CDF and walk.
+    Anything else is the grid points for every member.  The schedule test
+    uses ``tol``, and measurability ``selection.DEFAULT_TOL``.
     Every argument, and the size of every table, is checked before the
-    schedule test runs.
+    schedule test runs, and that of one joint row before any grid is
+    placed.
     """
     if not kappa_family:
         raise ValueError("kappa family must be nonempty")
     # Reject bad arguments before the schedule test runs the whole
     # battery, with the errors the later steps would raise.
-    _check_schedule_args(seqs, battery, schedule, tol)
+    schedule = _check_schedule_args(seqs, battery, schedule, tol)
+    m = len(seqs)
     count = isinstance(grid, numbers.Integral)
     if count:
         # continuity_grid's own checks of the count and atom_tol
         continuity_grid([], grid, atom_tol=atom_tol,
                         interval=seqs[0].interval)
-        # before any grid is placed: a member's own rows must fit
-        for member in kappa_family:
-            rows = member.pool if isinstance(member, Extraction) else member
-            check_table_size(min(window, len(rows)), grid, len(seqs))
     points = check_grid(seqs[0], None if count else grid, window)
+    check_table_size(1, grid if count else np.unique(points).size, m)
+    for member in kappa_family:
+        if not isinstance(member, Extraction):
+            _check_window(member, window)
+    if count:
+        depth = max([schedule[-1]] + [
+            (k.pool if isinstance(k, Extraction) else k).deepest
+            for k in kappa_family])
+        seqs = [MaterializedSequence(s, depth) for s in seqs]
 
-    def grid_along(kappa: SubsequenceIndex | Extraction) -> np.ndarray:
+    def grid_along(kappa: SubsequenceIndex) -> np.ndarray:
         if not count:
             return points
         return continuity_grid([empirical_cdf(s, kappa) for s in seqs],
                                grid, atom_tol=atom_tol)
 
-    # Each member with its grid, and the checkpoints it reads per grid.
-    members, plans = [], {}
-    for member in kappa_family:
-        if isinstance(member, Extraction) and (
-                count or not _pool_in_walk(seqs, member.pool, points)):
-            member = member.extract(seqs, grid_along(member.pool))
-        if isinstance(member, Extraction):
-            rows = member.pool.checkpoints
-        else:
-            _check_window(member, window)
-            rows = member.checkpoints[-window:]
-        member_grid = grid_along(member)
+    # Per distinct grid, the checkpoints at which the walk counts each
+    # sequence on its own and all of them jointly.
+    plans: dict[bytes, SimpleNamespace] = {}
+    free = MAX_TABLE_CELLS
+
+    def plan(member_grid, marginal_rows, joint_rows):
+        """The plan of ``member_grid`` with these rows added, or None when
+        its new joint rows do not fit in the cells left."""
+        nonlocal free
         unique = np.unique(member_grid)
-        members.append((member, member_grid, unique.tobytes()))
-        plans.setdefault(unique.tobytes(), (unique, []))[1].append(rows)
-    tallies = {key: Tally(unique, np.unique(np.concatenate(rows)),
-                          range(len(seqs)))
-               for key, (unique, rows) in plans.items()}
-    statind = statind_test(seqs, battery, schedule, tol,
-                           tallies=list(tallies.values()))
+        found = plans.get(unique.tobytes()) or SimpleNamespace(
+            points=unique, marginal_rows=[], joint_rows=joint_rows[:0])
+        rows = np.union1d(found.joint_rows, joint_rows)
+        cells = (rows.size - found.joint_rows.size) * (unique.size + 1) ** m
+        if cells > free:
+            return None
+        free -= cells
+        found.marginal_rows += marginal_rows
+        found.joint_rows = rows
+        plans[unique.tobytes()] = found
+        return found
+
+    members = []
+    for member in kappa_family:
+        if isinstance(member, Extraction):
+            pool = member.pool
+            reached = all(s.length is None or s.length >= pool.deepest
+                          for s in seqs)
+            found = plan(points, [], pool.checkpoints) \
+                if reached and not count else None
+            if found is not None:
+                members.append((member, points, found))
+                continue
+            member = member.extract(seqs, grid_along(pool))
+            _check_window(member, window)
+        member_grid = grid_along(member)
+        members.append((member, member_grid,
+                        plan(member_grid, [member.checkpoints[-window:]],
+                             member.checkpoints[-1:])))
+    tallies = []
+    for found in plans.values():
+        rows = found.marginal_rows
+        found.marginals = [
+            Tally(found.points, np.unique(np.concatenate(rows)), [r])
+            for r in range(m)] if rows else []
+        found.joint = Tally(found.points, found.joint_rows, range(m))
+        tallies += found.marginals + [found.joint]
+    statind = statind_test(seqs, battery, schedule, tol, tallies=tallies)
 
     outcomes: list[KappaOutcome] = []
-    for kappa, member_grid, key in members:
-        tally = tallies[key]
+    for kappa, member_grid, found in members:
         if isinstance(kappa, Extraction):
-            rows = np.searchsorted(tally.checkpoints, kappa.pool.checkpoints)
-            pool_table = tally.table()[rows]
+            # the joint rows over the pool hold every count it reads
+            pool_table = _rows(found.joint, kappa.pool.checkpoints)
             kappa = kappa.extract(seqs, member_grid, counts=[
-                marginal(pool_table, r) for r in range(len(seqs))])
+                marginal(pool_table, r) for r in range(m)])
             _check_window(kappa, window)
-        rows = np.searchsorted(tally.checkpoints, kappa.checkpoints[-window:])
+            window_table = _rows(found.joint, kappa.checkpoints[-window:])
+            marginals = [marginal(window_table, r) for r in range(m)]
+        elif found is not None:
+            marginals = [_rows(t, kappa.checkpoints[-window:])
+                         for t in found.marginals]
         report = skip_reason = None
         try:
-            report = _rectangle_test(seqs, kappa, member_grid,
-                                     tally.table()[rows], 2 * tol, window,
-                                     DEFAULT_TOL)
+            if found is None:
+                report = kappa_independence_test(seqs, kappa, member_grid,
+                                                 2 * tol, window=window)
+            else:
+                joint = _rows(found.joint, kappa.checkpoints[-1:])[0]
+                report = _rectangle_test(seqs, kappa, member_grid, marginals,
+                                         joint, 2 * tol, window, DEFAULT_TOL)
         except MeasurabilityError as err:
             skip_reason = (f"sequence {err.report.sequence_label} not "
                            f"measurable along {kappa.label}")

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import math
-import re
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -90,53 +89,18 @@ def _cell(value) -> str:
     return str(value)
 
 
-def _quote(field: str) -> str:
-    if _NEEDS_QUOTES.search(field):
-        return '"' + field.replace('"', '""') + '"'
-    return field
-
-
-_NEEDS_QUOTES = re.compile(r'[,"\n\r]')
-_FAST_FORMATS = {int: "%d", float: "%.17g", str: "%s"}
-
-
-def _row_format(kinds: tuple) -> tuple | None:
-    """For rows whose cells have exactly these types, all int, float or
-    str: one %-format rendering them as ``_cell`` would, and the positions
-    of the floats and strs; None for any other row."""
-    if not all(kind in _FAST_FORMATS for kind in kinds):
-        return None
-    return (",".join(_FAST_FORMATS[kind] for kind in kinds),
-            [i for i, kind in enumerate(kinds) if kind is float],
-            [i for i, kind in enumerate(kinds) if kind is str])
-
-
 def csv_text(header: Sequence[str], rows: Iterable[Sequence]) -> str:
     """CSV with minimal quoting: fields containing ',', '\"', or newlines
-    are double-quoted with embedded quotes doubled.
+    are double-quoted with embedded quotes doubled."""
 
-    A row of plain ints, floats and strs is rendered by one %-format
-    (``%.17g`` is ``FLOAT_FORMAT``) when its floats are finite and no str
-    needs quoting; every other row, cell by cell, raising for a
-    non-finite value.  Both give the same bytes.
-    """
-    lines = [",".join(_quote(h) for h in header)]
-    formats: dict = {}
+    def quote(field: str) -> str:
+        if any(ch in field for ch in ",\"\n\r"):
+            return '"' + field.replace('"', '""') + '"'
+        return field
+
+    lines = [",".join(quote(h) for h in header)]
     for row in rows:
-        kinds = tuple(map(type, row))
-        if kinds not in formats:
-            formats[kinds] = _row_format(kinds)
-        fast = formats[kinds]
-        if fast is not None:
-            fmt, floats, strs = fast
-            row = tuple(row)
-            # a sum of finite floats that overflows only sends the row
-            # down the cell-by-cell path
-            if math.isfinite(sum([row[i] for i in floats])) and not any(
-                    _NEEDS_QUOTES.search(row[i]) for i in strs):
-                lines.append(fmt % row)
-                continue
-        lines.append(",".join(_quote(_cell(v)) for v in row))
+        lines.append(",".join(quote(_cell(v)) for v in row))
     return "\n".join(lines) + "\n"
 
 

@@ -256,13 +256,11 @@ class Extraction:
     pool: SubsequenceIndex
     tol: float = DEFAULT_TOL
     window: int = DEFAULT_WINDOW
-    min_pool: int = DEFAULT_MIN_POOL
 
     def extract(self, seqs: Sequence[BoundedSequence], grid: np.ndarray,
                 counts: Sequence[np.ndarray] | None = None) -> SubsequenceIndex:
         return helly_extract(seqs, self.pool, grid, tol=self.tol,
-                             window=self.window, min_pool=self.min_pool,
-                             counts=counts)
+                             window=self.window, counts=counts)
 
 
 def kappa_family_builder(base_depth: int, seed: int = 0) -> list[SubsequenceIndex]:

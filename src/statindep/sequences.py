@@ -72,11 +72,13 @@ _CHUNK = 1 << 13
 class BoundedSequence:
     """Deterministic real sequence v(1), v(2), ... inside a fixed interval.
 
-    Evaluation is pure and nothing is cached: instances may be shared
-    across concurrent readers with no synchronization.  The analyses read
-    values through :meth:`chunks` (see also :func:`walk`), a block of
-    ``_CHUNK`` indices at a time; :meth:`prefix` materializes a whole
-    prefix for callers that need one array.
+    Evaluation is pure and nothing is cached (a
+    :class:`MaterializedSequence` keeps only the read-only prefix it is
+    made with): instances may be shared across concurrent readers with no
+    synchronization.  The analyses read values through :meth:`chunks`
+    (see also :func:`walk`), a block of ``_CHUNK`` indices at a time;
+    :meth:`prefix` materializes a whole prefix for callers that need one
+    array.
     """
 
     def __init__(self, interval: Interval, kind: str, label: str,
@@ -178,6 +180,45 @@ class PrefixView:
     values: np.ndarray
     source: BoundedSequence
     n: int
+
+
+class MaterializedSequence(BoundedSequence):
+    """``source`` with its first ``n`` terms (all of them, for a shorter
+    finite source) generated once and kept.
+
+    For callers that must read whole prefixes anyway, such as empirical
+    CDFs along several indices: chunks and prefixes within the kept terms
+    are read-only slices of them, and anything past them is evaluated by
+    ``source``.  Interval, label and length are the source's, so every
+    value, report and error is the same as reading ``source``.
+    """
+
+    def __init__(self, source: BoundedSequence, n: int):
+        if source.length is not None:
+            n = min(n, source.length)
+        self.source = source
+        self.values = source.prefix(n).values
+        super().__init__(source.interval, source.kind, source.label,
+                         source.length)
+
+    def _eval_batch(self, ns: np.ndarray) -> np.ndarray:
+        if ns.max(initial=0) <= self.values.size:
+            return self.values[ns - 1]
+        return self.source._eval_batch(ns)
+
+    def _chunks(self, lo: int, hi: int) -> Iterator[np.ndarray]:
+        if hi > self.values.size:
+            yield from self.source._chunks(lo, hi)
+            return
+        while lo < hi:
+            stop = min((lo // _CHUNK + 1) * _CHUNK, hi)
+            yield self.values[lo:stop]
+            lo = stop
+
+    def prefix(self, n: int) -> PrefixView:
+        if not 1 <= n <= self.values.size:
+            return super().prefix(n)
+        return PrefixView(values=self.values[:n], source=self, n=n)
 
 
 def walk(seqs: Sequence[BoundedSequence], depths: Sequence[int],

@@ -1,6 +1,6 @@
 """Brute-force references, independent of the library's fast paths.
 
-Each count is a plain boolean mask over the cached prefix, reduced by
+Each count is a plain boolean mask over a materialized prefix, reduced by
 ``np.count_nonzero`` or an integer cumulative sum; tests demand exact
 equality between these and the library's ``grid_counts`` route.
 ``brute_forms`` evaluates one schedule-test tuple at a time by the

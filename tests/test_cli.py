@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from statindep import (
+    BlockSequence,
+    KroneckerSequence,
     SpecError,
     SubsequenceIndex,
     UNIT,
@@ -358,6 +360,31 @@ class TestDistribution:
             ["N", "function", "mean", "stieltjes", "abs_diff"], weyl_rows)
 
 
+    def test_each_index_generated_once(self, tmp_path, monkeypatch):
+        # every CDF and the one kernel walk of every mean read one prefix
+        generated = _count_generation(monkeypatch)
+        spec = write_spec(tmp_path, {"sequences": [KRON],
+                                     "schedule": [10, 8193, 20001],
+                                     "outputs": {"basename": "d"}})
+        assert main(["distribution", "--spec", spec,
+                     "--out", str(tmp_path)]) == 0
+        assert generated == {"kronecker": 20001}
+
+
+def _count_generation(monkeypatch) -> dict:
+    """Terms generated per sequence kind, by every instance from now on."""
+    generated = {}
+    for cls in (KroneckerSequence, BlockSequence):
+        real = cls._eval_batch
+
+        def counting(self, ns, real=real):
+            generated[self.kind] = generated.get(self.kind, 0) + ns.size
+            return real(self, ns)
+
+        monkeypatch.setattr(cls, "_eval_batch", counting)
+    return generated
+
+
 class TestIndependence:
     def spec_pair(self, tmp_path, **overrides):
         obj = {
@@ -507,6 +534,19 @@ class TestExtract:
             canonical_json(kappa.to_json_obj())
         assert (tmp_path / "x_measurability.json").read_text() == \
             canonical_json([r.to_json_obj() for r in reports])
+
+    def test_each_index_generated_once(self, tmp_path, monkeypatch):
+        # the pool's CDFs, its counts and the limit CDFs read one kept
+        # prefix per sequence
+        generated = _count_generation(monkeypatch)
+        seqs = [{"kind": "block",
+                 "params": {"low": 0.0, "high": 1.0, "growth": 2}}, KRON]
+        spec = write_spec(tmp_path, {"sequences": seqs, "kappa": "extract",
+                                     "grid": 5, "outputs": {"basename": "x"}})
+        assert main(["extract", "--spec", spec, "--out", str(tmp_path),
+                     "--depth", "100000"]) == 0
+        assert generated == {"block": _derived_pool(100000).deepest,
+                             "kronecker": _derived_pool(100000).deepest}
 
     def test_requires_extract_kappa(self, tmp_path, capsys):
         spec = write_spec(tmp_path, {"sequences": [KRON]})

@@ -221,6 +221,23 @@ class TestKappaIndependence:
             c = brute_rectangle_count([v1, v2], corner, kappa.deepest)
             assert density == c / kappa.deepest
 
+    def test_five_sequences_need_one_joint_row(self, monkeypatch):
+        # measurability reads each sequence's own counts at the window's
+        # checkpoints; only the deepest needs the joint (G+1)^m table, so
+        # a grid whose joint table fits once but not window times runs
+        seqs = [KroneckerSequence("sqrt2-1"), KroneckerSequence("sqrt3-1"),
+                KroneckerSequence("golden"), VanDerCorputSequence(2),
+                VanDerCorputSequence(3)]
+        kappa, grid = naturals(2048, 64), np.array([0.3, 0.5, 0.7])
+        want = kappa_independence_test(seqs, kappa, grid, 0.05)
+        monkeypatch.setattr(density_module, "MAX_TABLE_CELLS", 2 * 4 ** 5)
+        got = kappa_independence_test(seqs, kappa, grid, 0.05)
+        assert canonical_json(got.to_json_obj()) == \
+            canonical_json(want.to_json_obj())
+        for corner, density in zip(got.corners[::17], got.densities[::17]):
+            count = brute_rectangle_count(seqs, corner, kappa.deepest)
+            assert density == count / kappa.deepest
+
     def test_unmeasurable_sequence_named(self):
         blk = make_block(0.0, 1.0, 2)
         pow2 = SubsequenceIndex(2 ** np.arange(0, 14), name="pow2")
@@ -330,10 +347,12 @@ class TestEquivalenceHarness:
         calls = []
         real = independence._rectangle_test
 
-        def spy(seqs, kappa, grid, counts, tol, window, measurability_tol):
-            calls.append((kappa.label, counts.shape[0], tol, window,
-                          measurability_tol))
-            return real(seqs, kappa, grid, counts, tol, window,
+        def spy(seqs, kappa, grid, marginals, joint, tol, window,
+                measurability_tol):
+            # window rows of each sequence's own counts, one joint row
+            calls.append((kappa.label, [c.shape[0] for c in marginals],
+                          joint.ndim, tol, window, measurability_tol))
+            return real(seqs, kappa, grid, marginals, joint, tol, window,
                         measurability_tol)
 
         monkeypatch.setattr(independence, "_rectangle_test", spy)
@@ -342,7 +361,7 @@ class TestEquivalenceHarness:
         rep = equivalence_harness(seqs, default_battery(), family,
                                   [100, 1000, 4096], 0.02, window=4)
         assert sorted(c[0] for c in calls) == sorted(k.label for k in family)
-        assert all(c[1:] == (4, 0.04, 4, 0.01) for c in calls)
+        assert all(c[1:] == ([4, 4], 2, 0.04, 4, 0.01) for c in calls)
         monkeypatch.setattr(independence, "_rectangle_test", real)
         by_label = {k.label: k for k in family}
         for outcome in rep.outcomes:
@@ -684,10 +703,66 @@ def test_harness_generates_each_index_once(monkeypatch):
     assert generated == {s.label: depth + _CHUNK for s in seqs}
 
 
+def test_harness_joint_rows_that_do_not_fit_take_walks_of_their_own(
+        monkeypatch):
+    # The walk keeps one joint row per distinct deepest checkpoint, within
+    # MAX_TABLE_CELLS in all; a member whose row no longer fits is tested
+    # by kappa_independence_test after the schedule test, with the same
+    # report.
+    seqs = [KroneckerSequence("sqrt2-1"), KroneckerSequence("sqrt3-1"),
+            KroneckerSequence("golden"), VanDerCorputSequence(2),
+            VanDerCorputSequence(3)]
+    battery = FunctionBattery(default_battery().members[:2])
+    family = kappa_family_builder(2000)
+    grid = np.array([0.3, 0.5, 0.7])
+
+    def run():
+        return canonical_json(equivalence_harness(
+            seqs, battery, family, [100, 2000], 0.05, grid=grid).to_json_obj())
+
+    want = run()
+    own_walks = []
+    real = independence.kappa_independence_test
+
+    def spy(seqs, kappa, *args, **kwargs):
+        own_walks.append(kappa.label)
+        return real(seqs, kappa, *args, **kwargs)
+
+    monkeypatch.setattr(independence, "kappa_independence_test", spy)
+    for module in (independence, density_module):
+        monkeypatch.setattr(module, "MAX_TABLE_CELLS", 4 ** 5)
+    assert run() == want
+    first = family[0].deepest
+    assert sorted(own_walks) == sorted(k.label for k in family
+                                       if k.deepest != first)
+    assert len(own_walks) < len(family)
+
+
+def test_count_grid_harness_generates_each_index_once(monkeypatch):
+    # empirical CDFs along every member and the pool, the extraction and
+    # the schedule walk all read one kept prefix per sequence
+    seqs = [make_block(0.0, 1.0, 2), KroneckerSequence("sqrt2-1")]
+    generated = {}
+    for seq in seqs:
+        real = seq._eval_batch
+
+        def counting(ns, seq=seq, real=real):
+            generated[seq.label] = generated.get(seq.label, 0) + ns.size
+            return real(ns)
+
+        monkeypatch.setattr(seq, "_eval_batch", counting)
+    pool = SubsequenceIndex(np.unique(np.round(
+        2 ** (np.arange(8, 8 * 17) / 8)).astype(np.int64)), name="pool")
+    family = [Extraction(pool), naturals(30_000, 300)]
+    rep = equivalence_harness(seqs, default_battery(), family,
+                              [100, 1000, 20_000], 0.02, grid=5)
+    assert len(rep.outcomes) == 2
+    assert generated == {s.label: pool.deepest for s in seqs}
+
+
 def _two_walk_extract(seqs, extraction, schedule, tol, grid):
     kappa = helly_extract(seqs, extraction.pool, grid, tol=extraction.tol,
-                          window=extraction.window,
-                          min_pool=extraction.min_pool)
+                          window=extraction.window)
     return equivalence_harness(seqs, default_battery(), [kappa], schedule,
                                tol, grid=grid)
 
@@ -739,8 +814,7 @@ def test_harness_extraction_with_a_sequence_shorter_than_the_pool():
     # counted only as far as it reaches, in an extraction of its own
     first = FileSequence(np.repeat([0.0, 1.0], [60, 40]), UNIT, "first.txt")
     short = FileSequence(np.linspace(0.0, 1.0, 60), UNIT, "short.txt")
-    extraction = Extraction(SubsequenceIndex(range(1, 101)), tol=0.01,
-                            min_pool=1)
+    extraction = Extraction(SubsequenceIndex(range(1, 101)), tol=0.01)
     grid = np.array([0.5])
     got = equivalence_harness([first, short], default_battery(),
                               [extraction], [10, 60], 0.02, grid=grid)

@@ -8,8 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from statindep.reporting import (_cell, _quote, canonical_json, csv_text,
-                                 fmt_float)
+from statindep.reporting import canonical_json, csv_text, fmt_float
 
 
 class TestFmtFloat:
@@ -79,26 +78,3 @@ class TestCsvText:
         text = csv_text(["a", "b"], [[1, 2]])
         assert "\r" not in text
         assert text.endswith("\n")
-
-    def test_fast_rows_equal_the_cell_by_cell_path(self):
-        # rows of plain ints, floats and strs take one %-format; any other
-        # row (numpy scalars, bools, a label to quote) takes the cell path
-        tiny = 5e-324
-        rows = [
-            (1, "x*sin2pix", -0.0, tiny, 1e300),
-            (2 ** 70, "a,b", 0.1, -tiny, -1e300),
-            (3, 'say "hi"', 2.0 ** -1074 * 3, 1e-310, 1 / 3),
-            (4, "line\nbreak", 0.0, 1e300 * 10.0 / 10.0, -2.5),
-            (np.int64(5), "np", np.float64(-0.0), 0.5, True),
-            (6, "big", 1.7976931348623157e308, 1.7976931348623157e308, 1.0),
-        ]
-        want = "\n".join(
-            [",".join(_quote(_cell(v)) for v in row)
-             for row in [("N", "label", "a", "b", "c")] + rows]) + "\n"
-        assert csv_text(["N", "label", "a", "b", "c"], rows) == want
-
-    @pytest.mark.parametrize("bad", [float("inf"), float("-inf"),
-                                     float("nan")])
-    def test_fast_rows_still_reject_non_finite_values(self, bad):
-        with pytest.raises(ValueError, match="non-finite"):
-            csv_text(["N", "label", "x"], [(1, "ok", 0.5), (2, "bad", bad)])

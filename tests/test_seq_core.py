@@ -503,6 +503,37 @@ def test_chunks_past_a_finite_end_fail_at_once():
     assert calls == []
 
 
+def test_materialized_sequence_reads_its_kept_terms():
+    # chunks, prefixes and eval within the kept terms are slices of them,
+    # bit for bit the source's; anything past them is the source's
+    source = KroneckerSequence("golden")
+    calls = []
+    evaluate = source._eval_batch
+    source._eval_batch = lambda ns: (calls.append(ns.size), evaluate(ns))[1]
+    kept = sequences.MaterializedSequence(source, 2 * _CHUNK + 5)
+    assert sum(calls) == 2 * _CHUNK + 5
+    assert (kept.label, kept.interval, kept.length) == \
+        (source.label, source.interval, None)
+    calls.clear()
+    got = list(kept.chunks(100, 2 * _CHUNK + 5))
+    assert [c.size for c in got] == [_CHUNK - 100, _CHUNK, 5]
+    assert _same_bits(np.concatenate(got), kept.values[100:])
+    assert _same_bits(kept.prefix(_CHUNK + 1).values,
+                      source.prefix(_CHUNK + 1).values[:_CHUNK + 1])
+    assert kept.eval(7) == source.eval(7)
+    calls.clear()
+    assert _same_bits(kept.prefix(3 * _CHUNK).values,
+                      source.prefix(3 * _CHUNK).values)
+    assert calls and sum(calls) == 2 * 3 * _CHUNK
+    # a finite source keeps what it has, and fails past its end as before
+    short = sequences.MaterializedSequence(
+        FileSequence(np.full(10, 0.5), UNIT, "ten"), 100)
+    assert short.values.size == 10 and short.length == 10
+    with pytest.raises(SequenceExhausted,
+                       match=r"prefix of length 11 beyond sequence length 10"):
+        short.prefix(11)
+
+
 # -- vectorized file parsing ---------------------------------------------------
 
 _PADDING = st.sampled_from(["", " ", "  ", "\t", " \t ", " "])
