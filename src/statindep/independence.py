@@ -15,6 +15,8 @@ flagging a counterexample record when they do not.
 from __future__ import annotations
 
 import bisect
+import contextlib
+import functools
 import itertools
 import math
 import numbers
@@ -27,11 +29,12 @@ import numpy as np
 from .density import (MAX_TABLE_CELLS, Tally, check_table_size, fill,
                       marginal)
 from .distribution import continuity_grid, empirical_cdf
+from . import forkwalk
 from .errors import IntervalError, MeasurabilityError
 from .selection import (DEFAULT_TOL, DEFAULT_WINDOW, Extraction, check_grid,
                         _check_window, _measurability)
 from .sequences import (_CHUNK, BoundedSequence, Interval,
-                        MaterializedSequence, UNIT, walk)
+                        MaterializedSequence, UNIT)
 from .subsequence import SubsequenceIndex
 
 MAX_TUPLE_ARITY = 5
@@ -156,7 +159,9 @@ def _constant_runs(seq: BoundedSequence, funcs: Sequence,
     constant on the prefix of length N exactly when N <= run.  A member
     that declares its ``constant`` is taken at its word; the others are
     scanned over ``seq.chunks`` until each has met its first differing
-    value, and no further chunk is generated.
+    value, and no further chunk is generated.  After the first chunk, a
+    member that equals its first value at every value of the sequence's
+    :meth:`~sequences.BoundedSequence.value_set` gets run = n at once.
     """
     runs: list = [n if getattr(f, "constant", None) is not None else None
                   for f in funcs]
@@ -172,6 +177,12 @@ def _constant_runs(seq: BoundedSequence, funcs: Sequence,
             if differs.any():
                 runs[i] = lo + int(np.argmax(differs))
                 pending.remove(i)
+        values = seq.value_set() if lo == 0 and pending else None
+        if values is not None:
+            for i in list(pending):
+                if np.all(_apply(funcs[i], values) == firsts[i]):
+                    runs[i] = n
+                    pending.remove(i)
         if not pending:
             break
         lo += chunk.size
@@ -232,21 +243,21 @@ def _multilinear(seqs: Sequence[BoundedSequence], funcs: Sequence[Sequence],
     left to right.  So every gap is exactly zero when at most one slot
     varies.
 
-    The sequences are read in one :func:`walk` of ``_GROUP`` blocks a
-    step, after :func:`_constant_runs` has scanned each for its members'
-    constant runs.  Members that vary on the prefix are evaluated one
-    group of whole blocks at a time (or one partial block) into one
-    ``(members, block)`` matrix per slot; nothing of length N is held.
-    Each step also feeds every tally, and the walk runs on past the
-    schedule to the deepest tally checkpoint.
+    The sequences are read in one walk of ``_GROUP`` blocks a step (see
+    :func:`forkwalk.steps`), after :func:`_constant_runs` has scanned each
+    for its members' constant runs.  Each step's block sums are computed by
+    :func:`_compute_step`, in this process or a worker, and added here,
+    every step in order, into the running sums; nothing of length N is
+    held.  Each step's values also feed every tally, here, and the walk
+    runs on past the schedule to the deepest tally checkpoint.
     """
     m, n_max, count = len(seqs), schedule[-1], len(schedule)
     ns = np.asarray(schedule, dtype=np.float64)
     width = _GROUP * _BLOCK
     # Per slot: each candidate's constant run and first value, and the
     # members that vary on the prefix with their block matrix, product
-    # buffer and running sums.  Each step below sets ``mat`` (members,
-    # blocks, length), its row sums ``rowsum`` and the buffer view ``term``.
+    # buffer and running sums.  Each step sets ``mat`` (members, blocks,
+    # length), its row sums ``rowsum`` and the buffer view ``term``.
     slots = []
     for seq, column in zip(seqs, funcs):
         runs, firsts = _constant_runs(seq, column, n_max)
@@ -263,35 +274,28 @@ def _multilinear(seqs: Sequence[BoundedSequence], funcs: Sequence[Sequence],
             # running sum of each varying member per schedule point
             total=np.full((int(np.sum(varies)), count), -0.0)))
     shape = tuple(len(column) for column in funcs)
-    sums = np.zeros(shape + (count, _GROUP))
+    kernel = SimpleNamespace(
+        slots=slots, schedule=schedule, width=width,
+        sums=np.zeros(shape + (count, _GROUP)), out=np.empty(0))
     totals = np.full(shape + (count,), -0.0)  # -0.0 + x is x for every x
 
     depth = max([n_max] + [t.depth for t in tallies])
-    for start, values in walk(seqs, [depth] * m, width):
-        steps = _block_steps(schedule, start, start + width)
-        for pos, blocks, length, lo, hi in steps:
-            span = blocks * length
-            for slot, v in zip(slots, values):
-                x = v[pos - start:pos - start + span]
-                for r, f in enumerate(slot.members):
-                    slot.matrix[r, :span] = _apply(f, x)
-                slot.mat = slot.matrix[:, :span].reshape(len(slot.members),
-                                                         blocks, length)
-                slot.rowsum = np.sum(slot.mat, axis=2)
-                slot.term = slot.buffer[:span].reshape(blocks, length)
+    with contextlib.closing(forkwalk.steps(
+            seqs, depth, width, functools.partial(_compute_step, kernel),
+            functools.partial(_step_parts, kernel), bool(tallies))) as steps:
+        for start, values, parts in steps:
+            for (_, blocks, _, lo, hi), rowsums, block_sums in parts:
+                for slot, rowsum in zip(slots, rowsums):
+                    for g in range(blocks):
+                        slot.total[:, lo:hi] += rowsum[:, g, None]
                 for g in range(blocks):
-                    slot.total[:, lo:hi] += slot.rowsum[:, g, None]
-            block_sums = sums[..., :blocks]
-            _block_walk(slots, schedule, block_sums, 0, lo, hi, None, None,
-                        ())
-            for g in range(blocks):
-                totals[..., lo:hi] += block_sums[..., lo:hi, g]
-        # one block at a time, so that the binning temporaries stay a
-        # block long
-        for at in range(0, values[0].size, _BLOCK):
-            block = [v[at:at + _BLOCK] for v in values]
-            for tally in tallies:
-                tally.add(start + at, block)
+                    totals[..., lo:hi] += block_sums[..., g]
+            # one block at a time, so that the binning temporaries stay a
+            # block long
+            for at in range(0, values[0].size if tallies else 0, _BLOCK):
+                block = [v[at:at + _BLOCK] for v in values]
+                for tally in tallies:
+                    tally.add(start + at, block)
 
     joint = totals / ns
     deltas = products = varied = None
@@ -308,6 +312,62 @@ def _multilinear(seqs: Sequence[BoundedSequence], funcs: Sequence[Sequence],
         deltas = factor if deltas is None else deltas * factor
         varied = ~constant if varied is None else varied | ~constant
     return deltas, products
+
+
+def _step_parts(kernel, start: int) -> tuple[list, np.ndarray]:
+    """The layout of the step at ``start``'s output: per cut ``(pos,
+    blocks, length, lo, hi)`` of :func:`_block_steps`, ``(cut, rowsums,
+    block_sums)`` with each slot's (members, blocks) row sums and every
+    tuple's (..., hi - lo, blocks) block sums, as views of the front of
+    ``kernel.out`` (grown to fit), which is returned too.  Both processes
+    lay a step out alike, so a worker's output is read straight into
+    these views.
+    """
+    cuts = list(_block_steps(kernel.schedule, start, start + kernel.width))
+    counts = [len(slot.members) for slot in kernel.slots]
+    tuples = kernel.sums[..., 0, 0].size
+    size = sum(blocks * (sum(counts) + tuples * (hi - lo))
+               for _, blocks, _, lo, hi in cuts)
+    if kernel.out.size < size:
+        kernel.out = np.empty(size)
+    parts, at = [], 0
+    for cut in cuts:
+        _, blocks, _, lo, hi = cut
+        rowsums = []
+        for c in counts:
+            rowsums.append(kernel.out[at:at + c * blocks].reshape(c, blocks))
+            at += c * blocks
+        span = tuples * (hi - lo) * blocks
+        block_sums = kernel.out[at:at + span].reshape(
+            kernel.sums.shape[:-2] + (hi - lo, blocks))
+        at += span
+        parts.append((cut, rowsums, block_sums))
+    return parts, kernel.out[:size]
+
+
+def _compute_step(kernel, start: int,
+                  values: list) -> tuple[list, np.ndarray]:
+    """The parts of the step at ``start``, whose values are ``values``,
+    laid out by :func:`_step_parts`: every varying member is evaluated on
+    each cut into its slot's block matrix, and :func:`_block_walk` takes
+    the block sums of every tuple."""
+    slots, schedule, sums = kernel.slots, kernel.schedule, kernel.sums
+    parts, out = _step_parts(kernel, start)
+    for (pos, blocks, length, lo, hi), rowsums, block_sums in parts:
+        span = blocks * length
+        for slot, v, rowsum in zip(slots, values, rowsums):
+            x = v[pos - start:pos - start + span]
+            for r, f in enumerate(slot.members):
+                slot.matrix[r, :span] = _apply(f, x)
+            slot.mat = slot.matrix[:, :span].reshape(len(slot.members),
+                                                     blocks, length)
+            slot.rowsum = np.sum(slot.mat, axis=2)
+            rowsum[...] = slot.rowsum
+            slot.term = slot.buffer[:span].reshape(blocks, length)
+        _block_walk(slots, schedule, sums[..., :blocks], 0, lo, hi, None,
+                    None, ())
+        block_sums[...] = sums[..., lo:hi, :blocks]
+    return parts, out
 
 
 def _block_walk(slots, schedule, sums, level, lo, hi, term, last, index):
@@ -490,15 +550,25 @@ def statind_test(seqs: Sequence[BoundedSequence], battery: FunctionBattery,
 
     Cost: a first pass reads each sequence's chunks until every battery
     member without a declared ``constant`` has met its first differing
-    value, which gives its constant run.  Then one walk reads the
-    sequences block by block: each member that varies is evaluated once
-    per block (twice for a block cut by a schedule point), tuples are
-    walked depth-first with one elementwise product per tuple prefix short
-    of the last slot, and the last slot of every tuple prefix is
-    contracted in one ``einsum``.  Memory: O(m*B*2^13 + B^m*S) for m
+    value, which gives its constant run; a member equal to its first
+    value at every value the sequence can take (its ``value_set``, such
+    as a block sequence's two levels) is known constant after the first
+    chunk.  Then one walk reads the sequences two blocks a step: each
+    member that varies is evaluated once per block (twice for a block cut
+    by a schedule point), tuples are walked depth-first with one
+    elementwise product per tuple prefix short of the last slot, and the
+    last slot of every tuple prefix is contracted in one ``einsum``.
+    When at least two CPUs are usable, no other thread is alive and the
+    rest of the walk, projected from its first step, would take 0.1 s or
+    more, one forked worker process computes every other step and pipes
+    its block sums (and its values, when tallies are fed) back; this
+    process adds every step's sums in step order, so no bit depends on
+    the worker, and kills and reaps it however the walk ends (see
+    :mod:`forkwalk`).  Memory: O(m*B*2^13 + B^m*S) for m
     sequences, B members and S schedule points, independent of N: one
-    block of values, one block matrix and one product buffer per
-    sequence, and running sums per (tuple, N).
+    step of values, one block matrix and one product buffer per sequence,
+    and running sums per (tuple, N), in this process and again in the
+    worker, which shares the rest of this process's pages.
     Every value equals :func:`delta_form`/:func:`product_form` at that N
     bit for bit: both are single-tuple calls of the same kernel.
 

@@ -4,6 +4,15 @@ Every analysis in this package consumes sequences through
 :class:`BoundedSequence`: a pure, re-entrant evaluator ``v(n)`` whose values
 are confined to a declared closed interval.  Out-of-interval values are a
 hard error, never clamped.
+
+Values are read in blocks of ``_CHUNK`` indices aligned to absolute
+positions, and :func:`walk` reads several sequences in step.  A walk may
+read only some of its steps: the schedule test's walk gives every other
+step to one forked worker process when at least two CPUs are usable, no
+other thread is alive and the walk is long enough to repay the fork (see
+:func:`independence.statind_test` and :mod:`forkwalk`).  Each value
+depends on its own index only, so no bit depends on which process reads
+which step.
 """
 
 from __future__ import annotations
@@ -11,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -153,6 +162,12 @@ class BoundedSequence:
         self._check_range(ns, values)
         return values
 
+    def value_set(self) -> np.ndarray | None:
+        """The sorted, finite set of values the sequence can take, or None
+        when it is not known to be small.  Distinct bit patterns are
+        distinct values, so -0.0 and 0.0 both stay."""
+        return None
+
     def prefix(self, n: int) -> "PrefixView":
         """Materialized, read-only v(1) ... v(n), elementwise equal to ``eval``.
 
@@ -215,6 +230,9 @@ class MaterializedSequence(BoundedSequence):
             yield self.values[lo:stop]
             lo = stop
 
+    def value_set(self) -> np.ndarray | None:
+        return self.source.value_set()
+
     def prefix(self, n: int) -> PrefixView:
         if not 1 <= n <= self.values.size:
             return super().prefix(n)
@@ -222,34 +240,47 @@ class MaterializedSequence(BoundedSequence):
 
 
 def walk(seqs: Sequence[BoundedSequence], depths: Sequence[int],
-         width: int = _CHUNK) -> Iterator[tuple[int, list]]:
+         width: int = _CHUNK, steps: Iterable[int] | None = None,
+         buffers: Sequence[np.ndarray] | None = None
+         ) -> Iterator[tuple[int, list]]:
     """One pass over the first ``depths[r]`` terms of each ``seqs[r]``.
 
-    Yields ``(lo, values)`` for lo = 0, width, 2*width, ...: ``values[r]``
-    holds v_r(lo+1) ... v_r(min(lo + width, depths[r])), or is None once
-    lo has reached ``depths[r]``.  ``width`` is a multiple of ``_CHUNK``;
-    each sequence's :meth:`~BoundedSequence.chunks` are generated once,
-    and, when ``width`` exceeds one chunk, copied into one buffer per
-    sequence that the next step overwrites.
+    Yields ``(lo, values)`` for lo = k*width, k in ``steps`` (by default
+    every step, 0, 1, 2, ... up to the deepest depth): ``values[r]`` holds
+    v_r(lo+1) ... v_r(min(lo + width, depths[r])), or is None once lo has
+    reached ``depths[r]``.  ``width`` is a multiple of ``_CHUNK``, so a
+    step reads whole aligned blocks of :meth:`~BoundedSequence.chunks`,
+    and each index is generated once however the steps are shared out.
+    A step's chunks are copied into ``buffers[r]`` (``width`` values, or
+    None to take a one-chunk step's chunk as it is; by default a new
+    buffer per sequence when ``width`` exceeds one chunk), which the next
+    step overwrites.  SequenceExhausted is raised before the first step
+    when a depth lies past a finite sequence's end.
     """
-    readers = [s.chunks(0, d) for s, d in zip(seqs, depths)]
-    buffers = [np.empty(width) if width > _CHUNK else None for _ in seqs]
-    for lo in range(0, max(depths, default=0), width):
+    for s, depth in zip(seqs, depths):
+        s.chunks(0, depth)
+    if steps is None:
+        steps = range(-(-max(depths, default=0) // width))
+    if buffers is None:
+        buffers = [np.empty(width) if width > _CHUNK else None for _ in seqs]
+    for k in steps:
+        lo = k * width
         values = []
-        for reader, depth, buffer in zip(readers, depths, buffers):
+        for s, depth, buffer in zip(seqs, depths, buffers):
             if depth <= lo:
                 values.append(None)
-            elif buffer is None:
-                values.append(next(reader))
-            else:
-                filled, stop = 0, min(width, depth - lo)
-                while filled < stop:
-                    chunk = next(reader)
-                    buffer[filled:filled + chunk.size] = chunk
-                    filled += chunk.size
-                    # hold no chunk while the next is generated or we yield
-                    del chunk
-                values.append(buffer[:stop])
+                continue
+            stop = min(width, depth - lo)
+            if buffer is None:
+                values.append(next(s._chunks(lo, lo + stop)))
+                continue
+            filled = 0
+            for chunk in s._chunks(lo, lo + stop):
+                buffer[filled:filled + chunk.size] = chunk
+                filled += chunk.size
+                # hold no chunk while the next is generated or we yield
+                del chunk
+            values.append(buffer[:stop])
         yield lo, values
 
 
@@ -349,6 +380,9 @@ class PeriodicSequence(BoundedSequence):
     def _eval_batch(self, ns: np.ndarray) -> np.ndarray:
         return self.values[(ns - 1) % self.values.size]
 
+    def value_set(self) -> np.ndarray:
+        return _distinct(self.values)
+
 
 class ConstantSequence(BoundedSequence):
     """v(n) = c for every n."""
@@ -362,6 +396,9 @@ class ConstantSequence(BoundedSequence):
 
     def _eval_batch(self, ns: np.ndarray) -> np.ndarray:
         return np.full(ns.shape, self.value, dtype=np.float64)
+
+    def value_set(self) -> np.ndarray:
+        return _distinct([self.value])
 
 
 class BlockSequence(BoundedSequence):
@@ -412,10 +449,30 @@ class BlockSequence(BoundedSequence):
                                 name="block_ends")
 
     def _eval_batch(self, ns: np.ndarray) -> np.ndarray:
-        bounds = np.asarray(self._boundaries_upto(int(ns.max()) * self.growth + 1),
-                            dtype=np.int64)
-        block = np.searchsorted(bounds, ns, side="left")
+        # Block b (0-based) holds the indices after its b block ends.  Only
+        # the ends between the smallest and the largest index are kept:
+        # a chunk past the first few blocks holds at most one.
+        if ns.size == 0:
+            return np.empty(0)
+        first, last = int(ns.min()), int(ns.max())
+        block, inner, total, length = 0, [], 0, 1
+        while True:
+            length *= self.growth
+            total += length
+            if total >= last:
+                break
+            if total < first:
+                block += 1
+            else:
+                inner.append(total)
+        if not inner:
+            return np.full(ns.shape, self.high if block % 2 else self.low)
+        block += np.searchsorted(np.asarray(inner, dtype=np.int64), ns,
+                                 side="left")
         return np.where(block % 2 == 0, self.low, self.high)
+
+    def value_set(self) -> np.ndarray:
+        return _distinct([self.low, self.high])
 
 
 class AffineImageSequence(BoundedSequence):
@@ -443,6 +500,11 @@ class AffineImageSequence(BoundedSequence):
     def _eval_batch(self, ns: np.ndarray) -> np.ndarray:
         return self.c * self.source._eval_batch(ns) + self.d
 
+    def value_set(self) -> np.ndarray | None:
+        values = self.source.value_set()
+        # the arithmetic of _eval_batch, elementwise on float64
+        return None if values is None else _distinct(self.c * values + self.d)
+
 
 class FileSequence(BoundedSequence):
     """Finite sequence backed by a one-value-per-line text file."""
@@ -460,6 +522,16 @@ class FileSequence(BoundedSequence):
             raise SequenceExhausted(
                 f"{self.label}: index n={n} beyond sequence length {self.values.size}")
         return self.values[ns - 1]
+
+
+def _distinct(values) -> np.ndarray:
+    """The distinct float64 bit patterns of ``values``, sorted, read-only."""
+    bits = np.sort(np.asarray(values, dtype=np.float64).ravel()
+                   .view(np.uint64))
+    keep = np.append(True, bits[1:] != bits[:-1])
+    out = np.sort(bits[keep].view(np.float64))
+    out.setflags(write=False)
+    return out
 
 
 def make_block(low: float, high: float, growth: int,

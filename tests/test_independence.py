@@ -1,11 +1,15 @@
 """Multilinear form, rectangle test, and equivalence harness tests."""
 
+import hashlib
 import os
+import signal
 import subprocess
 import sys
+import time
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -24,6 +28,8 @@ from statindep import (
     MeasurabilityError,
     NamedFunction,
     PeriodicSequence,
+    RangeViolation,
+    SequenceExhausted,
     SubsequenceIndex,
     UNIT,
     VanDerCorputSequence,
@@ -42,7 +48,7 @@ from statindep import (
     stieltjes,
 )
 from statindep.density import grid_counts
-from statindep import independence
+from statindep import forkwalk, independence
 from statindep import density as density_module
 from statindep.reporting import canonical_json
 from statindep.sequences import _CHUNK
@@ -681,26 +687,84 @@ def test_equivalence_harness_peak_memory_is_bounded():
     assert large <= PEAK_LIMIT, large
 
 
-def test_harness_generates_each_index_once(monkeypatch):
+@pytest.fixture
+def generation_log(monkeypatch, tmp_path):
+    """``watch(*seqs)`` counts the terms each sequence generates, here and
+    in a forked worker alike: every ``_eval_batch`` call appends one line
+    to a file opened with O_APPEND.  ``totals()`` sums them per label."""
+    path = tmp_path / "generated.log"
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+
+    def watch(*seqs):
+        for seq in seqs:
+            real = seq._eval_batch
+
+            def counting(ns, label=seq.label, real=real):
+                os.write(fd, f"{label}\t{ns.size}\n".encode())
+                return real(ns)
+
+            monkeypatch.setattr(seq, "_eval_batch", counting)
+
+    def totals():
+        out = {}
+        for line in path.read_text().splitlines():
+            label, size = line.split("\t")
+            out[label] = out.get(label, 0) + int(size)
+        return out
+
+    yield SimpleNamespace(watch=watch, totals=totals)
+    os.close(fd)
+
+
+def test_harness_generates_each_index_once(generation_log):
     # the constant-run scan reads one chunk of each Kronecker sequence,
-    # and the one walk reads the rest for both tests
+    # and the one walk reads the rest for both tests, its odd steps in a
+    # forked worker when there is one
     seqs = [KroneckerSequence("sqrt2-1"), KroneckerSequence("sqrt3-1")]
-    generated = {}
-    for seq in seqs:
-        real = seq._eval_batch
-
-        def counting(ns, seq=seq, real=real):
-            generated[seq.label] = generated.get(seq.label, 0) + ns.size
-            return real(ns)
-
-        monkeypatch.setattr(seq, "_eval_batch", counting)
+    generation_log.watch(*seqs)
     depth = 40_000
     family = kappa_family_builder(depth)
     rep = equivalence_harness(seqs, default_battery(), family,
                               [100, 1000, 30_000], 0.02,
                               grid=np.linspace(0.1, 0.9, 9))
     assert all(o.tested for o in rep.outcomes)
-    assert generated == {s.label: depth + _CHUNK for s in seqs}
+    assert generation_log.totals() == {s.label: depth + _CHUNK for s in seqs}
+
+
+def test_constant_run_scan_stops_at_the_value_set(generation_log):
+    # cos2pix is constant on a 0/1 block sequence's two values, so the
+    # scan reads one chunk of it instead of the whole prefix
+    seqs = [make_block(0.0, 1.0, 2), KroneckerSequence("sqrt2-1")]
+    generation_log.watch(*seqs)
+    n = 1 << 20
+    rep = statind_test(seqs, default_battery(), [n // 16, n], 0.01)
+    generated = generation_log.totals()
+    assert n < generated[seqs[0].label] <= n + _CHUNK
+    assert generated[seqs[1].label] == n + _CHUNK
+    # and its means are still the constant's, cos(0) = cos(2 pi) = 1.0
+    trace = {t.label: t for t in rep.traces}["cos2pix*one"]
+    assert np.all(trace.products == 1.0) and np.all(trace.deltas == 1.0)
+
+
+@pytest.mark.parametrize("seq", [
+    make_block(0.0, 1.0, 2), make_block(0.2, 0.9, 3),
+    PeriodicSequence([0.0, 0.25, 0.5, 0.75, 1.0, 0.1, 0.3]),
+    ConstantSequence(0.5), ConstantSequence(1.0),
+    AffineImageSequence(make_block(0.0, 1.0, 2), -1.0, 1.0),
+    AffineImageSequence(PeriodicSequence([0.1, 0.6]), 0.5, 0.25, UNIT)],
+    ids=lambda s: s.label)
+def test_battery_on_a_value_set_equals_its_values_on_chunks(seq):
+    # the scan's shortcut evaluates each member once per value; bit for
+    # bit, that is its value wherever the value sits in a full chunk
+    values = seq.value_set()
+    chunks = [c for c in seq.chunks(0, 4 * _CHUNK) if c.size == _CHUNK]
+    for f in default_battery(seq.interval):
+        on_set = independence._apply(f, values)
+        for chunk in chunks:
+            on_chunk = independence._apply(f, chunk)
+            where = np.searchsorted(values, chunk)
+            assert _same_bits(values[where], chunk)
+            assert _same_bits(on_set[where], on_chunk), f.name
 
 
 def test_harness_joint_rows_that_do_not_fit_take_walks_of_their_own(
@@ -738,26 +802,18 @@ def test_harness_joint_rows_that_do_not_fit_take_walks_of_their_own(
     assert len(own_walks) < len(family)
 
 
-def test_count_grid_harness_generates_each_index_once(monkeypatch):
+def test_count_grid_harness_generates_each_index_once(generation_log):
     # empirical CDFs along every member and the pool, the extraction and
     # the schedule walk all read one kept prefix per sequence
     seqs = [make_block(0.0, 1.0, 2), KroneckerSequence("sqrt2-1")]
-    generated = {}
-    for seq in seqs:
-        real = seq._eval_batch
-
-        def counting(ns, seq=seq, real=real):
-            generated[seq.label] = generated.get(seq.label, 0) + ns.size
-            return real(ns)
-
-        monkeypatch.setattr(seq, "_eval_batch", counting)
+    generation_log.watch(*seqs)
     pool = SubsequenceIndex(np.unique(np.round(
         2 ** (np.arange(8, 8 * 17) / 8)).astype(np.int64)), name="pool")
     family = [Extraction(pool), naturals(30_000, 300)]
     rep = equivalence_harness(seqs, default_battery(), family,
                               [100, 1000, 20_000], 0.02, grid=5)
     assert len(rep.outcomes) == 2
-    assert generated == {s.label: pool.deepest for s in seqs}
+    assert generation_log.totals() == {s.label: pool.deepest for s in seqs}
 
 
 def _two_walk_extract(seqs, extraction, schedule, tol, grid):
@@ -840,3 +896,320 @@ def test_unit_interval_x_shares_the_prefix():
         assert not np.shares_memory(t(values), values)
         assert _same_bits(t(values), (values - interval.a) / interval.length)
         assert _same_bits(t(-0.0), (-0.0 - interval.a) / interval.length)
+
+
+# -- the two-process walk ----------------------------------------------------
+
+WIDTH = BLOCK * independence._GROUP  # indices per walk step
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The number of os.fork calls made from now on, in a list; and every
+    walk of more than one step forks, however fast its first step."""
+    monkeypatch.setattr(forkwalk, "FORK_MIN_S", 0.0)
+    calls = []
+    real = os.fork
+
+    def spy():
+        calls.append(1)
+        return real()
+
+    monkeypatch.setattr(os, "fork", spy)
+    return calls
+
+
+def _cpu_mask():
+    return getattr(os, "sched_getaffinity", lambda pid: None)(0)
+
+
+MASK = _cpu_mask()
+
+
+def _no_child_left():
+    """No worker is left, and this process runs where it ran before."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert _cpu_mask() == MASK
+    return True
+
+
+def _serial_and_forked(monkeypatch, forks, run, forked):
+    """``run()`` on one usable CPU, then as it comes; asserts that only
+    the second forks, and only when ``forked``."""
+    with monkeypatch.context() as serial:
+        serial.setattr(forkwalk, "usable_cpus", lambda: [0])
+        want = run()
+    assert forks == []
+    got = run()
+    assert len(forks) == forked
+    assert _no_child_left()
+    return want, got
+
+
+def _statind_digest(seqs, schedule):
+    rep = statind_test(seqs, default_battery(), schedule, 0.01)
+    values = np.array([[t.deltas, t.products] for t in rep.traces])
+    return hashlib.sha256(values.tobytes()).hexdigest()
+
+
+WALKS = {1: [100, WIDTH], 2: [100, WIDTH + 1],
+         3: [1000, 2 * WIDTH + 7, 3 * WIDTH],
+         64: [BLOCK + 3, 40 * WIDTH, 64 * WIDTH]}
+
+
+@pytest.mark.parametrize("steps", sorted(WALKS))
+def test_worker_moves_no_bit_of_the_schedule_test(monkeypatch, forks, steps):
+    schedule = WALKS[steps]
+    file = FileSequence(np.random.default_rng(3).random(schedule[-1]), UNIT,
+                        "random")
+    seqs = [make_block(0.0, 1.0, 2), KroneckerSequence("sqrt2-1"), file]
+    want, got = _serial_and_forked(
+        monkeypatch, forks, lambda: _statind_digest(seqs, schedule),
+        steps > 1)
+    assert got == want
+
+
+@pytest.mark.parametrize("steps", sorted(WALKS))
+def test_worker_moves_no_bit_of_the_harness(monkeypatch, forks, steps):
+    # tallies deeper than the schedule, a finite sequence, an extraction
+    schedule = WALKS[steps][:-1] + [WALKS[steps][-1] - 50]
+    depth = WALKS[steps][-1]
+    file = FileSequence(np.random.default_rng(4).random(depth), UNIT,
+                        "random")
+    seqs = [make_block(0.0, 1.0, 2), file]
+    pool = SubsequenceIndex(np.unique(np.linspace(1, depth, 80).astype(int)),
+                            name="pool")
+    family = [naturals(depth, max(1, depth // 300)),
+              Extraction(pool, tol=0.1)]
+
+    def run():
+        return canonical_json(equivalence_harness(
+            seqs, default_battery(), family, schedule, 0.02,
+            grid=np.linspace(0.1, 0.9, 9)).to_json_obj())
+
+    want, got = _serial_and_forked(monkeypatch, forks, run, steps > 1)
+    assert got == want
+
+
+@pytest.mark.parametrize("group", [1, 3])
+def test_worker_sends_the_values_of_any_step_width(monkeypatch, forks, group):
+    # a walk of one block a step, or three, feeds the tallies the same
+    monkeypatch.setattr(independence, "_GROUP", group)
+    seqs = [make_block(0.0, 1.0, 2), KroneckerSequence("sqrt2-1")]
+    depth = 5 * BLOCK * group + 11
+
+    def run():
+        return canonical_json(equivalence_harness(
+            seqs, default_battery(), [naturals(depth, 13)], [100, depth - 99],
+            0.02, grid=np.linspace(0.1, 0.9, 9)).to_json_obj())
+
+    want, got = _serial_and_forked(monkeypatch, forks, run, True)
+    assert got == want
+
+
+def test_a_failed_fork_walks_alone(monkeypatch, forks):
+    seqs = [KroneckerSequence("golden"), KroneckerSequence("sqrt2-1")]
+    want = _statind_digest(seqs, [100, 3 * WIDTH])
+
+    def no_fork():
+        forks.append(1)
+        raise BlockingIOError("no process to spare")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    assert _statind_digest(seqs, [100, 3 * WIDTH]) == want
+    assert len(forks) == 2 and _no_child_left()
+
+
+def test_no_worker_where_children_are_reaped_for_us(forks):
+    # with SIGCHLD ignored the kernel reaps a worker, so none is made
+    seqs = [KroneckerSequence("golden"), KroneckerSequence("sqrt2-1")]
+    want = _statind_digest(seqs, [100, 3 * WIDTH])
+    previous = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+    try:
+        assert _statind_digest(seqs, [100, 3 * WIDTH]) == want
+    finally:
+        signal.signal(signal.SIGCHLD, previous)
+    assert len(forks) == 1 and _no_child_left()
+
+
+def test_worker_moves_no_bit_of_a_count_grid_harness(monkeypatch, forks):
+    # every sequence kept whole (MaterializedSequence) for the CDFs
+    seqs = [make_block(0.0, 1.0, 2), KroneckerSequence("sqrt2-1")]
+    family = [naturals(3 * WIDTH, 97)]
+
+    def run():
+        return canonical_json(equivalence_harness(
+            seqs, default_battery(), family, [100, 2 * WIDTH + 5], 0.02,
+            grid=5).to_json_obj())
+
+    want, got = _serial_and_forked(monkeypatch, forks, run, True)
+    assert got == want
+
+
+def _spiked(at, length=3 * WIDTH, value=2.0):
+    values = np.random.default_rng(5).random(length)
+    values[[n - 1 for n in at]] = value
+    return FileSequence(values, UNIT, "spiked")
+
+
+def _error_of(run):
+    try:
+        run()
+    except Exception as exc:
+        return type(exc), str(exc)
+    raise AssertionError("no exception")
+
+
+@pytest.mark.parametrize("at", [[WIDTH + 7], [2 * WIDTH + 7],
+                                [WIDTH + 9, 2 * WIDTH + 7], [BLOCK + 7]],
+                         ids=["worker", "parent", "both", "first step"])
+def test_walk_errors_are_the_serial_walk_errors(monkeypatch, forks, at):
+    # a RangeViolation in a worker step, in a later step here, in both, and
+    # in the first step, which runs before any fork: the first in step
+    # order is raised, with its own type and message
+    seqs = [KroneckerSequence("golden"), _spiked(at)]
+
+    def run():
+        return _error_of(lambda: statind_test(seqs, default_battery(),
+                                              [100, 3 * WIDTH], 0.01))
+
+    want, got = _serial_and_forked(monkeypatch, forks, run, at[0] > WIDTH)
+    assert got == want
+    assert want[0] is RangeViolation and f"at n={at[0]} " in want[1]
+
+
+def test_a_battery_member_error_in_the_worker_is_raised_here(monkeypatch,
+                                                              forks):
+    seqs = [KroneckerSequence("golden"), _spiked([WIDTH + 3], value=0.125)]
+
+    def picky(x):
+        if np.any(np.asarray(x) == 0.125):
+            raise ArithmeticError("met 0.125")
+        return np.asarray(x, dtype=np.float64)
+
+    battery = FunctionBattery((NamedFunction("picky", picky),))
+
+    def run():
+        return _error_of(lambda: statind_test(seqs, battery,
+                                              [100, 3 * WIDTH], 0.01))
+
+    want, got = _serial_and_forked(monkeypatch, forks, run, True)
+    assert got == want == (ArithmeticError, "met 0.125")
+
+
+def test_a_walk_past_a_finite_end_fails_before_any_fork(forks):
+    # tallies deeper than a finite sequence: the walk's own check
+    seqs = [KroneckerSequence("golden"), _spiked([], length=2 * WIDTH)]
+    with pytest.raises(SequenceExhausted, match="beyond sequence length"):
+        equivalence_harness(seqs, default_battery(), [naturals(3 * WIDTH, 7)],
+                            [100, WIDTH + 5], 0.02, grid=np.array([0.5]))
+    assert forks == []
+
+
+def test_no_worker_outlives_an_abandoned_walk(monkeypatch, forks):
+    # an exception in this process's in-order apply, while the worker may
+    # be mid-step, leaves no child behind
+    class Abandon(Exception):
+        pass
+
+    real = density_module.Tally.add
+
+    def add(self, lo, values):
+        if lo >= 2 * WIDTH:
+            raise Abandon()
+        return real(self, lo, values)
+
+    monkeypatch.setattr(density_module.Tally, "add", add)
+    seqs = [KroneckerSequence("golden"), KroneckerSequence("sqrt2-1")]
+    with pytest.raises(Abandon):
+        equivalence_harness(seqs, default_battery(), [naturals(9 * WIDTH, 5)],
+                            [100, 9 * WIDTH], 0.02, grid=np.array([0.5]))
+    assert forks and _no_child_left()
+
+
+def test_a_failing_walk_does_not_wait_for_the_worker(forks):
+    # this process fails at step 2 while the worker is deep in a slow
+    # step 3: the worker is killed, not waited for
+    values = np.random.default_rng(6).random(4 * WIDTH)
+    values[2 * WIDTH + 5] = 2.0
+    values[3 * WIDTH + 5] = 0.125
+    seqs = [FileSequence(values, UNIT, "spiked")]
+
+    def slow(x):
+        if np.any(np.asarray(x) == 0.125):
+            time.sleep(30)
+        return np.asarray(x, dtype=np.float64)
+
+    battery = FunctionBattery((NamedFunction("slow", slow),))
+    started = time.monotonic()
+    with pytest.raises(RangeViolation, match=f"at n={2 * WIDTH + 6} "):
+        statind_test(seqs, battery, [100, 4 * WIDTH], 0.01)
+    assert time.monotonic() - started < 10
+    assert forks and _no_child_left()
+
+
+def test_walk_runs_each_process_on_a_cpu_of_its_own(tmp_path, forks):
+    # while they walk, this process runs on the first usable CPU and the
+    # worker on the second; this process's CPU mask is restored after
+    cpus = forkwalk.usable_cpus()
+    if len(cpus) < 2:
+        pytest.skip("needs two usable CPUs")
+    fd = os.open(tmp_path / "cpus.log", os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+
+    def where(x):
+        os.write(fd, f"{os.getpid()} {sorted(os.sched_getaffinity(0))}\n"
+                 .encode())
+        return np.asarray(x, dtype=np.float64)
+
+    battery = FunctionBattery((NamedFunction("where", where),))
+    try:
+        statind_test([KroneckerSequence("golden")], battery,
+                     [100, 4 * WIDTH], 0.01)
+    finally:
+        os.close(fd)
+    seen = set((tmp_path / "cpus.log").read_text().splitlines())
+    assert f"{os.getpid()} {cpus[:1]}" in seen
+    assert {line.split(" ", 1)[1] for line in seen
+            if not line.startswith(f"{os.getpid()} ")} == {str(cpus[1:2])}
+    assert forks and _no_child_left()
+
+
+def test_worker_only_for_a_walk_long_enough_to_pay_for_it(monkeypatch):
+    # at the default FORK_MIN_S, a short walk of cheap steps stays here,
+    # and a walk whose first step projects the rest past it forks
+    forks = []
+    real = os.fork
+    monkeypatch.setattr(os, "fork", lambda: (forks.append(1), real())[1])
+    seqs = [KroneckerSequence("golden")]
+    statind_test(seqs, default_battery(), [100, 3 * WIDTH], 0.01)
+    assert forks == []
+
+    def slow(x):
+        time.sleep(forkwalk.FORK_MIN_S / 4)
+        return np.asarray(x, dtype=np.float64)
+
+    battery = FunctionBattery((NamedFunction("slow", slow),))
+    statind_test(seqs, battery, [100, 6 * WIDTH], 0.01)
+    assert forks == [1] and _no_child_left()
+
+
+def test_serial_walk_when_a_worker_cannot_help(monkeypatch, forks):
+    seqs = [KroneckerSequence("golden"), KroneckerSequence("sqrt2-1")]
+    with monkeypatch.context() as patch:
+        patch.setattr(forkwalk, "usable_cpus", lambda: [0])
+        want = _statind_digest(seqs, [100, 3 * WIDTH])
+    with monkeypatch.context() as patch:
+        patch.delattr(os, "sched_getaffinity")
+        assert forkwalk.usable_cpus() == []
+        assert _statind_digest(seqs, [100, 3 * WIDTH]) == want
+    with monkeypatch.context() as patch:
+        patch.delattr(forkwalk.os, "fork")
+        assert _statind_digest(seqs, [100, 3 * WIDTH]) == want
+    with monkeypatch.context() as patch:
+        patch.setattr(forkwalk.threading, "active_count", lambda: 2)
+        assert _statind_digest(seqs, [100, 3 * WIDTH]) == want
+    assert _statind_digest(seqs, [100, WIDTH]) is not None  # one step
+    assert forks == []
+    assert _statind_digest(seqs, [100, 3 * WIDTH]) == want
+    assert len(forks) == 1 and _no_child_left()

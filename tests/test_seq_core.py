@@ -202,6 +202,71 @@ class TestBlock:
         with pytest.raises((ValueError, SpecError)):
             make_block(0.0, 1.0, 1)
 
+    @pytest.mark.parametrize("growth", [2, 3])
+    def test_values_at_every_block_end_and_chunk_edge(self, growth):
+        # chunks and one-index eval against a walk over the blocks, at each
+        # block end +-1 up to 2^22 and at each chunk edge +-1 around them
+        blk = make_block(0.25, 0.75, growth)
+        ends = blk.block_ends(1 << 22).checkpoints.tolist()
+        near = {n + d for n in ends for d in (-1, 0, 1)}
+        near |= {c + d for n in ends for c in (n // _CHUNK * _CHUNK,
+                                               -(-n // _CHUNK) * _CHUNK)
+                 for d in (-1, 0, 1)}
+        near = sorted(n for n in near if n >= 1)
+
+        def want(n):
+            total, length, block = 0, 1, 0
+            while total < n:
+                length *= growth
+                total += length
+                block += 1
+            return 0.25 if block % 2 else 0.75
+
+        expected = np.array([want(n) for n in near])
+        assert _same_bits(np.array([blk.eval(n) for n in near]), expected)
+        for n, value in zip(near, expected):
+            for lo in (max(n - 3, 0), n - 1):  # batches from before n, and n
+                got = np.concatenate(list(blk.chunks(lo, n + 2)))
+                assert got[n - 1 - lo] == value, (lo, n)
+        # any batch of indices, in any order, at once
+        rng = np.random.default_rng(5)
+        ns = rng.permutation(np.array(near, dtype=np.int64))
+        assert _same_bits(blk._eval_batch(ns),
+                          np.array([want(int(n)) for n in ns]))
+        assert blk._eval_batch(np.empty(0, dtype=np.int64)).size == 0
+
+
+class TestValueSet:
+    def test_finite_kinds(self):
+        assert make_block(0.25, 0.75, 2).value_set().tolist() == [0.25, 0.75]
+        assert PeriodicSequence([0.7, 0.1, 0.7, 0.3]).value_set().tolist() \
+            == [0.1, 0.3, 0.7]
+        assert ConstantSequence(0.4).value_set().tolist() == [0.4]
+        # distinct bit patterns stay distinct
+        zeros = PeriodicSequence([0.0, -0.0, 0.0], Interval(-1.0, 1.0))
+        assert sorted(np.signbit(zeros.value_set()).tolist()) == [False, True]
+
+    def test_affine_image_maps_with_its_own_arithmetic(self):
+        for source in (make_block(0.1, 0.7, 3), PeriodicSequence([0.1, 0.3]),
+                       ConstantSequence(0.3)):
+            image = AffineImageSequence(source, -1.7, 1.9)
+            values = np.concatenate(list(image.chunks(0, 2 * _CHUNK)))
+            assert _same_bits(image.value_set(),
+                              np.sort(np.unique(values))), source
+            assert not image.value_set().flags.writeable
+        # a scale that merges two values leaves one
+        merged = AffineImageSequence(PeriodicSequence([0.5, 0.5 + 2 ** -53]),
+                                     2 ** -52, 0.25)
+        assert merged.value_set().tolist() == [0.25 + 2 ** -53]
+
+    def test_unknown_sets(self):
+        for seq in (KroneckerSequence("golden"), VanDerCorputSequence(2),
+                    FileSequence(np.full(4, 0.5), UNIT, "four"),
+                    AffineImageSequence(KroneckerSequence("golden"), 1, 0)):
+            assert seq.value_set() is None
+        kept = sequences.MaterializedSequence(make_block(0.0, 1.0, 2), 50)
+        assert kept.value_set().tolist() == [0.0, 1.0]
+
 
 class TestAffineImage:
     def test_one_minus_v(self):
@@ -501,6 +566,28 @@ def test_chunks_past_a_finite_end_fail_at_once():
                        match=r"prefix of length 11 beyond sequence length 10"):
         seq.chunks(0, 11)
     assert calls == []
+
+
+@pytest.mark.parametrize("width", [_CHUNK, 3 * _CHUNK])
+def test_walk_steps_read_the_same_values_in_any_share(width):
+    # a walk over some of its steps reads each step's aligned chunks, so
+    # the even and the odd steps together are the whole walk, bit for bit
+    seqs = [KroneckerSequence("golden"), make_block(0.0, 1.0, 2),
+            FileSequence(np.linspace(0.0, 1.0, 5 * _CHUNK), UNIT, "ramp")]
+    depths = [7 * _CHUNK + 5, 2 * _CHUNK + 1, 5 * _CHUNK]
+    whole = {lo: [None if v is None else v.copy() for v in values]
+             for lo, values in sequences.walk(seqs, depths, width)}
+    steps = -(-max(depths) // width)
+    assert sorted(whole) == [k * width for k in range(steps)]
+    for first in (0, 1):
+        for lo, values in sequences.walk(seqs, depths, width,
+                                         steps=range(first, steps, 2)):
+            assert lo // width % 2 == first
+            for got, want in zip(values, whole[lo]):
+                assert (got is None) == (want is None)
+                assert got is None or _same_bits(got, want)
+    with pytest.raises(SequenceExhausted):
+        next(sequences.walk(seqs, [5 * _CHUNK + 1] * 3, width, steps=[1]))
 
 
 def test_materialized_sequence_reads_its_kept_terms():
