@@ -78,6 +78,7 @@ from .selection import (
     detect_measurable,
     helly_extract,
     kappa_family_builder,
+    kappa_member,
 )
 
 __version__ = "0.1.0"
@@ -97,6 +98,6 @@ __all__ = [
     "continuity_grid", "default_battery", "delta_form", "detect_measurable",
     "empirical_cdf", "equivalence_harness", "from_spec", "helly_extract",
     "indicator_below", "kappa_family_builder", "kappa_independence_test",
-    "load_sequence", "make_block", "product_form", "sandwich_indicator",
-    "statind_test", "step_envelope", "stieltjes",
+    "kappa_member", "load_sequence", "make_block", "product_form",
+    "sandwich_indicator", "statind_test", "step_envelope", "stieltjes",
 ]

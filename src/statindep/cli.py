@@ -33,7 +33,7 @@ from .independence import FunctionBattery, NamedFunction, _multilinear, \
 from .reporting import fmt_float, write_csv, write_json
 from .selection import DEFAULT_MIN_POOL, DEFAULT_TOL, DEFAULT_WINDOW, \
     KAPPA_FAMILY, Extraction, _measurability, _pool_counts, helly_extract, \
-    kappa_family_builder
+    kappa_family_builder, kappa_member
 from .sequences import BoundedSequence, Interval, MaterializedSequence, \
     _fail, _norm_float, _norm_floats, _norm_int, \
     from_spec as sequence_from_spec, normalize_spec
@@ -288,8 +288,7 @@ def resolve_kappa_family(spec: ExperimentSpec, depth: int,
     if spec.kappa == "default":
         return kappa_family_builder(depth, seed=seed)
     if spec.kappa in KAPPA_FAMILY:
-        family = kappa_family_builder(depth, seed=seed)
-        return [k for k in family if k.name == spec.kappa]
+        return [kappa_member(spec.kappa, depth, seed=seed)]
     return [Extraction(resolve_pool(spec, depth), tol=spec.tolerances["tol"],
                        window=spec.tolerances["window"])]
 

@@ -5,17 +5,34 @@ rendered with 17 significant digits (enough to round-trip IEEE doubles),
 the decimal separator is '.', and line endings are '\\n' regardless of
 platform.  The JSON writer below is a small recursive serializer rather
 than json.dumps because the float format has to be pinned.
+
+Both serializers emit their text as pieces and hand them to a sink
+(``write`` of a file or of an ``io.StringIO``) ``_BATCH`` pieces at a
+time.  So besides the document being written, a writer holds at most one
+batch of text: :func:`write_json` and :func:`write_csv` stream to disk in
+memory that does not grow with the report, and :func:`canonical_json` and
+:func:`csv_text` are the same emitters run into a string.  A file writer
+writes a sibling temporary file and renames it onto the path only when
+the whole report was written, so a failed write leaves no partial file and
+any file already at the path unchanged.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import math
-from typing import Iterable, Sequence
+import os
+from contextlib import contextmanager
+from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
 FLOAT_FORMAT = ".17g"
+
+# Pieces of text an emitter holds before it writes them to its sink; a JSON
+# piece is at most one scalar, one key or one line's indentation.
+_BATCH = 1 << 12
 
 
 def fmt_float(x: float) -> str:
@@ -26,7 +43,14 @@ def fmt_float(x: float) -> str:
     return format(x, FLOAT_FORMAT)
 
 
-def _emit(obj, indent: int, out: list) -> None:
+def _spill(out: list, write: Callable[[str], object]) -> None:
+    write("".join(out))
+    out.clear()
+
+
+def _emit(obj, indent: int, out: list, write: Callable[[str], object]) -> None:
+    """Append the pieces of ``obj`` at ``indent`` to ``out``, spilling them
+    to ``write`` after any container item that leaves a full batch."""
     pad = "  " * indent
     if obj is None:
         out.append("null")
@@ -49,8 +73,10 @@ def _emit(obj, indent: int, out: list) -> None:
             if not isinstance(key, str):
                 raise TypeError(f"JSON object keys must be strings, got {key!r}")
             out.append(f"{pad}  {json.dumps(key, ensure_ascii=True)}: ")
-            _emit(value, indent + 1, out)
+            _emit(value, indent + 1, out, write)
             out.append(",\n" if i < len(obj) - 1 else "\n")
+            if len(out) >= _BATCH:
+                _spill(out, write)
         out.append(pad + "}")
     elif isinstance(obj, (list, tuple)):
         if not obj:
@@ -59,24 +85,26 @@ def _emit(obj, indent: int, out: list) -> None:
         out.append("[\n")
         for i, value in enumerate(obj):
             out.append(pad + "  ")
-            _emit(value, indent + 1, out)
+            _emit(value, indent + 1, out, write)
             out.append(",\n" if i < len(obj) - 1 else "\n")
+            if len(out) >= _BATCH:
+                _spill(out, write)
         out.append(pad + "]")
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__} to JSON")
 
 
-def canonical_json(obj) -> str:
-    """Render a JSON document with pinned float formatting, newline-terminated."""
+def _dump_json(obj, write: Callable[[str], object]) -> None:
     out: list[str] = []
-    _emit(obj, 0, out)
+    _emit(obj, 0, out, write)
     out.append("\n")
-    return "".join(out)
+    _spill(out, write)
 
 
-def write_json(path, obj) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(canonical_json(obj))
+def _quote(field: str) -> str:
+    if any(ch in field for ch in ",\"\n\r"):
+        return '"' + field.replace('"', '""') + '"'
+    return field
 
 
 def _cell(value) -> str:
@@ -89,21 +117,56 @@ def _cell(value) -> str:
     return str(value)
 
 
+def _dump_csv(header: Sequence[str], rows: Iterable[Sequence],
+              write: Callable[[str], object]) -> None:
+    out = [",".join(_quote(h) for h in header) + "\n"]
+    for row in rows:
+        out.append(",".join(_quote(_cell(v)) for v in row) + "\n")
+        if len(out) >= _BATCH:
+            _spill(out, write)
+    _spill(out, write)
+
+
+@contextmanager
+def _replacing(path) -> Iterator[TextIO]:
+    """A text file that becomes ``path`` when the block ends normally.
+
+    It is a sibling of ``path``, so the rename is atomic; if the block
+    raises, the file is removed and whatever was at ``path`` stays.
+    """
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    fh = open(tmp, "x", encoding="utf-8", newline="\n")
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
+def canonical_json(obj) -> str:
+    """Render a JSON document with pinned float formatting, newline-terminated."""
+    buf = io.StringIO()
+    _dump_json(obj, buf.write)
+    return buf.getvalue()
+
+
+def write_json(path, obj) -> None:
+    """Write ``canonical_json(obj)`` to ``path``, streamed in batches."""
+    with _replacing(path) as fh:
+        _dump_json(obj, fh.write)
+
+
 def csv_text(header: Sequence[str], rows: Iterable[Sequence]) -> str:
     """CSV with minimal quoting: fields containing ',', '\"', or newlines
     are double-quoted with embedded quotes doubled."""
-
-    def quote(field: str) -> str:
-        if any(ch in field for ch in ",\"\n\r"):
-            return '"' + field.replace('"', '""') + '"'
-        return field
-
-    lines = [",".join(quote(h) for h in header)]
-    for row in rows:
-        lines.append(",".join(quote(_cell(v)) for v in row))
-    return "\n".join(lines) + "\n"
+    buf = io.StringIO()
+    _dump_csv(header, rows, buf.write)
+    return buf.getvalue()
 
 
 def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(csv_text(header, rows))
+    """Write ``csv_text(header, rows)`` to ``path``, streamed in batches."""
+    with _replacing(path) as fh:
+        _dump_csv(header, rows, fh.write)

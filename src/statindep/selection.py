@@ -30,6 +30,8 @@ DEFAULT_WINDOW = 5
 DEFAULT_MIN_POOL = 64
 # Member names of kappa_family_builder's family, in the order it returns them.
 KAPPA_FAMILY = ("naturals", "evens", "odds", "squares", "pow2", "thinned")
+# Coins the thinned member draws at a time (see _coin_thinned).
+_COIN_CHUNK = 1 << 16
 
 
 @dataclass
@@ -264,32 +266,81 @@ class Extraction:
 
 
 def kappa_family_builder(base_depth: int, seed: int = 0) -> list[SubsequenceIndex]:
-    """The standard adversarial checkpoint family, truncated at base_depth.
+    """The standard adversarial checkpoint family, truncated at base_depth:
+    :func:`kappa_member` of each name in ``KAPPA_FAMILY``, in that order.
 
-    Members: strided naturals (about 100 checkpoints), evens, odds, perfect
-    squares, powers of two, and one pseudo-randomly thinned index drawn
-    with a fixed seed so repeated calls agree element for element.
+    Memory is that of the six members together: evens, odds and thinned
+    hold about base_depth / 2 checkpoints each, so about 12 bytes per
+    index of base_depth.  A caller that needs one member builds only that
+    one with :func:`kappa_member`.
+    """
+    return [kappa_member(name, base_depth, seed=seed) for name in KAPPA_FAMILY]
+
+
+def kappa_member(name: str, base_depth: int, seed: int = 0) -> SubsequenceIndex:
+    """One member of the standard checkpoint family, truncated at base_depth.
+
+    ``name`` is one of ``KAPPA_FAMILY``: strided naturals (about 100
+    checkpoints), evens, odds, perfect squares, powers of two, and one
+    pseudo-randomly thinned index drawn with a fixed seed so repeated calls
+    agree element for element.  ``seed`` matters only for thinned.
+
+    Memory is O(M) for the member's M checkpoints, not O(base_depth):
+    thinned draws its coins ``_COIN_CHUNK`` at a time and holds, besides
+    its checkpoints, one chunk of coins (``numpy.random`` is imported only
+    to build it).  ValueError for base_depth < 1000 or an unknown name.
     """
     if base_depth < 10 ** 3:
         raise ValueError(f"base_depth must be >= 1000, got {base_depth}")
-    stride = max(1, base_depth // 100)
-    naturals = np.arange(stride, base_depth + 1, stride, dtype=np.int64)
-    evens = np.arange(2, base_depth + 1, 2, dtype=np.int64)
-    odds = np.arange(1, base_depth + 1, 2, dtype=np.int64)
-    top = int(np.floor(np.sqrt(base_depth)))
-    squares = np.arange(1, top + 1, dtype=np.int64) ** 2
-    pow2 = 2 ** np.arange(0, int(np.floor(np.log2(base_depth))) + 1,
-                          dtype=np.int64)
-    rng = np.random.default_rng(seed)
-    keep = rng.random(base_depth) < 0.5
-    thinned = np.nonzero(keep)[0].astype(np.int64) + 1
+    if name == "naturals":
+        stride = max(1, base_depth // 100)
+        checkpoints = np.arange(stride, base_depth + 1, stride, dtype=np.int64)
+        rule = f"k_N = {stride}N"
+    elif name == "evens":
+        checkpoints = np.arange(2, base_depth + 1, 2, dtype=np.int64)
+        rule = "k_N = 2N"
+    elif name == "odds":
+        checkpoints = np.arange(1, base_depth + 1, 2, dtype=np.int64)
+        rule = "k_N = 2N-1"
+    elif name == "squares":
+        top = int(np.floor(np.sqrt(base_depth)))
+        checkpoints = np.arange(1, top + 1, dtype=np.int64) ** 2
+        rule = "k_N = N^2"
+    elif name == "pow2":
+        checkpoints = 2 ** np.arange(
+            0, int(np.floor(np.log2(base_depth))) + 1, dtype=np.int64)
+        rule = "k_N = 2^(N-1)"
+    elif name == "thinned":
+        checkpoints = _coin_thinned(base_depth, seed)
+        rule = f"coin-thinned, seed={seed}"
+    else:
+        raise ValueError(f"unknown kappa member {name!r}; expected one of "
+                         f"{', '.join(KAPPA_FAMILY)}")
+    return SubsequenceIndex(checkpoints, rule=rule, name=name)
 
-    members = {
-        "naturals": (naturals, f"k_N = {stride}N"),
-        "evens": (evens, "k_N = 2N"),
-        "odds": (odds, "k_N = 2N-1"),
-        "squares": (squares, "k_N = N^2"),
-        "pow2": (pow2, "k_N = 2^(N-1)"),
-        "thinned": (thinned, f"coin-thinned, seed={seed}"),
-    }
-    return [SubsequenceIndex(*members[name], name=name) for name in KAPPA_FAMILY]
+
+def _coin_thinned(base_depth: int, seed: int) -> np.ndarray:
+    """The indices n <= base_depth whose coin ``default_rng(seed).random()
+    < 0.5`` comes up, coin n being the n-th draw.
+
+    The coins are drawn in chunks of one generator, which gives the same
+    stream as one draw of base_depth.  They are drawn twice, from the same
+    starting state: once to count the kept indices, once to fill an
+    array of exactly that size.
+    """
+    rng = np.random.default_rng(seed)
+    start = rng.bit_generator.state
+
+    def coins():
+        for lo in range(0, base_depth, _COIN_CHUNK):
+            yield lo, rng.random(min(_COIN_CHUNK, base_depth - lo)) < 0.5
+
+    kept = np.empty(sum(int(np.count_nonzero(c)) for _, c in coins()),
+                    dtype=np.int64)
+    rng.bit_generator.state = start
+    filled = 0
+    for lo, c in coins():
+        heads = np.flatnonzero(c)
+        kept[filled:filled + heads.size] = heads + (lo + 1)
+        filled += heads.size
+    return kept

@@ -18,7 +18,7 @@ def check_checkpoints(checkpoints: Iterable[int]) -> np.ndarray:
         raise CheckpointError("checkpoint list must be a nonempty 1-d sequence")
     if arr[0] < 1:
         raise CheckpointError(f"checkpoints must start at 1 or later, got {arr[0]}")
-    if arr.size > 1 and not np.all(np.diff(arr) > 0):
+    if not np.all(arr[1:] > arr[:-1]):
         raise CheckpointError("checkpoints must be strictly increasing")
     return arr
 

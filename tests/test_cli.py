@@ -1,6 +1,10 @@
 """End-to-end command-line tests; every run goes through main(argv)."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,6 +39,8 @@ from statindep.cli import (
 from statindep.reporting import canonical_json, csv_text, fmt_float
 from statindep.selection import DEFAULT_TOL, DEFAULT_WINDOW, KAPPA_FAMILY
 from statindep.sequences import SEQUENCE_KINDS, normalize_spec
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 KRON = {"kind": "kronecker", "params": {"alpha": "sqrt2-1"}}
 MIRROR = {"kind": "affine_image",
@@ -456,6 +462,22 @@ class TestIndependence:
                                    atom_tol=0.001)
             assert outcome["rectangle"]["corners"] == [
                 [x, y] for x in grid.tolist() for y in grid.tolist()]
+
+    @pytest.mark.parametrize("kappa, imported",
+                             [("pow2", False), ("thinned", True)])
+    def test_only_thinned_imports_numpy_random(self, tmp_path, kappa,
+                                               imported):
+        # a named kappa builds its one member, and only thinned draws coins
+        spec = self.spec_pair(tmp_path, schedule=[100, 1000], kappa=kappa)
+        argv = ["independence", "--spec", spec, "--out", str(tmp_path),
+                "--depth", "1000"]
+        code = ("import sys\nfrom statindep.cli import main\n"
+                f"code = main({argv!r})\n"
+                "print(code, 'numpy.random' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", code],
+                             env=dict(os.environ, PYTHONPATH=SRC),
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.splitlines()[-1] == f"0 {imported}"
 
     def test_single_sequence_is_operational_error(self, tmp_path, capsys):
         spec = write_spec(tmp_path, {"sequences": [KRON]})

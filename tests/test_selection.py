@@ -1,6 +1,7 @@
 """Measurability detection, extraction, and checkpoint family tests."""
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,9 +19,11 @@ from statindep import (
     empirical_cdf,
     helly_extract,
     kappa_family_builder,
+    kappa_member,
     make_block,
     selection,
 )
+from statindep.selection import KAPPA_FAMILY
 
 DECILES = np.linspace(0.1, 0.9, 9)
 
@@ -192,3 +195,72 @@ class TestKappaFamily:
     def test_depth_minimum(self):
         with pytest.raises(ValueError):
             kappa_family_builder(999)
+
+
+def _family_at_once(base_depth, seed=0):
+    """The family as it was built before kappa_member: every member at
+    once, the coins in one draw of base_depth.  name -> (checkpoints, rule)."""
+    stride = max(1, base_depth // 100)
+    naturals = np.arange(stride, base_depth + 1, stride, dtype=np.int64)
+    evens = np.arange(2, base_depth + 1, 2, dtype=np.int64)
+    odds = np.arange(1, base_depth + 1, 2, dtype=np.int64)
+    top = int(np.floor(np.sqrt(base_depth)))
+    squares = np.arange(1, top + 1, dtype=np.int64) ** 2
+    pow2 = 2 ** np.arange(0, int(np.floor(np.log2(base_depth))) + 1,
+                          dtype=np.int64)
+    rng = np.random.default_rng(seed)
+    keep = rng.random(base_depth) < 0.5
+    thinned = np.nonzero(keep)[0].astype(np.int64) + 1
+    return {
+        "naturals": (naturals, f"k_N = {stride}N"),
+        "evens": (evens, "k_N = 2N"),
+        "odds": (odds, "k_N = 2N-1"),
+        "squares": (squares, "k_N = N^2"),
+        "pow2": (pow2, "k_N = 2^(N-1)"),
+        "thinned": (thinned, f"coin-thinned, seed={seed}"),
+    }
+
+
+class TestKappaMember:
+    # 65536 * 3 + 1 ends one index into a fourth chunk of coins
+    @pytest.mark.parametrize("depth", [1000, 4097, 65536 * 3 + 1, 10 ** 5])
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_equals_the_member_built_at_once(self, depth, seed):
+        want = _family_at_once(depth, seed)
+        family = kappa_family_builder(depth, seed=seed)
+        assert [k.name for k in family] == list(KAPPA_FAMILY)
+        for name, member in zip(KAPPA_FAMILY, family):
+            got = kappa_member(name, depth, seed=seed)
+            checkpoints, rule = want[name]
+            for k in (got, member):
+                assert k.checkpoints.dtype == np.int64
+                assert np.array_equal(k.checkpoints, checkpoints), name
+                assert (k.rule, k.name) == (rule, name)
+
+    def test_rejects_shallow_depth_and_unknown_name(self):
+        with pytest.raises(ValueError, match="base_depth must be >= 1000"):
+            kappa_member("pow2", 999)
+        with pytest.raises(ValueError, match="unknown kappa member 'cubes'"):
+            kappa_member("cubes", 10 ** 4)
+
+    def test_pow2_memory_does_not_grow_with_depth(self):
+        tracemalloc.start()
+        try:
+            kappa = kappa_member("pow2", 2 ** 22)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(kappa) == 23
+        assert peak < 64 << 10, peak
+
+    def test_thinned_holds_its_checkpoints_and_one_chunk_of_coins(self):
+        # one draw of all 2^22 coins alone would take 32 MiB; the
+        # increasing check of SubsequenceIndex takes one byte a checkpoint
+        tracemalloc.start()
+        try:
+            kappa = kappa_member("thinned", 2 ** 22)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        extra = peak - kappa.checkpoints.nbytes - len(kappa)
+        assert extra <= 16 * selection._COIN_CHUNK, extra

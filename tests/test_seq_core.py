@@ -96,6 +96,32 @@ class TestKronecker:
         assert np.array_equal(a[:30], b)
         assert not a.flags.writeable
 
+    # The named alphas, 20 random ones, and alphas that must keep the %
+    # reduction: zero, -0.0 and a negative one (v - trunc(v) would keep
+    # a -0.0 and a negative sign), and 3.75, whose products pass 2^63 at
+    # the deepest indices below.
+    FMOD_ALPHAS = (["sqrt2-1", "sqrt3-1", "sqrt5-1", "golden"]
+                   + np.random.default_rng(7).random(20).tolist()
+                   + [0.5, 3.75, 0.0, "-0.0", -0.3])
+
+    @pytest.mark.parametrize("alpha", FMOD_ALPHAS)
+    def test_values_equal_the_fmod_reduction_bit_for_bit(self, alpha):
+        seq = KroneckerSequence(alpha)
+
+        def fmod(ns):
+            vals = ns.astype(np.longdouble) * seq.alpha
+            return (vals % np.longdouble(1.0)).astype(np.float64)
+
+        # 1 .. 2^16 and a range across chunk edges, read as the walk reads
+        for lo, hi in ((0, 1 << 16), (_CHUNK - 5, 3 * _CHUNK + 7)):
+            got = np.concatenate(list(seq._chunks(lo, hi)))
+            assert _same_bits(got, fmod(np.arange(lo + 1, hi + 1)))
+        rng = np.random.default_rng(11)
+        for ns in (np.sort(rng.integers(1, 2 ** 40, 4096)),
+                   rng.integers(2 ** 50, 2 ** 52, 4096),
+                   rng.integers(2 ** 61, 2 ** 62, 64)):
+            assert _same_bits(seq._eval_batch(ns), fmod(ns))
+
 
 class TestVanDerCorput:
     def test_base2_oracle(self):
@@ -435,6 +461,9 @@ class TestSubsequenceIndex:
             SubsequenceIndex([0, 1])
         with pytest.raises(CheckpointError):
             SubsequenceIndex([1, 3, 3])
+        # a difference of int64 checkpoints would wrap to a positive one
+        with pytest.raises(CheckpointError, match="strictly increasing"):
+            SubsequenceIndex([1, 2 ** 62, -(2 ** 63) + 5])
 
     def test_accessors(self):
         kappa = SubsequenceIndex([1, 4, 9], rule="squares", name="sq")
