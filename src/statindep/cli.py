@@ -27,6 +27,7 @@ import numpy as np
 
 from .distribution import StepCDF, cdf_eval, continuity_grid, empirical_cdf, \
     stieltjes, PiecewiseLinear
+from .density import sorted_unique
 from .errors import SpecError, StatIndepError
 from .independence import FunctionBattery, NamedFunction, _multilinear, \
     default_battery, equivalence_harness
@@ -259,7 +260,7 @@ def _derived_pool(depth: int) -> SubsequenceIndex:
     if depth < 2:
         raise SpecError(f"--depth {depth} too shallow to derive a pool")
     js = np.arange(0, int(np.floor(8 * np.log2(depth))) + 1)
-    ks = np.unique(np.round(np.exp2(js / 8.0)).astype(np.int64))
+    ks = sorted_unique(np.round(np.exp2(js / 8.0)).astype(np.int64))
     ks = ks[(ks >= 1) & (ks <= depth)]
     return SubsequenceIndex(ks, rule="geometric, eight per octave",
                             name="geometric")
@@ -281,16 +282,23 @@ def resolve_kappa_family(spec: ExperimentSpec, depth: int,
                          seed: int) -> list[SubsequenceIndex | Extraction]:
     """The spec's kappa family at ``depth``; ``"extract"`` gives one
     :class:`Extraction` from :func:`resolve_pool`, which the equivalence
-    harness extracts from the counts of its own walk."""
+    harness extracts from the counts of its own walk.
+
+    ``"default"`` and a named member are built as their last ``window``
+    checkpoints only (``last`` of :func:`kappa_member`), all that the
+    harness reads of an index, so they take O(window) memory at any
+    depth; an explicit checkpoint list is kept whole.
+    """
     if isinstance(spec.kappa, tuple):
         return [SubsequenceIndex(np.asarray(spec.kappa, dtype=np.int64),
                                  name="explicit")]
+    window = spec.tolerances["window"]
     if spec.kappa == "default":
-        return kappa_family_builder(depth, seed=seed)
+        return kappa_family_builder(depth, seed=seed, last=window)
     if spec.kappa in KAPPA_FAMILY:
-        return [kappa_member(spec.kappa, depth, seed=seed)]
+        return [kappa_member(spec.kappa, depth, seed=seed, last=window)]
     return [Extraction(resolve_pool(spec, depth), tol=spec.tolerances["tol"],
-                       window=spec.tolerances["window"])]
+                       window=window)]
 
 
 def _load_spec_file(path: str) -> dict:
@@ -433,7 +441,7 @@ def cmd_extract(args) -> int:
                         cdfs=lambda: [empirical_cdf(s, pool) for s in seqs])
     # One walk counts the pool; the extraction and each measurability
     # report read their rows, as kappa's checkpoints are pool checkpoints.
-    counts = _pool_counts(seqs, pool, np.unique(grid))
+    counts = _pool_counts(seqs, pool, sorted_unique(grid))
     kappa = helly_extract(seqs, pool, grid, tol=tol, window=window,
                           counts=counts)
     rows = np.searchsorted(pool.checkpoints, kappa.checkpoints)

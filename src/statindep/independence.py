@@ -27,7 +27,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .density import (MAX_TABLE_CELLS, Tally, check_table_size, fill,
-                      marginal)
+                      marginal, sorted_unique)
 from .distribution import continuity_grid, empirical_cdf
 from . import forkwalk
 from .errors import IntervalError, MeasurabilityError
@@ -676,7 +676,7 @@ def kappa_independence_test(seqs: Sequence[BoundedSequence],
     _check_window(kappa, window)
     if measurability_tol <= 0:
         raise ValueError(f"tol must be positive, got {measurability_tol}")
-    points, rows = np.unique(grid), kappa.checkpoints[-window:]
+    points, rows = sorted_unique(grid), kappa.checkpoints[-window:]
     tallies = [Tally(points, rows, [r]) for r in range(m)]
     joint = Tally(points, rows[-1:], range(m))
     fill(seqs, tallies + [joint])
@@ -790,7 +790,11 @@ def equivalence_harness(seqs: Sequence[BoundedSequence],
     :func:`kappa_independence_test` takes its own; a member along which a
     sequence is not measurable is recorded as skipped, naming the
     sequence.  A counterexample is a tested member whose rectangle
-    verdict contradicts a decisive schedule verdict.
+    verdict contradicts a decisive schedule verdict.  Of an index the
+    harness reads only its label, its last ``window`` checkpoints (the
+    deepest among them) and whether it has that many, so a member built
+    as just those checkpoints (``last`` of :func:`selection.kappa_member`)
+    gives the same report.
 
     The walk's joint tables share ``MAX_TABLE_CELLS`` cells, taken in
     family order.  An index whose joint row does not fit in what is left
@@ -824,7 +828,7 @@ def equivalence_harness(seqs: Sequence[BoundedSequence],
         continuity_grid([], grid, atom_tol=atom_tol,
                         interval=seqs[0].interval)
     points = check_grid(seqs[0], None if count else grid, window)
-    check_table_size(1, grid if count else np.unique(points).size, m)
+    check_table_size(1, grid if count else sorted_unique(points).size, m)
     for member in kappa_family:
         if not isinstance(member, Extraction):
             _check_window(member, window)
@@ -849,10 +853,10 @@ def equivalence_harness(seqs: Sequence[BoundedSequence],
         """The plan of ``member_grid`` with these rows added, or None when
         its new joint rows do not fit in the cells left."""
         nonlocal free
-        unique = np.unique(member_grid)
+        unique = sorted_unique(member_grid)
         found = plans.get(unique.tobytes()) or SimpleNamespace(
             points=unique, marginal_rows=[], joint_rows=joint_rows[:0])
-        rows = np.union1d(found.joint_rows, joint_rows)
+        rows = sorted_unique(np.concatenate((found.joint_rows, joint_rows)))
         cells = (rows.size - found.joint_rows.size) * (unique.size + 1) ** m
         if cells > free:
             return None
@@ -883,7 +887,7 @@ def equivalence_harness(seqs: Sequence[BoundedSequence],
     for found in plans.values():
         rows = found.marginal_rows
         found.marginals = [
-            Tally(found.points, np.unique(np.concatenate(rows)), [r])
+            Tally(found.points, sorted_unique(np.concatenate(rows)), [r])
             for r in range(m)] if rows else []
         found.joint = Tally(found.points, found.joint_rows, range(m))
         tallies += found.marginals + [found.joint]

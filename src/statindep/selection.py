@@ -12,13 +12,16 @@ automatically, since subsets of a tol-wide band stay within it.
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
-from .density import DensityEstimate, Tally, fill, grid_counts
+from .density import DensityEstimate, Tally, fill, grid_counts, \
+    sorted_unique
 from .distribution import StepCDF, empirical_cdf
 from .errors import (CheckpointError, ExtractionError, IntervalError,
                      SequenceExhausted)
@@ -119,7 +122,7 @@ def detect_measurable(seq: BoundedSequence, kappa: SubsequenceIndex,
     _check_window(kappa, window)
     if tol <= 0:
         raise ValueError(f"tol must be positive, got {tol}")
-    counts = grid_counts([seq], np.unique(grid), kappa.checkpoints)
+    counts = grid_counts([seq], sorted_unique(grid), kappa.checkpoints)
     return _measurability(seq, kappa, grid, counts, tol, window)
 
 
@@ -201,7 +204,7 @@ def helly_extract(seqs: Sequence[BoundedSequence], pool: SubsequenceIndex,
             f"{min_pool} (pass a deeper pool or lower min_pool)")
 
     checkpoints = pool.checkpoints
-    points = np.unique(grid)
+    points = sorted_unique(grid)
     if counts is None:
         counts = _pool_counts(seqs, pool, points)
     surviving = np.arange(len(pool))
@@ -265,19 +268,24 @@ class Extraction:
                              window=self.window, counts=counts)
 
 
-def kappa_family_builder(base_depth: int, seed: int = 0) -> list[SubsequenceIndex]:
+def kappa_family_builder(base_depth: int, seed: int = 0,
+                         last: int | None = None) -> list[SubsequenceIndex]:
     """The standard adversarial checkpoint family, truncated at base_depth:
-    :func:`kappa_member` of each name in ``KAPPA_FAMILY``, in that order.
+    :func:`kappa_member` of each name in ``KAPPA_FAMILY``, in that order,
+    each with this ``seed`` and ``last``.
 
-    Memory is that of the six members together: evens, odds and thinned
-    hold about base_depth / 2 checkpoints each, so about 12 bytes per
-    index of base_depth.  A caller that needs one member builds only that
-    one with :func:`kappa_member`.
+    Built whole (``last`` None), evens, odds and thinned hold about
+    base_depth / 2 checkpoints each, about 12 bytes per index of
+    base_depth.  With ``last``, each member is its last ``last``
+    checkpoints, and the family takes O(last) memory at any depth, besides
+    one chunk of thinned's coins while they are drawn.
     """
-    return [kappa_member(name, base_depth, seed=seed) for name in KAPPA_FAMILY]
+    return [kappa_member(name, base_depth, seed=seed, last=last)
+            for name in KAPPA_FAMILY]
 
 
-def kappa_member(name: str, base_depth: int, seed: int = 0) -> SubsequenceIndex:
+def kappa_member(name: str, base_depth: int, seed: int = 0,
+                 last: int | None = None) -> SubsequenceIndex:
     """One member of the standard checkpoint family, truncated at base_depth.
 
     ``name`` is one of ``KAPPA_FAMILY``: strided naturals (about 100
@@ -285,56 +293,81 @@ def kappa_member(name: str, base_depth: int, seed: int = 0) -> SubsequenceIndex:
     pseudo-randomly thinned index drawn with a fixed seed so repeated calls
     agree element for element.  ``seed`` matters only for thinned.
 
-    Memory is O(M) for the member's M checkpoints, not O(base_depth):
-    thinned draws its coins ``_COIN_CHUNK`` at a time and holds, besides
-    its checkpoints, one chunk of coins (``numpy.random`` is imported only
-    to build it).  ValueError for base_depth < 1000 or an unknown name.
+    With ``last`` (>= 1) the member is only its last ``last`` checkpoints,
+    the whole member's ``checkpoints[-last:]`` with its rule and name.
+    The equivalence harness with window ``last`` reads nothing else of an
+    index (its trailing window, which ends at its deepest checkpoint).
+
+    Memory is O(M) for the member's M checkpoints (M <= ``last`` when
+    given), not O(base_depth): the closed forms are evaluated only at the
+    N they keep, and thinned draws its coins ``_COIN_CHUNK`` at a time and
+    holds, besides its checkpoints, one chunk of coins (``numpy.random``
+    is imported only to build it).  ValueError for base_depth outside
+    [1000, 2^63), for ``last`` < 1 or an unknown name.
     """
+    base_depth = operator.index(base_depth)
     if base_depth < 10 ** 3:
         raise ValueError(f"base_depth must be >= 1000, got {base_depth}")
-    if name == "naturals":
-        stride = max(1, base_depth // 100)
-        checkpoints = np.arange(stride, base_depth + 1, stride, dtype=np.int64)
-        rule = f"k_N = {stride}N"
-    elif name == "evens":
-        checkpoints = np.arange(2, base_depth + 1, 2, dtype=np.int64)
-        rule = "k_N = 2N"
-    elif name == "odds":
-        checkpoints = np.arange(1, base_depth + 1, 2, dtype=np.int64)
-        rule = "k_N = 2N-1"
-    elif name == "squares":
-        top = int(np.floor(np.sqrt(base_depth)))
-        checkpoints = np.arange(1, top + 1, dtype=np.int64) ** 2
-        rule = "k_N = N^2"
-    elif name == "pow2":
-        checkpoints = 2 ** np.arange(
-            0, int(np.floor(np.log2(base_depth))) + 1, dtype=np.int64)
-        rule = "k_N = 2^(N-1)"
-    elif name == "thinned":
-        checkpoints = _coin_thinned(base_depth, seed)
-        rule = f"coin-thinned, seed={seed}"
-    else:
+    if base_depth >= 2 ** 63:
+        raise ValueError(f"base_depth must be < 2^63, got {base_depth}")
+    if last is not None and last < 1:
+        raise ValueError(f"last must be >= 1, got {last}")
+    if name == "thinned":
+        return SubsequenceIndex(_coin_thinned(base_depth, seed, last),
+                                rule=f"coin-thinned, seed={seed}", name=name)
+    if name not in _CLOSED_FORMS:
         raise ValueError(f"unknown kappa member {name!r}; expected one of "
                          f"{', '.join(KAPPA_FAMILY)}")
-    return SubsequenceIndex(checkpoints, rule=rule, name=name)
+    count, term, rule = _CLOSED_FORMS[name](base_depth)
+    first = 1 if last is None else max(1, count - last + 1)
+    return SubsequenceIndex(term(np.arange(first, count + 1, dtype=np.int64)),
+                            rule=rule, name=name)
 
 
-def _coin_thinned(base_depth: int, seed: int) -> np.ndarray:
+def _strided(base_depth: int):
+    stride = max(1, base_depth // 100)
+    return base_depth // stride, lambda n: stride * n, f"k_N = {stride}N"
+
+
+# The closed-form members: name -> f(base_depth) = (M, k, rule), where the
+# member's checkpoints are k(N) for N = 1..M, evaluated on int64 arrays of
+# N.  Every bound is an integer one: a float sqrt or log2 rounds up just
+# below a square or a power of two (log2(2^50 - 1) rounds to 50).
+_CLOSED_FORMS = {
+    "naturals": _strided,
+    "evens": lambda d: (d // 2, lambda n: 2 * n, "k_N = 2N"),
+    "odds": lambda d: ((d + 1) // 2, lambda n: 2 * n - 1, "k_N = 2N-1"),
+    "squares": lambda d: (math.isqrt(d), lambda n: n * n, "k_N = N^2"),
+    "pow2": lambda d: (d.bit_length(), lambda n: 2 ** (n - 1),
+                       "k_N = 2^(N-1)"),
+}
+
+
+def _coin_thinned(base_depth: int, seed: int,
+                  last: int | None = None) -> np.ndarray:
     """The indices n <= base_depth whose coin ``default_rng(seed).random()
-    < 0.5`` comes up, coin n being the n-th draw.
+    < 0.5`` comes up, coin n being the n-th draw; only the last ``last``
+    of them when ``last`` is given.
 
     The coins are drawn in chunks of one generator, which gives the same
-    stream as one draw of base_depth.  They are drawn twice, from the same
-    starting state: once to count the kept indices, once to fill an
-    array of exactly that size.
+    stream as one draw of base_depth.  For every index they are drawn
+    twice, from the same starting state: once to count the kept indices,
+    once to fill an array of exactly that size.  For the last ``last``
+    they are drawn once, keeping the latest ``last`` kept indices.
     """
     rng = np.random.default_rng(seed)
-    start = rng.bit_generator.state
 
     def coins():
         for lo in range(0, base_depth, _COIN_CHUNK):
             yield lo, rng.random(min(_COIN_CHUNK, base_depth - lo)) < 0.5
 
+    if last is not None:
+        kept = np.empty(0, dtype=np.int64)
+        for lo, c in coins():
+            heads = np.flatnonzero(c)[-last:] + (lo + 1)
+            kept = np.concatenate((kept, heads))[-last:]
+        return kept
+    start = rng.bit_generator.state
     kept = np.empty(sum(int(np.count_nonzero(c)) for _, c in coins()),
                     dtype=np.int64)
     rng.bit_generator.state = start

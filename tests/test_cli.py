@@ -479,6 +479,30 @@ class TestIndependence:
                              capture_output=True, text=True, check=True)
         assert out.stdout.splitlines()[-1] == f"0 {imported}"
 
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                        reason="reads VmHWM from /proc")
+    def test_default_family_memory_is_flat_in_depth(self, tmp_path):
+        # each member is built as its last window checkpoints; whole, the
+        # family held about 12 bytes per index, 23 MiB more at 2^21.
+        # VmHWM, not ru_maxrss, which a child starts at its parent's peak.
+        spec = self.spec_pair(tmp_path, schedule=[100, 1000])
+        peaks = []
+        for depth in (2 ** 17, 2 ** 21):
+            argv = ["independence", "--spec", spec, "--out", str(tmp_path),
+                    "--depth", str(depth)]
+            code = ("from statindep.cli import main\n"
+                    f"code = main({argv!r})\n"
+                    "hwm = [line.split()[1] for line in open('/proc/self/status')"
+                    " if line.startswith('VmHWM:')]\n"
+                    "print(code, *hwm)")
+            out = subprocess.run([sys.executable, "-c", code],
+                                 env=dict(os.environ, PYTHONPATH=SRC),
+                                 capture_output=True, text=True, check=True)
+            exit_code, peak_kb = out.stdout.split()[-2:]
+            assert exit_code == "0"
+            peaks.append(int(peak_kb))
+        assert peaks[1] - peaks[0] <= 1536, peaks
+
     def test_single_sequence_is_operational_error(self, tmp_path, capsys):
         spec = write_spec(tmp_path, {"sequences": [KRON]})
         assert main(["independence", "--spec", spec,
@@ -574,6 +598,31 @@ class TestExtract:
         spec = write_spec(tmp_path, {"sequences": [KRON]})
         assert main(["extract", "--spec", spec, "--out", str(tmp_path)]) == 1
         assert "extract" in capsys.readouterr().err
+
+
+SQRT3 = {"kind": "kronecker", "params": {"alpha": "sqrt3-1"}}
+BLOCK = {"kind": "block", "params": {"low": 0.0, "high": 1.0, "growth": 2}}
+
+
+@pytest.mark.parametrize("command, spec", [
+    ("independence", {"sequences": [KRON, SQRT3], "grid": [0.25, 0.5]}),
+    ("independence", {"sequences": [KRON, SQRT3], "grid": {"deciles": True}}),
+    ("independence", {"sequences": [KRON, SQRT3], "grid": 5}),
+    ("extract", {"sequences": [BLOCK], "kappa": "extract"}),
+    ("distribution", {"sequences": [KRON], "grid": 5}),
+], ids=["fixed", "deciles", "count", "extract", "distribution"])
+def test_no_command_imports_numpy_ma(tmp_path, command, spec):
+    # a plain np.unique call imports numpy.ma, which no run needs
+    spec = write_spec(tmp_path, dict(spec, schedule=[100, 1000]))
+    argv = [command, "--spec", spec, "--out", str(tmp_path),
+            "--depth", "4096"]
+    code = ("import sys\nfrom statindep.cli import main\n"
+            f"code = main({argv!r})\n"
+            "print(code, 'numpy.ma' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code],
+                         env=dict(os.environ, PYTHONPATH=SRC),
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.splitlines()[-1] == "0 False"
 
 
 class TestExitCodes:

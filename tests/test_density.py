@@ -21,7 +21,7 @@ from statindep import (
     detect_measurable,
     make_block,
 )
-from statindep.density import grid_counts
+from statindep.density import grid_counts, sorted_unique
 from statindep.selection import check_grid
 
 
@@ -143,3 +143,22 @@ def test_density_value_is_last_trace_entry(m):
     est = trace_below(seq, 0.5, kappa)
     assert est.value == est.trace[-1][1]
     assert len(est.trace) == m
+
+
+# Duplicates, both zeros and the int64 extremes come up often, as in
+# checkpoint lists and grids; np.unique keeps the one of 0.0 and -0.0 that
+# its sort puts first.
+_INT64 = st.integers(min_value=-2 ** 63, max_value=2 ** 63 - 1)
+_FLOATS = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    st.lists(st.one_of(st.integers(-3, 3), _INT64), max_size=60).map(
+        lambda v: np.asarray(v, dtype=np.int64)),
+    st.lists(st.one_of(st.sampled_from([0.0, -0.0, 0.5, -1.5]), _FLOATS),
+             max_size=60).map(lambda v: np.asarray(v, dtype=np.float64))))
+def test_sorted_unique_equals_np_unique(values):
+    got, want = sorted_unique(values), np.unique(values)
+    assert got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()

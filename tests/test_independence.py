@@ -1,6 +1,7 @@
 """Multilinear form, rectangle test, and equivalence harness tests."""
 
 import hashlib
+import json
 import os
 import signal
 import subprocess
@@ -18,6 +19,7 @@ from hypothesis import example, given, settings, strategies as st
 from _brute import BLOCK, brute_forms, brute_rectangle_count
 from statindep import (
     AffineImageSequence,
+    CheckpointError,
     ConstantSequence,
     Extraction,
     FileSequence,
@@ -50,7 +52,7 @@ from statindep import (
 from statindep.density import grid_counts
 from statindep import forkwalk, independence
 from statindep import density as density_module
-from statindep.reporting import canonical_json
+from statindep.reporting import canonical_json, csv_text
 from statindep.sequences import _CHUNK
 from statindep.independence import MAX_TUPLE_ARITY
 
@@ -800,6 +802,48 @@ def test_harness_joint_rows_that_do_not_fit_take_walks_of_their_own(
     assert sorted(own_walks) == sorted(k.label for k in family
                                        if k.deepest != first)
     assert len(own_walks) < len(family)
+
+
+@pytest.mark.parametrize("grid", [np.linspace(0.1, 0.9, 9),
+                                  np.array([0.25, 0.5, 0.75]), 5],
+                         ids=["deciles", "fixed", "count"])
+def test_harness_reads_only_the_last_window_of_each_index(grid):
+    # built as its last `window` checkpoints, the default family gives the
+    # same report and CSV text; the block sequence is measurable along
+    # some members only, so tested and skipped members both occur
+    seqs = [make_block(0.0, 1.0, 2), KroneckerSequence("sqrt2-1")]
+    window, depth = 7, 4096
+
+    def texts(family):
+        rep = equivalence_harness(seqs, default_battery(), family,
+                                  [100, 1000, depth], 0.02, grid=grid,
+                                  window=window)
+        rows = [row for o in rep.outcomes if o.tested
+                for row in o.report.rows()]
+        return (canonical_json(rep.to_json_obj()),
+                csv_text(["N", "tuple label", "delta", "product", "gap"],
+                         rep.statind.gap_rows()),
+                csv_text(["kappa", "corner_1", "corner_2", "density",
+                          "product", "residual"], rows))
+
+    want = texts(kappa_family_builder(depth))
+    assert texts(kappa_family_builder(depth, last=window)) == want
+    outcomes = json.loads(want[0])["kappa_outcomes"]
+    assert {o["tested"] for o in outcomes} == {True, False}
+
+
+def test_harness_rejects_a_short_tail_as_it_rejects_the_member():
+    # pow2 at depth 1000 has 10 checkpoints, fewer than window 11
+    seqs = [KroneckerSequence("sqrt2-1"), KroneckerSequence("sqrt3-1")]
+    errors = []
+    for family in (kappa_family_builder(1000),
+                   kappa_family_builder(1000, last=11)):
+        with pytest.raises(CheckpointError) as err:
+            equivalence_harness(seqs, default_battery(), family, [100, 1000],
+                                0.02, window=11)
+        errors.append(str(err.value))
+    assert errors[0] == errors[1] == (
+        "index pow2 has 10 checkpoints; need at least window = 11")
 
 
 def test_count_grid_harness_generates_each_index_once(generation_log):

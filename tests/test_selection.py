@@ -1,5 +1,6 @@
 """Measurability detection, extraction, and checkpoint family tests."""
 
+import math
 import re
 import tracemalloc
 
@@ -237,11 +238,52 @@ class TestKappaMember:
                 assert np.array_equal(k.checkpoints, checkpoints), name
                 assert (k.rule, k.name) == (rule, name)
 
+    # 10**6 + 3 ends inside a chunk of coins and between two squares
+    @pytest.mark.parametrize("depth", [1000, 4097, 65536 * 3 + 1, 10 ** 5,
+                                       10 ** 6 + 3])
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_last_is_the_tail_of_the_whole_member(self, depth, seed):
+        whole = kappa_family_builder(depth, seed=seed)
+        # depth + 1 is more than any member's length
+        for last in (1, 5, 7, depth + 1):
+            family = kappa_family_builder(depth, seed=seed, last=last)
+            assert [k.name for k in family] == list(KAPPA_FAMILY)
+            for member, in_family in zip(whole, family):
+                got = kappa_member(member.name, depth, seed=seed, last=last)
+                for k in (got, in_family):
+                    assert k.checkpoints.dtype == np.int64
+                    assert np.array_equal(k.checkpoints,
+                                          member.checkpoints[-last:]), \
+                        (member.name, last)
+                    assert (k.rule, k.name) == (member.rule, member.name)
+
+    def test_integer_bounds_near_powers_of_two(self):
+        # a float sqrt or log2 rounds up near 2^k: pow2 at 2^50 - 1 once
+        # ended at 2^50, past its base depth
+        for k in range(10, 63):
+            for depth in (2 ** k - 1, 2 ** k, 2 ** k + 1):
+                stride, root = depth // 100, math.isqrt(depth)
+                top = depth // stride * stride
+                even, odd = depth - depth % 2, depth - 1 + depth % 2
+                power = 2 ** (depth.bit_length() - 1)
+                want = {"naturals": [top - stride, top],
+                        "evens": [even - 2, even], "odds": [odd - 2, odd],
+                        "squares": [(root - 1) ** 2, root ** 2],
+                        "pow2": [power // 2, power]}
+                for name, tail in want.items():
+                    got = kappa_member(name, depth, last=2).checkpoints
+                    assert got.tolist() == tail, (name, depth)
+
     def test_rejects_shallow_depth_and_unknown_name(self):
         with pytest.raises(ValueError, match="base_depth must be >= 1000"):
             kappa_member("pow2", 999)
+        with pytest.raises(ValueError, match=r"base_depth must be < 2\^63"):
+            kappa_member("evens", 2 ** 63)
         with pytest.raises(ValueError, match="unknown kappa member 'cubes'"):
             kappa_member("cubes", 10 ** 4)
+        for last in (0, -1):
+            with pytest.raises(ValueError, match="last must be >= 1"):
+                kappa_member("odds", 10 ** 4, last=last)
 
     def test_pow2_memory_does_not_grow_with_depth(self):
         tracemalloc.start()
@@ -264,3 +306,24 @@ class TestKappaMember:
             tracemalloc.stop()
         extra = peak - kappa.checkpoints.nbytes - len(kappa)
         assert extra <= 16 * selection._COIN_CHUNK, extra
+
+    def test_tail_memory_does_not_grow_with_depth(self):
+        # evens whole at 2^24 would hold 64 MiB.  thinned at 2^22 holds
+        # one chunk of coins, drawn as 8-byte floats and compared into one
+        # byte each while the last chunk's bytes are still held, and 5 of
+        # the kept indices
+        tracemalloc.start()
+        try:
+            evens = kappa_member("evens", 2 ** 24, last=5)
+            evens_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            thinned = kappa_member("thinned", 2 ** 22, last=5)
+            thinned_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert evens.checkpoints.tolist() == [2 ** 24 - 2 * i
+                                              for i in range(4, -1, -1)]
+        assert evens_peak < 64 << 10, evens_peak
+        assert len(thinned) == 5 and thinned.deepest <= 2 ** 22
+        assert thinned_peak <= 10 * selection._COIN_CHUNK + (16 << 10), \
+            thinned_peak
