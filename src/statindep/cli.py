@@ -31,7 +31,7 @@ from .density import sorted_unique
 from .errors import SpecError, StatIndepError
 from .independence import FunctionBattery, NamedFunction, _multilinear, \
     default_battery, equivalence_harness
-from .reporting import fmt_float, write_csv, write_json
+from .reporting import _replacing, fmt_float, write_csv, write_json
 from .selection import DEFAULT_MIN_POOL, DEFAULT_TOL, DEFAULT_WINDOW, \
     KAPPA_FAMILY, Extraction, _measurability, _pool_counts, helly_extract, \
     kappa_family_builder, kappa_member
@@ -332,11 +332,11 @@ def cmd_generate(args) -> int:
         seq = _single_sequence(spec, "generate")
         basename = spec.outputs["basename"]
     n = args.depth
-    values = seq.prefix(n).values
     path = _outdir(args) / f"{basename}_values.txt"
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for v in values:
-            fh.write(fmt_float(float(v)) + "\n")
+    # a chunk at a time; a failure leaves no file
+    with _replacing(path) as fh:
+        for chunk in seq.chunks(0, n):
+            fh.write("".join([fmt_float(v) + "\n" for v in chunk.tolist()]))
     print(f"wrote {path} ({n} values of {seq.label})")
     return 0
 

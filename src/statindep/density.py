@@ -5,14 +5,15 @@ counting core: a :class:`Tally` bins each slice of values it is fed
 against its sorted grid and adds the slice into a (checkpoint, grid cell)
 table with one ``bincount``; a cumulative sum along each axis (a
 summed-area table) then yields the exact count of every grid rectangle at
-every checkpoint.  Tallies are fed from one chunk walk
-(:func:`sequences.walk`): :func:`fill` fills any number of them,
-:func:`grid_counts` one, and the schedule test fills the equivalence
-harness's tallies from its own walk.  Nothing holds an array of one entry
-per index.  The rectangle test, measurability detection and extraction all
-count through it.  Densities are finite-prefix ratios count / k, reported
-with a trailing-window Cauchy diagnostic (:class:`DensityEstimate`)
-instead of a bare limit claim.
+every checkpoint.  Tallies are fed by the one walk driver,
+:func:`forkwalk.steps`, in whichever process walks each step:
+:func:`fill` fills any number of them, :func:`grid_counts` one, and the
+schedule test the equivalence harness's, from its own walk.  Nothing
+holds an array of one entry per index.  The rectangle test,
+measurability detection and extraction all count through it.
+Densities are finite-prefix ratios count / k, reported with a
+trailing-window Cauchy diagnostic (:class:`DensityEstimate`) instead of
+a bare limit claim.
 """
 
 from __future__ import annotations
@@ -22,7 +23,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .sequences import BoundedSequence, walk
+from . import forkwalk
+from .sequences import _CHUNK, BoundedSequence
 from .subsequence import check_checkpoints
 
 # Largest grid_counts table, in int64 cells (512 MiB).  Its joint codes
@@ -101,7 +103,8 @@ class Tally:
     (M, G+1, ..., G+1), one axis per member, with
     c[i, j_1, ..., j_m] = #{n <= k_i : v_r(n) < x_{j_r} for every r} for
     j_r < G, while j_r = G leaves member r unbounded (see
-    :func:`marginal`).
+    :func:`marginal`).  Until then ``counts`` holds the flat int64 counts
+    per (checkpoint segment, grid cell), which the walk driver replaces.
 
     Raises CheckpointError for checkpoints that are empty, below 1 or not
     strictly increasing, and ValueError when the table would exceed
@@ -121,7 +124,7 @@ class Tally:
         self.depth = int(self.checkpoints[-1])
         self._strides = [(g + 1) ** (m - 1 - r) for r in range(m)]
         self._segments = np.diff(self.checkpoints, prepend=0)
-        self._table = np.zeros(rows * self._cells, dtype=np.int64)
+        self.counts = np.zeros(rows * self._cells, dtype=np.int64)
         self._counted: np.ndarray | None = None
 
     def add(self, lo: int, values: Sequence[np.ndarray | None]) -> None:
@@ -156,14 +159,14 @@ class Tally:
             sizes[-1] = hi - checkpoints[j - 1]
             joint += np.repeat(np.arange(j - i + 1, dtype=np.int64) * cells,
                                sizes)
-        self._table[i * cells:(j + 1) * cells] += np.bincount(
+        self.counts[i * cells:(j + 1) * cells] += np.bincount(
             joint, minlength=(j - i + 1) * cells)
 
     def table(self) -> np.ndarray:
         """The counts, once every index up to k_M has been added."""
         if self._counted is None:
             m, g = len(self.members), self.points.size
-            table = self._table.reshape((self.checkpoints.size,)
+            table = self.counts.reshape((self.checkpoints.size,)
                                         + (g + 1,) * m)
             for axis in range(m + 1):
                 np.cumsum(table, axis=axis, out=table)
@@ -179,15 +182,12 @@ def marginal(table: np.ndarray, r: int) -> np.ndarray:
 
 
 def fill(seqs: Sequence[BoundedSequence], tallies: Sequence[Tally]) -> None:
-    """Fill every tally from one walk: each sequence is generated once, up
-    to the deepest checkpoint of the tallies that count it.  Raises
-    SequenceExhausted, before counting, when that lies past a finite
-    sequence's end."""
-    depths = [max((t.depth for t in tallies if r in t.members), default=0)
-              for r in range(len(seqs))]
-    for lo, values in walk(seqs, depths):
-        for tally in tallies:
-            tally.add(lo, values)
+    """Fill every tally from one counting-only walk (:func:`forkwalk.steps`):
+    each sequence is generated once, up to the deepest checkpoint of the
+    tallies that count it.  Raises SequenceExhausted, before counting,
+    when that lies past a finite sequence's end."""
+    for _ in forkwalk.steps(seqs, 0, _CHUNK, None, None, tallies):
+        pass
 
 
 def grid_counts(seqs: Sequence[BoundedSequence], points: np.ndarray,

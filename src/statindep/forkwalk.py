@@ -1,12 +1,12 @@
-"""A chunk walk shared with one forked worker process.
+"""The one chunk walk driver, shared with one forked worker process.
 
-:func:`steps` hands out the steps of a :func:`sequences.walk`: this
-process computes the even steps and a worker made by ``os.fork`` the odd
-ones, each with the same ``compute`` function on the same values, and every
-step comes back here in step order.  The worker sends each step's output
-through a pipe straight into this process's step buffers, so no value is
-held twice and no bit depends on which process computed it.  Plain
-``fork`` and ``pipe``: no pool and no helper process.
+:func:`steps` drives every :func:`sequences.walk`: this process walks the
+even steps and a worker made by ``os.fork`` the odd ones, each computed
+by the same ``compute`` function on the same values and counted into
+every tally.  Each step's output comes back here in step order, through a
+pipe straight into this process's step buffers, and the worker's counts
+once, after its last step, so no bit depends on which process walked a
+step.  Plain ``fork`` and ``pipe``: no pool and no helper process.
 
 For the walk, the two processes are pinned to two different CPUs and the
 pipe is widened to hold whole steps.  Otherwise, on a 2-CPU host, each
@@ -28,11 +28,11 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .sequences import BoundedSequence, walk
+from .sequences import _CHUNK, BoundedSequence, walk
 
 
 # Bytes a walk's pipe may buffer: /proc/sys/fs/pipe-max-size by default,
-# room for a step of four sequences' values.
+# room for whole steps of block sums.
 PIPE_BYTES = 1 << 20
 
 # A worker is made only when the rest of the walk, projected from its first
@@ -54,35 +54,53 @@ def usable_cpus() -> list[int]:
 
 
 def steps(seqs: Sequence[BoundedSequence], depth: int, width: int,
-          compute: Callable, layout: Callable,
-          send_values: bool) -> Iterator[tuple[int, list | None, list]]:
-    """``(start, values, parts)`` of every step of the walk of ``seqs`` to
-    ``depth``, ``width`` indices a step, in step order.
+          compute: Callable | None, layout: Callable | None,
+          tallies: Sequence) -> Iterator[tuple[int, list]]:
+    """``(start, parts)`` of every step of one walk of ``seqs``, ``width``
+    indices a step, in step order, each step counted into every tally.
 
-    ``compute(start, values)`` returns a step's ``(parts, out)``: its
-    parts, as views of ``out``, one contiguous float64 array.
-    ``layout(start)`` returns the same views, unfilled, so a worker's
-    ``out`` is read into them.  ``values`` are the walk's (None for a
-    worker's step unless ``send_values``); values and parts are
-    overwritten by the next step.
+    Each sequence is walked to ``depth``, or deeper to the deepest
+    checkpoint of the tallies that count it.  ``compute(start, values)``
+    returns a step's ``(parts, out)``: its parts, as views of ``out``, one
+    contiguous float64 array; ``layout(start)`` returns the same views,
+    unfilled, so a worker's ``out`` is read into them.  Parts are
+    overwritten by the next step.  A step at or past ``depth`` has none,
+    so a counting-only walk has depth 0 and no ``compute`` or ``layout``.
 
-    Step 0 is computed here.  A worker then computes the odd steps when at
+    Step 0 is walked here.  A worker then walks the odd steps when at
     least two CPUs are usable, no other thread is alive, SIGCHLD is not
     ignored and the rest of the walk, at step 0's time a step, would take
-    ``FORK_MIN_S`` or more; otherwise every step is computed here.  During
-    the walk this process runs on the first usable CPU and the worker on
-    the second; this process's CPU mask is restored after.
-    SequenceExhausted is raised before any fork.  A worker's exception is
-    raised here, with its type and message, at its step, and the worker
-    is killed and reaped however the walk ends.
+    ``FORK_MIN_S`` or more; otherwise every step is walked here.  The
+    worker counts its steps into zeroed tables of its own, so the two
+    processes together hold the table pages it touches twice (this
+    process's peak does not grow), and sends them after its last step,
+    to be added in here before the walk ends.  During the walk this process runs on the
+    first usable CPU and the worker on the second; this process's CPU
+    mask is restored after.  SequenceExhausted is raised before any fork.
+    A worker's exception is raised here, with its type and message, at
+    its step, and the worker is killed and reaped however the walk ends.
     """
-    m = len(seqs)
-    count = -(-depth // width)
-    buffers = np.empty((m, width))
+    depths = [max([depth] + [t.depth for t in tallies if r in t.members])
+              for r in range(len(seqs))]
+    count = -(-max(depths, default=0) // width)
+    buffers = np.empty((len(seqs), width))
+    idle = ([], np.empty(0))  # a step past depth: nothing computed
+
+    def walked(ks):
+        """``(start, (parts, out))`` of each step k in ``ks``, counted a
+        chunk at a time so that the binning temporaries stay that long."""
+        for start, values in walk(seqs, depths, width, ks, buffers):
+            done = compute(start, values) if start < depth else idle
+            for at in range(0, width, _CHUNK):
+                piece = [None if v is None else v[at:at + _CHUNK]
+                         for v in values]
+                for tally in tallies:
+                    tally.add(start + at, piece)
+            yield start, done
+
     took = time.perf_counter()
-    for start, values in walk(seqs, [depth] * m, width, steps=range(1),
-                              buffers=buffers):
-        yield start, values, compute(start, values)[0]
+    for start, done in walked(range(min(count, 1))):
+        yield start, done[0]
     took = time.perf_counter() - took
     pid, cpus = None, usable_cpus()
     # where SIGCHLD is ignored the kernel reaps the worker, and its pid
@@ -104,37 +122,34 @@ def steps(seqs: Sequence[BoundedSequence], depth: int, width: int,
             os.close(read)
             os.close(write)
     if pid is None:
-        for start, values in walk(seqs, [depth] * m, width,
-                                  steps=range(1, count), buffers=buffers):
-            yield start, values, compute(start, values)[0]
+        for start, done in walked(range(1, count)):
+            yield start, done[0]
         return
     if pid == 0:  # the worker: never returns
         os.close(read)
-        _worker(seqs, depth, width, compute, buffers, send_values, write,
-                cpus[1])
+        _worker(walked(range(1, count, 2)), tallies, write, cpus[1])
     try:
         os.sched_setaffinity(0, cpus[:1])
         os.close(write)
-        own = walk(seqs, [depth] * m, width, steps=range(2, count, 2),
-                   buffers=buffers)
+        own = walked(range(2, count, 2))
         header = np.zeros(1, dtype=np.int64)
         for k in range(1, count):
             if k % 2 == 0:
-                start, values = next(own)
-                yield start, values, compute(start, values)[0]
-                continue
-            start = k * width
-            parts, out = layout(start)
-            _read_exactly(read, header)
-            if header[0]:
-                raise pickle.loads(_read_exactly(read, bytearray(
-                    int(header[0]))))
-            if send_values:
-                _read_exactly(read, buffers)
-            _read_exactly(read, out)
-            stop = min(width, depth - start)
-            yield start, [b[:stop] for b in buffers] if send_values \
-                else None, parts
+                start, done = next(own)
+            else:
+                start = k * width
+                _read_exactly(read, header)
+                if header[0]:
+                    raise pickle.loads(_read_exactly(read, bytearray(
+                        int(header[0]))))
+                done = layout(start) if start < depth else idle
+                _read_exactly(read, done[1])
+            yield start, done[0]
+        piece = np.empty(_CHUNK, dtype=np.int64)
+        for tally in tallies:
+            for at in range(0, tally.counts.size, _CHUNK):
+                got = _read_exactly(read, piece[:tally.counts.size - at])
+                tally.counts[at:at + got.size] += got
     finally:
         try:
             os.close(read)
@@ -144,36 +159,32 @@ def steps(seqs: Sequence[BoundedSequence], depth: int, width: int,
             os.sched_setaffinity(0, mask)
 
 
-def _worker(seqs, depth, width, compute, buffers, send_values, fd,
-            cpu) -> None:
-    """On ``cpu``, compute every odd step and write each to ``fd``: a zero
-    int64, the step's values when ``send_values``, and its ``out``; or,
-    at the first exception, its pickle's length and the pickle.  Exits
-    through ``os._exit``, so nothing inherited from the parent runs or
-    flushes."""
+def _worker(own, tallies, fd, cpu) -> None:
+    """On ``cpu``, walk the steps of ``own`` into zeroed tallies and write
+    each step to ``fd``: a zero int64 and its ``out``; or, at the first
+    exception, its pickle's length and the pickle.  After the last step,
+    write every tally's counts.  Exits through ``os._exit``, so nothing
+    inherited from the parent runs or flushes."""
     code = 1
     try:
         gc.disable()  # collect none of the parent's garbage here
         os.sched_setaffinity(0, [cpu])
-        odd = range(1, -(-depth // width), 2)
-        own = walk(seqs, [depth] * len(seqs), width, steps=odd,
-                   buffers=buffers)
+        for tally in tallies:  # step 0 is counted in the parent
+            tally.counts = np.zeros_like(tally.counts)
         ok = np.zeros(1, dtype=np.int64)
-        for _ in odd:
+        try:
+            for _, done in own:
+                _write_all(fd, [ok, done[1]])
+        except Exception as exc:
             try:
-                start, values = next(own)
-                out = compute(start, values)[1]
-            except Exception as exc:
-                try:
-                    error = pickle.dumps(exc)
-                    pickle.loads(error)
-                except Exception:
-                    error = pickle.dumps(RuntimeError(
-                        f"{type(exc).__name__}: {exc}"))
-                _write_all(fd, [np.array([len(error)], dtype=np.int64),
-                                error])
-                break
-            _write_all(fd, [ok] + ([buffers] if send_values else []) + [out])
+                error = pickle.dumps(exc)
+                pickle.loads(error)
+            except Exception:
+                error = pickle.dumps(RuntimeError(
+                    f"{type(exc).__name__}: {exc}"))
+            _write_all(fd, [np.array([len(error)], dtype=np.int64), error])
+        else:
+            _write_all(fd, [tally.counts for tally in tallies])
         code = 0
     finally:
         os._exit(code)

@@ -248,8 +248,8 @@ def _multilinear(seqs: Sequence[BoundedSequence], funcs: Sequence[Sequence],
     for its members' constant runs.  Each step's block sums are computed by
     :func:`_compute_step`, in this process or a worker, and added here,
     every step in order, into the running sums; nothing of length N is
-    held.  Each step's values also feed every tally, here, and the walk
-    runs on past the schedule to the deepest tally checkpoint.
+    held.  The walk also feeds every tally, and runs on past the schedule
+    to the deepest checkpoint of the tallies that count each sequence.
     """
     m, n_max, count = len(seqs), schedule[-1], len(schedule)
     ns = np.asarray(schedule, dtype=np.float64)
@@ -279,23 +279,16 @@ def _multilinear(seqs: Sequence[BoundedSequence], funcs: Sequence[Sequence],
         sums=np.zeros(shape + (count, _GROUP)), out=np.empty(0))
     totals = np.full(shape + (count,), -0.0)  # -0.0 + x is x for every x
 
-    depth = max([n_max] + [t.depth for t in tallies])
     with contextlib.closing(forkwalk.steps(
-            seqs, depth, width, functools.partial(_compute_step, kernel),
-            functools.partial(_step_parts, kernel), bool(tallies))) as steps:
-        for start, values, parts in steps:
+            seqs, n_max, width, functools.partial(_compute_step, kernel),
+            functools.partial(_step_parts, kernel), tallies)) as steps:
+        for _, parts in steps:
             for (_, blocks, _, lo, hi), rowsums, block_sums in parts:
                 for slot, rowsum in zip(slots, rowsums):
                     for g in range(blocks):
                         slot.total[:, lo:hi] += rowsum[:, g, None]
                 for g in range(blocks):
                     totals[..., lo:hi] += block_sums[..., g]
-            # one block at a time, so that the binning temporaries stay a
-            # block long
-            for at in range(0, values[0].size if tallies else 0, _BLOCK):
-                block = [v[at:at + _BLOCK] for v in values]
-                for tally in tallies:
-                    tally.add(start + at, block)
 
     joint = totals / ns
     deltas = products = varied = None
@@ -561,20 +554,20 @@ def statind_test(seqs: Sequence[BoundedSequence], battery: FunctionBattery,
     When at least two CPUs are usable, no other thread is alive and the
     rest of the walk, projected from its first step, would take 0.1 s or
     more, one forked worker process computes every other step and pipes
-    its block sums (and its values, when tallies are fed) back; this
-    process adds every step's sums in step order, so no bit depends on
-    the worker, and kills and reaps it however the walk ends (see
-    :mod:`forkwalk`).  Memory: O(m*B*2^13 + B^m*S) for m
-    sequences, B members and S schedule points, independent of N: one
-    step of values, one block matrix and one product buffer per sequence,
-    and running sums per (tuple, N), in this process and again in the
-    worker, which shares the rest of this process's pages.
+    its block sums back; this process adds every step's sums in step
+    order, so no bit depends on the worker, and kills and reaps it
+    however the walk ends (see :mod:`forkwalk`).  Memory: O(m*B*2^13 +
+    B^m*S) for m sequences, B members and S schedule points, independent
+    of N: one step of values, one block matrix and one product buffer per
+    sequence, and running sums per (tuple, N), in this process and again
+    in the worker, which shares the rest of this process's pages.
     Every value equals :func:`delta_form`/:func:`product_form` at that N
     bit for bit: both are single-tuple calls of the same kernel.
 
     ``tallies`` (see :class:`density.Tally`) are fed from the same walk,
-    which then runs on to their deepest checkpoint, so every index of
-    every sequence is generated once for both tests.
+    in whichever process walks each step, and the walk runs on to their
+    deepest checkpoint, so every index of every sequence is generated
+    once for both tests.
     """
     schedule = _check_schedule_args(seqs, battery, schedule, tol)
     m = len(seqs)

@@ -7,12 +7,11 @@ hard error, never clamped.
 
 Values are read in blocks of ``_CHUNK`` indices aligned to absolute
 positions, and :func:`walk` reads several sequences in step.  A walk may
-read only some of its steps: the schedule test's walk gives every other
-step to one forked worker process when at least two CPUs are usable, no
-other thread is alive and the walk is long enough to repay the fork (see
-:func:`independence.statind_test` and :mod:`forkwalk`).  Each value
-depends on its own index only, so no bit depends on which process reads
-which step.
+read only some of its steps: :func:`forkwalk.steps`, which drives every
+walk, gives every other step to one forked worker process when at least
+two CPUs are usable, no other thread is alive and the walk is long
+enough to repay the fork.  Each value depends on its own index only, so
+no bit depends on which process reads which step.
 """
 
 from __future__ import annotations
@@ -251,18 +250,17 @@ def walk(seqs: Sequence[BoundedSequence], depths: Sequence[int],
     reached ``depths[r]``.  ``width`` is a multiple of ``_CHUNK``, so a
     step reads whole aligned blocks of :meth:`~BoundedSequence.chunks`,
     and each index is generated once however the steps are shared out.
-    A step's chunks are copied into ``buffers[r]`` (``width`` values, or
-    None to take a one-chunk step's chunk as it is; by default a new
-    buffer per sequence when ``width`` exceeds one chunk), which the next
-    step overwrites.  SequenceExhausted is raised before the first step
-    when a depth lies past a finite sequence's end.
+    A step's chunks are copied into ``buffers[r]`` (``width`` values; by
+    default a new buffer per sequence), which the next step overwrites.
+    SequenceExhausted is raised before the first step when a depth lies
+    past a finite sequence's end.
     """
     for s, depth in zip(seqs, depths):
         s.chunks(0, depth)
     if steps is None:
         steps = range(-(-max(depths, default=0) // width))
     if buffers is None:
-        buffers = [np.empty(width) if width > _CHUNK else None for _ in seqs]
+        buffers = np.empty((len(seqs), width))
     for k in steps:
         lo = k * width
         values = []
@@ -271,9 +269,6 @@ def walk(seqs: Sequence[BoundedSequence], depths: Sequence[int],
                 values.append(None)
                 continue
             stop = min(width, depth - lo)
-            if buffer is None:
-                values.append(next(s._chunks(lo, lo + stop)))
-                continue
             filled = 0
             for chunk in s._chunks(lo, lo + stop):
                 buffer[filled:filled + chunk.size] = chunk

@@ -54,6 +54,23 @@ def write_spec(tmp_path, obj, name="spec.json"):
     return str(path)
 
 
+def peak_kb(argv):
+    """VmHWM, in kB, of a fresh interpreter that runs ``main(argv)``,
+    which must return 0.  VmHWM, not ru_maxrss, which a child starts at
+    its parent's peak."""
+    code = ("from statindep.cli import main\n"
+            f"code = main({argv!r})\n"
+            "hwm = [line.split()[1] for line in open('/proc/self/status')"
+            " if line.startswith('VmHWM:')]\n"
+            "print(code, *hwm)")
+    out = subprocess.run([sys.executable, "-c", code],
+                         env=dict(os.environ, PYTHONPATH=SRC),
+                         capture_output=True, text=True, check=True)
+    exit_code, peak = out.stdout.split()[-2:]
+    assert exit_code == "0"
+    return int(peak)
+
+
 class TestSpecParsing:
     def test_round_trip(self):
         spec = parse_experiment_spec({
@@ -271,6 +288,55 @@ class TestGenerate:
         spec = write_spec(tmp_path, {"sequences": [KRON, MIRROR]})
         assert main(["generate", "--spec", spec, "--out", str(tmp_path)]) == 1
 
+    @pytest.mark.parametrize("kind", ["kronecker", "file"])
+    def test_values_are_the_prefix_written_a_chunk_at_a_time(self, tmp_path,
+                                                             kind):
+        # the same bytes as the whole prefix formatted one value a line
+        from statindep.sequences import _CHUNK
+        n = 3 * _CHUNK + 5
+        obj = KRON
+        if kind == "file":
+            path = tmp_path / "values.txt"
+            path.write_text("".join(
+                fmt_float(v) + "\n"
+                for v in np.random.default_rng(2).random(n + 9).tolist()))
+            obj = {"kind": "file", "params": {"path": str(path)}}
+        spec = write_spec(tmp_path, obj)
+        assert main(["generate", "--spec", spec, "--out", str(tmp_path),
+                     "--depth", str(n)]) == 0
+        values = from_spec(obj).prefix(n).values
+        want = "".join(fmt_float(float(v)) + "\n" for v in values)
+        assert (tmp_path / "sequence_values.txt").read_text() == want
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                        reason="reads VmHWM from /proc")
+    def test_memory_is_flat_in_depth(self, tmp_path):
+        # 8 bytes a term while the whole prefix was built: 32 MiB at 2^22
+        spec = write_spec(tmp_path, KRON)
+        peaks = [peak_kb(["generate", "--spec", spec, "--out", str(tmp_path),
+                          "--depth", str(depth)])
+                 for depth in (2 ** 16, 2 ** 22)]
+        assert peaks[1] - peaks[0] <= 2048, peaks
+
+    def test_a_failure_after_the_first_chunk_leaves_no_file(self, tmp_path,
+                                                            monkeypatch,
+                                                            capsys):
+        from statindep import KroneckerSequence
+        from statindep.sequences import _CHUNK
+        real = KroneckerSequence._eval_batch
+
+        def late_spike(self, ns):
+            values = real(self, ns)
+            values[ns == _CHUNK + 3] = 2.0
+            return values
+
+        monkeypatch.setattr(KroneckerSequence, "_eval_batch", late_spike)
+        spec = write_spec(tmp_path, KRON)
+        assert main(["generate", "--spec", spec, "--out", str(tmp_path),
+                     "--depth", str(2 * _CHUNK)]) == 1
+        assert f"n={_CHUNK + 3}" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["spec.json"]
+
 
 class TestDistribution:
     def test_weyl_table_matches_stieltjes(self, tmp_path):
@@ -484,23 +550,10 @@ class TestIndependence:
     def test_default_family_memory_is_flat_in_depth(self, tmp_path):
         # each member is built as its last window checkpoints; whole, the
         # family held about 12 bytes per index, 23 MiB more at 2^21.
-        # VmHWM, not ru_maxrss, which a child starts at its parent's peak.
         spec = self.spec_pair(tmp_path, schedule=[100, 1000])
-        peaks = []
-        for depth in (2 ** 17, 2 ** 21):
-            argv = ["independence", "--spec", spec, "--out", str(tmp_path),
-                    "--depth", str(depth)]
-            code = ("from statindep.cli import main\n"
-                    f"code = main({argv!r})\n"
-                    "hwm = [line.split()[1] for line in open('/proc/self/status')"
-                    " if line.startswith('VmHWM:')]\n"
-                    "print(code, *hwm)")
-            out = subprocess.run([sys.executable, "-c", code],
-                                 env=dict(os.environ, PYTHONPATH=SRC),
-                                 capture_output=True, text=True, check=True)
-            exit_code, peak_kb = out.stdout.split()[-2:]
-            assert exit_code == "0"
-            peaks.append(int(peak_kb))
+        peaks = [peak_kb(["independence", "--spec", spec, "--out",
+                          str(tmp_path), "--depth", str(depth)])
+                 for depth in (2 ** 17, 2 ** 21)]
         assert peaks[1] - peaks[0] <= 1536, peaks
 
     def test_single_sequence_is_operational_error(self, tmp_path, capsys):

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from _brute import BLOCK, brute_forms, brute_rectangle_count
+from _brute import BLOCK, brute_forms, brute_grid_counts, brute_rectangle_count
 from statindep import (
     AffineImageSequence,
     CheckpointError,
@@ -38,6 +38,7 @@ from statindep import (
     continuity_grid,
     default_battery,
     delta_form,
+    detect_measurable,
     empirical_cdf,
     equivalence_harness,
     helly_extract,
@@ -1037,7 +1038,8 @@ def test_worker_moves_no_bit_of_the_harness(monkeypatch, forks, steps):
 
 
 @pytest.mark.parametrize("group", [1, 3])
-def test_worker_sends_the_values_of_any_step_width(monkeypatch, forks, group):
+def test_worker_counts_its_steps_at_any_step_width(monkeypatch, forks,
+                                                   group):
     # a walk of one block a step, or three, feeds the tallies the same
     monkeypatch.setattr(independence, "_GROUP", group)
     seqs = [make_block(0.0, 1.0, 2), KroneckerSequence("sqrt2-1")]
@@ -1089,6 +1091,111 @@ def test_worker_moves_no_bit_of_a_count_grid_harness(monkeypatch, forks):
 
     want, got = _serial_and_forked(monkeypatch, forks, run, True)
     assert got == want
+
+
+def _counting_route_harness(monkeypatch):
+    # the harness's own-walk fallback: every joint row but the first
+    # member's is tested by kappa_independence_test, in a walk of its own
+    seqs = [KroneckerSequence("sqrt2-1"), KroneckerSequence("sqrt3-1"),
+            KroneckerSequence("golden"), VanDerCorputSequence(2),
+            VanDerCorputSequence(3)]
+    battery = FunctionBattery(default_battery().members[:2])
+    family = kappa_family_builder(3 * WIDTH)
+    for module in (independence, density_module):
+        monkeypatch.setattr(module, "MAX_TABLE_CELLS", 4 ** 5)
+    own = sum(k.deepest != family[0].deepest for k in family)
+    return (lambda: canonical_json(equivalence_harness(
+        seqs, battery, family, [100, 3 * WIDTH], 0.05,
+        grid=np.array([0.3, 0.5, 0.7])).to_json_obj())), 1 + own
+
+
+def _counting_route(name, monkeypatch):
+    """``(run, forks)``: a counting-only walk of more than one step, as
+    bytes, and the number of walks it forks for."""
+    seqs = [make_block(0.0, 1.0, 2), KroneckerSequence("sqrt2-1")]
+    kappa = naturals(5 * _CHUNK + 3, 97)
+    deciles = np.linspace(0.1, 0.9, 9)
+    if name == "grid_counts":
+        return (lambda: grid_counts(seqs, deciles,
+                                    kappa.checkpoints).tobytes()), 1
+    if name == "detect_measurable":
+        return (lambda: canonical_json(detect_measurable(
+            seqs[1], kappa, deciles, tol=0.5).to_json_obj())), 1
+    if name == "helly_extract":
+        # a finite sequence that ends inside the pool is counted only up
+        # to its end; the ramp's first pass keeps the pool's first 55%,
+        # which end before it
+        depth = kappa.deepest
+        ramp = FileSequence(np.arange(1, depth + 1) / depth, UNIT, "ramp")
+        short = FileSequence(np.random.default_rng(7).random(depth * 3 // 5),
+                             UNIT, "short")
+        return (lambda: helly_extract([ramp, short], kappa, np.array([0.5]),
+                                      tol=0.1).checkpoints.tobytes()), 1
+    if name == "kappa_independence_test":
+        return (lambda: canonical_json(kappa_independence_test(
+            seqs[1:] + [KroneckerSequence("sqrt3-1")], kappa, deciles,
+            0.02).to_json_obj())), 1
+    return _counting_route_harness(monkeypatch)
+
+
+@pytest.mark.parametrize("name", ["grid_counts", "detect_measurable",
+                                  "helly_extract", "kappa_independence_test",
+                                  "harness_own_walk"])
+def test_worker_moves_no_bit_of_a_counting_walk(monkeypatch, forks, name):
+    # every counting-only route walks through forkwalk.steps, and a
+    # worker that counts every other step gives the one-CPU bytes
+    run, forked = _counting_route(name, monkeypatch)
+    want, got = _serial_and_forked(monkeypatch, forks, run, forked)
+    assert got == want
+
+
+@pytest.mark.parametrize("route", ["fill", "schedule walk"])
+def test_forked_walk_counts_step_zero_once(forks, route):
+    # the worker starts from zeroed tables, so indices of step 0, counted
+    # before the fork, are not counted again when its tables come back
+    seqs = [make_block(0.0, 1.0, 2), KroneckerSequence("sqrt2-1")]
+    points = np.linspace(0.1, 0.9, 9)
+    checkpoints = [5, 100, _CHUNK - 1, _CHUNK + 3, 2 * WIDTH + 7,
+                   3 * WIDTH + 11]
+    tally = density_module.Tally(points, checkpoints, [0, 1])
+    if route == "fill":
+        density_module.fill(seqs, [tally])
+    else:
+        statind_test(seqs, default_battery(), [100, WIDTH + 5], 0.01,
+                     tallies=[tally])
+    assert forks and _no_child_left()
+    assert np.array_equal(tally.table(),
+                          brute_grid_counts(seqs, points, checkpoints))
+
+
+def test_a_tally_error_in_the_worker_is_raised_at_its_step(monkeypatch,
+                                                           forks):
+    # Tally.add fails at step 1, which the worker counts, and at step 2,
+    # which this process counts: step 1's error is raised, as alone
+    real = density_module.Tally.add
+
+    def add(self, lo, values):
+        if lo in (_CHUNK, 2 * _CHUNK):
+            raise ArithmeticError(f"no count at {lo}")
+        return real(self, lo, values)
+
+    monkeypatch.setattr(density_module.Tally, "add", add)
+    seqs = [KroneckerSequence("golden")]
+
+    def run():
+        return _error_of(lambda: grid_counts(seqs, np.array([0.5]),
+                                             [4 * _CHUNK]))
+
+    want, got = _serial_and_forked(monkeypatch, forks, run, 1)
+    assert got == want == (ArithmeticError, f"no count at {_CHUNK}")
+
+
+def test_fill_without_tallies_walks_nothing(forks):
+    seq = KroneckerSequence("golden")
+    calls = []
+    seq._eval_batch = lambda ns: calls.append(ns.size)
+    density_module.fill([seq], [])
+    assert calls == [] and forks == []
 
 
 def _spiked(at, length=3 * WIDTH, value=2.0):
