@@ -31,7 +31,7 @@ from .density import sorted_unique
 from .errors import SpecError, StatIndepError
 from .independence import FunctionBattery, NamedFunction, _multilinear, \
     default_battery, equivalence_harness
-from .reporting import _replacing, fmt_float, write_csv, write_json
+from .reporting import FLOAT_FORMAT, _replacing, write_csv, write_json
 from .selection import DEFAULT_MIN_POOL, DEFAULT_TOL, DEFAULT_WINDOW, \
     KAPPA_FAMILY, Extraction, _measurability, _pool_counts, helly_extract, \
     kappa_family_builder, kappa_member
@@ -157,8 +157,9 @@ def parse_experiment_spec(obj) -> ExperimentSpec:
             tolerances[key] = _norm_int(value, f"tolerances.{key}", 2)
         else:
             v = _norm_float(value, f"tolerances.{key}")
-            if v <= 0:
-                _fail(f"tolerances.{key}", f"must be positive, got {v}")
+            if not 0 < v < float("inf"):
+                _fail(f"tolerances.{key}",
+                      f"must be positive and finite, got {v}")
             tolerances[key] = v
 
     outputs = {"basename": "report"}
@@ -333,10 +334,13 @@ def cmd_generate(args) -> int:
         basename = spec.outputs["basename"]
     n = args.depth
     path = _outdir(args) / f"{basename}_values.txt"
-    # a chunk at a time; a failure leaves no file
+    # a chunk at a time, each formatted in one call (fmt_float's bytes:
+    # every value is finite, as the range check let it through); a
+    # failure leaves no file
+    line = f"%{FLOAT_FORMAT}\n"
     with _replacing(path) as fh:
         for chunk in seq.chunks(0, n):
-            fh.write("".join([fmt_float(v) + "\n" for v in chunk.tolist()]))
+            fh.write((line * chunk.size) % tuple(chunk.tolist()))
     print(f"wrote {path} ({n} values of {seq.label})")
     return 0
 

@@ -186,7 +186,7 @@ def fill(seqs: Sequence[BoundedSequence], tallies: Sequence[Tally]) -> None:
     each sequence is generated once, up to the deepest checkpoint of the
     tallies that count it.  Raises SequenceExhausted, before counting,
     when that lies past a finite sequence's end."""
-    for _ in forkwalk.steps(seqs, 0, _CHUNK, None, None, tallies):
+    for _ in forkwalk.steps(seqs, 0, _CHUNK, None, tallies):
         pass
 
 

@@ -3,10 +3,11 @@
 :func:`steps` drives every :func:`sequences.walk`: this process walks the
 even steps and a worker made by ``os.fork`` the odd ones, each computed
 by the same ``compute`` function on the same values and counted into
-every tally.  Each step's output comes back here in step order, through a
-pipe straight into this process's step buffers, and the worker's counts
-once, after its last step, so no bit depends on which process walked a
-step.  Plain ``fork`` and ``pipe``: no pool and no helper process.
+every tally.  Each step's output, one array of the same shape at every
+step, comes back here in step order, through a pipe straight into one
+array like it, and the worker's counts once, after its last step, so no
+bit depends on which process walked a step.  Plain ``fork`` and
+``pipe``: no pool and no helper process.
 
 For the walk, the two processes are pinned to two different CPUs and the
 pipe is widened to hold whole steps.  Otherwise, on a 2-CPU host, each
@@ -54,27 +55,26 @@ def usable_cpus() -> list[int]:
 
 
 def steps(seqs: Sequence[BoundedSequence], depth: int, width: int,
-          compute: Callable | None, layout: Callable | None,
-          tallies: Sequence) -> Iterator[tuple[int, list]]:
-    """``(start, parts)`` of every step of one walk of ``seqs``, ``width``
+          compute: Callable | None,
+          tallies: Sequence) -> Iterator[tuple[int, np.ndarray | None]]:
+    """``(start, out)`` of every step of one walk of ``seqs``, ``width``
     indices a step, in step order, each step counted into every tally.
 
     Each sequence is walked to ``depth``, or deeper to the deepest
     checkpoint of the tallies that count it.  ``compute(start, values)``
-    returns a step's ``(parts, out)``: its parts, as views of ``out``, one
-    contiguous float64 array; ``layout(start)`` returns the same views,
-    unfilled, so a worker's ``out`` is read into them.  Parts are
-    overwritten by the next step.  A step at or past ``depth`` has none,
-    so a counting-only walk has depth 0 and no ``compute`` or ``layout``.
+    returns a step's ``out``: a float64 array of the same shape at every
+    step, overwritten by the next one.  A step at or past ``depth`` has
+    none (None), so a counting-only walk has depth 0 and no ``compute``.
 
     Step 0 is walked here.  A worker then walks the odd steps when at
     least two CPUs are usable, no other thread is alive, SIGCHLD is not
     ignored and the rest of the walk, at step 0's time a step, would take
     ``FORK_MIN_S`` or more; otherwise every step is walked here.  The
-    worker counts its steps into zeroed tables of its own, so the two
-    processes together hold the table pages it touches twice (this
-    process's peak does not grow), and sends them after its last step,
-    to be added in here before the walk ends.  During the walk this process runs on the
+    worker's ``out`` is read into one array like step 0's.  The worker
+    counts its steps into zeroed tables of its own, so the two processes
+    together hold the table pages it touches twice (this process's peak
+    does not grow), and sends them after its last step, to be added in
+    here before the walk ends.  During the walk this process runs on the
     first usable CPU and the worker on the second; this process's CPU
     mask is restored after.  SequenceExhausted is raised before any fork.
     A worker's exception is raised here, with its type and message, at
@@ -84,23 +84,24 @@ def steps(seqs: Sequence[BoundedSequence], depth: int, width: int,
               for r in range(len(seqs))]
     count = -(-max(depths, default=0) // width)
     buffers = np.empty((len(seqs), width))
-    idle = ([], np.empty(0))  # a step past depth: nothing computed
 
     def walked(ks):
-        """``(start, (parts, out))`` of each step k in ``ks``, counted a
-        chunk at a time so that the binning temporaries stay that long."""
+        """``(start, out)`` of each step k in ``ks``, counted a chunk at a
+        time so that the binning temporaries stay that long."""
         for start, values in walk(seqs, depths, width, ks, buffers):
-            done = compute(start, values) if start < depth else idle
+            out = compute(start, values) if start < depth else None
             for at in range(0, width, _CHUNK):
                 piece = [None if v is None else v[at:at + _CHUNK]
                          for v in values]
                 for tally in tallies:
                     tally.add(start + at, piece)
-            yield start, done
+            yield start, out
 
     took = time.perf_counter()
-    for start, done in walked(range(min(count, 1))):
-        yield start, done[0]
+    theirs = None  # the worker's steps are read into it
+    for start, out in walked(range(min(count, 1))):
+        theirs = None if out is None else np.empty_like(out)
+        yield start, out
     took = time.perf_counter() - took
     pid, cpus = None, usable_cpus()
     # where SIGCHLD is ignored the kernel reaps the worker, and its pid
@@ -122,8 +123,7 @@ def steps(seqs: Sequence[BoundedSequence], depth: int, width: int,
             os.close(read)
             os.close(write)
     if pid is None:
-        for start, done in walked(range(1, count)):
-            yield start, done[0]
+        yield from walked(range(1, count))
         return
     if pid == 0:  # the worker: never returns
         os.close(read)
@@ -135,16 +135,15 @@ def steps(seqs: Sequence[BoundedSequence], depth: int, width: int,
         header = np.zeros(1, dtype=np.int64)
         for k in range(1, count):
             if k % 2 == 0:
-                start, done = next(own)
-            else:
-                start = k * width
-                _read_exactly(read, header)
-                if header[0]:
-                    raise pickle.loads(_read_exactly(read, bytearray(
-                        int(header[0]))))
-                done = layout(start) if start < depth else idle
-                _read_exactly(read, done[1])
-            yield start, done[0]
+                yield next(own)
+                continue
+            start = k * width
+            _read_exactly(read, header)
+            if header[0]:
+                raise pickle.loads(_read_exactly(read, bytearray(
+                    int(header[0]))))
+            yield start, (None if start >= depth
+                          else _read_exactly(read, theirs))
         piece = np.empty(_CHUNK, dtype=np.int64)
         for tally in tallies:
             for at in range(0, tally.counts.size, _CHUNK):
@@ -161,10 +160,11 @@ def steps(seqs: Sequence[BoundedSequence], depth: int, width: int,
 
 def _worker(own, tallies, fd, cpu) -> None:
     """On ``cpu``, walk the steps of ``own`` into zeroed tallies and write
-    each step to ``fd``: a zero int64 and its ``out``; or, at the first
-    exception, its pickle's length and the pickle.  After the last step,
-    write every tally's counts.  Exits through ``os._exit``, so nothing
-    inherited from the parent runs or flushes."""
+    each step to ``fd``: a zero int64 and its ``out`` (none past the
+    walk's depth); or, at the first exception, its pickle's length and
+    the pickle.  After the last step, write every tally's counts.  Exits
+    through ``os._exit``, so nothing inherited from the parent runs or
+    flushes."""
     code = 1
     try:
         gc.disable()  # collect none of the parent's garbage here
@@ -173,8 +173,8 @@ def _worker(own, tallies, fd, cpu) -> None:
             tally.counts = np.zeros_like(tally.counts)
         ok = np.zeros(1, dtype=np.int64)
         try:
-            for _, done in own:
-                _write_all(fd, [ok, done[1]])
+            for _, out in own:
+                _write_all(fd, [ok] if out is None else [ok, out])
         except Exception as exc:
             try:
                 error = pickle.dumps(exc)

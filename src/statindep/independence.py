@@ -51,11 +51,10 @@ _GROUP = 2
 
 @dataclass(frozen=True)
 class NamedFunction:
-    """A test integrand with a stable name and a known bound on [a, b]."""
+    """A test integrand with a stable name."""
 
     name: str
     fn: Callable
-    sup_bound: float = 1.0
     # fn's value everywhere, when it is a known constant: the schedule
     # test then takes it as is and never scans the sequence for it
     constant: float | None = None
@@ -193,30 +192,24 @@ def _constant_runs(seq: BoundedSequence, funcs: Sequence,
 
 def _block_steps(schedule: Sequence[int], start: int, stop: int):
     """The blocks of the schedule test's sums from ``start`` (a multiple
-    of ``_BLOCK``) to ``stop``, in order, as ``(pos, blocks, length, lo,
-    hi)``: ``blocks`` consecutive blocks of ``length`` indices from
-    ``pos`` (0-based), whose sums go to schedule points [lo, hi).  A
-    schedule point inside a block gets that block cut at the point, for
-    itself alone; the whole block follows for the later points, and
+    of ``_BLOCK``) to ``stop`` as ``(pos, blocks, length, lo, hi)``:
+    ``blocks`` consecutive blocks of ``length`` indices from ``pos``
+    (0-based), whose sums go to schedule points [lo, hi).  A schedule
+    point inside a block gets that block cut at the point, for itself
+    alone; the whole block goes to the points at or past its end, and
     consecutive whole blocks for the same points come as one group.
     """
     count = len(schedule)
-    group = None  # whole blocks not yet yielded: [pos, blocks, lo]
+    cuts = []  # (pos, first point at or past the block's end)
     for pos in range(start, min(stop, schedule[-1]), _BLOCK):
-        end = pos + _BLOCK
-        k = bisect.bisect_right(schedule, pos)
-        cut = bisect.bisect_left(schedule, end)
-        if group is not None and cut != group[2]:
-            yield group[0], group[1], _BLOCK, group[2], count
-            group = None
-        for j in range(k, cut):
+        cut = bisect.bisect_left(schedule, pos + _BLOCK)
+        for j in range(bisect.bisect_right(schedule, pos), cut):
             yield pos, 1, schedule[j] - pos, j, j + 1
         if cut < count:
-            if group is None:
-                group = [pos, 0, cut]
-            group[1] += 1
-    if group is not None:
-        yield group[0], group[1], _BLOCK, group[2], count
+            cuts.append((pos, cut))
+    for cut, group in itertools.groupby(cuts, key=lambda c: c[1]):
+        group = list(group)
+        yield group[0][0], len(group), _BLOCK, cut, count
 
 
 def _multilinear(seqs: Sequence[BoundedSequence], funcs: Sequence[Sequence],
@@ -246,22 +239,27 @@ def _multilinear(seqs: Sequence[BoundedSequence], funcs: Sequence[Sequence],
     The sequences are read in one walk of ``_GROUP`` blocks a step (see
     :func:`forkwalk.steps`), after :func:`_constant_runs` has scanned each
     for its members' constant runs.  Each step's block sums are computed by
-    :func:`_compute_step`, in this process or a worker, and added here,
-    every step in order, into the running sums; nothing of length N is
-    held.  The walk also feeds every tally, and runs on past the schedule
-    to the deepest checkpoint of the tallies that count each sequence.
+    :func:`_compute_step`, in this process or a worker, into one array of
+    (row, schedule point, block) entries, and added here, every step in
+    order, into one array of running sums: block g of a step into every
+    point past the block's start.  Nothing of length N is held.  The walk
+    also feeds every tally, and runs on past the schedule to the deepest
+    checkpoint of the tallies that count each sequence.
     """
     m, n_max, count = len(seqs), schedule[-1], len(schedule)
     ns = np.asarray(schedule, dtype=np.float64)
     width = _GROUP * _BLOCK
     # Per slot: each candidate's constant run and first value, and the
     # members that vary on the prefix with their block matrix, product
-    # buffer and running sums.  Each step sets ``mat`` (members, blocks,
-    # length), its row sums ``rowsum`` and the buffer view ``term``.
-    slots = []
+    # buffer and rows ``sums`` of a step's output and of the running sums,
+    # which hold every slot's members and then every tuple in C order.
+    # Each step sets ``mat`` (members, blocks, length), its row sums
+    # ``rowsum`` and the buffer view ``term``.
+    slots, first = [], 0
     for seq, column in zip(seqs, funcs):
         runs, firsts = _constant_runs(seq, column, n_max)
         varies = np.asarray(runs) < n_max
+        varying = int(np.sum(varies))
         slots.append(SimpleNamespace(
             runs=runs, firsts=np.asarray(firsts)[:, None],
             constant=ns <= np.asarray(runs)[:, None],
@@ -269,32 +267,35 @@ def _multilinear(seqs: Sequence[BoundedSequence], funcs: Sequence[Sequence],
             # a member constant on the whole prefix gets no row; the last
             # slot masks what it reads there
             rows=np.cumsum(varies) - 1,
-            matrix=np.empty((int(np.sum(varies)), width)),
-            buffer=np.empty(width),
-            # running sum of each varying member per schedule point
-            total=np.full((int(np.sum(varies)), count), -0.0)))
+            matrix=np.empty((varying, width)), buffer=np.empty(width),
+            sums=slice(first, first + varying)))
+        first += varying
     shape = tuple(len(column) for column in funcs)
+    # zeros: a (tuple, point) where every slot is constant is never
+    # written, nor read (its delta is the constants' product); they keep
+    # its running sum finite
+    out = np.zeros((first + math.prod(shape), count, _GROUP))
     kernel = SimpleNamespace(
-        slots=slots, schedule=schedule, width=width,
-        sums=np.zeros(shape + (count, _GROUP)), out=np.empty(0))
-    totals = np.full(shape + (count,), -0.0)  # -0.0 + x is x for every x
+        slots=slots, schedule=schedule, width=width, out=out,
+        block_sums=out[first:].reshape(shape + (count, _GROUP)))
+    running = np.full((len(out), count), -0.0)  # -0.0 + x is x for every x
 
     with contextlib.closing(forkwalk.steps(
             seqs, n_max, width, functools.partial(_compute_step, kernel),
-            functools.partial(_step_parts, kernel), tallies)) as steps:
-        for _, parts in steps:
-            for (_, blocks, _, lo, hi), rowsums, block_sums in parts:
-                for slot, rowsum in zip(slots, rowsums):
-                    for g in range(blocks):
-                        slot.total[:, lo:hi] += rowsum[:, g, None]
-                for g in range(blocks):
-                    totals[..., lo:hi] += block_sums[..., g]
+            tallies)) as steps:
+        for start, step in steps:
+            if step is None:
+                continue
+            for g in range(_GROUP):
+                lo = bisect.bisect_right(schedule, start + g * _BLOCK)
+                running[:, lo:] += step[:, lo:, g]
 
-    joint = totals / ns
+    joint = running[first:].reshape(shape + (count,)) / ns
     deltas = products = varied = None
     for i, slot in enumerate(slots):
         means = np.where(slot.constant, slot.firsts,
-                         slot.total[slot.rows] / ns if slot.members else 0.0)
+                         running[slot.sums][slot.rows] / ns
+                         if slot.members else 0.0)
         products = means if products is None \
             else products[..., None, :] * means
         axes = (1,) * i + (len(slot.runs),) + (1,) * (m - 1 - i)
@@ -307,60 +308,31 @@ def _multilinear(seqs: Sequence[BoundedSequence], funcs: Sequence[Sequence],
     return deltas, products
 
 
-def _step_parts(kernel, start: int) -> tuple[list, np.ndarray]:
-    """The layout of the step at ``start``'s output: per cut ``(pos,
-    blocks, length, lo, hi)`` of :func:`_block_steps`, ``(cut, rowsums,
-    block_sums)`` with each slot's (members, blocks) row sums and every
-    tuple's (..., hi - lo, blocks) block sums, as views of the front of
-    ``kernel.out`` (grown to fit), which is returned too.  Both processes
-    lay a step out alike, so a worker's output is read straight into
-    these views.
-    """
-    cuts = list(_block_steps(kernel.schedule, start, start + kernel.width))
-    counts = [len(slot.members) for slot in kernel.slots]
-    tuples = kernel.sums[..., 0, 0].size
-    size = sum(blocks * (sum(counts) + tuples * (hi - lo))
-               for _, blocks, _, lo, hi in cuts)
-    if kernel.out.size < size:
-        kernel.out = np.empty(size)
-    parts, at = [], 0
-    for cut in cuts:
-        _, blocks, _, lo, hi = cut
-        rowsums = []
-        for c in counts:
-            rowsums.append(kernel.out[at:at + c * blocks].reshape(c, blocks))
-            at += c * blocks
-        span = tuples * (hi - lo) * blocks
-        block_sums = kernel.out[at:at + span].reshape(
-            kernel.sums.shape[:-2] + (hi - lo, blocks))
-        at += span
-        parts.append((cut, rowsums, block_sums))
-    return parts, kernel.out[:size]
-
-
-def _compute_step(kernel, start: int,
-                  values: list) -> tuple[list, np.ndarray]:
-    """The parts of the step at ``start``, whose values are ``values``,
-    laid out by :func:`_step_parts`: every varying member is evaluated on
-    each cut into its slot's block matrix, and :func:`_block_walk` takes
-    the block sums of every tuple."""
-    slots, schedule, sums = kernel.slots, kernel.schedule, kernel.sums
-    parts, out = _step_parts(kernel, start)
-    for (pos, blocks, length, lo, hi), rowsums, block_sums in parts:
-        span = blocks * length
-        for slot, v, rowsum in zip(slots, values, rowsums):
+def _compute_step(kernel, start: int, values: list) -> np.ndarray:
+    """``kernel.out`` for the step at ``start``, whose values are
+    ``values``: entry (row, p, g) is block g's sum for that row cut at
+    schedule point p when the point lies inside the block, and whole when
+    it lies past the block's end; entries for points at or before a
+    block's start are left as they were.  Every varying member is
+    evaluated on each cut of :func:`_block_steps` into its slot's block
+    matrix, its row sums are set, and :func:`_block_walk` takes the block
+    sums of every tuple."""
+    slots, schedule, out = kernel.slots, kernel.schedule, kernel.out
+    for pos, blocks, length, lo, hi in _block_steps(schedule, start,
+                                                    start + kernel.width):
+        span, g = blocks * length, (pos - start) // _BLOCK
+        for slot, v in zip(slots, values):
             x = v[pos - start:pos - start + span]
             for r, f in enumerate(slot.members):
                 slot.matrix[r, :span] = _apply(f, x)
             slot.mat = slot.matrix[:, :span].reshape(len(slot.members),
                                                      blocks, length)
             slot.rowsum = np.sum(slot.mat, axis=2)
-            rowsum[...] = slot.rowsum
+            out[slot.sums, lo:hi, g:g + blocks] = slot.rowsum[:, None, :]
             slot.term = slot.buffer[:span].reshape(blocks, length)
-        _block_walk(slots, schedule, sums[..., :blocks], 0, lo, hi, None,
-                    None, ())
-        block_sums[...] = sums[..., lo:hi, :blocks]
-    return parts, out
+        _block_walk(slots, schedule, kernel.block_sums[..., g:g + blocks],
+                    0, lo, hi, None, None, ())
+    return out
 
 
 def _block_walk(slots, schedule, sums, level, lo, hi, term, last, index):
@@ -554,13 +526,16 @@ def statind_test(seqs: Sequence[BoundedSequence], battery: FunctionBattery,
     When at least two CPUs are usable, no other thread is alive and the
     rest of the walk, projected from its first step, would take 0.1 s or
     more, one forked worker process computes every other step and pipes
-    its block sums back; this process adds every step's sums in step
-    order, so no bit depends on the worker, and kills and reaps it
-    however the walk ends (see :mod:`forkwalk`).  Memory: O(m*B*2^13 +
-    B^m*S) for m sequences, B members and S schedule points, independent
-    of N: one step of values, one block matrix and one product buffer per
-    sequence, and running sums per (tuple, N), in this process and again
-    in the worker, which shares the rest of this process's pages.
+    its sums back, one fixed-shape (row, schedule point, block) array a
+    step; this process adds every step's sums in step order, so no bit
+    depends on the worker, and kills and reaps it however the walk ends
+    (see :mod:`forkwalk`).  Memory: O(m*B*2^13 + B^m*S) for m sequences,
+    B members and S schedule points, independent of N: one step of
+    values, one block matrix and one product buffer per sequence, one
+    step's (row, point, block) sums and one running sum per (row, N), in
+    this process and again in the worker, which shares the rest of this
+    process's pages; this process holds one more step's sums, into which
+    the worker's are read.
     Every value equals :func:`delta_form`/:func:`product_form` at that N
     bit for bit: both are single-tuple calls of the same kernel.
 
@@ -921,9 +896,7 @@ def equivalence_harness(seqs: Sequence[BoundedSequence],
         if not outcome.tested:
             continue
         r = outcome.report
-        disagree = (statind.verdict == "independent" and r.verdict == "dependent") \
-            or (statind.verdict == "dependent" and r.verdict == "independent")
-        if disagree:
+        if {statind.verdict, r.verdict} == {"independent", "dependent"}:
             counterexample = {
                 "kappa": outcome.kappa_label,
                 "statind_verdict": statind.verdict,

@@ -109,7 +109,8 @@ class BoundedSequence:
         raise NotImplementedError
 
     def _check_range(self, ns: np.ndarray, values: np.ndarray) -> None:
-        bad = (values < self._interval.a) | (values > self._interval.b)
+        # NaN fails both comparisons, so it is out of range too
+        bad = ~((values >= self._interval.a) & (values <= self._interval.b))
         if bad.any():
             i = int(np.argmax(bad))
             raise RangeViolation(
@@ -313,14 +314,15 @@ class KroneckerSequence(BoundedSequence):
 
 
 def _parse_alpha(alpha) -> np.longdouble:
-    if isinstance(alpha, str):
-        if alpha in _NAMED_ALPHAS:
-            return _NAMED_ALPHAS[alpha]
-        try:
-            return np.longdouble(alpha)
-        except ValueError:
-            raise SpecError(f"cannot parse kronecker alpha {alpha!r}") from None
-    return np.longdouble(alpha)
+    if isinstance(alpha, str) and alpha in _NAMED_ALPHAS:
+        return _NAMED_ALPHAS[alpha]
+    try:
+        value = np.longdouble(alpha)
+    except ValueError:
+        raise SpecError(f"cannot parse kronecker alpha {alpha!r}") from None
+    if not np.isfinite(value):
+        raise SpecError(f"kronecker alpha must be finite, got {alpha!r}")
+    return value
 
 
 class VanDerCorputSequence(BoundedSequence):

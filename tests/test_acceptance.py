@@ -302,8 +302,7 @@ def test_c7_invariant_suite():
         seqs = [PeriodicSequence(vals_a), PeriodicSequence(vals_b)]
         f = battery.member("x")
         g = battery.member("x2")
-        combo = NamedFunction(
-            "combo", lambda t: alpha * f(t) + beta * g(t), sup_bound=4.0)
+        combo = NamedFunction("combo", lambda t: alpha * f(t) + beta * g(t))
         lhs = delta_form(seqs, [combo, f], n)
         rhs = alpha * delta_form(seqs, [f, f], n) \
             + beta * delta_form(seqs, [g, f], n)

@@ -12,7 +12,11 @@ from hypothesis import given, settings, strategies as st
 
 from statindep import (
     BlockSequence,
+    Extraction,
+    FunctionBattery,
     KroneckerSequence,
+    NamedFunction,
+    PiecewiseLinear,
     SpecError,
     SubsequenceIndex,
     UNIT,
@@ -21,6 +25,7 @@ from statindep import (
     default_battery,
     detect_measurable,
     empirical_cdf,
+    equivalence_harness,
     from_spec,
     helly_extract,
     kappa_family_builder,
@@ -233,6 +238,34 @@ class TestSequenceRegistry:
         assert capsys.readouterr().err == \
             f"error: sequences[1].params: {message}\n"
 
+    @pytest.mark.parametrize("overrides, message", [
+        ({"sequences": [{"kind": "kronecker", "params": {"alpha": "nan"}},
+                        KRON]},
+         "sequences[0].params: kronecker alpha must be finite, got 'nan'"),
+        ({"sequences": [KRON, {"kind": "kronecker",
+                               "params": {"alpha": float("inf")}}]},
+         "sequences[1].params: kronecker alpha must be finite, got inf"),
+        ({"tolerances": {"tol": float("inf")}},
+         "tolerances.tol: must be positive and finite, got inf"),
+        ({"tolerances": {"tol": float("nan")}},
+         "tolerances.tol: must be positive and finite, got nan"),
+        ({"tolerances": {"atom_tol": float("nan")}},
+         "tolerances.atom_tol: must be positive and finite, got nan"),
+    ])
+    def test_non_finite_input_fails_where_it_enters(self, tmp_path, capsys,
+                                                    monkeypatch, overrides,
+                                                    message):
+        # JSON NaN and Infinity used to run the whole harness, then fail
+        # writing the report without naming the field
+        import statindep.cli as cli
+        monkeypatch.setattr(cli, "equivalence_harness", None)
+        obj = {"sequences": [KRON, KRON], "schedule": [10, 100]}
+        obj.update(overrides)
+        spec = write_spec(tmp_path, obj)
+        assert main(["independence", "--spec", spec,
+                     "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_cli_defaults_come_from_the_library(self):
         assert DEFAULT_TOLERANCES == {"tol": DEFAULT_TOL,
                                       "window": DEFAULT_WINDOW,
@@ -283,6 +316,21 @@ class TestGenerate:
         direct = KroneckerSequence("sqrt2-1").prefix(200).values
         # 17-significant-digit formatting round-trips doubles exactly
         assert np.array_equal(reloaded.prefix(200).values, direct)
+
+    def test_edge_values_keep_their_bytes(self, tmp_path):
+        # each chunk is formatted in one call, with fmt_float's bytes
+        values = [-0.0, 5e-324, 1e-300, 0.1, 0.0, 1.0, 1 / 3, 2.0 ** -1074,
+                  0.30000000000000004, 1 - 2.0 ** -53]
+        path = tmp_path / "values.txt"
+        path.write_text("".join(repr(v) + "\n" for v in values))
+        spec = write_spec(tmp_path, {"kind": "file",
+                                     "params": {"path": str(path)}})
+        assert main(["generate", "--spec", spec, "--out", str(tmp_path),
+                     "--depth", str(len(values))]) == 0
+        want = "".join(fmt_float(v) + "\n" for v in values)
+        assert want.startswith("-0\n4.9406564584124654e-324\n1e-300\n"
+                               "0.10000000000000001\n")
+        assert (tmp_path / "sequence_values.txt").read_text() == want
 
     def test_rejects_two_sequences(self, tmp_path):
         spec = write_spec(tmp_path, {"sequences": [KRON, MIRROR]})
@@ -510,6 +558,53 @@ class TestIndependence:
         report = json.loads((tmp_path / "blind_report.json").read_text())
         assert report["agreement"] is False
         assert report["counterexample"] is not None
+
+    @pytest.mark.parametrize("shape", ["kappa array", "extract pool",
+                                       "piecewise battery"])
+    def test_spec_shapes_write_the_library_route(self, tmp_path, capsys,
+                                                 shape):
+        # an explicit kappa, an explicit pool to extract from, and a
+        # piecewise-linear battery member write what the library gives
+        schedule = [100, 1000, 4000]
+        spec = {"schedule": schedule, "outputs": {"basename": "s"}}
+        battery = default_battery()
+        family = kappa_family_builder(4000, last=DEFAULT_WINDOW)
+        if shape == "kappa array":
+            spec["kappa"] = list(range(40, 4001, 40))
+            family = [SubsequenceIndex(np.arange(40, 4001, 40),
+                                       name="explicit")]
+        elif shape == "extract pool":
+            spec["kappa"] = "extract"
+            spec["pool"] = list(range(50, 5001, 50))
+            family = [Extraction(SubsequenceIndex(np.arange(50, 5001, 50),
+                                                  name="pool"),
+                                 tol=DEFAULT_TOL, window=DEFAULT_WINDOW)]
+        else:
+            spec["battery"] = ["x", {"name": "tent", "knots": [0, 0.5, 1],
+                                     "values": [0, 1, 0]}]
+            battery = FunctionBattery((battery.member("x"), NamedFunction(
+                "tent", PiecewiseLinear((0.0, 0.5, 1.0), (0.0, 1.0, 0.0)))))
+        path = self.spec_pair(tmp_path, **spec)
+        assert main(["independence", "--spec", path, "--out", str(tmp_path),
+                     "--depth", "4000"]) == 0
+        capsys.readouterr()
+        seqs = [from_spec(s) for s in json.loads(
+            (tmp_path / "spec.json").read_text())["sequences"]]
+        report = equivalence_harness(seqs, battery, family, schedule,
+                                     DEFAULT_TOL,
+                                     grid=np.arange(1, 10) / 10.0,
+                                     atom_tol=0.001, window=DEFAULT_WINDOW)
+        assert any(o.tested for o in report.outcomes)
+        assert (tmp_path / "s_report.json").read_text() == \
+            canonical_json(report.to_json_obj())
+        assert (tmp_path / "s_gaps.csv").read_text() == csv_text(
+            ["N", "tuple label", "delta", "product", "gap"],
+            report.statind.gap_rows())
+        rows = [row for o in report.outcomes if o.tested
+                for row in o.report.rows()]
+        assert (tmp_path / "s_rectangles.csv").read_text() == csv_text(
+            ["kappa", "corner_1", "corner_2", "density", "product",
+             "residual"], rows)
 
     def test_count_grid_placed_per_kappa(self, tmp_path, capsys):
         spec = self.spec_pair(tmp_path, schedule=[100, 1000, 4000], grid=5)

@@ -45,6 +45,7 @@ from statindep import (
     indicator_below,
     kappa_family_builder,
     kappa_independence_test,
+    kappa_member,
     make_block,
     product_form,
     statind_test,
@@ -326,6 +327,26 @@ class TestEquivalenceHarness:
         assert not rep.agreement
         assert rep.counterexample is not None
         assert rep.counterexample["rectangle_verdict"] == "dependent"
+
+    def test_inconclusive_schedule_verdict_is_no_counterexample(self):
+        # a sequence paired with itself: the x*x gap tends to 1/12, above
+        # tol but below 3 tol, so the schedule test cannot tell, while the
+        # rectangles see the dependence; an inconclusive verdict
+        # disagrees with neither
+        v = KroneckerSequence("sqrt2-1")
+        battery = FunctionBattery((default_battery().member("one"),
+                                   default_battery().member("x")))
+        schedule = [100, 1000, 10000]
+        rep = statind_test([v, v], battery, schedule, 0.05)
+        assert rep.verdict == "inconclusive"
+        assert rep.max_terminal_gap == 0.08332643218066221
+        harness = equivalence_harness(
+            [v, v], battery, [kappa_member("evens", 10000)], schedule, 0.05)
+        assert harness.statind.verdict == "inconclusive"
+        [outcome] = harness.outcomes
+        assert outcome.tested and outcome.report.verdict == "dependent"
+        assert harness.agreement
+        assert harness.counterexample is None
 
     @pytest.mark.parametrize("bad, error, message", [
         ({"window": 0}, ValueError, "window must be >= 1"),

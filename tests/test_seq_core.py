@@ -6,6 +6,7 @@ fractions.
 """
 
 import math
+import re
 import tempfile
 from fractions import Fraction
 from pathlib import Path
@@ -736,3 +737,26 @@ def test_range_errors_print_plain_floats(tmp_path):
     with pytest.raises(ValueError,
                        match=r"^integrand is not finite at jump point 0\.5$"):
         stieltjes(lambda x: np.where(x > 0.25, np.inf, 0.0), cdf)
+
+
+def test_nan_values_fail_the_range_check():
+    # NaN compares false both ways, so "below a or above b" let it through
+    seq = FileSequence(np.array([0.5, np.nan, 0.25]), UNIT, "holed")
+    assert seq.eval(1) == 0.5
+    for read in (lambda: seq.eval(2), lambda: seq.prefix(3),
+                 lambda: list(seq.chunks(0, 3))):
+        with pytest.raises(RangeViolation,
+                           match=r"^file\(holed\): value nan at n=2 lies "
+                                 r"outside \[0\.0, 1\.0\]$"):
+            read()
+
+
+@pytest.mark.parametrize("alpha", ["nan", "inf", "-inf", "NaN", math.nan,
+                                   math.inf, -math.inf])
+def test_non_finite_alpha_is_rejected(alpha):
+    with pytest.raises(SpecError, match=r"^kronecker alpha must be finite, "
+                       rf"got {re.escape(repr(alpha))}$"):
+        KroneckerSequence(alpha)
+    with pytest.raises(SpecError, match=r"^seq\.params: kronecker alpha must "
+                                        r"be finite"):
+        from_spec({"kind": "kronecker", "params": {"alpha": alpha}}, "seq")
