@@ -18,8 +18,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
@@ -36,7 +36,7 @@ from .selection import DEFAULT_MIN_POOL, DEFAULT_TOL, DEFAULT_WINDOW, \
     KAPPA_FAMILY, Extraction, _measurability, _pool_counts, helly_extract, \
     kappa_family_builder, kappa_member
 from .sequences import BoundedSequence, Interval, MaterializedSequence, \
-    _fail, _norm_float, _norm_floats, _norm_int, \
+    _check_keys, _fail, _norm_float, _norm_int, \
     from_spec as sequence_from_spec, normalize_spec
 from .subsequence import SubsequenceIndex
 
@@ -46,28 +46,20 @@ DEFAULT_TOLERANCES = {"tol": DEFAULT_TOL, "window": DEFAULT_WINDOW,
                       "atom_tol": 0.001}
 
 
-@dataclass
-class ExperimentSpec:
-    """Normalized experiment description; compares and round-trips by value."""
-
-    sequences: tuple
-    battery: tuple
-    schedule: tuple
-    kappa: object
-    grid: object
-    tolerances: dict
-    outputs: dict
-    pool: tuple | None
-    seed: int
+def _norm_finite(value, path: str) -> float:
+    x = _norm_float(value, path)
+    if not math.isfinite(x):
+        _fail(path, f"must be finite, got {x}")
+    return x
 
 
-def _norm_increasing(values, path: str, kind) -> tuple:
+def _norm_increasing(values, path: str, kind) -> list:
     if not isinstance(values, (list, tuple)) or not values:
         _fail(path, "expected a nonempty array")
     out = [kind(v, f"{path}[{i}]") for i, v in enumerate(values)]
     if any(x >= y for x, y in zip(out, out[1:])):
         _fail(path, f"entries must be strictly increasing, got {out}")
-    return tuple(out)
+    return out
 
 
 def _norm_battery_entry(entry, path: str):
@@ -76,83 +68,78 @@ def _norm_battery_entry(entry, path: str):
             _fail(path, f"unknown integrand {entry!r}; built-ins: "
                         f"{', '.join(BUILTIN_BATTERY)}")
         return entry
-    if isinstance(entry, dict):
-        extra = set(entry) - {"name", "knots", "values"}
-        if extra:
-            _fail(path, f"unknown keys {sorted(extra)}")
-        name = entry.get("name")
-        if not isinstance(name, str) or not name:
-            _fail(f"{path}.name", "expected a nonempty string")
-        knots = _norm_increasing(entry.get("knots"), f"{path}.knots",
-                                 _norm_float)
-        values = entry.get("values")
-        if not isinstance(values, (list, tuple)) or len(values) != len(knots):
-            _fail(f"{path}.values", "expected an array matching knots")
-        return {"name": name, "knots": list(knots),
-                "values": _norm_floats(values, f"{path}.values")}
-    _fail(path, "expected a built-in name or a piecewise-linear object")
+    if not isinstance(entry, dict):
+        _fail(path, "expected a built-in name or a piecewise-linear object")
+    _check_keys(entry, path, ("name", "knots", "values"))
+    name = entry.get("name")
+    if not isinstance(name, str) or not name:
+        _fail(f"{path}.name", "expected a nonempty string")
+    knots = _norm_increasing(entry.get("knots"), f"{path}.knots", _norm_finite)
+    values = entry.get("values")
+    if not isinstance(values, (list, tuple)) or len(values) != len(knots):
+        _fail(f"{path}.values", "expected an array matching knots")
+    return {"name": name, "knots": knots,
+            "values": [_norm_finite(v, f"{path}.values[{i}]")
+                       for i, v in enumerate(values)]}
 
 
-def parse_experiment_spec(obj) -> ExperimentSpec:
+def parse_experiment_spec(obj) -> dict:
     """Validate and normalize a JSON experiment description.
 
-    Each sequence is normalized by :func:`statindep.sequences.normalize_spec`
-    and nothing is built here: a constructor's range checks (low < high,
-    values inside the interval, readable files) run in
-    :func:`build_sequences`.  Errors cite the JSON path of the offending
-    field.  Parsing is idempotent: parse(serialize(spec)) == spec.
+    The normalized spec is a JSON object with the keys ``sequences``,
+    ``battery``, ``schedule``, ``kappa``, ``grid``, ``tolerances``,
+    ``outputs`` and ``seed``, in that order and with defaults filled in,
+    then ``pool`` when the spec gives one; arrays are lists.  Each sequence
+    is normalized by :func:`statindep.sequences.normalize_spec` and nothing
+    is built here: a constructor's range checks (low < high, values inside
+    the interval, readable files) run in :func:`build_sequences`.  Errors
+    cite the JSON path of the offending field.  Parsing is idempotent, also
+    through ``json.dumps``: parse(parse(obj)) == parse(obj).
     """
     if not isinstance(obj, dict):
         raise SpecError(f"spec: expected a JSON object, got {type(obj).__name__}")
-    known = {"sequences", "battery", "schedule", "kappa", "grid",
-             "tolerances", "outputs", "pool", "seed"}
-    for key in obj:
-        if key not in known:
-            _fail(key, "unknown field")
+    _check_keys(obj, "", ("sequences", "battery", "schedule", "kappa", "grid",
+                          "tolerances", "outputs", "seed", "pool"))
 
     raw_seqs = obj.get("sequences")
     if not isinstance(raw_seqs, list) or not raw_seqs:
         _fail("sequences", "expected a nonempty array of sequence specs")
-    sequences = tuple(normalize_spec(s, f"sequences[{i}]")
-                      for i, s in enumerate(raw_seqs))
+    sequences = [normalize_spec(s, f"sequences[{i}]")
+                 for i, s in enumerate(raw_seqs)]
 
     raw_battery = obj.get("battery", list(BUILTIN_BATTERY))
     if not isinstance(raw_battery, list) or not raw_battery:
         _fail("battery", "expected a nonempty array")
-    battery = tuple(_norm_battery_entry(e, f"battery[{i}]")
-                    for i, e in enumerate(raw_battery))
+    battery = [_norm_battery_entry(e, f"battery[{i}]")
+               for i, e in enumerate(raw_battery)]
 
     schedule = _norm_increasing(obj.get("schedule", list(DEFAULT_SCHEDULE)),
                                 "schedule", lambda v, p: _norm_int(v, p, 1))
 
-    raw_kappa = obj.get("kappa", "default")
-    if isinstance(raw_kappa, str):
+    kappa = obj.get("kappa", "default")
+    if isinstance(kappa, str):
         allowed = ("default", "extract") + KAPPA_FAMILY
-        if raw_kappa not in allowed:
+        if kappa not in allowed:
             _fail("kappa", f"expected one of {', '.join(allowed)}, or an "
-                           f"explicit checkpoint array; got {raw_kappa!r}")
-        kappa = raw_kappa
+                           f"explicit checkpoint array; got {kappa!r}")
     else:
-        kappa = _norm_increasing(raw_kappa, "kappa",
+        kappa = _norm_increasing(kappa, "kappa",
                                  lambda v, p: _norm_int(v, p, 1))
 
-    raw_grid = obj.get("grid", {"deciles": True})
-    if isinstance(raw_grid, dict):
-        if raw_grid != {"deciles": True}:
+    grid = obj.get("grid", {"deciles": True})
+    if isinstance(grid, dict):
+        if grid != {"deciles": True}:
             _fail("grid", 'expected {"deciles": true}, a point array, or a count')
         grid = {"deciles": True}
-    elif isinstance(raw_grid, list):
-        grid = _norm_increasing(raw_grid, "grid", _norm_float)
+    elif isinstance(grid, list):
+        grid = _norm_increasing(grid, "grid", _norm_finite)
     else:
-        grid = _norm_int(raw_grid, "grid", 1)
+        grid = _norm_int(grid, "grid", 1)
 
     tolerances = dict(DEFAULT_TOLERANCES)
-    raw_tol = obj.get("tolerances", {})
-    if not isinstance(raw_tol, dict):
-        _fail("tolerances", "expected an object")
-    for key, value in raw_tol.items():
-        if key not in DEFAULT_TOLERANCES:
-            _fail(f"tolerances.{key}", "unknown tolerance")
+    for key, value in _check_keys(obj.get("tolerances", {}), "tolerances",
+                                  DEFAULT_TOLERANCES,
+                                  "unknown tolerance").items():
         if key == "window":
             tolerances[key] = _norm_int(value, f"tolerances.{key}", 2)
         else:
@@ -162,31 +149,26 @@ def parse_experiment_spec(obj) -> ExperimentSpec:
                       f"must be positive and finite, got {v}")
             tolerances[key] = v
 
-    outputs = {"basename": "report"}
-    raw_out = obj.get("outputs", {})
-    if not isinstance(raw_out, dict):
-        _fail("outputs", "expected an object")
-    for key, value in raw_out.items():
-        if key != "basename":
-            _fail(f"outputs.{key}", "unknown output option")
-        if not isinstance(value, str) or not value or "/" in value or "\\" in value:
-            _fail("outputs.basename", f"expected a plain file stem, got {value!r}")
-        outputs["basename"] = value
+    outputs = {"basename": "report",
+               **_check_keys(obj.get("outputs", {}), "outputs", ("basename",),
+                             "unknown output option")}
+    basename = outputs["basename"]
+    if not isinstance(basename, str) or not basename or "/" in basename \
+            or "\\" in basename:
+        _fail("outputs.basename", f"expected a plain file stem, got {basename!r}")
 
-    pool = None
+    pool = {}
     if "pool" in obj:
-        pool = _norm_increasing(obj["pool"], "pool",
-                                lambda v, p: _norm_int(v, p, 1))
-        if len(pool) < DEFAULT_MIN_POOL:
+        pool["pool"] = _norm_increasing(obj["pool"], "pool",
+                                        lambda v, p: _norm_int(v, p, 1))
+        if len(pool["pool"]) < DEFAULT_MIN_POOL:
             _fail("pool", f"needs at least {DEFAULT_MIN_POOL} checkpoints, "
-                          f"got {len(pool)}")
+                          f"got {len(pool['pool'])}")
 
-    seed = _norm_seed(obj.get("seed", 0), "seed")
-
-    return ExperimentSpec(sequences=sequences, battery=battery,
-                          schedule=schedule, kappa=kappa, grid=grid,
-                          tolerances=tolerances, outputs=outputs, pool=pool,
-                          seed=seed)
+    return {"sequences": sequences, "battery": battery, "schedule": schedule,
+            "kappa": kappa, "grid": grid, "tolerances": tolerances,
+            "outputs": outputs, "seed": _norm_seed(obj.get("seed", 0), "seed"),
+            **pool}
 
 
 def _norm_seed(value, path: str) -> int:
@@ -196,33 +178,16 @@ def _norm_seed(value, path: str) -> int:
     return seed
 
 
-def serialize_experiment_spec(spec: ExperimentSpec) -> dict:
-    """Normalized JSON form; parse_experiment_spec inverts this exactly."""
-    obj = {
-        "sequences": [json.loads(json.dumps(s)) for s in spec.sequences],
-        "battery": [e if isinstance(e, str) else dict(e) for e in spec.battery],
-        "schedule": list(spec.schedule),
-        "kappa": spec.kappa if isinstance(spec.kappa, str) else list(spec.kappa),
-        "grid": spec.grid if not isinstance(spec.grid, tuple) else list(spec.grid),
-        "tolerances": dict(spec.tolerances),
-        "outputs": dict(spec.outputs),
-        "seed": spec.seed,
-    }
-    if spec.pool is not None:
-        obj["pool"] = list(spec.pool)
-    return obj
-
-
-def build_sequences(spec: ExperimentSpec) -> list[BoundedSequence]:
+def build_sequences(spec: dict) -> list[BoundedSequence]:
     """Build the spec's sequences, each once, through ``from_spec``."""
     return [sequence_from_spec(s, where=f"sequences[{i}]")
-            for i, s in enumerate(spec.sequences)]
+            for i, s in enumerate(spec["sequences"])]
 
 
-def build_battery(spec: ExperimentSpec, interval: Interval) -> FunctionBattery:
+def build_battery(spec: dict, interval: Interval) -> FunctionBattery:
     base = default_battery(interval)
     members = []
-    for entry in spec.battery:
+    for entry in spec["battery"]:
         if isinstance(entry, str):
             members.append(base.member(entry))
         else:
@@ -232,27 +197,28 @@ def build_battery(spec: ExperimentSpec, interval: Interval) -> FunctionBattery:
     return FunctionBattery(tuple(members))
 
 
-def resolve_grid(spec: ExperimentSpec, interval: Interval,
+def resolve_grid(spec: dict, interval: Interval,
                  cdfs: Callable[[], list[StepCDF]] | None = None):
     """The spec's grid points on ``interval``, or the spec's count when
     ``cdfs`` is None (the harness places a count grid per kappa).  A count
     grid is placed here only when ``cdfs`` is given: it is called, only
     then, for the CDFs to avoid.
     """
-    if isinstance(spec.grid, tuple):
-        points = np.asarray(spec.grid, dtype=np.float64)
+    grid = spec["grid"]
+    if isinstance(grid, list):
+        points = np.asarray(grid, dtype=np.float64)
         if points[0] <= interval.a or points[-1] >= interval.b:
             raise SpecError(
                 f"grid: points must lie strictly inside "
                 f"({interval.a}, {interval.b})")
         return points
-    if isinstance(spec.grid, dict):
+    if isinstance(grid, dict):
         ks = np.arange(1, 10, dtype=np.float64)
         return interval.a + interval.length * ks / 10.0
     if cdfs is None:
-        return spec.grid
-    return continuity_grid(cdfs(), spec.grid,
-                           atom_tol=spec.tolerances["atom_tol"],
+        return grid
+    return continuity_grid(cdfs(), grid,
+                           atom_tol=spec["tolerances"]["atom_tol"],
                            interval=interval)
 
 
@@ -267,9 +233,9 @@ def _derived_pool(depth: int) -> SubsequenceIndex:
                             name="geometric")
 
 
-def resolve_pool(spec: ExperimentSpec, depth: int) -> SubsequenceIndex:
-    if spec.pool is not None:
-        return SubsequenceIndex(np.asarray(spec.pool, dtype=np.int64),
+def resolve_pool(spec: dict, depth: int) -> SubsequenceIndex:
+    if "pool" in spec:
+        return SubsequenceIndex(np.asarray(spec["pool"], dtype=np.int64),
                                 name="pool")
     pool = _derived_pool(depth)
     if len(pool) < DEFAULT_MIN_POOL:
@@ -279,7 +245,7 @@ def resolve_pool(spec: ExperimentSpec, depth: int) -> SubsequenceIndex:
     return pool
 
 
-def resolve_kappa_family(spec: ExperimentSpec, depth: int,
+def resolve_kappa_family(spec: dict, depth: int,
                          seed: int) -> list[SubsequenceIndex | Extraction]:
     """The spec's kappa family at ``depth``; ``"extract"`` gives one
     :class:`Extraction` from :func:`resolve_pool`, which the equivalence
@@ -290,15 +256,16 @@ def resolve_kappa_family(spec: ExperimentSpec, depth: int,
     harness reads of an index, so they take O(window) memory at any
     depth; an explicit checkpoint list is kept whole.
     """
-    if isinstance(spec.kappa, tuple):
-        return [SubsequenceIndex(np.asarray(spec.kappa, dtype=np.int64),
+    kappa, tolerances = spec["kappa"], spec["tolerances"]
+    if isinstance(kappa, list):
+        return [SubsequenceIndex(np.asarray(kappa, dtype=np.int64),
                                  name="explicit")]
-    window = spec.tolerances["window"]
-    if spec.kappa == "default":
+    window = tolerances["window"]
+    if kappa == "default":
         return kappa_family_builder(depth, seed=seed, last=window)
-    if spec.kappa in KAPPA_FAMILY:
-        return [kappa_member(spec.kappa, depth, seed=seed, last=window)]
-    return [Extraction(resolve_pool(spec, depth), tol=spec.tolerances["tol"],
+    if kappa in KAPPA_FAMILY:
+        return [kappa_member(kappa, depth, seed=seed, last=window)]
+    return [Extraction(resolve_pool(spec, depth), tol=tolerances["tol"],
                        window=window)]
 
 
@@ -316,10 +283,10 @@ def _outdir(args) -> Path:
     return out
 
 
-def _single_sequence(spec: ExperimentSpec, command: str) -> BoundedSequence:
-    if len(spec.sequences) != 1:
+def _single_sequence(spec: dict, command: str) -> BoundedSequence:
+    if len(spec["sequences"]) != 1:
         raise SpecError(f"sequences: {command} works on exactly one sequence, "
-                        f"got {len(spec.sequences)}")
+                        f"got {len(spec['sequences'])}")
     return build_sequences(spec)[0]
 
 
@@ -331,7 +298,7 @@ def cmd_generate(args) -> int:
     else:
         spec = parse_experiment_spec(obj)
         seq = _single_sequence(spec, "generate")
-        basename = spec.outputs["basename"]
+        basename = spec["outputs"]["basename"]
     n = args.depth
     path = _outdir(args) / f"{basename}_values.txt"
     # a chunk at a time, each formatted in one call (fmt_float's bytes:
@@ -349,18 +316,18 @@ def cmd_distribution(args) -> int:
     spec = parse_experiment_spec(_load_spec_file(args.spec))
     seq = _single_sequence(spec, "distribution")
     battery = build_battery(spec, seq.interval)
-    deepest = spec.schedule[-1]
+    deepest = spec["schedule"][-1]
     # One prefix for every CDF and for the one kernel walk of every mean:
     # the products of single-member tuples are the members' means.
     seq = MaterializedSequence(seq, deepest)
     values = seq.prefix(deepest).values
     deepest_cdf = StepCDF.from_values(values, seq.interval)
     grid = resolve_grid(spec, seq.interval, cdfs=lambda: [deepest_cdf])
-    means = _multilinear([seq], [battery.members], list(spec.schedule))[1]
+    means = _multilinear([seq], [battery.members], spec["schedule"])[1]
 
     cdf_rows = []
     weyl_rows = []
-    for j, n in enumerate(spec.schedule):
+    for j, n in enumerate(spec["schedule"]):
         cdf = deepest_cdf if n == deepest \
             else StepCDF.from_values(values[:n], seq.interval)
         for x in grid:
@@ -371,7 +338,7 @@ def cmd_distribution(args) -> int:
                               abs(mean - integral)))
 
     out = _outdir(args)
-    base = spec.outputs["basename"]
+    base = spec["outputs"]["basename"]
     write_json(out / f"{base}_cdf.json", deepest_cdf.to_json_obj())
     write_csv(out / f"{base}_cdf.csv", ["N", "x", "F"], cdf_rows)
     write_csv(out / f"{base}_weyl.csv",
@@ -382,25 +349,25 @@ def cmd_distribution(args) -> int:
 
 def cmd_independence(args) -> int:
     spec = parse_experiment_spec(_load_spec_file(args.spec))
-    if len(spec.sequences) < 2:
+    if len(spec["sequences"]) < 2:
         raise SpecError(
             f"sequences: independence needs at least two sequences, "
-            f"got {len(spec.sequences)}")
+            f"got {len(spec['sequences'])}")
     seqs = build_sequences(spec)
     interval = seqs[0].interval
     battery = build_battery(spec, interval)
-    seed = args.seed if args.seed is not None else spec.seed
+    seed = args.seed if args.seed is not None else spec["seed"]
     family = resolve_kappa_family(spec, args.depth, seed)
 
-    tol = spec.tolerances["tol"]
+    tol = spec["tolerances"]["tol"]
     report = equivalence_harness(
-        seqs, battery, family, list(spec.schedule), tol,
+        seqs, battery, family, spec["schedule"], tol,
         grid=resolve_grid(spec, interval),
-        atom_tol=spec.tolerances["atom_tol"],
-        window=spec.tolerances["window"])
+        atom_tol=spec["tolerances"]["atom_tol"],
+        window=spec["tolerances"]["window"])
 
     out = _outdir(args)
-    base = spec.outputs["basename"]
+    base = spec["outputs"]["basename"]
     write_json(out / f"{base}_report.json", report.to_json_obj())
     write_csv(out / f"{base}_gaps.csv",
               ["N", "tuple label", "delta", "product", "gap"],
@@ -432,10 +399,10 @@ def cmd_independence(args) -> int:
 
 def cmd_extract(args) -> int:
     spec = parse_experiment_spec(_load_spec_file(args.spec))
-    if spec.kappa != "extract":
+    if spec["kappa"] != "extract":
         raise SpecError('kappa: extract requires "kappa": "extract"')
     seqs = build_sequences(spec)
-    tol, window = spec.tolerances["tol"], spec.tolerances["window"]
+    tol, window = spec["tolerances"]["tol"], spec["tolerances"]["window"]
     pool = resolve_pool(spec, args.depth)
     # Each report's limit CDF sorts a whole prefix along kappa, a subset of
     # the pool: each sequence is generated once, up to the pool's deepest
@@ -453,7 +420,7 @@ def cmd_extract(args) -> int:
                for s, c in zip(seqs, counts)]
 
     out = _outdir(args)
-    base = spec.outputs["basename"]
+    base = spec["outputs"]["basename"]
     write_json(out / f"{base}_kappa.json", kappa.to_json_obj())
     write_json(out / f"{base}_measurability.json",
                [r.to_json_obj() for r in reports])

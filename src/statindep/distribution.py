@@ -330,7 +330,7 @@ def sandwich_indicator(x: float, eps_width: float, interval: Interval,
     a, b = interval.a, interval.b
     if not a < x < b:
         raise IntervalError(f"sandwich point {x} must lie strictly inside ({a}, {b})")
-    if eps_width <= 0:
+    if not eps_width > 0:
         raise IntervalError(f"eps_width must be positive, got {eps_width}")
     if x - eps_width <= a:
         raise IntervalError(
@@ -360,7 +360,7 @@ def step_envelope(f: Callable, cdfs: Sequence[StepCDF], eps: float,
     adjacent-sample jump, a margin that covers between-sample variation for
     the continuous targets this package integrates.
     """
-    if eps <= 0:
+    if not eps > 0:
         raise ValueError(f"eps must be positive, got {eps}")
     if not cdfs:
         raise ValueError("need at least one CDF to certify the gap")

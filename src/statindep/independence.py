@@ -487,7 +487,7 @@ def _check_schedule_args(seqs: Sequence[BoundedSequence],
     if any(n < 1 for n in schedule) or any(
             x >= y for x, y in zip(schedule, schedule[1:])):
         raise ValueError(f"schedule must be strictly increasing and >= 1: {schedule}")
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
     if len(seqs) > MAX_TUPLE_ARITY:
         raise ValueError(f"tuple arity {len(seqs)} exceeds the supported "
@@ -639,10 +639,10 @@ def kappa_independence_test(seqs: Sequence[BoundedSequence],
             f"tuple arity {m} exceeds the supported maximum {MAX_TUPLE_ARITY}")
     _check_aligned(seqs, [None] * m)
     grid = check_grid(seqs[0], grid, window)
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
     _check_window(kappa, window)
-    if measurability_tol <= 0:
+    if not measurability_tol > 0:
         raise ValueError(f"tol must be positive, got {measurability_tol}")
     points, rows = sorted_unique(grid), kappa.checkpoints[-window:]
     tallies = [Tally(points, rows, [r]) for r in range(m)]

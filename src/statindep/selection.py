@@ -120,7 +120,7 @@ def detect_measurable(seq: BoundedSequence, kappa: SubsequenceIndex,
     """
     grid = check_grid(seq, grid, window)
     _check_window(kappa, window)
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
     counts = grid_counts([seq], sorted_unique(grid), kappa.checkpoints)
     return _measurability(seq, kappa, grid, counts, tol, window)
@@ -196,7 +196,7 @@ def helly_extract(seqs: Sequence[BoundedSequence], pool: SubsequenceIndex,
         raise ValueError("need at least one sequence")
     for seq in seqs:
         grid = check_grid(seq, grid, window)
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
     if len(pool) < min_pool:
         raise ExtractionError(

@@ -593,6 +593,18 @@ def _fail(path: str, message: str):
     raise SpecError(f"{path}: {message}")
 
 
+def _check_keys(obj, where: str, known, message: str = "unknown field") -> dict:
+    """``obj``, checked to be a JSON object whose keys all lie in ``known``:
+    the first other key is cited at its own path, ``<where>.<key>`` (the
+    key alone at the top level, where ``where`` is empty)."""
+    if not isinstance(obj, dict):
+        _fail(where, f"expected an object, got {type(obj).__name__}")
+    for key in obj:
+        if key not in known:
+            _fail(f"{where}.{key}" if where else key, message)
+    return obj
+
+
 def _norm_int(value, path: str, minimum: int | None = None) -> int:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         _fail(path, f"expected an integer, got {value!r}")
@@ -648,11 +660,7 @@ def normalize_spec(obj, where: str = "sequence") -> dict:
     JSON path.  Only shapes and types are checked here: range checks belong
     to the constructors.  Normalizing twice gives the same dict.
     """
-    if not isinstance(obj, dict):
-        _fail(where, f"expected an object, got {type(obj).__name__}")
-    for key in obj:
-        if key not in ("kind", "interval", "params"):
-            _fail(f"{where}.{key}", "unknown field")
+    _check_keys(obj, where, ("kind", "interval", "params"))
     kind = obj.get("kind")
     if kind is None:
         _fail(f"{where}.kind", "missing")
@@ -681,9 +689,8 @@ def normalize_spec(obj, where: str = "sequence") -> dict:
             out[key] = schema.defaults[key]
         else:
             _fail(path, "missing")
-    for key in params:
-        if key not in schema.params:
-            _fail(f"{where}.params.{key}", f"unknown parameter for kind {kind!r}")
+    _check_keys(params, f"{where}.params", schema.params,
+                f"unknown parameter for kind {kind!r}")
     return {"kind": kind, "interval": [interval.a, interval.b], "params": out}
 
 

@@ -35,14 +35,13 @@ from statindep import (
 )
 from statindep.cli import (
     DEFAULT_TOLERANCES,
-    ExperimentSpec,
     _derived_pool,
     main,
     parse_experiment_spec,
-    serialize_experiment_spec,
 )
 from statindep.reporting import canonical_json, csv_text, fmt_float
-from statindep.selection import DEFAULT_TOL, DEFAULT_WINDOW, KAPPA_FAMILY
+from statindep.selection import DEFAULT_MIN_POOL, DEFAULT_TOL, DEFAULT_WINDOW, \
+    KAPPA_FAMILY
 from statindep.sequences import SEQUENCE_KINDS, normalize_spec
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -91,18 +90,19 @@ class TestSpecParsing:
             "pool": list(range(1, 100)),
             "seed": 42,
         })
-        assert isinstance(spec, ExperimentSpec)
-        again = parse_experiment_spec(serialize_experiment_spec(spec))
-        assert again == spec
+        assert parse_experiment_spec(spec) == spec
+        assert parse_experiment_spec(json.loads(json.dumps(spec))) == spec
 
     def test_defaults_fill_in(self):
         spec = parse_experiment_spec({"sequences": [KRON]})
-        assert spec.battery == ("one", "x", "x2", "sin2pix", "cos2pix", "ramp")
-        assert spec.schedule == (100, 1000, 10000, 100000)
-        assert spec.kappa == "default"
-        assert spec.grid == {"deciles": True}
-        assert spec.tolerances["tol"] == 0.01
-        assert spec.seed == 0
+        assert spec["battery"] == ["one", "x", "x2", "sin2pix", "cos2pix",
+                                   "ramp"]
+        assert spec["schedule"] == [100, 1000, 10000, 100000]
+        assert spec["kappa"] == "default"
+        assert spec["grid"] == {"deciles": True}
+        assert spec["tolerances"]["tol"] == 0.01
+        assert spec["seed"] == 0
+        assert "pool" not in spec
 
     def test_error_paths_cite_fields(self):
         cases = [
@@ -124,6 +124,24 @@ class TestSpecParsing:
              r"^sequences\[1\]\.intervl: unknown field"),
             ({"sequences": [KRON], "tolerances": {"epsilon_width": 0.05}},
              r"^tolerances\.epsilon_width: unknown tolerance"),
+            ({"sequences": [KRON], "tolerances": [0.05]},
+             r"^tolerances: expected an object, got list$"),
+            ({"sequences": [KRON], "outputs": {"stem": "run"}},
+             r"^outputs\.stem: unknown output option$"),
+            ({"sequences": [KRON], "outputs": "run"},
+             r"^outputs: expected an object, got str$"),
+            ({"sequences": [KRON],
+              "battery": [{"name": "tent", "knots": [0, 1],
+                           "values": [0, 1], "junk": 1}]},
+             r"^battery\[0\]\.junk: unknown field$"),
+            # an object's unknown keys are cited before its values...
+            ({"sequences": [KRON],
+              "tolerances": {"tol": float("nan"), "slack": 1.0}},
+             r"^tolerances\.slack: unknown tolerance$"),
+            # ...except a sequence's parameters, which are coerced first
+            ({"sequences": [{"kind": "constant",
+                             "params": {"value": "x", "scale": 2}}]},
+             r"^sequences\[0\]\.params\.value: expected a number"),
         ]
         for obj, pattern in cases:
             with pytest.raises(SpecError, match=pattern):
@@ -163,18 +181,53 @@ SEQUENCE_SPECS = st.recursive(
                              {"c": NUMBER, "d": NUMBER, "source": source}),
     max_leaves=3)
 
+INCREASING = st.lists(st.integers(1, 10 ** 6), min_size=1, max_size=6,
+                      unique=True).map(sorted)
+PIECEWISE = st.integers(2, 4).flatmap(lambda n: st.fixed_dictionaries({
+    "name": st.text(min_size=1, max_size=6),
+    "knots": st.lists(NUMBER, min_size=n, max_size=n,
+                      unique_by=float).map(sorted),
+    "values": st.lists(NUMBER, min_size=n, max_size=n)}))
+SPEC_FIELDS = optional(
+    battery=st.lists(st.one_of(st.sampled_from(default_battery().names),
+                               PIECEWISE), min_size=1, max_size=3),
+    schedule=INCREASING,
+    kappa=st.one_of(st.sampled_from(("default", "extract") + KAPPA_FAMILY),
+                    INCREASING),
+    grid=st.one_of(st.just({"deciles": True}), st.integers(1, 50),
+                   st.lists(st.floats(-10, 10), min_size=1, max_size=5,
+                            unique=True).map(sorted)),
+    tolerances=optional(tol=st.floats(1e-6, 10), window=WHOLE.filter(
+        lambda w: w >= 2), atom_tol=st.one_of(st.floats(1e-6, 1),
+                                              st.integers(1, 3))),
+    outputs=optional(basename=st.text("ab_-.0", min_size=1, max_size=8)),
+    pool=st.lists(st.integers(1, 10 ** 6), min_size=DEFAULT_MIN_POOL,
+                  max_size=DEFAULT_MIN_POOL + 4, unique=True).map(sorted),
+    seed=st.integers(0, 2 ** 64 - 1),
+)
+
 
 class TestSequenceRegistry:
     @settings(max_examples=200, deadline=None)
     @given(st.lists(SEQUENCE_SPECS, min_size=1, max_size=3))
     def test_round_trip_and_idempotent(self, raw):
         spec = parse_experiment_spec({"sequences": raw})
-        assert parse_experiment_spec(serialize_experiment_spec(spec)) == spec
+        assert parse_experiment_spec(json.loads(json.dumps(spec))) == spec
         for i, obj in enumerate(raw):
             norm = normalize_spec(obj, f"sequences[{i}]")
-            assert norm == spec.sequences[i]
+            assert norm == spec["sequences"][i]
             assert normalize_spec(norm) == norm
             assert list(norm) == ["kind", "interval", "params"]
+
+    @settings(max_examples=200, deadline=None)
+    @given(SPEC_FIELDS)
+    def test_whole_spec_round_trip(self, fields):
+        spec = parse_experiment_spec({"sequences": [KRON], **fields})
+        assert list(spec) == ["sequences", "battery", "schedule", "kappa",
+                              "grid", "tolerances", "outputs", "seed",
+                              *(["pool"] if "pool" in fields else [])]
+        assert parse_experiment_spec(spec) == spec
+        assert parse_experiment_spec(json.loads(json.dumps(spec))) == spec
 
     def test_parse_builds_nothing(self, monkeypatch, tmp_path):
         built = []
@@ -251,6 +304,17 @@ class TestSequenceRegistry:
          "tolerances.tol: must be positive and finite, got nan"),
         ({"tolerances": {"atom_tol": float("nan")}},
          "tolerances.atom_tol: must be positive and finite, got nan"),
+        ({"battery": ["one", {"name": "tent", "knots": [0, float("nan"), 1],
+                              "values": [0, 1, 0]}]},
+         "battery[1].knots[1]: must be finite, got nan"),
+        ({"battery": ["one", {"name": "tent", "knots": [0, 0.5, 1],
+                              "values": [0, float("nan"), 0]}]},
+         "battery[1].values[1]: must be finite, got nan"),
+        ({"battery": ["one", {"name": "ramp", "knots": [0, float("inf")],
+                              "values": [0, 1]}]},
+         "battery[1].knots[1]: must be finite, got inf"),
+        ({"grid": [0.2, float("nan"), 0.8]},
+         "grid[1]: must be finite, got nan"),
     ])
     def test_non_finite_input_fails_where_it_enters(self, tmp_path, capsys,
                                                     monkeypatch, overrides,

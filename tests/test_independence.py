@@ -48,7 +48,9 @@ from statindep import (
     kappa_member,
     make_block,
     product_form,
+    sandwich_indicator,
     statind_test,
+    step_envelope,
     stieltjes,
 )
 from statindep.density import grid_counts
@@ -484,6 +486,41 @@ def test_delta_bounded_by_sup_product(n):
 
 
 # -- the schedule-test kernel against the block-contract reference -----------
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda s, k, g: statind_test(s, default_battery(), [10, 100], NAN),
+     "tol must be positive"),
+    (lambda s, k, g: kappa_independence_test(s, k, g, NAN),
+     "tol must be positive"),
+    (lambda s, k, g: kappa_independence_test(s, k, g, 0.02,
+                                             measurability_tol=NAN),
+     "tol must be positive"),
+    (lambda s, k, g: detect_measurable(s[0], k, g, tol=NAN),
+     "tol must be positive"),
+    (lambda s, k, g: helly_extract(s, k, g, tol=NAN),
+     "tol must be positive"),
+    (lambda s, k, g: equivalence_harness(s, default_battery(), [k],
+                                         [10, 100], NAN),
+     "tol must be positive"),
+    (lambda s, k, g: sandwich_indicator(0.5, NAN, UNIT),
+     "eps_width must be positive"),
+    # refined until it ran out of breakpoints while NaN passed the check
+    (lambda s, k, g: step_envelope(lambda x: x, [empirical_cdf(s[0], k)],
+                                   NAN, max_breakpoints=100),
+     "eps must be positive"),
+], ids=["statind_test", "kappa_independence_test", "measurability_tol",
+        "detect_measurable", "helly_extract", "equivalence_harness",
+        "sandwich_indicator", "step_envelope"])
+def test_nan_tolerance_is_rejected_at_every_entry_point(call, message):
+    # each check reads `not x > 0`, which NaN fails, where `x <= 0` let it
+    # through to a verdict or an error about something else
+    seqs = [KroneckerSequence("sqrt2-1"), KroneckerSequence("sqrt3-1")]
+    with pytest.raises(ValueError, match=f"^{message}, got nan$"):
+        call(seqs, naturals(1000, 10), np.linspace(0.1, 0.9, 9))
+
 
 def _same_bits(a, b):
     a = np.asarray(a, dtype=np.float64)
