@@ -38,7 +38,7 @@ def main():
 
         n = DEPTHS[-1]
         cdf = empirical_cdf(seq, schedule)
-        values = seq.prefix(n).values
+        values = seq.prefix(n)
         print(f"  averaged-function identity at depth {n}:")
         for member in battery:
             fx = np.asarray(member(values), dtype=np.float64)

@@ -34,7 +34,6 @@ from .sequences import (
     Interval,
     KroneckerSequence,
     PeriodicSequence,
-    PrefixView,
     UNIT,
     VanDerCorputSequence,
     from_spec,
@@ -91,7 +90,7 @@ __all__ = [
     "GridError", "IndependenceReport", "Interval", "IntervalError",
     "KappaOutcome", "KroneckerSequence", "MeasurabilityError",
     "MeasurabilityReport", "NamedFunction", "PeriodicSequence",
-    "PiecewiseLinear", "PrefixView", "RangeViolation", "RectangleReport",
+    "PiecewiseLinear", "RangeViolation", "RectangleReport",
     "SequenceExhausted", "SequenceFileError", "SpecError", "StatIndepError",
     "StepCDF", "StepEnvelope", "StepFunction", "SubsequenceIndex",
     "TupleTrace", "UNIT", "VanDerCorputSequence", "cdf_eval",

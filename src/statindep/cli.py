@@ -320,7 +320,7 @@ def cmd_distribution(args) -> int:
     # One prefix for every CDF and for the one kernel walk of every mean:
     # the products of single-member tuples are the members' means.
     seq = MaterializedSequence(seq, deepest)
-    values = seq.prefix(deepest).values
+    values = seq.prefix(deepest)
     deepest_cdf = StepCDF.from_values(values, seq.interval)
     grid = resolve_grid(spec, seq.interval, cdfs=lambda: [deepest_cdf])
     means = _multilinear([seq], [battery.members], spec["schedule"])[1]

@@ -115,7 +115,7 @@ def empirical_cdf(seq: BoundedSequence, kappa: SubsequenceIndex,
         raise CheckpointError(
             f"depth {depth} out of range 1..{len(kappa)}")
     k = int(kappa.checkpoints[depth - 1])
-    return StepCDF.from_values(seq.prefix(k).values, seq.interval)
+    return StepCDF.from_values(seq.prefix(k), seq.interval)
 
 
 def cdf_eval(cdf: StepCDF, x: float) -> float:

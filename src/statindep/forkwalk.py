@@ -1,13 +1,15 @@
 """The one chunk walk driver, shared with one forked worker process.
 
-:func:`steps` drives every :func:`sequences.walk`: this process walks the
-even steps and a worker made by ``os.fork`` the odd ones, each computed
-by the same ``compute`` function on the same values and counted into
-every tally.  Each step's output, one array of the same shape at every
-step, comes back here in step order, through a pipe straight into one
-array like it, and the worker's counts once, after its last step, so no
-bit depends on which process walked a step.  Plain ``fork`` and
-``pipe``: no pool and no helper process.
+:func:`steps` walks several sequences in step, each step reading the same
+aligned blocks of each sequence's :meth:`~sequences.BoundedSequence.chunks`
+whichever process walks it: this process walks the even steps and a
+worker made by ``os.fork`` the odd ones, each computed by the same
+``compute`` function on the same values and counted into every tally.
+Each step's output, one array of the same shape at every step, comes back
+here in step order, through a pipe straight into one array like it, and
+the worker's counts once, after its last step, so no bit depends on which
+process walked a step.  Plain ``fork`` and ``pipe``: no pool and no
+helper process.
 
 For the walk, the two processes are pinned to two different CPUs and the
 pipe is widened to hold whole steps.  Otherwise, on a 2-CPU host, each
@@ -29,7 +31,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .sequences import _CHUNK, BoundedSequence, walk
+from .sequences import _CHUNK, BoundedSequence, _copy_chunks
 
 
 # Bytes a walk's pipe may buffer: /proc/sys/fs/pipe-max-size by default,
@@ -60,11 +62,17 @@ def steps(seqs: Sequence[BoundedSequence], depth: int, width: int,
     """``(start, out)`` of every step of one walk of ``seqs``, ``width``
     indices a step, in step order, each step counted into every tally.
 
-    Each sequence is walked to ``depth``, or deeper to the deepest
-    checkpoint of the tallies that count it.  ``compute(start, values)``
-    returns a step's ``out``: a float64 array of the same shape at every
-    step, overwritten by the next one.  A step at or past ``depth`` has
-    none (None), so a counting-only walk has depth 0 and no ``compute``.
+    Each sequence is walked to its reach: ``depth``, or deeper to the
+    deepest checkpoint of the tallies that count it.  ``width`` is a
+    multiple of ``_CHUNK``, so a step reads whole aligned blocks and each
+    index is generated once however the steps are shared out.  The step
+    from ``start`` has ``values[r]``: v_r(start+1) ... up to
+    v_r(start+width) or the reach of sequence r, copied into a buffer
+    that the next step overwrites, or None once ``start`` is past that
+    reach.  ``compute(start, values)`` returns a step's ``out``: a float64
+    array of the same shape at every step, overwritten by the next one.
+    A step at or past ``depth`` has none (None), so a counting-only walk
+    has depth 0 and no ``compute``.
 
     Step 0 is walked here.  A worker then walks the odd steps when at
     least two CPUs are usable, no other thread is alive, SIGCHLD is not
@@ -80,15 +88,21 @@ def steps(seqs: Sequence[BoundedSequence], depth: int, width: int,
     A worker's exception is raised here, with its type and message, at
     its step, and the worker is killed and reaped however the walk ends.
     """
-    depths = [max([depth] + [t.depth for t in tallies if r in t.members])
-              for r in range(len(seqs))]
-    count = -(-max(depths, default=0) // width)
+    reach = [max([depth] + [t.depth for t in tallies if r in t.members])
+             for r in range(len(seqs))]
+    for s, stop in zip(seqs, reach):
+        s.chunks(0, stop)  # SequenceExhausted now, not at some step
+    count = -(-max(reach, default=0) // width)
     buffers = np.empty((len(seqs), width))
 
     def walked(ks):
         """``(start, out)`` of each step k in ``ks``, counted a chunk at a
         time so that the binning temporaries stay that long."""
-        for start, values in walk(seqs, depths, width, ks, buffers):
+        for k in ks:
+            start = k * width
+            values = [None if stop <= start else _copy_chunks(
+                s.chunks(start, min(start + width, stop)), buffer)
+                for s, stop, buffer in zip(seqs, reach, buffers)]
             out = compute(start, values) if start < depth else None
             for at in range(0, width, _CHUNK):
                 piece = [None if v is None else v[at:at + _CHUNK]

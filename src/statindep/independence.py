@@ -35,7 +35,7 @@ from .selection import (DEFAULT_TOL, DEFAULT_WINDOW, Extraction, check_grid,
                         _check_window, _measurability)
 from .sequences import (_CHUNK, BoundedSequence, Interval,
                         MaterializedSequence, UNIT)
-from .subsequence import SubsequenceIndex
+from .subsequence import SubsequenceIndex, _check_index
 
 MAX_TUPLE_ARITY = 5
 
@@ -481,7 +481,8 @@ def _check_schedule_args(seqs: Sequence[BoundedSequence],
     """The schedule as ints, after :func:`statind_test`'s argument checks."""
     if len(battery) == 0:
         raise ValueError("battery must be nonempty")
-    schedule = [int(n) for n in schedule]
+    schedule = [_check_index(n, f"schedule[{i}]")
+                for i, n in enumerate(schedule)]
     if not schedule:
         raise ValueError("schedule must be nonempty")
     if any(n < 1 for n in schedule) or any(

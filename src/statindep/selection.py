@@ -13,7 +13,6 @@ automatically, since subsets of a tol-wide band stay within it.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -26,7 +25,7 @@ from .distribution import StepCDF, empirical_cdf
 from .errors import (CheckpointError, ExtractionError, IntervalError,
                      SequenceExhausted)
 from .sequences import BoundedSequence
-from .subsequence import SubsequenceIndex
+from .subsequence import SubsequenceIndex, _check_index
 
 DEFAULT_TOL = 1e-2
 DEFAULT_WINDOW = 5
@@ -85,16 +84,19 @@ def check_grid(seq: BoundedSequence, grid: np.ndarray | None,
                window: int) -> np.ndarray | None:
     """Check a trailing window and a grid of CDF points for ``seq``.
 
-    ``window`` must be >= 1 and ``grid`` nonempty (ValueError), with every
-    point inside the interval [a, b] of ``seq`` (IntervalError naming the
-    first point outside, NaN included).  Returns the grid as float64, or
-    None when ``grid`` is None (only the window is checked then).
+    ``window`` must be an integer (TypeError) >= 1 and ``grid`` 1-d and
+    nonempty (ValueError), with every point inside the interval [a, b] of
+    ``seq`` (IntervalError naming the first point outside, NaN included).
+    Returns the grid as float64, or None when ``grid`` is None (only the
+    window is checked then).
     """
-    if window < 1:
+    if _check_index(window, "window") < 1:
         raise ValueError(f"window must be >= 1, got {window}")
     if grid is None:
         return None
     grid = np.asarray(grid, dtype=np.float64)
+    if grid.ndim != 1:
+        raise ValueError(f"grid must be 1-d, got shape {grid.shape}")
     if grid.size == 0:
         raise ValueError("grid must be nonempty")
     a, b = seq.interval.a, seq.interval.b
@@ -262,6 +264,9 @@ class Extraction:
     tol: float = DEFAULT_TOL
     window: int = DEFAULT_WINDOW
 
+    def __post_init__(self):
+        _check_index(self.window, "window")
+
     def extract(self, seqs: Sequence[BoundedSequence], grid: np.ndarray,
                 counts: Sequence[np.ndarray] | None = None) -> SubsequenceIndex:
         return helly_extract(seqs, self.pool, grid, tol=self.tol,
@@ -303,14 +308,15 @@ def kappa_member(name: str, base_depth: int, seed: int = 0,
     N they keep, and thinned draws its coins ``_COIN_CHUNK`` at a time and
     holds, besides its checkpoints, one chunk of coins (``numpy.random``
     is imported only to build it).  ValueError for base_depth outside
-    [1000, 2^63), for ``last`` < 1 or an unknown name.
+    [1000, 2^63), for ``last`` < 1 or an unknown name; TypeError unless
+    base_depth and ``last`` are integers.
     """
-    base_depth = operator.index(base_depth)
+    base_depth = _check_index(base_depth, "base_depth")
     if base_depth < 10 ** 3:
         raise ValueError(f"base_depth must be >= 1000, got {base_depth}")
     if base_depth >= 2 ** 63:
         raise ValueError(f"base_depth must be < 2^63, got {base_depth}")
-    if last is not None and last < 1:
+    if last is not None and _check_index(last, "last") < 1:
         raise ValueError(f"last must be >= 1, got {last}")
     if name == "thinned":
         return SubsequenceIndex(_coin_thinned(base_depth, seed, last),
@@ -352,21 +358,30 @@ def _coin_thinned(base_depth: int, seed: int,
     The coins are drawn in chunks of one generator, which gives the same
     stream as one draw of base_depth.  For every index they are drawn
     twice, from the same starting state: once to count the kept indices,
-    once to fill an array of exactly that size.  For the last ``last``
-    they are drawn once, keeping the latest ``last`` kept indices.
+    once to fill an array of exactly that size.  For the last ``last``,
+    the chunks are drawn from the last one backward, each from a new
+    generator advanced to the chunk's first coin (PCG64 reads one 64-bit
+    output a coin and jumps in O(log) steps), until ``last`` kept indices
+    are found: O(last) time and memory at any base_depth.
     """
+    if last is not None:
+        found, need = [], last
+        for lo in range((base_depth - 1) // _COIN_CHUNK * _COIN_CHUNK, -1,
+                        -_COIN_CHUNK):
+            rng = np.random.default_rng(seed)
+            rng.bit_generator.advance(lo)
+            c = rng.random(min(_COIN_CHUNK, base_depth - lo)) < 0.5
+            found.append(np.flatnonzero(c)[-need:] + (lo + 1))
+            need -= found[-1].size
+            if not need:
+                break
+        return np.concatenate(found[::-1])
     rng = np.random.default_rng(seed)
 
     def coins():
         for lo in range(0, base_depth, _COIN_CHUNK):
             yield lo, rng.random(min(_COIN_CHUNK, base_depth - lo)) < 0.5
 
-    if last is not None:
-        kept = np.empty(0, dtype=np.int64)
-        for lo, c in coins():
-            heads = np.flatnonzero(c)[-last:] + (lo + 1)
-            kept = np.concatenate((kept, heads))[-last:]
-        return kept
     start = rng.bit_generator.state
     kept = np.empty(sum(int(np.count_nonzero(c)) for _, c in coins()),
                     dtype=np.int64)

@@ -5,13 +5,13 @@ Every analysis in this package consumes sequences through
 are confined to a declared closed interval.  Out-of-interval values are a
 hard error, never clamped.
 
-Values are read in blocks of ``_CHUNK`` indices aligned to absolute
-positions, and :func:`walk` reads several sequences in step.  A walk may
-read only some of its steps: :func:`forkwalk.steps`, which drives every
-walk, gives every other step to one forked worker process when at least
-two CPUs are usable, no other thread is alive and the walk is long
-enough to repay the fork.  Each value depends on its own index only, so
-no bit depends on which process reads which step.
+Values are read one way, through :meth:`BoundedSequence.chunks`: in
+blocks of ``_CHUNK`` indices aligned to absolute positions, each block
+range-checked when it is reached.  ``eval`` and ``prefix`` read through
+it, and so does :func:`forkwalk.steps`, which walks several sequences in
+step and may give every other step to one forked worker process.  Each
+value depends on its own index only, so no bit depends on which process
+reads which step.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -31,7 +31,7 @@ from .errors import (
     SequenceFileError,
     SpecError,
 )
-from .subsequence import SubsequenceIndex
+from .subsequence import SubsequenceIndex, _check_index
 
 
 @dataclass(frozen=True)
@@ -83,10 +83,9 @@ class BoundedSequence:
     Evaluation is pure and nothing is cached (a
     :class:`MaterializedSequence` keeps only the read-only prefix it is
     made with): instances may be shared across concurrent readers with no
-    synchronization.  The analyses read values through :meth:`chunks`
-    (see also :func:`walk`), a block of ``_CHUNK`` indices at a time;
-    :meth:`prefix` materializes a whole prefix for callers that need one
-    array.
+    synchronization.  Every value is read through :meth:`chunks`, a block
+    of ``_CHUNK`` indices at a time; :meth:`eval` reads one value and
+    :meth:`prefix` a whole prefix as one array.
     """
 
     def __init__(self, interval: Interval, kind: str, label: str,
@@ -118,16 +117,10 @@ class BoundedSequence:
                 f"lies outside [{self._interval.a}, {self._interval.b}]")
 
     def eval(self, n: int) -> float:
-        """v(n) for n >= 1.  Deterministic; raises on out-of-interval values."""
-        if n < 1:
+        """v(n) for n >= 1: the one value of ``chunks(n - 1, n)``."""
+        if _check_index(n, "n") < 1:
             raise IndexError(f"sequence index must be >= 1, got {n}")
-        if self.length is not None and n > self.length:
-            raise SequenceExhausted(
-                f"{self.label}: index n={n} beyond sequence length {self.length}")
-        ns = np.asarray([n], dtype=np.int64)
-        values = self._eval_batch(ns)
-        self._check_range(ns, values)
-        return float(values[0])
+        return float(next(self.chunks(n - 1, n))[0])
 
     def chunks(self, lo: int, hi: int) -> Iterator[np.ndarray]:
         """Range-checked values v(lo+1) ... v(hi), one block at a time.
@@ -137,9 +130,10 @@ class BoundedSequence:
         same indices fall in the same block whoever reads them.  Each
         block is evaluated when it is reached; a RangeViolation cites its
         index then.  SequenceExhausted is raised at once when ``hi`` lies
-        past a finite sequence's end.
+        past a finite sequence's end; TypeError unless both bounds are
+        integers.
         """
-        if not 0 <= lo <= hi:
+        if not 0 <= _check_index(lo, "lo") <= _check_index(hi, "hi"):
             raise IndexError(f"chunk range must satisfy 0 <= lo <= hi, "
                              f"got {lo}, {hi}")
         if self.length is not None and hi > self.length:
@@ -151,10 +145,11 @@ class BoundedSequence:
     def _chunks(self, lo: int, hi: int) -> Iterator[np.ndarray]:
         while lo < hi:
             stop = min((lo // _CHUNK + 1) * _CHUNK, hi)
-            yield self._checked(lo, stop)
+            yield self._block(lo, stop)
             lo = stop
 
-    def _checked(self, lo: int, hi: int) -> np.ndarray:
+    def _block(self, lo: int, hi: int) -> np.ndarray:
+        """Range-checked v(lo+1) ... v(hi), within one aligned block."""
         # A function of its own, so that a suspended chunk generator holds
         # neither the indices nor the values it has yielded.
         ns = np.arange(lo + 1, hi + 1, dtype=np.int64)
@@ -168,33 +163,32 @@ class BoundedSequence:
         distinct values, so -0.0 and 0.0 both stay."""
         return None
 
-    def prefix(self, n: int) -> "PrefixView":
-        """Materialized, read-only v(1) ... v(n), elementwise equal to ``eval``.
+    def prefix(self, n: int) -> np.ndarray:
+        """Read-only float64 v(1) ... v(n), elementwise equal to ``eval``.
 
-        Uncached: each call evaluates the n values again, through
-        :meth:`chunks`, into one new float64 array.
+        Uncached: each call reads the n values again, through
+        :meth:`chunks`, into one new array.
         """
         if n < 1:
             raise IndexError(f"prefix length must be >= 1, got {n}")
         values = np.empty(n, dtype=np.float64)
-        lo = 0
-        for chunk in self.chunks(0, n):
-            values[lo:lo + chunk.size] = chunk
-            lo += chunk.size
+        _copy_chunks(self.chunks(0, n), values)
         values.setflags(write=False)
-        return PrefixView(values=values, source=self, n=n)
+        return values
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {self.label}>"
 
 
-@dataclass(frozen=True)
-class PrefixView:
-    """Read-only materialization of the first ``n`` terms of ``source``."""
-
-    values: np.ndarray
-    source: BoundedSequence
-    n: int
+def _copy_chunks(chunks: Iterator[np.ndarray], out: np.ndarray) -> np.ndarray:
+    """``out`` filled from its start with ``chunks``, none of which is held
+    while the next is generated; returns the filled part of ``out``."""
+    filled = 0
+    for chunk in chunks:
+        out[filled:filled + chunk.size] = chunk
+        filled += chunk.size
+        del chunk
+    return out[:filled]
 
 
 class MaterializedSequence(BoundedSequence):
@@ -212,72 +206,25 @@ class MaterializedSequence(BoundedSequence):
         if source.length is not None:
             n = min(n, source.length)
         self.source = source
-        self.values = source.prefix(n).values
+        self.values = source.prefix(n)
         super().__init__(source.interval, source.kind, source.label,
                          source.length)
 
-    def _eval_batch(self, ns: np.ndarray) -> np.ndarray:
-        if ns.max(initial=0) <= self.values.size:
-            return self.values[ns - 1]
-        return self.source._eval_batch(ns)
-
     def _chunks(self, lo: int, hi: int) -> Iterator[np.ndarray]:
         if hi > self.values.size:
-            yield from self.source._chunks(lo, hi)
-            return
-        while lo < hi:
-            stop = min((lo // _CHUNK + 1) * _CHUNK, hi)
-            yield self.values[lo:stop]
-            lo = stop
+            return self.source._chunks(lo, hi)
+        return super()._chunks(lo, hi)
+
+    def _block(self, lo: int, hi: int) -> np.ndarray:
+        return self.values[lo:hi]  # checked when it was kept
 
     def value_set(self) -> np.ndarray | None:
         return self.source.value_set()
 
-    def prefix(self, n: int) -> PrefixView:
+    def prefix(self, n: int) -> np.ndarray:
         if not 1 <= n <= self.values.size:
             return super().prefix(n)
-        return PrefixView(values=self.values[:n], source=self, n=n)
-
-
-def walk(seqs: Sequence[BoundedSequence], depths: Sequence[int],
-         width: int = _CHUNK, steps: Iterable[int] | None = None,
-         buffers: Sequence[np.ndarray] | None = None
-         ) -> Iterator[tuple[int, list]]:
-    """One pass over the first ``depths[r]`` terms of each ``seqs[r]``.
-
-    Yields ``(lo, values)`` for lo = k*width, k in ``steps`` (by default
-    every step, 0, 1, 2, ... up to the deepest depth): ``values[r]`` holds
-    v_r(lo+1) ... v_r(min(lo + width, depths[r])), or is None once lo has
-    reached ``depths[r]``.  ``width`` is a multiple of ``_CHUNK``, so a
-    step reads whole aligned blocks of :meth:`~BoundedSequence.chunks`,
-    and each index is generated once however the steps are shared out.
-    A step's chunks are copied into ``buffers[r]`` (``width`` values; by
-    default a new buffer per sequence), which the next step overwrites.
-    SequenceExhausted is raised before the first step when a depth lies
-    past a finite sequence's end.
-    """
-    for s, depth in zip(seqs, depths):
-        s.chunks(0, depth)
-    if steps is None:
-        steps = range(-(-max(depths, default=0) // width))
-    if buffers is None:
-        buffers = np.empty((len(seqs), width))
-    for k in steps:
-        lo = k * width
-        values = []
-        for s, depth, buffer in zip(seqs, depths, buffers):
-            if depth <= lo:
-                values.append(None)
-                continue
-            stop = min(width, depth - lo)
-            filled = 0
-            for chunk in s._chunks(lo, lo + stop):
-                buffer[filled:filled + chunk.size] = chunk
-                filled += chunk.size
-                # hold no chunk while the next is generated or we yield
-                del chunk
-            values.append(buffer[:stop])
-        yield lo, values
+        return self.values[:n]
 
 
 class KroneckerSequence(BoundedSequence):
@@ -525,10 +472,6 @@ class FileSequence(BoundedSequence):
         super().__init__(interval, "file", f"file({path})", length=int(vals.size))
 
     def _eval_batch(self, ns: np.ndarray) -> np.ndarray:
-        if ns.max(initial=0) > self.values.size:
-            n = int(ns[int(np.argmax(ns > self.values.size))])
-            raise SequenceExhausted(
-                f"{self.label}: index n={n} beyond sequence length {self.values.size}")
         return self.values[ns - 1]
 
 

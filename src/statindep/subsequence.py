@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import operator
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -9,13 +10,35 @@ import numpy as np
 from .errors import CheckpointError
 
 
+def _check_index(value, name: str) -> int:
+    """``operator.index(value)``, or a TypeError naming ``name`` when
+    ``value`` is not an integer (a float with an integral value
+    included)."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
+
+
 def check_checkpoints(checkpoints: Iterable[int]) -> np.ndarray:
-    """The checkpoints as an int64 array, or CheckpointError unless they
-    form a nonempty 1-d run of strictly increasing naturals."""
-    arr = np.asarray(list(checkpoints) if not isinstance(checkpoints, np.ndarray)
-                     else checkpoints, dtype=np.int64)
+    """The checkpoints as an int64 array (an int64 array itself, not a
+    copy), or CheckpointError unless they form a nonempty 1-d run of
+    strictly increasing naturals (an unsigned value past int64 wraps
+    below 1 and is rejected so).  TypeError for an array of a dtype that
+    is not an integer one, or for an element of any other iterable that
+    is not an integer."""
+    items = checkpoints if isinstance(checkpoints, np.ndarray) \
+        else list(checkpoints)
+    arr = np.asarray(items)
     if arr.ndim != 1 or arr.size == 0:
         raise CheckpointError("checkpoint list must be a nonempty 1-d sequence")
+    if arr.dtype.kind not in "iu":
+        if items is checkpoints:
+            raise TypeError(f"checkpoints must have an integer dtype, got "
+                            f"{arr.dtype}")
+        arr = np.asarray([_check_index(k, f"checkpoints[{i}]")
+                          for i, k in enumerate(items)], dtype=np.int64)
+    arr = arr.astype(np.int64, copy=False)
     if arr[0] < 1:
         raise CheckpointError(f"checkpoints must start at 1 or later, got {arr[0]}")
     if not np.all(arr[1:] > arr[:-1]):

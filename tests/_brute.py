@@ -17,7 +17,7 @@ from statindep import DensityEstimate
 def brute_density(seq, x, kappa, tol=1e-2, window=5):
     """Density of {n : v(n) < x} along kappa, by mask and cumulative sum."""
     checkpoints = kappa.checkpoints
-    below = seq.prefix(int(checkpoints[-1])).values < x
+    below = seq.prefix(int(checkpoints[-1])) < x
     csum = np.cumsum(below, dtype=np.int64)
     return DensityEstimate.from_counts(checkpoints, csum[checkpoints - 1],
                                        tol, window)
@@ -27,7 +27,7 @@ def brute_rectangle_count(seqs, corners, n):
     """Number of k <= n with v_i(k) < x_i for every i."""
     mask = np.ones(n, dtype=bool)
     for s, x in zip(seqs, corners):
-        mask &= s.prefix(n).values < x
+        mask &= s.prefix(n) < x
     return int(np.count_nonzero(mask))
 
 
@@ -37,7 +37,7 @@ def brute_grid_counts(seqs, points, checkpoints):
     j_r = len(points) leaves sequence r unbounded."""
     checkpoints = np.asarray(checkpoints, dtype=np.int64)
     depth = int(checkpoints[-1])
-    values = [s.prefix(depth).values for s in seqs]
+    values = [s.prefix(depth) for s in seqs]
     bounds = list(points) + [np.inf]
     out = np.zeros((checkpoints.size,) + (len(bounds),) * len(seqs),
                    dtype=np.int64)
@@ -84,7 +84,7 @@ def brute_forms(seqs, funcs, n):
     """
     columns = []
     for s, f in zip(seqs, funcs):
-        values = s.prefix(n).values
+        values = s.prefix(n)
         columns.append(np.broadcast_to(
             np.asarray(f(values), dtype=np.float64), values.shape))
     constant = [bool(np.all(c == c[0])) for c in columns]

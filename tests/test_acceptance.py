@@ -328,7 +328,7 @@ def test_c7_invariant_suite():
         counter["cases"] += 1
         seq = PeriodicSequence(values)
         below, total = grid_counts([seq], np.array([x]), np.array([n]))[0]
-        above = np.count_nonzero(seq.prefix(n).values >= x)
+        above = np.count_nonzero(seq.prefix(n) >= x)
         if below + above != n or total != n:
             failures.append(f"complement counts at n={n}")
 
@@ -354,7 +354,7 @@ def test_c7_invariant_suite():
         k = min(cut, n)
         seqs = [PeriodicSequence(vals_a), PeriodicSequence(vals_b)]
         f = battery.member("x")
-        term = f(seqs[0].prefix(n).values) * f(seqs[1].prefix(n).values)
+        term = f(seqs[0].prefix(n)) * f(seqs[1].prefix(n))
         split = (float(np.sum(term[:k])) + float(np.sum(term[k:]))) / n
         if abs(split - delta_form(seqs, [f, f], n)) > 1e-12:
             failures.append(f"partition split at k={k}")

@@ -243,7 +243,7 @@ class TestSequenceRegistry:
 
     def test_independence_reads_a_file_sequence_once(self, monkeypatch,
                                                      tmp_path, capsys):
-        values = from_spec(KRON).prefix(1000).values
+        values = from_spec(KRON).prefix(1000)
         path = tmp_path / "kron.txt"
         path.write_text("".join(f"{float(v)!r}\n" for v in values))
         loads = []
@@ -377,9 +377,9 @@ class TestGenerate:
         path = tmp_path / "kron_values.txt"
         from statindep import UNIT, KroneckerSequence
         reloaded = load_sequence(str(path), UNIT)
-        direct = KroneckerSequence("sqrt2-1").prefix(200).values
+        direct = KroneckerSequence("sqrt2-1").prefix(200)
         # 17-significant-digit formatting round-trips doubles exactly
-        assert np.array_equal(reloaded.prefix(200).values, direct)
+        assert np.array_equal(reloaded.prefix(200), direct)
 
     def test_edge_values_keep_their_bytes(self, tmp_path):
         # each chunk is formatted in one call, with fmt_float's bytes
@@ -416,7 +416,7 @@ class TestGenerate:
         spec = write_spec(tmp_path, obj)
         assert main(["generate", "--spec", spec, "--out", str(tmp_path),
                      "--depth", str(n)]) == 0
-        values = from_spec(obj).prefix(n).values
+        values = from_spec(obj).prefix(n)
         want = "".join(fmt_float(float(v)) + "\n" for v in values)
         assert (tmp_path / "sequence_values.txt").read_text() == want
 

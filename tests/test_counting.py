@@ -83,7 +83,7 @@ def brute_counts(seqs, points, checkpoints):
     """c[i, j_1..j_m] = #{n <= k_i : v_r(n) < points[j_r] for all r}, per n;
     the extra index j_r = len(points) leaves sequence r unbounded."""
     depth = int(checkpoints[-1])
-    values = [s.prefix(depth).values.tolist() for s in seqs]
+    values = [s.prefix(depth).tolist() for s in seqs]
     bounds = list(points) + [math.inf]
     out = np.zeros((len(checkpoints),) + (len(bounds),) * len(seqs),
                    dtype=np.int64)
@@ -114,7 +114,7 @@ def test_rectangle_densities_match_per_n_loop(seqs, grid, kappa):
     rep = kappa_independence_test(seqs, kappa, grid, tol=0.05, window=1,
                                   measurability_tol=1.0)
     depth = kappa.deepest
-    values = [s.prefix(depth).values.tolist() for s in seqs]
+    values = [s.prefix(depth).tolist() for s in seqs]
     cdfs = [empirical_cdf(s, kappa) for s in seqs]
     corners = list(itertools.product([float(x) for x in grid],
                                      repeat=len(seqs)))
@@ -148,7 +148,7 @@ def cumsum_extract(seqs, pool, grid, tol, window):
     surviving = np.asarray(pool.checkpoints, dtype=np.int64)
     for seq in seqs:
         for x in np.sort(grid):
-            indicator = seq.prefix(int(surviving[-1])).values < x
+            indicator = seq.prefix(int(surviving[-1])) < x
             csum = np.cumsum(indicator, dtype=np.int64)
             ratios = csum[surviving - 1] / surviving
             keep = _best_band(ratios, tol)
@@ -268,7 +268,7 @@ def test_tally_fed_in_any_slices_matches_per_n_loop(seqs, grid, kappa, sizes):
     # a Tally's counts do not depend on how the walk is sliced
     points = np.unique(grid)
     tally = density.Tally(points, kappa.checkpoints, range(len(seqs)))
-    values = [s.prefix(kappa.deepest).values for s in seqs]
+    values = [s.prefix(kappa.deepest) for s in seqs]
     lo, k = 0, 0
     while lo < kappa.deepest:
         hi = lo + sizes[k % len(sizes)]

@@ -43,7 +43,7 @@ class TestPrefixCount:
 
     def test_brute_force_agreement(self):
         seq = VanDerCorputSequence(2)
-        vals = seq.prefix(500).values
+        vals = seq.prefix(500)
         assert below_counts(seq, [0.3], [500])[0, 0] == int(np.sum(vals < 0.3))
 
 
@@ -119,7 +119,7 @@ class TestKappaDensity:
         seq = VanDerCorputSequence(3)
         kappa = SubsequenceIndex([7, 20, 33, 81, 100, 243])
         est = trace_below(seq, 0.6, kappa)
-        vals = seq.prefix(243).values
+        vals = seq.prefix(243)
         for k, ratio in est.trace:
             assert ratio == int(np.sum(vals[:k] < 0.6)) / k
 
@@ -131,7 +131,7 @@ def test_count_complement_identity(n, x):
     # the counted preimage and the values at or above x partition 1..n
     seq = KroneckerSequence("sqrt2-1")
     below, total = grid_counts([seq], np.array([x]), np.array([n]))[0]
-    assert below + np.count_nonzero(seq.prefix(n).values >= x) == n
+    assert below + np.count_nonzero(seq.prefix(n) >= x) == n
     assert total == n
 
 

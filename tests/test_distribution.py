@@ -119,7 +119,7 @@ class TestStieltjes:
         seq = KroneckerSequence("sqrt3-1")
         for n in (10, 1000, 10 ** 4):
             F = empirical_cdf(seq, SubsequenceIndex([n]))
-            vals = seq.prefix(n).values
+            vals = seq.prefix(n)
             for f in (lambda x: x, lambda x: x ** 2,
                       lambda x: np.sin(2 * np.pi * x)):
                 mean = float(np.sum(np.asarray(f(vals))) / n)

@@ -1,8 +1,10 @@
 """Multilinear form, rectangle test, and equivalence harness tests."""
 
 import hashlib
+import itertools
 import json
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -17,6 +19,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from _brute import BLOCK, brute_forms, brute_grid_counts, brute_rectangle_count
+from _exact import weyl_mean
 from statindep import (
     AffineImageSequence,
     CheckpointError,
@@ -136,8 +139,8 @@ class TestRectangleCount:
         v1 = VanDerCorputSequence(2)
         v2 = VanDerCorputSequence(3)
         n = 2000
-        a = v1.prefix(n).values
-        b = v2.prefix(n).values
+        a = v1.prefix(n)
+        b = v2.prefix(n)
         want = int(np.sum((a < 0.41) & (b < 0.77)))
         assert grid_rectangle_count([v1, v2], (0.41, 0.77), n) == want
 
@@ -356,6 +359,9 @@ class TestEquivalenceHarness:
          r"grid point 1\.5 outside \[0\.0, 1\.0\]"),
         ({"grid": [-0.5]}, IntervalError, "grid point -0.5 outside"),
         ({"grid": []}, ValueError, "grid must be nonempty"),
+        ({"grid": 0.5}, ValueError, r"grid must be 1-d, got shape \(\)"),
+        ({"grid": [[0.3, 0.6]]}, ValueError,
+         r"grid must be 1-d, got shape \(1, 2\)"),
         ({"grid": 0}, ValueError, "count must be >= 1"),
         ({"atom_tol": 0.0}, ValueError, "atom_tol must be positive"),
         ({"grid": 9000}, ValueError, "counting table"),
@@ -522,6 +528,86 @@ def test_nan_tolerance_is_rejected_at_every_entry_point(call, message):
         call(seqs, naturals(1000, 10), np.linspace(0.1, 0.9, 9))
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda s, k, g: statind_test(s, default_battery(), [100.7, 1000], 0.02),
+     r"schedule\[0\] must be an integer, got 100\.7"),
+    (lambda s, k, g: statind_test(s, default_battery(), ["100", 1000], 0.02),
+     r"schedule\[0\] must be an integer, got '100'"),
+    (lambda s, k, g: equivalence_harness(s, default_battery(), [k],
+                                         [100, 1000.0], 0.02),
+     r"schedule\[1\] must be an integer, got 1000\.0"),
+    (lambda s, k, g: SubsequenceIndex([1.5, 2.7]),
+     r"checkpoints\[0\] must be an integer, got 1\.5"),
+    (lambda s, k, g: SubsequenceIndex(np.array([1.0, 2.0])),
+     "checkpoints must have an integer dtype, got float64"),
+    (lambda s, k, g: s[0].eval(2.5), "n must be an integer, got 2.5"),
+    (lambda s, k, g: s[0].chunks(0, 2.5), "hi must be an integer, got 2.5"),
+    (lambda s, k, g: kappa_member("evens", 2000, last=2.5),
+     "last must be an integer, got 2.5"),
+    (lambda s, k, g: kappa_member("evens", 2000.0),
+     "base_depth must be an integer, got 2000.0"),
+    (lambda s, k, g: helly_extract(s, k, g, window=2.5),
+     "window must be an integer, got 2.5"),
+    (lambda s, k, g: Extraction(k, window=2.5),
+     "window must be an integer, got 2.5"),
+    (lambda s, k, g: detect_measurable(s[0], k, g, window=2.5),
+     "window must be an integer, got 2.5"),
+    (lambda s, k, g: kappa_independence_test(s, k, g, 0.02, window=5.0),
+     "window must be an integer, got 5.0"),
+    (lambda s, k, g: equivalence_harness(s, default_battery(), [k],
+                                         [100, 1000], 0.02, window=5.0),
+     "window must be an integer, got 5.0"),
+], ids=["statind_test", "statind_test str", "equivalence_harness schedule",
+        "SubsequenceIndex", "SubsequenceIndex float array", "eval", "chunks",
+        "kappa_member last", "kappa_member base_depth", "helly_extract",
+        "Extraction", "detect_measurable", "kappa_independence_test",
+        "equivalence_harness window"])
+def test_index_arguments_must_be_integers(call, message):
+    # int() truncated a float schedule point, checkpoint or index, and a
+    # float window, last or chunk bound ran (or failed inside a slice); an
+    # integral float is rejected too
+    seqs = [KroneckerSequence("sqrt2-1"), KroneckerSequence("sqrt3-1")]
+    with pytest.raises(TypeError, match=f"^{message}$"):
+        call(seqs, naturals(1000, 10), np.linspace(0.1, 0.9, 9))
+
+
+@pytest.mark.parametrize("grid", [0.5, [[0.3, 0.6]]])
+@pytest.mark.parametrize("call", [
+    lambda s, k, g: kappa_independence_test(s, k, g, 0.02),
+    lambda s, k, g: detect_measurable(s[0], k, g),
+    lambda s, k, g: helly_extract(s, k, g, min_pool=5),
+], ids=["kappa_independence_test", "detect_measurable", "helly_extract"])
+def test_a_grid_that_is_not_1d_fails_before_any_walk(monkeypatch, call,
+                                                      grid):
+    # each entry point ran its counting walk and then failed on the shape
+    def walk(*args, **kwargs):
+        raise AssertionError("a walk ran")
+
+    monkeypatch.setattr(forkwalk, "steps", walk)
+    seqs = [KroneckerSequence("sqrt2-1"), KroneckerSequence("sqrt3-1")]
+    shape = re.escape(str(np.shape(grid)))
+    with pytest.raises(ValueError, match=f"^grid must be 1-d, got shape {shape}$"):
+        call(seqs, naturals(1000, 10), grid)
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).nmant < 63,
+                    reason="Kronecker values are exact to ~5e-13 only with "
+                    "80-bit longdouble; ROADMAP item 1 makes them portable")
+def test_trigonometric_averages_equal_the_exact_weyl_sums():
+    # at 2^20 the four products were within 1.5e-18 of the exact sums and
+    # the means within 4e-17 on x86-64; 1e-15 leaves room for libm's sin
+    # and cos elsewhere
+    seqs = [KroneckerSequence("sqrt2-1"), KroneckerSequence("sqrt3-1")]
+    trig = {t: default_battery().member(f"{t}2pix") for t in ("sin", "cos")}
+    n = 2 ** 20
+    for s, t in itertools.product(trig, repeat=2):
+        want = weyl_mean([(s, seqs[0].alpha), (t, seqs[1].alpha)], n)
+        assert abs(delta_form(seqs, [trig[s], trig[t]], n) - want) <= 1e-15
+    for seq, t in itertools.product(seqs, trig):
+        want = weyl_mean([(t, seq.alpha)], n)
+        assert abs(delta_form([seq], [trig[t]], n) - want) <= 1e-15
+
+
 def _same_bits(a, b):
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
@@ -681,7 +767,7 @@ def test_delta_within_blocked_summation_bound_of_exact(seqs, funcs, n):
     # block of b terms and across K block sums is at most
     # gamma(b + K + 2m) * mean |term| (Higham, SIAM J. Sci. Comput. 1993)
     funcs = funcs[:len(seqs)]
-    columns = [np.broadcast_to(np.asarray(f(s.prefix(n).values),
+    columns = [np.broadcast_to(np.asarray(f(s.prefix(n)),
                                           dtype=np.float64), (n,))
                for s, f in zip(seqs, funcs)]
     exact = Fraction(0)
@@ -984,7 +1070,7 @@ def test_harness_extraction_with_a_sequence_shorter_than_the_pool():
 
 
 def test_unit_interval_x_shares_the_prefix():
-    values = KroneckerSequence("sqrt2-1").prefix(1000).values
+    values = KroneckerSequence("sqrt2-1").prefix(1000)
     x = default_battery().member("x")
     assert np.shares_memory(x(values), values)
     assert _same_bits(x(values), values)

@@ -2,6 +2,7 @@
 
 import math
 import re
+import time
 import tracemalloc
 
 import numpy as np
@@ -256,6 +257,24 @@ class TestKappaMember:
                                           member.checkpoints[-last:]), \
                         (member.name, last)
                     assert (k.rule, k.name) == (member.rule, member.name)
+
+    def test_thinned_tail_at_any_depth_in_milliseconds(self):
+        # the tail's coin chunks are drawn from the last one backward, each
+        # from a generator advanced to it: drawing every coin up to 2^40
+        # would take hours
+        kappa_member("thinned", 1000, last=7)  # imports numpy.random
+        took = time.perf_counter()
+        tail = kappa_member("thinned", 2 ** 40, last=7)
+        took = time.perf_counter() - took
+        assert took < 0.1, took
+        assert len(tail) == 7 and tail.deepest <= 2 ** 40
+        # a shallower member keeps the same coins: its tail, over chunk
+        # edges, is the deeper tail cut at its depth
+        deep = kappa_member("thinned", 2 ** 40, last=70000).checkpoints
+        assert np.array_equal(deep[-7:], tail.checkpoints)
+        for cut in (2 ** 40 - 50000, 2 ** 40 - selection._COIN_CHUNK):
+            shallow = kappa_member("thinned", cut, last=11).checkpoints
+            assert np.array_equal(shallow, deep[deep <= cut][-11:])
 
     def test_integer_bounds_near_powers_of_two(self):
         # a float sqrt or log2 rounds up near 2^k: pow2 at 2^50 - 1 once

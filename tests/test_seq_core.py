@@ -39,9 +39,11 @@ from statindep import (
     make_block,
     stieltjes,
 )
-from statindep import sequences
+from statindep import forkwalk, sequences
+from statindep.density import Tally
 from statindep.sequences import _CHUNK, SEQUENCE_KINDS, normalize_spec
-from test_independence import _same_bits
+from _brute import brute_grid_counts
+from test_independence import _same_bits, _serial_and_forked, forks
 
 # Fractional parts of n*alpha, precomputed at 50 digits and frozen.
 KRONECKER_ORACLE = {
@@ -82,18 +84,18 @@ class TestKronecker:
 
     def test_rational_alpha_is_periodic(self):
         seq = KroneckerSequence(0.5)
-        assert seq.prefix(4).values.tolist() == [0.5, 0.0, 0.5, 0.0]
+        assert seq.prefix(4).tolist() == [0.5, 0.0, 0.5, 0.0]
 
     def test_eval_matches_prefix_bitwise(self):
         seq = KroneckerSequence("sqrt2-1")
-        pre = seq.prefix(200).values
+        pre = seq.prefix(200)
         for n in (1, 7, 199, 200):
             assert seq.eval(n) == pre[n - 1]
 
     def test_prefix_is_consistent_and_read_only(self):
         seq = KroneckerSequence("golden")
-        a = seq.prefix(50).values
-        b = seq.prefix(30).values
+        a = seq.prefix(50)
+        b = seq.prefix(30)
         assert np.array_equal(a[:30], b)
         assert not a.flags.writeable
 
@@ -132,7 +134,7 @@ class TestVanDerCorput:
 
     def test_base3_oracle(self):
         seq = VanDerCorputSequence(3)
-        got = seq.prefix(8).values
+        got = seq.prefix(8)
         want = [1 / 3, 2 / 3, 1 / 9, 4 / 9, 7 / 9, 2 / 9, 5 / 9, 8 / 9]
         assert got == pytest.approx(want, abs=0)
 
@@ -186,7 +188,7 @@ class TestVanDerCorput:
 class TestPeriodicConstant:
     def test_periodic_cycles(self):
         seq = PeriodicSequence([0.0, 1.0])
-        assert seq.prefix(5).values.tolist() == [0.0, 1.0, 0.0, 1.0, 0.0]
+        assert seq.prefix(5).tolist() == [0.0, 1.0, 0.0, 1.0, 0.0]
 
     def test_periodic_range_check(self):
         with pytest.raises(RangeViolation):
@@ -194,7 +196,7 @@ class TestPeriodicConstant:
 
     def test_constant(self):
         seq = ConstantSequence(0.3)
-        assert seq.prefix(3).values.tolist() == [0.3, 0.3, 0.3]
+        assert seq.prefix(3).tolist() == [0.3, 0.3, 0.3]
 
     def test_constant_outside_interval(self):
         with pytest.raises(RangeViolation):
@@ -213,7 +215,7 @@ class TestBlock:
 
     def test_values_alternate_by_block(self):
         blk = make_block(0.0, 1.0, 2)
-        vals = blk.prefix(14).values
+        vals = blk.prefix(14)
         # block 1 (n=1..2) low, block 2 (n=3..6) high, block 3 (n=7..14) low
         assert vals[:2].tolist() == [0.0, 0.0]
         assert vals[2:6].tolist() == [1.0] * 4
@@ -222,7 +224,7 @@ class TestBlock:
     def test_low_ratio_at_even_block_ends_is_exactly_one_third(self):
         blk = make_block(0.0, 1.0, 2)
         for n in (6, 30):  # ends of high blocks: low count is n/3 exactly
-            count = int(np.sum(blk.prefix(n).values == 0.0))
+            count = int(np.sum(blk.prefix(n) == 0.0))
             assert count * 3 == n
 
     def test_growth_below_two_rejected(self):
@@ -299,8 +301,8 @@ class TestAffineImage:
     def test_one_minus_v(self):
         base = KroneckerSequence("sqrt2-1")
         mirrored = AffineImageSequence(base, -1.0, 1.0)
-        pre = base.prefix(100).values
-        assert np.array_equal(mirrored.prefix(100).values, 1.0 - pre)
+        pre = base.prefix(100)
+        assert np.array_equal(mirrored.prefix(100), 1.0 - pre)
         assert (mirrored.interval.a, mirrored.interval.b) == (0.0, 1.0)
 
     def test_interval_follows_image(self):
@@ -319,7 +321,7 @@ class TestFileSequences(object):
         path = tmp_path / "values.txt"
         path.write_text("0.25\n0.5\n0.75\n")
         seq = load_sequence(path, UNIT)
-        assert seq.prefix(3).values.tolist() == [0.25, 0.5, 0.75]
+        assert seq.prefix(3).tolist() == [0.25, 0.5, 0.75]
 
     def test_exhaustion(self, tmp_path):
         path = tmp_path / "values.txt"
@@ -451,7 +453,7 @@ class TestFromSpec:
             seq = from_spec(spec)
             again = from_spec(normalize_spec(spec))
             assert seq.kind == again.kind == kind
-            assert np.array_equal(seq.prefix(2).values, again.prefix(2).values)
+            assert np.array_equal(seq.prefix(2), again.prefix(2))
 
 
 class TestSubsequenceIndex:
@@ -501,7 +503,7 @@ def test_kronecker_stays_in_unit_interval(name, n):
        st.integers(min_value=1, max_value=400))
 def test_prefix_consistency_across_lengths(n1, n2):
     seq = VanDerCorputSequence(2)
-    a, b = seq.prefix(n1).values, seq.prefix(n2).values
+    a, b = seq.prefix(n1), seq.prefix(n2)
     m = min(n1, n2)
     assert np.array_equal(a[:m], b[:m])
 
@@ -532,7 +534,7 @@ def _one_shot(seq, n):
 def test_prefix_equals_one_shot_evaluation_bitwise(kind):
     for n in (1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 3):
         seq = _one_of_each_kind()[kind]
-        assert _same_bits(seq.prefix(n).values, _one_shot(seq, n)), n
+        assert _same_bits(seq.prefix(n), _one_shot(seq, n)), n
     # one instance read at three lengths, then at every length again
     seq = _one_of_each_kind()[kind]
     lengths = (1000, _CHUNK + 5, 3 * _CHUNK + 7)
@@ -540,7 +542,7 @@ def test_prefix_equals_one_shot_evaluation_bitwise(kind):
         seq.prefix(n)
     want = _one_shot(seq, lengths[-1])
     for n in (1, *lengths):
-        assert _same_bits(seq.prefix(n).values, want[:n]), n
+        assert _same_bits(seq.prefix(n), want[:n]), n
 
 
 def test_range_violation_in_a_later_chunk_cites_its_index():
@@ -552,7 +554,7 @@ def test_range_violation_in_a_later_chunk_cites_its_index():
     with pytest.raises(RangeViolation, match=f"at n={bad + 1} "):
         seq.prefix(3 * _CHUNK)
     # the prefix short of the bad value is still there
-    assert seq.prefix(bad).values.size == bad
+    assert seq.prefix(bad).size == bad
     with pytest.raises(RangeViolation, match=f"at n={bad + 1} "):
         seq.prefix(bad + 1)
 
@@ -584,7 +586,7 @@ def test_chunks_equal_prefix_bitwise_across_chunk_edges(kind, lo, size):
     chunks = list(seq.chunks(lo, hi))
     assert all(c.size <= _CHUNK for c in chunks)
     got = np.concatenate(chunks) if chunks else np.empty(0)
-    want = seq.prefix(hi).values[lo:] if hi else np.empty(0)
+    want = seq.prefix(hi)[lo:] if hi else np.empty(0)
     assert _same_bits(got, want)
 
 
@@ -599,25 +601,52 @@ def test_chunks_past_a_finite_end_fail_at_once():
 
 
 @pytest.mark.parametrize("width", [_CHUNK, 3 * _CHUNK])
-def test_walk_steps_read_the_same_values_in_any_share(width):
-    # a walk over some of its steps reads each step's aligned chunks, so
-    # the even and the odd steps together are the whole walk, bit for bit
+def test_walk_steps_read_the_same_values_in_any_share(monkeypatch, forks,
+                                                      width):
+    # each step reads its own aligned chunks, so the steps walked here and
+    # those a worker walks together read every value, bit for bit: the
+    # block sequence to the walk's depth, in each step's out, and the
+    # other two deeper, into their tallies
     seqs = [KroneckerSequence("golden"), make_block(0.0, 1.0, 2),
             FileSequence(np.linspace(0.0, 1.0, 5 * _CHUNK), UNIT, "ramp")]
     depths = [7 * _CHUNK + 5, 2 * _CHUNK + 1, 5 * _CHUNK]
-    whole = {lo: [None if v is None else v.copy() for v in values]
-             for lo, values in sequences.walk(seqs, depths, width)}
-    steps = -(-max(depths) // width)
-    assert sorted(whole) == [k * width for k in range(steps)]
-    for first in (0, 1):
-        for lo, values in sequences.walk(seqs, depths, width,
-                                         steps=range(first, steps, 2)):
-            assert lo // width % 2 == first
-            for got, want in zip(values, whole[lo]):
-                assert (got is None) == (want is None)
-                assert got is None or _same_bits(got, want)
+    points = np.linspace(0.05, 0.95, 19)
+    rows = {r: sorted(set(np.linspace(1, depths[r], 40).astype(int)))
+            for r in (0, 2)}
     with pytest.raises(SequenceExhausted):
-        next(sequences.walk(seqs, [5 * _CHUNK + 1] * 3, width, steps=[1]))
+        next(forkwalk.steps(seqs, 5 * _CHUNK + 1, width, None, []))
+    assert forks == []
+
+    def compute(start, values):
+        out = np.full((len(seqs), width), np.nan)
+        for row, v in zip(out, values):
+            if v is not None:
+                row[:v.size] = v
+        return out
+
+    def run():
+        tallies = [Tally(points, rows[r], [r]) for r in rows]
+        outs = {start: None if out is None else out.copy()
+                for start, out in forkwalk.steps(seqs, depths[1], width,
+                                                 compute, tallies)}
+        return outs, [t.table() for t in tallies]
+
+    (want, want_tables), (got, got_tables) = _serial_and_forked(
+        monkeypatch, forks, run, 1)
+    steps = -(-max(depths) // width)
+    assert list(got) == list(want) == [k * width for k in range(steps)]
+    for start, out in got.items():
+        assert (out is None) == (start >= depths[1])
+        assert out is None or _same_bits(out, want[start])
+        for r, row in enumerate([] if out is None else out):
+            stop = min(start + width, depths[r])
+            assert _same_bits(row[:stop - start],
+                              seqs[r].prefix(stop)[start:])
+            assert np.isnan(row[stop - start:]).all()
+    for r, got_table, want_table in zip(rows, got_tables, want_tables):
+        assert np.array_equal(got_table, want_table)
+        assert np.array_equal(got_table, brute_grid_counts(
+            [seqs[r]], points, rows[r]))
 
 
 def test_materialized_sequence_reads_its_kept_terms():
@@ -635,12 +664,12 @@ def test_materialized_sequence_reads_its_kept_terms():
     got = list(kept.chunks(100, 2 * _CHUNK + 5))
     assert [c.size for c in got] == [_CHUNK - 100, _CHUNK, 5]
     assert _same_bits(np.concatenate(got), kept.values[100:])
-    assert _same_bits(kept.prefix(_CHUNK + 1).values,
-                      source.prefix(_CHUNK + 1).values[:_CHUNK + 1])
+    assert _same_bits(kept.prefix(_CHUNK + 1),
+                      source.prefix(_CHUNK + 1)[:_CHUNK + 1])
     assert kept.eval(7) == source.eval(7)
     calls.clear()
-    assert _same_bits(kept.prefix(3 * _CHUNK).values,
-                      source.prefix(3 * _CHUNK).values)
+    assert _same_bits(kept.prefix(3 * _CHUNK),
+                      source.prefix(3 * _CHUNK))
     assert calls and sum(calls) == 2 * 3 * _CHUNK
     # a finite source keeps what it has, and fails past its end as before
     short = sequences.MaterializedSequence(
