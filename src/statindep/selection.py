@@ -265,7 +265,12 @@ class Extraction:
     window: int = DEFAULT_WINDOW
 
     def __post_init__(self):
-        _check_index(self.window, "window")
+        # helly_extract's checks, made here so that a bad setting fails
+        # before a harness runs its schedule test
+        if _check_index(self.window, "window") < 1:
+            raise ValueError(f"window must be >= 1, got {self.window}")
+        if not self.tol > 0:
+            raise ValueError(f"tol must be positive, got {self.tol}")
 
     def extract(self, seqs: Sequence[BoundedSequence], grid: np.ndarray,
                 counts: Sequence[np.ndarray] | None = None) -> SubsequenceIndex:
@@ -283,7 +288,8 @@ def kappa_family_builder(base_depth: int, seed: int = 0,
     base_depth / 2 checkpoints each, about 12 bytes per index of
     base_depth.  With ``last``, each member is its last ``last``
     checkpoints, and the family takes O(last) memory at any depth, besides
-    one chunk of thinned's coins while they are drawn.
+    one chunk of thinned's coins while they are drawn.  Every argument is
+    checked as :func:`kappa_member` checks it, before thinned is drawn.
     """
     return [kappa_member(name, base_depth, seed=seed, last=last)
             for name in KAPPA_FAMILY]
@@ -306,10 +312,11 @@ def kappa_member(name: str, base_depth: int, seed: int = 0,
     Memory is O(M) for the member's M checkpoints (M <= ``last`` when
     given), not O(base_depth): the closed forms are evaluated only at the
     N they keep, and thinned draws its coins ``_COIN_CHUNK`` at a time and
-    holds, besides its checkpoints, one chunk of coins (``numpy.random``
-    is imported only to build it).  ValueError for base_depth outside
-    [1000, 2^63), for ``last`` < 1 or an unknown name; TypeError unless
-    base_depth and ``last`` are integers.
+    holds, besides its checkpoints, one chunk of coins, from numpy's PCG64
+    stream without importing ``numpy.random``.  ValueError for base_depth
+    outside [1000, 2^63), for ``last`` < 1, a negative seed or an unknown
+    name; TypeError unless base_depth, ``last`` and ``seed`` are integers.
+    Any seed >= 0 is taken, as ``default_rng`` takes it.
     """
     base_depth = _check_index(base_depth, "base_depth")
     if base_depth < 10 ** 3:
@@ -318,6 +325,9 @@ def kappa_member(name: str, base_depth: int, seed: int = 0,
         raise ValueError(f"base_depth must be < 2^63, got {base_depth}")
     if last is not None and _check_index(last, "last") < 1:
         raise ValueError(f"last must be >= 1, got {last}")
+    seed = _check_index(seed, "seed")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     if name == "thinned":
         return SubsequenceIndex(_coin_thinned(base_depth, seed, last),
                                 rule=f"coin-thinned, seed={seed}", name=name)
@@ -355,40 +365,37 @@ def _coin_thinned(base_depth: int, seed: int,
     < 0.5`` comes up, coin n being the n-th draw; only the last ``last``
     of them when ``last`` is given.
 
-    The coins are drawn in chunks of one generator, which gives the same
-    stream as one draw of base_depth.  For every index they are drawn
-    twice, from the same starting state: once to count the kept indices,
-    once to fill an array of exactly that size.  For the last ``last``,
-    the chunks are drawn from the last one backward, each from a new
-    generator advanced to the chunk's first coin (PCG64 reads one 64-bit
-    output a coin and jumps in O(log) steps), until ``last`` kept indices
-    are found: O(last) time and memory at any base_depth.
+    The coins come from :class:`_pcg64.Coins`, bit for bit numpy's stream
+    without importing ``numpy.random``, ``_COIN_CHUNK`` at a time.  For
+    every index they are drawn twice: once to count the kept indices, once
+    to fill an array of exactly that size.  For the last ``last``, the
+    chunks are drawn from the last one backward, each from the state its
+    first coin jumps to in O(log) steps, until ``last`` kept indices are
+    found: O(last) time and memory at any base_depth.
     """
+    from . import _pcg64  # here, so that runs without thinned never load it
+
+    stream = _pcg64.Coins(seed)
+
+    def coins(lo: int) -> np.ndarray:
+        return stream.heads(lo, min(_COIN_CHUNK, base_depth - lo))
+
     if last is not None:
         found, need = [], last
         for lo in range((base_depth - 1) // _COIN_CHUNK * _COIN_CHUNK, -1,
                         -_COIN_CHUNK):
-            rng = np.random.default_rng(seed)
-            rng.bit_generator.advance(lo)
-            c = rng.random(min(_COIN_CHUNK, base_depth - lo)) < 0.5
+            c = coins(lo)
             found.append(np.flatnonzero(c)[-need:] + (lo + 1))
             need -= found[-1].size
             if not need:
                 break
         return np.concatenate(found[::-1])
-    rng = np.random.default_rng(seed)
-
-    def coins():
-        for lo in range(0, base_depth, _COIN_CHUNK):
-            yield lo, rng.random(min(_COIN_CHUNK, base_depth - lo)) < 0.5
-
-    start = rng.bit_generator.state
-    kept = np.empty(sum(int(np.count_nonzero(c)) for _, c in coins()),
+    starts = range(0, base_depth, _COIN_CHUNK)
+    kept = np.empty(sum(int(np.count_nonzero(coins(lo))) for lo in starts),
                     dtype=np.int64)
-    rng.bit_generator.state = start
     filled = 0
-    for lo, c in coins():
-        heads = np.flatnonzero(c)
+    for lo in starts:
+        heads = np.flatnonzero(coins(lo))
         kept[filled:filled + heads.size] = heads + (lo + 1)
         filled += heads.size
     return kept

@@ -16,6 +16,7 @@ reads which step.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -197,9 +198,10 @@ class MaterializedSequence(BoundedSequence):
 
     For callers that must read whole prefixes anyway, such as empirical
     CDFs along several indices: chunks and prefixes within the kept terms
-    are read-only slices of them, and anything past them is evaluated by
-    ``source``.  Interval, label and length are the source's, so every
-    value, report and error is the same as reading ``source``.
+    are read-only slices of them.  A read past them takes the kept whole
+    blocks from them too, and only the rest from ``source``.  Interval,
+    label and length are the source's, so every value, report and error is
+    the same as reading ``source``.
     """
 
     def __init__(self, source: BoundedSequence, n: int):
@@ -211,9 +213,12 @@ class MaterializedSequence(BoundedSequence):
                          source.length)
 
     def _chunks(self, lo: int, hi: int) -> Iterator[np.ndarray]:
-        if hi > self.values.size:
-            return self.source._chunks(lo, hi)
-        return super()._chunks(lo, hi)
+        if hi <= self.values.size:
+            return super()._chunks(lo, hi)
+        # the kept whole blocks, then the source's from a block edge on
+        cut = max(lo, self.values.size // _CHUNK * _CHUNK)
+        return itertools.chain(super()._chunks(lo, cut),
+                               self.source._chunks(cut, hi))
 
     def _block(self, lo: int, hi: int) -> np.ndarray:
         return self.values[lo:hi]  # checked when it was kept

@@ -23,10 +23,9 @@ def _check_index(value, name: str) -> int:
 def check_checkpoints(checkpoints: Iterable[int]) -> np.ndarray:
     """The checkpoints as an int64 array (an int64 array itself, not a
     copy), or CheckpointError unless they form a nonempty 1-d run of
-    strictly increasing naturals (an unsigned value past int64 wraps
-    below 1 and is rejected so).  TypeError for an array of a dtype that
-    is not an integer one, or for an element of any other iterable that
-    is not an integer."""
+    strictly increasing naturals below 2^63.  TypeError for an array of a
+    dtype that is not an integer one, or for an element of any other
+    iterable that is not an integer."""
     items = checkpoints if isinstance(checkpoints, np.ndarray) \
         else list(checkpoints)
     arr = np.asarray(items)
@@ -36,9 +35,12 @@ def check_checkpoints(checkpoints: Iterable[int]) -> np.ndarray:
         if items is checkpoints:
             raise TypeError(f"checkpoints must have an integer dtype, got "
                             f"{arr.dtype}")
-        arr = np.asarray([_check_index(k, f"checkpoints[{i}]")
-                          for i, k in enumerate(items)], dtype=np.int64)
-    arr = arr.astype(np.int64, copy=False)
+        arr = [_check_index(k, f"checkpoints[{i}]")
+               for i, k in enumerate(items)]
+    top = max(arr) if isinstance(arr, list) else arr.max()
+    if top >= 2 ** 63:
+        raise CheckpointError(f"checkpoints must be < 2^63, got {top}")
+    arr = np.asarray(arr).astype(np.int64, copy=False)
     if arr[0] < 1:
         raise CheckpointError(f"checkpoints must start at 1 or later, got {arr[0]}")
     if not np.all(arr[1:] > arr[:-1]):

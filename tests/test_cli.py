@@ -688,22 +688,6 @@ class TestIndependence:
             assert outcome["rectangle"]["corners"] == [
                 [x, y] for x in grid.tolist() for y in grid.tolist()]
 
-    @pytest.mark.parametrize("kappa, imported",
-                             [("pow2", False), ("thinned", True)])
-    def test_only_thinned_imports_numpy_random(self, tmp_path, kappa,
-                                               imported):
-        # a named kappa builds its one member, and only thinned draws coins
-        spec = self.spec_pair(tmp_path, schedule=[100, 1000], kappa=kappa)
-        argv = ["independence", "--spec", spec, "--out", str(tmp_path),
-                "--depth", "1000"]
-        code = ("import sys\nfrom statindep.cli import main\n"
-                f"code = main({argv!r})\n"
-                "print(code, 'numpy.random' in sys.modules)")
-        out = subprocess.run([sys.executable, "-c", code],
-                             env=dict(os.environ, PYTHONPATH=SRC),
-                             capture_output=True, text=True, check=True)
-        assert out.stdout.splitlines()[-1] == f"0 {imported}"
-
     @pytest.mark.skipif(not os.path.exists("/proc/self/status"),
                         reason="reads VmHWM from /proc")
     def test_default_family_memory_is_flat_in_depth(self, tmp_path):
@@ -820,21 +804,27 @@ BLOCK = {"kind": "block", "params": {"low": 0.0, "high": 1.0, "growth": 2}}
     ("independence", {"sequences": [KRON, SQRT3], "grid": [0.25, 0.5]}),
     ("independence", {"sequences": [KRON, SQRT3], "grid": {"deciles": True}}),
     ("independence", {"sequences": [KRON, SQRT3], "grid": 5}),
+    ("independence", {"sequences": [KRON, SQRT3], "grid": 5,
+                      "kappa": "thinned"}),
     ("extract", {"sequences": [BLOCK], "kappa": "extract"}),
+    ("generate", {"sequences": [KRON]}),
     ("distribution", {"sequences": [KRON], "grid": 5}),
-], ids=["fixed", "deciles", "count", "extract", "distribution"])
-def test_no_command_imports_numpy_ma(tmp_path, command, spec):
-    # a plain np.unique call imports numpy.ma, which no run needs
+], ids=["fixed", "deciles", "count", "thinned", "extract", "generate",
+        "distribution"])
+def test_no_command_imports_numpy_ma_or_random(tmp_path, command, spec):
+    # a plain np.unique call imports numpy.ma, which no run needs; the
+    # default family's thinned member draws its coins without numpy.random
     spec = write_spec(tmp_path, dict(spec, schedule=[100, 1000]))
     argv = [command, "--spec", spec, "--out", str(tmp_path),
             "--depth", "4096"]
     code = ("import sys\nfrom statindep.cli import main\n"
             f"code = main({argv!r})\n"
-            "print(code, 'numpy.ma' in sys.modules)")
+            "print(code, 'numpy.ma' in sys.modules,"
+            " 'numpy.random' in sys.modules)")
     out = subprocess.run([sys.executable, "-c", code],
                          env=dict(os.environ, PYTHONPATH=SRC),
                          capture_output=True, text=True, check=True)
-    assert out.stdout.splitlines()[-1] == "0 False"
+    assert out.stdout.splitlines()[-1] == "0 False False"
 
 
 class TestExitCodes:

@@ -13,6 +13,7 @@ from statindep import (
     AffineImageSequence,
     CheckpointError,
     ConstantSequence,
+    Extraction,
     ExtractionError,
     IntervalError,
     KroneckerSequence,
@@ -165,6 +166,17 @@ class TestHellyExtract:
             helly_extract([seq], pool, np.array([0.5]), window=0,
                           min_pool=5)
 
+    def test_extraction_settings_are_checked_when_declared(self):
+        # with helly_extract's messages, not after a harness's schedule test
+        pool = naturals(6400, 100)
+        for tol in (-1.0, 0.0, float("nan")):
+            with pytest.raises(ValueError,
+                               match=f"^tol must be positive, got {tol}$"):
+                Extraction(pool, tol=tol)
+        with pytest.raises(ValueError, match="^window must be >= 1, got 0$"):
+            Extraction(pool, window=0)
+        assert Extraction(pool, tol=0.5, window=1).window == 1
+
 
 class TestKappaFamily:
     def test_member_names_and_truncation(self):
@@ -260,9 +272,8 @@ class TestKappaMember:
 
     def test_thinned_tail_at_any_depth_in_milliseconds(self):
         # the tail's coin chunks are drawn from the last one backward, each
-        # from a generator advanced to it: drawing every coin up to 2^40
-        # would take hours
-        kappa_member("thinned", 1000, last=7)  # imports numpy.random
+        # from the state its first coin jumps to: drawing every coin up to
+        # 2^40 would take hours
         took = time.perf_counter()
         tail = kappa_member("thinned", 2 ** 40, last=7)
         took = time.perf_counter() - took
@@ -303,6 +314,25 @@ class TestKappaMember:
         for last in (0, -1):
             with pytest.raises(ValueError, match="last must be >= 1"):
                 kappa_member("odds", 10 ** 4, last=last)
+
+    @pytest.mark.parametrize("build", [
+        lambda seed: kappa_member("thinned", 10 ** 4, seed=seed),
+        lambda seed: kappa_member("pow2", 10 ** 4, seed=seed),
+        lambda seed: kappa_family_builder(10 ** 4, seed=seed, last=5),
+    ], ids=["thinned", "pow2", "family"])
+    def test_seed_is_checked_at_entry(self, build):
+        # numpy's SeedSequence checked it once, in words that name no
+        # argument, and only for thinned
+        with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+            build(-1)
+        for seed in (1.5, 2.0, "3"):
+            with pytest.raises(TypeError,
+                               match=f"^seed must be an integer, got "
+                                     f"{re.escape(repr(seed))}$"):
+                build(seed)
+        # any natural seed is taken, as default_rng takes it
+        build(2 ** 64 + 5)
+        build(np.uint64(2 ** 63))
 
     def test_pow2_memory_does_not_grow_with_depth(self):
         tracemalloc.start()

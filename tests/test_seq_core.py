@@ -468,6 +468,20 @@ class TestSubsequenceIndex:
         with pytest.raises(CheckpointError, match="strictly increasing"):
             SubsequenceIndex([1, 2 ** 62, -(2 ** 63) + 5])
 
+    @pytest.mark.parametrize("checkpoints, top", [
+        ([1, 2 ** 63], 2 ** 63), ([1, 2 ** 64 + 3], 2 ** 64 + 3),
+        ([2 ** 63], 2 ** 63),
+        (np.array([1, 2 ** 63], dtype=np.uint64), 2 ** 63),
+        (np.array([2 ** 64 - 1], dtype=np.uint64), 2 ** 64 - 1),
+    ], ids=["int list", "past uint64", "alone", "uint64", "uint64 max"])
+    def test_checkpoints_past_int64_are_named(self, checkpoints, top):
+        # a Python int list raised numpy's bare OverflowError, and a
+        # uint64 array wrapped and was rejected as not increasing
+        with pytest.raises(CheckpointError,
+                           match=f"^checkpoints must be < 2\\^63, got {top}$"):
+            SubsequenceIndex(checkpoints)
+        assert SubsequenceIndex([1, 2 ** 63 - 1]).deepest == 2 ** 63 - 1
+
     def test_accessors(self):
         kappa = SubsequenceIndex([1, 4, 9], rule="squares", name="sq")
         assert len(kappa) == 3
@@ -670,7 +684,16 @@ def test_materialized_sequence_reads_its_kept_terms():
     calls.clear()
     assert _same_bits(kept.prefix(3 * _CHUNK),
                       source.prefix(3 * _CHUNK))
-    assert calls and sum(calls) == 2 * 3 * _CHUNK
+    # past the kept terms, only the blocks from the last kept block edge
+    # on are the source's: the third block here, then all three blocks of
+    # the source's own prefix
+    assert calls == [_CHUNK] * 4
+    calls.clear()
+    got = list(kept.chunks(_CHUNK + 3, 4 * _CHUNK - 1))
+    assert [c.size for c in got] == [_CHUNK - 3, _CHUNK, _CHUNK - 1]
+    assert calls == [_CHUNK, _CHUNK - 1]
+    assert _same_bits(np.concatenate(got),
+                      source.prefix(4 * _CHUNK - 1)[_CHUNK + 3:])
     # a finite source keeps what it has, and fails past its end as before
     short = sequences.MaterializedSequence(
         FileSequence(np.full(10, 0.5), UNIT, "ten"), 100)
