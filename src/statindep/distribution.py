@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import CheckpointError, EnvelopeError, GridError, IntervalError
 from .sequences import BoundedSequence, Interval
-from .subsequence import SubsequenceIndex
+from .subsequence import SubsequenceIndex, _check_index
 
 MASS_TOL = 1e-12
 # Samples of f per step cell in step_envelope, ends included.
@@ -109,8 +109,7 @@ def empirical_cdf(seq: BoundedSequence, kappa: SubsequenceIndex,
 
     ``depth`` is the 1-based ordinal of the checkpoint (default: deepest).
     """
-    if depth is None:
-        depth = len(kappa)
+    depth = len(kappa) if depth is None else _check_index(depth, "depth")
     if not 1 <= depth <= len(kappa):
         raise CheckpointError(
             f"depth {depth} out of range 1..{len(kappa)}")
@@ -254,13 +253,13 @@ def continuity_grid(cdfs: Sequence[StepCDF], count: int, atom_tol: float = 1e-3,
                     interval: Interval | None = None) -> np.ndarray:
     """``count`` points in (a, b), each >= atom_tol away from every heavy atom.
 
-    ``count`` must be >= 1 and ``atom_tol`` positive (ValueError).  Starts
-    from the equispaced grid a + i*(b-a)/(count+1); blocked candidates are
-    moved to the nearest clear position (ties resolve left), and any
-    shortfall is filled from midpoints of the largest clear segments.
-    Deterministic throughout.
+    ``count`` must be an integer (TypeError) >= 1 and ``atom_tol``
+    positive (ValueError).  Starts from the equispaced grid
+    a + i*(b-a)/(count+1); blocked candidates are moved to the nearest
+    clear position (ties resolve left), and any shortfall is filled from
+    midpoints of the largest clear segments.  Deterministic throughout.
     """
-    if count < 1:
+    if _check_index(count, "count") < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     if not atom_tol > 0:
         raise ValueError(f"atom_tol must be positive, got {atom_tol}")

@@ -382,7 +382,7 @@ def _block_walk(slots, schedule, sums, level, lo, hi, term, last, index):
 def _single_tuple(seqs: Sequence[BoundedSequence], funcs: Sequence,
                   N: int) -> tuple[float, float]:
     _check_aligned(seqs, funcs)
-    if N < 1:
+    if _check_index(N, "N") < 1:
         raise ValueError(f"N must be >= 1, got {N}")
     deltas, products = _multilinear(seqs, [[f] for f in funcs], [N])
     return float(deltas.flat[0]), float(products.flat[0])
@@ -586,12 +586,10 @@ class RectangleReport:
 
     def rows(self) -> list[tuple]:
         """Rows (kappa, corners..., density, product, residual)."""
-        out = []
-        for i, corner in enumerate(self.corners):
-            out.append((self.kappa_label, *[float(c) for c in corner],
-                        float(self.densities[i]), float(self.products[i]),
-                        float(self.residuals[i])))
-        return out
+        columns = zip(self.corners, self.densities.tolist(),
+                      self.products.tolist(), self.residuals.tolist())
+        return [(self.kappa_label, *map(float, corner), density, product,
+                 residual) for corner, density, product, residual in columns]
 
     def to_json_obj(self) -> dict:
         return {
@@ -628,9 +626,10 @@ def kappa_independence_test(seqs: Sequence[BoundedSequence],
     those checkpoints, which decides measurability and gives the marginal
     CDF values, and all of them jointly at the deepest checkpoint only,
     which gives the exact count of every corner: a (G+1)^m table of one
-    row.  Every density and CDF value is the single division count / k.
-    The equivalence harness takes the same route from the rows of its own
-    counting tables.
+    row, so a grid whose joint table fits once but not ``window`` times
+    still runs.  Every density and CDF value is the single division
+    count / k.  The equivalence harness takes the same route from joint
+    tables over every row it reads, whose margins are the marginal counts.
     """
     if len(seqs) == 0:
         raise ValueError("need at least one sequence")
@@ -751,12 +750,13 @@ def equivalence_harness(seqs: Sequence[BoundedSequence],
 
     A family member is an index or an :class:`selection.Extraction`, which
     is extracted from its pool once the pool is counted.  The counts come
-    from the walk that runs the schedule test, into :class:`density.Tally`
-    tables per distinct grid: each sequence on its own at each index's
-    last ``window`` checkpoints, and all of them jointly at each index's
-    deepest checkpoint and at each Extraction's whole pool.  Each member's
-    rectangle test, with tolerance ``2*tol``, then takes its rows the way
-    :func:`kappa_independence_test` takes its own; a member along which a
+    from the walk that runs the schedule test, into one
+    :class:`density.Tally` of every sequence jointly per distinct grid,
+    whose rows are each index's last ``window`` checkpoints and each
+    Extraction's whole pool; a sequence's own counts are the table's
+    margins (:func:`density.marginal`).  Each member's rectangle test,
+    with tolerance ``2*tol``, then reads its last ``window`` rows the way
+    :func:`kappa_independence_test` reads its own; a member along which a
     sequence is not measurable is recorded as skipped, naming the
     sequence.  A counterexample is a tested member whose rectangle
     verdict contradicts a decisive schedule verdict.  Of an index the
@@ -765,12 +765,12 @@ def equivalence_harness(seqs: Sequence[BoundedSequence],
     as just those checkpoints (``last`` of :func:`selection.kappa_member`)
     gives the same report.
 
-    The walk's joint tables share ``MAX_TABLE_CELLS`` cells, taken in
-    family order.  An index whose joint row does not fit in what is left
-    is tested by :func:`kappa_independence_test`, in a walk of its own,
-    after the schedule test.  An Extraction whose pool table does not fit,
-    or whose pool runs past a finite sequence's end, is extracted first,
-    in a walk of its own, and then counted as an index.
+    The walk's tables share ``MAX_TABLE_CELLS`` cells, taken in family
+    order.  An index whose rows do not fit in what is left is tested by
+    :func:`kappa_independence_test`, in a walk of its own, after the
+    schedule test.  An Extraction whose pool rows do not fit, or whose
+    pool runs past a finite sequence's end, is extracted first, in a walk
+    of its own, and then counted as an index.
 
     An int ``grid`` is a count: each member's corners are then
     :func:`continuity_grid` of that many points, clear of the atoms of
@@ -813,25 +813,24 @@ def equivalence_harness(seqs: Sequence[BoundedSequence],
         return continuity_grid([empirical_cdf(s, kappa) for s in seqs],
                                grid, atom_tol=atom_tol)
 
-    # Per distinct grid, the checkpoints at which the walk counts each
-    # sequence on its own and all of them jointly.
+    # Per distinct grid, the checkpoints at which the walk counts every
+    # sequence jointly.
     plans: dict[bytes, SimpleNamespace] = {}
     free = MAX_TABLE_CELLS
 
-    def plan(member_grid, marginal_rows, joint_rows):
-        """The plan of ``member_grid`` with these rows added, or None when
-        its new joint rows do not fit in the cells left."""
+    def plan(member_grid, rows):
+        """The plan of ``member_grid`` with ``rows`` added, or None when
+        its new rows do not fit in the cells left."""
         nonlocal free
         unique = sorted_unique(member_grid)
         found = plans.get(unique.tobytes()) or SimpleNamespace(
-            points=unique, marginal_rows=[], joint_rows=joint_rows[:0])
-        rows = sorted_unique(np.concatenate((found.joint_rows, joint_rows)))
-        cells = (rows.size - found.joint_rows.size) * (unique.size + 1) ** m
+            points=unique, rows=rows[:0])
+        union = sorted_unique(np.concatenate((found.rows, rows)))
+        cells = (union.size - found.rows.size) * (unique.size + 1) ** m
         if cells > free:
             return None
         free -= cells
-        found.marginal_rows += marginal_rows
-        found.joint_rows = rows
+        found.rows = union
         plans[unique.tobytes()] = found
         return found
 
@@ -841,7 +840,7 @@ def equivalence_harness(seqs: Sequence[BoundedSequence],
             pool = member.pool
             reached = all(s.length is None or s.length >= pool.deepest
                           for s in seqs)
-            found = plan(points, [], pool.checkpoints) \
+            found = plan(points, pool.checkpoints) \
                 if reached and not count else None
             if found is not None:
                 members.append((member, points, found))
@@ -850,40 +849,31 @@ def equivalence_harness(seqs: Sequence[BoundedSequence],
             _check_window(member, window)
         member_grid = grid_along(member)
         members.append((member, member_grid,
-                        plan(member_grid, [member.checkpoints[-window:]],
-                             member.checkpoints[-1:])))
-    tallies = []
+                        plan(member_grid, member.checkpoints[-window:])))
     for found in plans.values():
-        rows = found.marginal_rows
-        found.marginals = [
-            Tally(found.points, sorted_unique(np.concatenate(rows)), [r])
-            for r in range(m)] if rows else []
-        found.joint = Tally(found.points, found.joint_rows, range(m))
-        tallies += found.marginals + [found.joint]
-    statind = statind_test(seqs, battery, schedule, tol, tallies=tallies)
+        found.tally = Tally(found.points, found.rows, range(m))
+    statind = statind_test(seqs, battery, schedule, tol,
+                           tallies=[found.tally for found in plans.values()])
 
     outcomes: list[KappaOutcome] = []
     for kappa, member_grid, found in members:
         if isinstance(kappa, Extraction):
-            # the joint rows over the pool hold every count it reads
-            pool_table = _rows(found.joint, kappa.pool.checkpoints)
+            # the rows over the pool hold every count it reads
+            pool_table = _rows(found.tally, kappa.pool.checkpoints)
             kappa = kappa.extract(seqs, member_grid, counts=[
                 marginal(pool_table, r) for r in range(m)])
             _check_window(kappa, window)
-            window_table = _rows(found.joint, kappa.checkpoints[-window:])
-            marginals = [marginal(window_table, r) for r in range(m)]
-        elif found is not None:
-            marginals = [_rows(t, kappa.checkpoints[-window:])
-                         for t in found.marginals]
         report = skip_reason = None
         try:
             if found is None:
                 report = kappa_independence_test(seqs, kappa, member_grid,
                                                  2 * tol, window=window)
             else:
-                joint = _rows(found.joint, kappa.checkpoints[-1:])[0]
-                report = _rectangle_test(seqs, kappa, member_grid, marginals,
-                                         joint, 2 * tol, window, DEFAULT_TOL)
+                table = _rows(found.tally, kappa.checkpoints[-window:])
+                report = _rectangle_test(
+                    seqs, kappa, member_grid,
+                    [marginal(table, r) for r in range(m)], table[-1],
+                    2 * tol, window, DEFAULT_TOL)
         except MeasurabilityError as err:
             skip_reason = (f"sequence {err.report.sequence_label} not "
                            f"measurable along {kappa.label}")

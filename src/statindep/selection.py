@@ -200,6 +200,8 @@ def helly_extract(seqs: Sequence[BoundedSequence], pool: SubsequenceIndex,
         grid = check_grid(seq, grid, window)
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
+    if _check_index(min_pool, "min_pool") < 1:
+        raise ValueError(f"min_pool must be >= 1, got {min_pool}")
     if len(pool) < min_pool:
         raise ExtractionError(
             f"candidate pool has {len(pool)} checkpoints; need at least "

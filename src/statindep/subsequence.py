@@ -40,9 +40,12 @@ def check_checkpoints(checkpoints: Iterable[int]) -> np.ndarray:
     top = max(arr) if isinstance(arr, list) else arr.max()
     if top >= 2 ** 63:
         raise CheckpointError(f"checkpoints must be < 2^63, got {top}")
-    arr = np.asarray(arr).astype(np.int64, copy=False)
     if arr[0] < 1:
         raise CheckpointError(f"checkpoints must start at 1 or later, got {arr[0]}")
+    # a Python int below -2^63 would overflow int64, and lies below the first
+    if isinstance(arr, list) and min(arr) < 1:
+        raise CheckpointError("checkpoints must be strictly increasing")
+    arr = np.asarray(arr).astype(np.int64, copy=False)
     if not np.all(arr[1:] > arr[:-1]):
         raise CheckpointError("checkpoints must be strictly increasing")
     return arr

@@ -436,9 +436,9 @@ def test_public_surface_is_consistent():
 
 def test_harness_counts_once_in_the_schedule_walk(monkeypatch):
     # No counting walk of its own: the schedule test's walk fills one tally
-    # of each sequence on its own, at the union of the members' last-window
-    # checkpoints, and one joint tally at their deepest checkpoints only;
-    # each (sequence, kappa) pair's measurability is read once.
+    # per distinct grid, of every sequence jointly, at the union of the
+    # members' last-window checkpoints, whose margins are the marginal
+    # counts; each (sequence, kappa) pair's measurability is read once.
     tallies, calls = [], []
     real_tally = independence.Tally
     real_measurability = independence._measurability
@@ -463,9 +463,7 @@ def test_harness_counts_once_in_the_schedule_walk(monkeypatch):
     rep = equivalence_harness(seqs, default_battery(), family,
                               [100, 1000, 2000], 0.02, window=4)
     rows = np.unique(np.concatenate([k.checkpoints[-4:] for k in family]))
-    deepest = np.unique([k.deepest for k in family])
-    assert tallies == [(rows.tolist(), (0,)), (rows.tolist(), (1,)),
-                       (deepest.tolist(), (0, 1))]
+    assert tallies == [(rows.tolist(), (0, 1))]
     assert len(calls) == len(set(calls))
     tested = [o.kappa_label for o in rep.outcomes if o.tested]
     assert tested

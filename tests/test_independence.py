@@ -236,6 +236,28 @@ class TestKappaIndependence:
             c = brute_rectangle_count([v1, v2], corner, kappa.deepest)
             assert density == c / kappa.deepest
 
+    def test_rows_take_the_residuals_once(self, monkeypatch):
+        # one subtraction per rows() call, not one per corner
+        rep = kappa_independence_test(
+            [KroneckerSequence("sqrt2-1"), KroneckerSequence("sqrt3-1")],
+            naturals(2048, 64), np.array([0.3, 0.6]), 0.05)
+        real = independence.RectangleReport.residuals
+        taken = []
+
+        def residuals(self):
+            taken.append(self)
+            return real.fget(self)
+
+        monkeypatch.setattr(independence.RectangleReport, "residuals",
+                            property(residuals))
+        rows = rep.rows()
+        assert taken == [rep]
+        assert rows == [(rep.kappa_label, *corner, density, product,
+                         density - product)
+                        for corner, density, product in zip(
+                            rep.corners, rep.densities.tolist(),
+                            rep.products.tolist())]
+
     def test_five_sequences_need_one_joint_row(self, monkeypatch):
         # measurability reads each sequence's own counts at the window's
         # checkpoints; only the deepest needs the joint (G+1)^m table, so
@@ -557,18 +579,39 @@ def test_nan_tolerance_is_rejected_at_every_entry_point(call, message):
     (lambda s, k, g: equivalence_harness(s, default_battery(), [k],
                                          [100, 1000], 0.02, window=5.0),
      "window must be an integer, got 5.0"),
+    (lambda s, k, g: delta_form(s, default_battery().members[:2], 1.5),
+     "N must be an integer, got 1.5"),
+    (lambda s, k, g: product_form(s, default_battery().members[:2], 1.5),
+     "N must be an integer, got 1.5"),
+    (lambda s, k, g: empirical_cdf(s[0], k, depth=1.5),
+     "depth must be an integer, got 1.5"),
+    (lambda s, k, g: continuity_grid([], 2.5, interval=UNIT),
+     "count must be an integer, got 2.5"),
+    (lambda s, k, g: helly_extract(s, k, g, min_pool=1.5),
+     "min_pool must be an integer, got 1.5"),
 ], ids=["statind_test", "statind_test str", "equivalence_harness schedule",
         "SubsequenceIndex", "SubsequenceIndex float array", "eval", "chunks",
         "kappa_member last", "kappa_member base_depth", "helly_extract",
         "Extraction", "detect_measurable", "kappa_independence_test",
-        "equivalence_harness window"])
+        "equivalence_harness window", "delta_form", "product_form",
+        "empirical_cdf", "continuity_grid", "helly_extract min_pool"])
 def test_index_arguments_must_be_integers(call, message):
     # int() truncated a float schedule point, checkpoint or index, and a
-    # float window, last or chunk bound ran (or failed inside a slice); an
-    # integral float is rejected too
+    # float window, last, chunk bound, N, depth or count ran (or failed
+    # inside a slice or with numpy's message); an integral float is
+    # rejected too
     seqs = [KroneckerSequence("sqrt2-1"), KroneckerSequence("sqrt3-1")]
     with pytest.raises(TypeError, match=f"^{message}$"):
         call(seqs, naturals(1000, 10), np.linspace(0.1, 0.9, 9))
+
+
+@pytest.mark.parametrize("min_pool", [0, -1])
+def test_helly_extract_min_pool_must_be_positive(min_pool):
+    # a min_pool below 1 was accepted silently
+    with pytest.raises(ValueError,
+                       match=f"^min_pool must be >= 1, got {min_pool}$"):
+        helly_extract([KroneckerSequence("sqrt2-1")], naturals(1000, 10),
+                      np.array([0.5]), min_pool=min_pool)
 
 
 @pytest.mark.parametrize("grid", [0.5, [[0.3, 0.6]]])
@@ -916,10 +959,11 @@ def test_battery_on_a_value_set_equals_its_values_on_chunks(seq):
 
 def test_harness_joint_rows_that_do_not_fit_take_walks_of_their_own(
         monkeypatch):
-    # The walk keeps one joint row per distinct deepest checkpoint, within
-    # MAX_TABLE_CELLS in all; a member whose row no longer fits is tested
-    # by kappa_independence_test after the schedule test, with the same
-    # report.
+    # The walk keeps one table per distinct grid, of every member's last
+    # `window` checkpoints, within MAX_TABLE_CELLS in all: with room for
+    # the first member's rows only, each member with a row outside them is
+    # tested by kappa_independence_test after the schedule test, with the
+    # same report.
     seqs = [KroneckerSequence("sqrt2-1"), KroneckerSequence("sqrt3-1"),
             KroneckerSequence("golden"), VanDerCorputSequence(2),
             VanDerCorputSequence(3)]
@@ -940,13 +984,21 @@ def test_harness_joint_rows_that_do_not_fit_take_walks_of_their_own(
         return real(seqs, kappa, *args, **kwargs)
 
     monkeypatch.setattr(independence, "kappa_independence_test", spy)
+    window = independence.DEFAULT_WINDOW
     for module in (independence, density_module):
-        monkeypatch.setattr(module, "MAX_TABLE_CELLS", 4 ** 5)
+        monkeypatch.setattr(module, "MAX_TABLE_CELLS", window * 4 ** 5)
     assert run() == want
-    first = family[0].deepest
-    assert sorted(own_walks) == sorted(k.label for k in family
-                                       if k.deepest != first)
-    assert len(own_walks) < len(family)
+    assert sorted(own_walks) == sorted(_rows_outside_the_first(family,
+                                                               window))
+    assert 0 < len(own_walks) < len(family)
+
+
+def _rows_outside_the_first(family, window):
+    """Labels of the members with a last-window checkpoint that is not
+    among the first member's."""
+    first = set(family[0].checkpoints[-window:].tolist())
+    return [k.label for k in family
+            if not first.issuperset(k.checkpoints[-window:].tolist())]
 
 
 @pytest.mark.parametrize("grid", [np.linspace(0.1, 0.9, 9),
@@ -1238,16 +1290,18 @@ def test_worker_moves_no_bit_of_a_count_grid_harness(monkeypatch, forks):
 
 
 def _counting_route_harness(monkeypatch):
-    # the harness's own-walk fallback: every joint row but the first
-    # member's is tested by kappa_independence_test, in a walk of its own
+    # the harness's own-walk fallback: with room for the first member's
+    # rows only, every member with a row outside them is tested by
+    # kappa_independence_test, in a walk of its own
     seqs = [KroneckerSequence("sqrt2-1"), KroneckerSequence("sqrt3-1"),
             KroneckerSequence("golden"), VanDerCorputSequence(2),
             VanDerCorputSequence(3)]
     battery = FunctionBattery(default_battery().members[:2])
     family = kappa_family_builder(3 * WIDTH)
+    window = independence.DEFAULT_WINDOW
     for module in (independence, density_module):
-        monkeypatch.setattr(module, "MAX_TABLE_CELLS", 4 ** 5)
-    own = sum(k.deepest != family[0].deepest for k in family)
+        monkeypatch.setattr(module, "MAX_TABLE_CELLS", window * 4 ** 5)
+    own = len(_rows_outside_the_first(family, window))
     return (lambda: canonical_json(equivalence_harness(
         seqs, battery, family, [100, 3 * WIDTH], 0.05,
         grid=np.array([0.3, 0.5, 0.7])).to_json_obj())), 1 + own

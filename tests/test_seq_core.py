@@ -482,6 +482,19 @@ class TestSubsequenceIndex:
             SubsequenceIndex(checkpoints)
         assert SubsequenceIndex([1, 2 ** 63 - 1]).deepest == 2 ** 63 - 1
 
+    @pytest.mark.parametrize("checkpoints, message", [
+        ([1, -2 ** 64], "checkpoints must be strictly increasing"),
+        ([-2 ** 64], "checkpoints must start at 1 or later, got "
+                     f"{-2 ** 64}"),
+    ], ids=["mixed list", "alone"])
+    def test_checkpoints_below_int64_are_named(self, checkpoints, message):
+        # numpy raised its bare OverflowError; the messages are those of a
+        # negative int64 in the same place
+        with pytest.raises(CheckpointError, match=f"^{message}$"):
+            SubsequenceIndex(checkpoints)
+        with pytest.raises(CheckpointError, match=f"^{message[:30]}"):
+            SubsequenceIndex([c if c > 0 else -1 for c in checkpoints])
+
     def test_accessors(self):
         kappa = SubsequenceIndex([1, 4, 9], rule="squares", name="sq")
         assert len(kappa) == 3
