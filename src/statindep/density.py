@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from . import forkwalk
-from .sequences import _CHUNK, BoundedSequence
+from .sequences import BoundedSequence
 from .subsequence import check_checkpoints
 
 # Largest grid_counts table, in int64 cells (512 MiB).  Its joint codes
@@ -186,7 +186,7 @@ def fill(seqs: Sequence[BoundedSequence], tallies: Sequence[Tally]) -> None:
     each sequence is generated once, up to the deepest checkpoint of the
     tallies that count it.  Raises SequenceExhausted, before counting,
     when that lies past a finite sequence's end."""
-    for _ in forkwalk.steps(seqs, 0, _CHUNK, None, tallies):
+    for _ in forkwalk.steps(seqs, 0, None, tallies):
         pass
 
 

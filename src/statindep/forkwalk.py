@@ -1,7 +1,7 @@
 """The one chunk walk driver, shared with one forked worker process.
 
-:func:`steps` walks several sequences in step, each step reading the same
-aligned blocks of each sequence's :meth:`~sequences.BoundedSequence.chunks`
+:func:`steps` walks several sequences in step, each step reading one
+aligned chunk of each sequence's :meth:`~sequences.BoundedSequence.chunks`
 whichever process walks it: this process walks the even steps and a
 worker made by ``os.fork`` the odd ones, each computed by the same
 ``compute`` function on the same values and counted into every tally.
@@ -31,7 +31,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .sequences import _CHUNK, BoundedSequence, _copy_chunks
+from .sequences import _CHUNK, BoundedSequence
 
 
 # Bytes a walk's pipe may buffer: /proc/sys/fs/pipe-max-size by default,
@@ -56,23 +56,24 @@ def usable_cpus() -> list[int]:
     return sorted(os.sched_getaffinity(0))
 
 
-def steps(seqs: Sequence[BoundedSequence], depth: int, width: int,
+def steps(seqs: Sequence[BoundedSequence], depth: int,
           compute: Callable | None,
           tallies: Sequence) -> Iterator[tuple[int, np.ndarray | None]]:
-    """``(start, out)`` of every step of one walk of ``seqs``, ``width``
-    indices a step, in step order, each step counted into every tally.
+    """``(start, out)`` of every step of one walk of ``seqs``, one aligned
+    chunk of ``_CHUNK`` indices a step, in step order, each step counted
+    into every tally.
 
     Each sequence is walked to its reach: ``depth``, or deeper to the
-    deepest checkpoint of the tallies that count it.  ``width`` is a
-    multiple of ``_CHUNK``, so a step reads whole aligned blocks and each
-    index is generated once however the steps are shared out.  The step
-    from ``start`` has ``values[r]``: v_r(start+1) ... up to
-    v_r(start+width) or the reach of sequence r, copied into a buffer
-    that the next step overwrites, or None once ``start`` is past that
-    reach.  ``compute(start, values)`` returns a step's ``out``: a float64
-    array of the same shape at every step, overwritten by the next one.
-    A step at or past ``depth`` has none (None), so a counting-only walk
-    has depth 0 and no ``compute``.
+    deepest checkpoint of the tallies that count it.  A step reads one
+    aligned chunk of each sequence, so each index is generated once
+    however the steps are shared out.  The step from ``start`` has
+    ``values[r]``: the chunk v_r(start+1) ... up to v_r(start+_CHUNK) or
+    the reach of sequence r, as :meth:`~sequences.BoundedSequence.chunks`
+    yields it, or None once ``start`` is past that reach.
+    ``compute(start, values)`` returns a step's ``out``: a float64 array
+    of the same shape at every step, overwritten by the next one.  A step
+    at or past ``depth`` has none (None), so a counting-only walk has
+    depth 0 and no ``compute``.
 
     Step 0 is walked here.  A worker then walks the odd steps when at
     least two CPUs are usable, no other thread is alive, SIGCHLD is not
@@ -92,23 +93,18 @@ def steps(seqs: Sequence[BoundedSequence], depth: int, width: int,
              for r in range(len(seqs))]
     for s, stop in zip(seqs, reach):
         s.chunks(0, stop)  # SequenceExhausted now, not at some step
-    count = -(-max(reach, default=0) // width)
-    buffers = np.empty((len(seqs), width))
+    count = -(-max(reach, default=0) // _CHUNK)
 
     def walked(ks):
-        """``(start, out)`` of each step k in ``ks``, counted a chunk at a
-        time so that the binning temporaries stay that long."""
+        """``(start, out)`` of each step k in ``ks``."""
         for k in ks:
-            start = k * width
-            values = [None if stop <= start else _copy_chunks(
-                s.chunks(start, min(start + width, stop)), buffer)
-                for s, stop, buffer in zip(seqs, reach, buffers)]
+            start = k * _CHUNK
+            values = [None if stop <= start else next(
+                s.chunks(start, min(start + _CHUNK, stop)))
+                for s, stop in zip(seqs, reach)]
             out = compute(start, values) if start < depth else None
-            for at in range(0, width, _CHUNK):
-                piece = [None if v is None else v[at:at + _CHUNK]
-                         for v in values]
-                for tally in tallies:
-                    tally.add(start + at, piece)
+            for tally in tallies:
+                tally.add(start, values)
             yield start, out
 
     took = time.perf_counter()
@@ -151,7 +147,7 @@ def steps(seqs: Sequence[BoundedSequence], depth: int, width: int,
             if k % 2 == 0:
                 yield next(own)
                 continue
-            start = k * width
+            start = k * _CHUNK
             _read_exactly(read, header)
             if header[0]:
                 raise pickle.loads(_read_exactly(read, bytearray(

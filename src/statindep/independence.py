@@ -39,15 +39,6 @@ from .subsequence import SubsequenceIndex, _check_index
 
 MAX_TUPLE_ARITY = 5
 
-# The schedule test sums over fixed absolute blocks of this many indices
-# (the sequences' chunk), so its bits do not depend on how the blocks are
-# evaluated.
-_BLOCK = _CHUNK
-# Whole blocks evaluated per walk step, as (_GROUP, _BLOCK) rows.  Per-row
-# np.sum and einsum equal the one-block results bit for bit, so this sets
-# only speed and memory.
-_GROUP = 2
-
 
 @dataclass(frozen=True)
 class NamedFunction:
@@ -190,26 +181,18 @@ def _constant_runs(seq: BoundedSequence, funcs: Sequence,
     return runs, [float(first) for first in firsts]
 
 
-def _block_steps(schedule: Sequence[int], start: int, stop: int):
-    """The blocks of the schedule test's sums from ``start`` (a multiple
-    of ``_BLOCK``) to ``stop`` as ``(pos, blocks, length, lo, hi)``:
-    ``blocks`` consecutive blocks of ``length`` indices from ``pos``
-    (0-based), whose sums go to schedule points [lo, hi).  A schedule
-    point inside a block gets that block cut at the point, for itself
-    alone; the whole block goes to the points at or past its end, and
-    consecutive whole blocks for the same points come as one group.
+def _block_cuts(schedule: Sequence[int], start: int):
+    """The cuts of the block of ``_CHUNK`` indices from ``start`` (0-based,
+    a multiple of ``_CHUNK``) as ``(length, lo, hi)``: the block's first
+    ``length`` indices, whose sum goes to schedule points [lo, hi).  A
+    schedule point inside the block gets the block cut at the point, for
+    itself alone; the whole block goes to the points at or past its end.
     """
-    count = len(schedule)
-    cuts = []  # (pos, first point at or past the block's end)
-    for pos in range(start, min(stop, schedule[-1]), _BLOCK):
-        cut = bisect.bisect_left(schedule, pos + _BLOCK)
-        for j in range(bisect.bisect_right(schedule, pos), cut):
-            yield pos, 1, schedule[j] - pos, j, j + 1
-        if cut < count:
-            cuts.append((pos, cut))
-    for cut, group in itertools.groupby(cuts, key=lambda c: c[1]):
-        group = list(group)
-        yield group[0][0], len(group), _BLOCK, cut, count
+    cut = bisect.bisect_left(schedule, start + _CHUNK)
+    for j in range(bisect.bisect_right(schedule, start), cut):
+        yield schedule[j] - start, j, j + 1
+    if cut < len(schedule):
+        yield _CHUNK, cut, len(schedule)
 
 
 def _multilinear(seqs: Sequence[BoundedSequence], funcs: Sequence[Sequence],
@@ -221,7 +204,7 @@ def _multilinear(seqs: Sequence[BoundedSequence], funcs: Sequence[Sequence],
     ``seqs[i]``.  Returns two arrays of shape ``(B_0, ..., B_{m-1}, S)``.
 
     Sum contract: a sum over n = 1..N is the sum, left to right in block
-    order, of one sum per fixed absolute block of ``_BLOCK`` indices, the
+    order, of one sum per fixed absolute block of ``_CHUNK`` indices, the
     last block ending at N.  A block's sum is ``np.sum`` of the block when
     one slot varies, and otherwise the left-to-right elementwise product of
     the varying slots but the last, contracted with the last one by
@@ -236,25 +219,28 @@ def _multilinear(seqs: Sequence[BoundedSequence], funcs: Sequence[Sequence],
     left to right.  So every gap is exactly zero when at most one slot
     varies.
 
-    The sequences are read in one walk of ``_GROUP`` blocks a step (see
+    The sequences are read in one walk of one block a step (see
     :func:`forkwalk.steps`), after :func:`_constant_runs` has scanned each
     for its members' constant runs.  Each step's block sums are computed by
     :func:`_compute_step`, in this process or a worker, into one array of
-    (row, schedule point, block) entries, and added here, every step in
-    order, into one array of running sums: block g of a step into every
-    point past the block's start.  Nothing of length N is held.  The walk
-    also feeds every tally, and runs on past the schedule to the deepest
-    checkpoint of the tallies that count each sequence.
+    (row, schedule point) entries, and added here, every step in order,
+    into one array of running sums: a block into every point past its
+    start.  Nothing of length N is held.  The walk also feeds every tally,
+    and runs on past the schedule to the deepest checkpoint of the
+    tallies that count each sequence.
+
+    Raises ValueError, naming the member and the sequence, when a
+    member's mean at the last schedule point is NaN or infinite: it takes
+    such a value on those terms, or declares such a ``constant``.
     """
     m, n_max, count = len(seqs), schedule[-1], len(schedule)
     ns = np.asarray(schedule, dtype=np.float64)
-    width = _GROUP * _BLOCK
     # Per slot: each candidate's constant run and first value, and the
     # members that vary on the prefix with their block matrix, product
     # buffer and rows ``sums`` of a step's output and of the running sums,
     # which hold every slot's members and then every tuple in C order.
-    # Each step sets ``mat`` (members, blocks, length), its row sums
-    # ``rowsum`` and the buffer view ``term``.
+    # Each step sets ``mat`` (members, length), its row sums ``rowsum``
+    # and the buffer view ``term``.
     slots, first = [], 0
     for seq, column in zip(seqs, funcs):
         runs, firsts = _constant_runs(seq, column, n_max)
@@ -267,35 +253,38 @@ def _multilinear(seqs: Sequence[BoundedSequence], funcs: Sequence[Sequence],
             # a member constant on the whole prefix gets no row; the last
             # slot masks what it reads there
             rows=np.cumsum(varies) - 1,
-            matrix=np.empty((varying, width)), buffer=np.empty(width),
+            matrix=np.empty((varying, _CHUNK)), buffer=np.empty(_CHUNK),
             sums=slice(first, first + varying)))
         first += varying
     shape = tuple(len(column) for column in funcs)
     # zeros: a (tuple, point) where every slot is constant is never
     # written, nor read (its delta is the constants' product); they keep
     # its running sum finite
-    out = np.zeros((first + math.prod(shape), count, _GROUP))
-    kernel = SimpleNamespace(
-        slots=slots, schedule=schedule, width=width, out=out,
-        block_sums=out[first:].reshape(shape + (count, _GROUP)))
-    running = np.full((len(out), count), -0.0)  # -0.0 + x is x for every x
+    out = np.zeros((first + math.prod(shape), count))
+    kernel = SimpleNamespace(slots=slots, schedule=schedule, out=out,
+                             block_sums=out[first:].reshape(shape + (count,)))
+    running = np.full(out.shape, -0.0)  # -0.0 + x is x for every x
 
-    with contextlib.closing(forkwalk.steps(
-            seqs, n_max, width, functools.partial(_compute_step, kernel),
+    # inf - inf in a sum is reported below, by member, not as a warning
+    with np.errstate(invalid="ignore"), contextlib.closing(forkwalk.steps(
+            seqs, n_max, functools.partial(_compute_step, kernel),
             tallies)) as steps:
         for start, step in steps:
-            if step is None:
-                continue
-            for g in range(_GROUP):
-                lo = bisect.bisect_right(schedule, start + g * _BLOCK)
-                running[:, lo:] += step[:, lo:, g]
+            if step is not None:
+                lo = bisect.bisect_right(schedule, start)
+                running[:, lo:] += step[:, lo:]
 
     joint = running[first:].reshape(shape + (count,)) / ns
     deltas = products = varied = None
-    for i, slot in enumerate(slots):
+    for i, (seq, column, slot) in enumerate(zip(seqs, funcs, slots)):
         means = np.where(slot.constant, slot.firsts,
                          running[slot.sums][slot.rows] / ns
                          if slot.members else 0.0)
+        for f, mean in zip(column, means[:, -1]):
+            if not np.isfinite(mean):
+                raise ValueError(
+                    f"battery member {getattr(f, 'name', f)} is not finite "
+                    f"on {seq.label} within its first {n_max} terms")
         products = means if products is None \
             else products[..., None, :] * means
         axes = (1,) * i + (len(slot.runs),) + (1,) * (m - 1 - i)
@@ -309,29 +298,26 @@ def _multilinear(seqs: Sequence[BoundedSequence], funcs: Sequence[Sequence],
 
 
 def _compute_step(kernel, start: int, values: list) -> np.ndarray:
-    """``kernel.out`` for the step at ``start``, whose values are
-    ``values``: entry (row, p, g) is block g's sum for that row cut at
+    """``kernel.out`` for the block at ``start``, whose values are
+    ``values``: entry (row, p) is the block's sum for that row cut at
     schedule point p when the point lies inside the block, and whole when
-    it lies past the block's end; entries for points at or before a
+    it lies past the block's end; entries for points at or before the
     block's start are left as they were.  Every varying member is
-    evaluated on each cut of :func:`_block_steps` into its slot's block
-    matrix, its row sums are set, and :func:`_block_walk` takes the block
-    sums of every tuple."""
+    evaluated on each cut of :func:`_block_cuts`, straight into its
+    slot's block matrix, its row sums are set, and :func:`_block_walk`
+    takes the block sums of every tuple."""
     slots, schedule, out = kernel.slots, kernel.schedule, kernel.out
-    for pos, blocks, length, lo, hi in _block_steps(schedule, start,
-                                                    start + kernel.width):
-        span, g = blocks * length, (pos - start) // _BLOCK
+    for length, lo, hi in _block_cuts(schedule, start):
         for slot, v in zip(slots, values):
-            x = v[pos - start:pos - start + span]
+            x = v[:length]
             for r, f in enumerate(slot.members):
-                slot.matrix[r, :span] = _apply(f, x)
-            slot.mat = slot.matrix[:, :span].reshape(len(slot.members),
-                                                     blocks, length)
-            slot.rowsum = np.sum(slot.mat, axis=2)
-            out[slot.sums, lo:hi, g:g + blocks] = slot.rowsum[:, None, :]
-            slot.term = slot.buffer[:span].reshape(blocks, length)
-        _block_walk(slots, schedule, kernel.block_sums[..., g:g + blocks],
-                    0, lo, hi, None, None, ())
+                slot.matrix[r, :length] = f(x)  # a scalar is broadcast
+            slot.mat = slot.matrix[:, :length]
+            slot.rowsum = np.sum(slot.mat, axis=1)
+            out[slot.sums, lo:hi] = slot.rowsum[:, None]
+            slot.term = slot.buffer[:length]
+        _block_walk(slots, schedule, kernel.block_sums, 0, lo, hi, None,
+                    None, ())
     return out
 
 
@@ -342,7 +328,7 @@ def _block_walk(slots, schedule, sums, level, lo, hi, term, last, index):
 
     Depth-first over slots: ``term`` is the left-to-right product of the
     varying slots chosen so far (None when none varies) and ``last`` the
-    block sums of the tuple prefix ``index`` itself, its last varying slot
+    block sum of the tuple prefix ``index`` itself, its last varying slot
     contracted with the product of the ones before.  A slot's schedule
     points split where its member's constant run ends.  Each level writes
     its products into its own buffer, read only by deeper levels, and
@@ -350,12 +336,12 @@ def _block_walk(slots, schedule, sums, level, lo, hi, term, last, index):
     """
     slot = slots[level]
     if level == len(slots) - 1:
-        constant = slot.constant[:, lo:hi, None]
+        constant = slot.constant[:, lo:hi]
         if not constant.all():
             sums[index][:, lo:hi] = np.where(
                 constant, 0.0 if last is None else last,
                 (slot.rowsum if term is None else
-                 np.einsum("jkn,kn->jk", slot.mat, term))[slot.rows][:, None])
+                 np.einsum("jn,n->j", slot.mat, term))[slot.rows][:, None])
         elif last is not None:
             sums[index][:, lo:hi] = last
         return
@@ -372,7 +358,7 @@ def _block_walk(slots, schedule, sums, level, lo, hi, term, last, index):
             sub_last, sub_term = slot.rowsum[slot.rows[j]], row
         else:
             if contracted is None:
-                contracted = np.einsum("jkn,kn->jk", slot.mat, term)
+                contracted = np.einsum("jn,n->j", slot.mat, term)
             sub_last = contracted[slot.rows[j]]
             sub_term = np.multiply(term, row, out=slot.term)
         _block_walk(slots, schedule, sums, level + 1, split, hi, sub_term,
@@ -519,26 +505,27 @@ def statind_test(seqs: Sequence[BoundedSequence], battery: FunctionBattery,
     value, which gives its constant run; a member equal to its first
     value at every value the sequence can take (its ``value_set``, such
     as a block sequence's two levels) is known constant after the first
-    chunk.  Then one walk reads the sequences two blocks a step: each
-    member that varies is evaluated once per block (twice for a block cut
-    by a schedule point), tuples are walked depth-first with one
+    chunk.  Then one walk reads the sequences one block a step: each
+    member that varies is evaluated once per block (and once more for
+    each schedule point inside it), tuples are walked depth-first with one
     elementwise product per tuple prefix short of the last slot, and the
     last slot of every tuple prefix is contracted in one ``einsum``.
     When at least two CPUs are usable, no other thread is alive and the
     rest of the walk, projected from its first step, would take 0.1 s or
     more, one forked worker process computes every other step and pipes
-    its sums back, one fixed-shape (row, schedule point, block) array a
-    step; this process adds every step's sums in step order, so no bit
+    its sums back, one fixed-shape (row, schedule point) array a step; this process adds every step's sums in step order, so no bit
     depends on the worker, and kills and reaps it however the walk ends
     (see :mod:`forkwalk`).  Memory: O(m*B*2^13 + B^m*S) for m sequences,
-    B members and S schedule points, independent of N: one step of
+    B members and S schedule points, independent of N: one block of
     values, one block matrix and one product buffer per sequence, one
-    step's (row, point, block) sums and one running sum per (row, N), in
+    step's (row, point) sums and one running sum per (row, N), in
     this process and again in the worker, which shares the rest of this
     process's pages; this process holds one more step's sums, into which
     the worker's are read.
     Every value equals :func:`delta_form`/:func:`product_form` at that N
-    bit for bit: both are single-tuple calls of the same kernel.
+    bit for bit: both are single-tuple calls of the same kernel.  A member
+    that is NaN or infinite somewhere on a sequence's first N terms, at
+    the last schedule point, raises ValueError naming both.
 
     ``tallies`` (see :class:`density.Tally`) are fed from the same walk,
     in whichever process walks each step, and the walk runs on to their

@@ -309,15 +309,19 @@ class VanDerCorputSequence(BoundedSequence):
         # Reverse the digits into an integer numerator and divide once, so
         # every value is the rational reversed(n)/base^k (correctly rounded
         # while both fit in 53 bits).
+        # Masked in place by ``where``: an index whose digits are all
+        # taken keeps its numer and denom.
         remaining = ns.copy()
         numer = np.zeros(ns.shape, dtype=np.int64)
         denom = np.ones(ns.shape, dtype=np.int64)
+        digits = np.empty(ns.shape, dtype=np.int64)
+        active = np.empty(ns.shape, dtype=bool)
         while remaining.max(initial=0) > 0:
-            active = remaining > 0
-            digits = remaining % self.base
-            remaining = remaining // self.base
-            numer[active] = numer[active] * self.base + digits[active]
-            denom[active] *= self.base
+            np.greater(remaining, 0, out=active)
+            np.divmod(remaining, self.base, out=(remaining, digits))
+            np.multiply(numer, self.base, out=numer, where=active)
+            numer += digits
+            np.multiply(denom, self.base, out=denom, where=active)
         return numer / denom
 
 

@@ -4,7 +4,9 @@ Each count is a plain boolean mask over a materialized prefix, reduced by
 ``np.count_nonzero`` or an integer cumulative sum; tests demand exact
 equality between these and the library's ``grid_counts`` route.
 ``brute_forms`` evaluates one schedule-test tuple at a time by the
-documented block contract, for bitwise comparison with the kernel.
+documented block contract, for bitwise comparison with the kernel, and
+``brute_van_der_corput`` reverses digits by boolean indexing, for bitwise
+comparison with the in-place van der Corput core.
 """
 
 import itertools
@@ -104,3 +106,19 @@ def brute_forms(seqs, funcs, n):
             continue
         delta = factor if delta is None else delta * factor
     return float(delta), float(product), len(varying)
+
+
+def brute_van_der_corput(base, ns):
+    """The radical inverse of every int64 index in ``ns`` below
+    2^63 / base: digits reversed into an integer numerator, updated at
+    the indices with digits left, and one division."""
+    remaining = ns.copy()
+    numer = np.zeros(ns.shape, dtype=np.int64)
+    denom = np.ones(ns.shape, dtype=np.int64)
+    while remaining.max(initial=0) > 0:
+        active = remaining > 0
+        digits = remaining % base
+        remaining = remaining // base
+        numer[active] = numer[active] * base + digits[active]
+        denom[active] *= base
+    return numer / denom

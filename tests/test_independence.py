@@ -751,20 +751,64 @@ def test_constant_pattern_changes_along_the_schedule():
     assert np.all(gaps[2:] != 0.0)
 
 
-def test_whole_block_grouping_leaves_the_bits(monkeypatch):
-    # per-row sums and contractions of a (blocks, BLOCK) group equal the
-    # one-block ones, so the group size moves no bit
-    seqs = [VanDerCorputSequence(3), KroneckerSequence("sqrt2-1"),
-            _leading_run_periodic(2 * BLOCK + 7)]
-    schedule = [BLOCK - 1, 2 * BLOCK + 7, 5 * BLOCK + 3, 11 * BLOCK]
-    results = []
-    for group in (1, 2, 3, 8):
-        monkeypatch.setattr(independence, "_GROUP", group)
-        rep = statind_test(seqs, default_battery(), schedule, 0.01)
-        results.append(np.stack([np.array([t.deltas, t.products])
-                                 for t in rep.traces]))
-    for other in results[1:]:
-        assert _same_bits(other, results[0])
+# schedule points at block edges and one either side
+EDGE_POINTS = tuple(k * BLOCK + d for k in range(1, 6) for d in (-1, 0, 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(min_value=1, max_value=6 * BLOCK)
+                | st.sampled_from(EDGE_POINTS),
+                min_size=1, max_size=8, unique=True).map(sorted))
+def test_block_pieces_give_each_point_its_prefix(schedule):
+    # a block's sums are added into the points past its start; the pieces
+    # of the blocks give each of them exactly the indices 1..p, in block
+    # order
+    pieces = {p: [] for p in schedule}
+    for start in range(0, schedule[-1], BLOCK):
+        got = {}
+        for length, lo, hi in independence._block_cuts(schedule, start):
+            for j in range(lo, hi):
+                assert j not in got
+                got[j] = (start + 1, start + length)
+        assert sorted(got) == [j for j, p in enumerate(schedule) if p > start]
+        for j, piece in got.items():
+            pieces[schedule[j]].append(piece)
+    for p, got in pieces.items():
+        assert got == [(lo + 1, min(lo + BLOCK, p))
+                       for lo in range(0, p, BLOCK)]
+
+
+NON_FINITE = {
+    "nan": lambda x: np.where(x > 0.999, np.nan, x),
+    "+inf": lambda x: np.where(x > 0.999, np.inf, x),
+    "+-inf": lambda x: np.where(x > 0.999, np.inf,
+                                np.where(x < 0.001, -np.inf, x)),
+}
+
+
+@pytest.mark.parametrize("bad", NON_FINITE.values(), ids=NON_FINITE)
+def test_non_finite_battery_values_are_named(bad):
+    # the schedule test reached a verdict on a NaN gap, which the CLI
+    # failed to serialize naming nothing
+    seqs = [KroneckerSequence("sqrt2-1"), KroneckerSequence("golden")]
+    members = (NamedFunction("x", IDENT), NamedFunction("bad", bad))
+    message = (r"^battery member bad is not finite on {} within its first "
+               r"5000 terms$")
+    with pytest.raises(ValueError, match=message.format(
+            re.escape(seqs[0].label))):
+        statind_test(seqs, FunctionBattery(members), [100, 5000], 0.01)
+    with pytest.raises(ValueError, match=message.format(
+            re.escape(seqs[1].label))):
+        delta_form(seqs, members, 5000)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_a_non_finite_declared_constant_is_named(value):
+    seqs = [KroneckerSequence("sqrt2-1"), KroneckerSequence("golden")]
+    battery = FunctionBattery((NamedFunction("x", IDENT), NamedFunction(
+        "c", lambda x: np.full(np.shape(x), value), constant=value)))
+    with pytest.raises(ValueError, match=r"^battery member c is not finite"):
+        statind_test(seqs, battery, [100, 5000], 0.01)
 
 
 BLAS_PROBE = """
@@ -830,9 +874,9 @@ def test_delta_within_blocked_summation_bound_of_exact(seqs, funcs, n):
 
 # -- memory of the schedule test ---------------------------------------------
 
-# about 13 rows of one group of blocks are live at the peak here: 10
-# varying members, the product buffers and a member's temporaries
-PEAK_LIMIT = 16 * 8 * BLOCK * independence._GROUP
+# about 13 rows of one block are live at the peak here (10 varying
+# members, the product buffers and a member's temporaries): 1.2 MB
+PEAK_LIMIT = 3 << 19  # 1.5 MiB
 
 
 def _statind_peak(n):
@@ -847,7 +891,7 @@ def _statind_peak(n):
 
 def test_statind_test_peak_memory_is_bounded():
     # the kernel generates the values and holds block matrices and buffers
-    # of one group of blocks, never a column or product of length N, so
+    # of one block, never a column or product of length N, so
     # its peak does not grow with N
     small, large = _statind_peak(1 << 18), _statind_peak(1 << 20)
     assert large <= small + (64 << 10), (small, large)
@@ -1141,7 +1185,7 @@ def test_unit_interval_x_shares_the_prefix():
 
 # -- the two-process walk ----------------------------------------------------
 
-WIDTH = BLOCK * independence._GROUP  # indices per walk step
+WIDTH = BLOCK  # indices per walk step
 
 
 @pytest.fixture
@@ -1233,13 +1277,10 @@ def test_worker_moves_no_bit_of_the_harness(monkeypatch, forks, steps):
     assert got == want
 
 
-@pytest.mark.parametrize("group", [1, 3])
-def test_worker_counts_its_steps_at_any_step_width(monkeypatch, forks,
-                                                   group):
-    # a walk of one block a step, or three, feeds the tallies the same
-    monkeypatch.setattr(independence, "_GROUP", group)
+def test_worker_counts_its_steps(monkeypatch, forks):
+    # the worker's steps feed the tallies as this process's would
     seqs = [make_block(0.0, 1.0, 2), KroneckerSequence("sqrt2-1")]
-    depth = 5 * BLOCK * group + 11
+    depth = 5 * BLOCK + 11
 
     def run():
         return canonical_json(equivalence_harness(

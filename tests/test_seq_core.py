@@ -42,7 +42,7 @@ from statindep import (
 from statindep import forkwalk, sequences
 from statindep.density import Tally
 from statindep.sequences import _CHUNK, SEQUENCE_KINDS, normalize_spec
-from _brute import brute_grid_counts
+from _brute import brute_grid_counts, brute_van_der_corput
 from test_independence import _same_bits, _serial_and_forked, forks
 
 # Fractional parts of n*alpha, precomputed at 50 digits and frozen.
@@ -175,6 +175,16 @@ class TestVanDerCorput:
     def test_no_false_range_violation_near_overflow(self):
         n = 2 ** 62
         assert VanDerCorputSequence(3).eval(n) == self.exact(3, n)
+
+    @pytest.mark.parametrize("base", [2, 3, 5, 10, 17])
+    def test_int64_core_equals_the_indexed_reference(self, base):
+        # a chunk of indices from each offset, the last ending just below
+        # the int64 core's bound 2^63 / base
+        bound = -(-2 ** 63 // base)
+        for lo in (0, 300_000, 2 ** 40, 2 ** 50 - 5000, bound - _CHUNK - 1):
+            ns = np.arange(lo + 1, lo + _CHUNK + 1, dtype=np.int64)
+            got = VanDerCorputSequence(base)._eval_int64(ns)
+            assert _same_bits(got, brute_van_der_corput(base, ns)), lo
 
     def test_batch_mixes_int64_and_exact_paths(self):
         seq = VanDerCorputSequence(3)
@@ -627,9 +637,7 @@ def test_chunks_past_a_finite_end_fail_at_once():
     assert calls == []
 
 
-@pytest.mark.parametrize("width", [_CHUNK, 3 * _CHUNK])
-def test_walk_steps_read_the_same_values_in_any_share(monkeypatch, forks,
-                                                      width):
+def test_walk_steps_read_the_same_values_in_any_share(monkeypatch, forks):
     # each step reads its own aligned chunks, so the steps walked here and
     # those a worker walks together read every value, bit for bit: the
     # block sequence to the walk's depth, in each step's out, and the
@@ -641,11 +649,11 @@ def test_walk_steps_read_the_same_values_in_any_share(monkeypatch, forks,
     rows = {r: sorted(set(np.linspace(1, depths[r], 40).astype(int)))
             for r in (0, 2)}
     with pytest.raises(SequenceExhausted):
-        next(forkwalk.steps(seqs, 5 * _CHUNK + 1, width, None, []))
+        next(forkwalk.steps(seqs, 5 * _CHUNK + 1, None, []))
     assert forks == []
 
     def compute(start, values):
-        out = np.full((len(seqs), width), np.nan)
+        out = np.full((len(seqs), _CHUNK), np.nan)
         for row, v in zip(out, values):
             if v is not None:
                 row[:v.size] = v
@@ -654,19 +662,19 @@ def test_walk_steps_read_the_same_values_in_any_share(monkeypatch, forks,
     def run():
         tallies = [Tally(points, rows[r], [r]) for r in rows]
         outs = {start: None if out is None else out.copy()
-                for start, out in forkwalk.steps(seqs, depths[1], width,
-                                                 compute, tallies)}
+                for start, out in forkwalk.steps(seqs, depths[1], compute,
+                                                 tallies)}
         return outs, [t.table() for t in tallies]
 
     (want, want_tables), (got, got_tables) = _serial_and_forked(
         monkeypatch, forks, run, 1)
-    steps = -(-max(depths) // width)
-    assert list(got) == list(want) == [k * width for k in range(steps)]
+    steps = -(-max(depths) // _CHUNK)
+    assert list(got) == list(want) == [k * _CHUNK for k in range(steps)]
     for start, out in got.items():
         assert (out is None) == (start >= depths[1])
         assert out is None or _same_bits(out, want[start])
         for r, row in enumerate([] if out is None else out):
-            stop = min(start + width, depths[r])
+            stop = min(start + _CHUNK, depths[r])
             assert _same_bits(row[:stop - start],
                               seqs[r].prefix(stop)[start:])
             assert np.isnan(row[stop - start:]).all()
