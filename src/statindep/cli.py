@@ -33,8 +33,8 @@ from .independence import FunctionBattery, NamedFunction, _multilinear, \
     default_battery, equivalence_harness
 from .reporting import FLOAT_FORMAT, _replacing, write_csv, write_json
 from .selection import DEFAULT_MIN_POOL, DEFAULT_TOL, DEFAULT_WINDOW, \
-    KAPPA_FAMILY, Extraction, _measurability, _pool_counts, helly_extract, \
-    kappa_family_builder, kappa_member
+    KAPPA_FAMILY, MIN_BASE_DEPTH, Extraction, _measurability, _pool_counts, \
+    helly_extract, kappa_family_builder, kappa_member
 from .sequences import BoundedSequence, Interval, MaterializedSequence, \
     _check_keys, _fail, _norm_float, _norm_int, \
     from_spec as sequence_from_spec, normalize_spec
@@ -261,6 +261,10 @@ def resolve_kappa_family(spec: dict, depth: int,
         return [SubsequenceIndex(np.asarray(kappa, dtype=np.int64),
                                  name="explicit")]
     window = tolerances["window"]
+    if kappa != "extract" and depth < MIN_BASE_DEPTH:
+        raise SpecError(
+            f"kappa {kappa!r} needs --depth >= {MIN_BASE_DEPTH}, got {depth}; "
+            f"raise --depth or supply explicit checkpoints")
     if kappa == "default":
         return kappa_family_builder(depth, seed=seed, last=window)
     if kappa in KAPPA_FAMILY:

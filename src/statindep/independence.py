@@ -221,13 +221,17 @@ def _multilinear(seqs: Sequence[BoundedSequence], funcs: Sequence[Sequence],
 
     The sequences are read in one walk of one block a step (see
     :func:`forkwalk.steps`), after :func:`_constant_runs` has scanned each
-    for its members' constant runs.  Each step's block sums are computed by
-    :func:`_compute_step`, in this process or a worker, into one array of
-    (row, schedule point) entries, and added here, every step in order,
-    into one array of running sums: a block into every point past its
-    start.  Nothing of length N is held.  The walk also feeds every tally,
-    and runs on past the schedule to the deepest checkpoint of the
-    tallies that count each sequence.
+    for its members' constant runs.  A candidate's digit at a schedule
+    point is 0 where it is constant there and 1 + its row among its
+    slot's varying members where it varies, and each step's block sums
+    fill one table indexed by digits (see :func:`_block_table`).  Every
+    (row, point) of a step, each slot's candidates and then each tuple in
+    C order, reads the entry at its digits, an index fixed here.  Each
+    step is computed by :func:`_compute_step`, in this process or a
+    worker, and added here, every step in order, into one array of running
+    sums: a block into every point past its start.  Nothing of length N is
+    held.  The walk also feeds every tally, and runs on past the schedule
+    to the deepest checkpoint of the tallies that count each sequence.
 
     Raises ValueError, naming the member and the sequence, when a
     member's mean at the last schedule point is NaN or infinite: it takes
@@ -235,35 +239,37 @@ def _multilinear(seqs: Sequence[BoundedSequence], funcs: Sequence[Sequence],
     """
     m, n_max, count = len(seqs), schedule[-1], len(schedule)
     ns = np.asarray(schedule, dtype=np.float64)
-    # Per slot: each candidate's constant run and first value, and the
-    # members that vary on the prefix with their block matrix, product
-    # buffer and rows ``sums`` of a step's output and of the running sums,
-    # which hold every slot's members and then every tuple in C order.
-    # Each step sets ``mat`` (members, length), its row sums ``rowsum``
-    # and the buffer view ``term``.
+    # Per slot: each candidate's first value, whether it is constant at
+    # each point and its digit there, the members that vary on the prefix
+    # with their block matrix, and its candidates' rows ``sums`` of a
+    # step's output and of the running sums.
     slots, first = [], 0
     for seq, column in zip(seqs, funcs):
         runs, firsts = _constant_runs(seq, column, n_max)
         varies = np.asarray(runs) < n_max
-        varying = int(np.sum(varies))
+        constant = ns <= np.asarray(runs)[:, None]
         slots.append(SimpleNamespace(
-            runs=runs, firsts=np.asarray(firsts)[:, None],
-            constant=ns <= np.asarray(runs)[:, None],
+            firsts=np.asarray(firsts)[:, None], constant=constant,
+            digits=np.where(constant, 0, np.cumsum(varies)[:, None]),
             members=[f for f, flag in zip(column, varies) if flag],
-            # a member constant on the whole prefix gets no row; the last
-            # slot masks what it reads there
-            rows=np.cumsum(varies) - 1,
-            matrix=np.empty((varying, _CHUNK)), buffer=np.empty(_CHUNK),
-            sums=slice(first, first + varying)))
-        first += varying
-    shape = tuple(len(column) for column in funcs)
-    # zeros: a (tuple, point) where every slot is constant is never
-    # written, nor read (its delta is the constants' product); they keep
-    # its running sum finite
-    out = np.zeros((first + math.prod(shape), count))
-    kernel = SimpleNamespace(slots=slots, schedule=schedule, out=out,
-                             block_sums=out[first:].reshape(shape + (count,)))
-    running = np.full(out.shape, -0.0)  # -0.0 + x is x for every x
+            matrix=np.empty((int(np.sum(varies)), _CHUNK)),
+            sums=slice(first, first + len(column))))
+        first += len(column)
+    # zeros: the all-zero entry (every slot constant) is never written,
+    # nor read below (its delta is the constants' product); it keeps the
+    # running sums that read it finite
+    table = np.zeros(tuple(len(slot.members) + 1 for slot in slots))
+    reads = [slot.digits * (stride // table.itemsize)
+             for slot, stride in zip(slots, table.strides)]
+    reads.append(functools.reduce(lambda left, right: left[..., None, :]
+                                  + right, reads).reshape(-1, count))
+    reads = np.concatenate(reads)
+    # a product buffer for each slot between the first and the last
+    buffers = [None] + [np.empty_like(slot.matrix) for slot in slots[1:-1]]
+    kernel = SimpleNamespace(slots=slots, schedule=schedule, table=table,
+                             reads=reads, out=np.zeros(reads.shape),
+                             buffers=buffers)
+    running = np.full(reads.shape, -0.0)  # -0.0 + x is x for every x
 
     # inf - inf in a sum is reported below, by member, not as a warning
     with np.errstate(invalid="ignore"), contextlib.closing(forkwalk.steps(
@@ -274,12 +280,11 @@ def _multilinear(seqs: Sequence[BoundedSequence], funcs: Sequence[Sequence],
                 lo = bisect.bisect_right(schedule, start)
                 running[:, lo:] += step[:, lo:]
 
+    shape = tuple(len(column) for column in funcs)
     joint = running[first:].reshape(shape + (count,)) / ns
     deltas = products = varied = None
     for i, (seq, column, slot) in enumerate(zip(seqs, funcs, slots)):
-        means = np.where(slot.constant, slot.firsts,
-                         running[slot.sums][slot.rows] / ns
-                         if slot.members else 0.0)
+        means = np.where(slot.constant, slot.firsts, running[slot.sums] / ns)
         for f, mean in zip(column, means[:, -1]):
             if not np.isfinite(mean):
                 raise ValueError(
@@ -287,7 +292,7 @@ def _multilinear(seqs: Sequence[BoundedSequence], funcs: Sequence[Sequence],
                     f"on {seq.label} within its first {n_max} terms")
         products = means if products is None \
             else products[..., None, :] * means
-        axes = (1,) * i + (len(slot.runs),) + (1,) * (m - 1 - i)
+        axes = (1,) * i + (len(column),) + (1,) * (m - 1 - i)
         constant = slot.constant.reshape(axes + (count,))
         factor = np.where(constant, slot.firsts.reshape(axes + (1,)),
                           joint if varied is None
@@ -302,67 +307,51 @@ def _compute_step(kernel, start: int, values: list) -> np.ndarray:
     ``values``: entry (row, p) is the block's sum for that row cut at
     schedule point p when the point lies inside the block, and whole when
     it lies past the block's end; entries for points at or before the
-    block's start are left as they were.  Every varying member is
-    evaluated on each cut of :func:`_block_cuts`, straight into its
-    slot's block matrix, its row sums are set, and :func:`_block_walk`
-    takes the block sums of every tuple."""
-    slots, schedule, out = kernel.slots, kernel.schedule, kernel.out
-    for length, lo, hi in _block_cuts(schedule, start):
+    block's start are left as they were.  On each cut of
+    :func:`_block_cuts`, every varying member is evaluated straight into
+    its slot's block matrix, the block table is filled and every row
+    reads its entry at each of the cut's points."""
+    slots, table, out = kernel.slots, kernel.table, kernel.out
+    for length, lo, hi in _block_cuts(kernel.schedule, start):
         for slot, v in zip(slots, values):
             x = v[:length]
             for r, f in enumerate(slot.members):
                 slot.matrix[r, :length] = f(x)  # a scalar is broadcast
-            slot.mat = slot.matrix[:, :length]
-            slot.rowsum = np.sum(slot.mat, axis=1)
-            out[slot.sums, lo:hi] = slot.rowsum[:, None]
-            slot.term = slot.buffer[:length]
-        _block_walk(slots, schedule, kernel.block_sums, 0, lo, hi, None,
-                    None, ())
+        mats = [slot.matrix[:, :length] for slot in slots]
+        for s, mat in enumerate(mats):  # one nonzero digit: a row sum
+            after = len(mats) - s - 1
+            table[(0,) * s + (slice(1, None),) + (0,) * after] = np.sum(
+                mat, axis=1)
+        _block_table(table, mats, kernel.buffers, (), None)
+        out[:, lo:hi] = table.ravel()[kernel.reads[:, lo:hi]]
     return out
 
 
-def _block_walk(slots, schedule, sums, level, lo, hi, term, last, index):
-    """Block sums of every tuple that extends ``index``, at schedule points
-    [lo, hi), into ``sums[tuple][lo:hi]`` (left at zero where no slot
-    varies).
+def _block_table(table, mats, buffers, prefix, term) -> None:
+    """Fill the entries of ``table`` whose digits are ``prefix`` (one
+    per slot before ``len(prefix)``, the last nonzero) and then at least
+    two nonzero digits.  ``term`` is the left-to-right product of the
+    prefix's rows, None when it is empty.
 
-    Depth-first over slots: ``term`` is the left-to-right product of the
-    varying slots chosen so far (None when none varies) and ``last`` the
-    block sum of the tuple prefix ``index`` itself, its last varying slot
-    contracted with the product of the ones before.  A slot's schedule
-    points split where its member's constant run ends.  Each level writes
-    its products into its own buffer, read only by deeper levels, and
-    contracts all of its members against ``term`` with one ``einsum``.
+    For each slot s after the prefix, ``term`` times each of its rows is
+    taken in one ``np.multiply`` into its buffer (its rows themselves when
+    the prefix is empty), and every later slot is contracted with all of
+    those products in one ``einsum``: the entries whose last two nonzero
+    digits are at s and that slot.  Each product row is then the ``term``
+    of a longer prefix.
     """
-    slot = slots[level]
-    if level == len(slots) - 1:
-        constant = slot.constant[:, lo:hi]
-        if not constant.all():
-            sums[index][:, lo:hi] = np.where(
-                constant, 0.0 if last is None else last,
-                (slot.rowsum if term is None else
-                 np.einsum("jn,n->j", slot.mat, term))[slot.rows][:, None])
-        elif last is not None:
-            sums[index][:, lo:hi] = last
-        return
-    contracted = None
-    for j, run in enumerate(slot.runs):
-        split = bisect.bisect_right(schedule, run, lo, hi)
-        if split > lo:
-            _block_walk(slots, schedule, sums, level + 1, lo, split, term,
-                        last, index + (j,))
-        if split == hi:
-            continue
-        row = slot.mat[slot.rows[j]]
-        if term is None:
-            sub_last, sub_term = slot.rowsum[slot.rows[j]], row
-        else:
-            if contracted is None:
-                contracted = np.einsum("jn,n->j", slot.mat, term)
-            sub_last = contracted[slot.rows[j]]
-            sub_term = np.multiply(term, row, out=slot.term)
-        _block_walk(slots, schedule, sums, level + 1, split, hi, sub_term,
-                    sub_last, index + (j,))
+    m = len(mats)
+    for s in range(len(prefix), m - 1):
+        group = mats[s] if term is None else np.multiply(
+            mats[s], term, out=buffers[s][:, :term.size])
+        head = prefix + (0,) * (s - len(prefix))
+        for t in range(s + 1, m):
+            table[head + (slice(1, None),) + (0,) * (t - s - 1)
+                  + (slice(1, None),) + (0,) * (m - t - 1)] \
+                = np.einsum("jn,pn->pj", mats[t], group)
+        if s < m - 2:
+            for p, row in enumerate(group):
+                _block_table(table, mats, buffers, head + (p + 1,), row)
 
 
 def _single_tuple(seqs: Sequence[BoundedSequence], funcs: Sequence,
@@ -507,21 +496,23 @@ def statind_test(seqs: Sequence[BoundedSequence], battery: FunctionBattery,
     as a block sequence's two levels) is known constant after the first
     chunk.  Then one walk reads the sequences one block a step: each
     member that varies is evaluated once per block (and once more for
-    each schedule point inside it), tuples are walked depth-first with one
-    elementwise product per tuple prefix short of the last slot, and the
-    last slot of every tuple prefix is contracted in one ``einsum``.
+    each schedule point inside it) into one block table of the sums of
+    products of varying members (see :func:`_block_table`), and every
+    (row, schedule point) of a step reads its entry of the table.
     When at least two CPUs are usable, no other thread is alive and the
     rest of the walk, projected from its first step, would take 0.1 s or
     more, one forked worker process computes every other step and pipes
-    its sums back, one fixed-shape (row, schedule point) array a step; this process adds every step's sums in step order, so no bit
+    its sums back, one fixed-shape (row, schedule point) array a step;
+    this process adds every step's sums in step order, so no bit
     depends on the worker, and kills and reaps it however the walk ends
-    (see :mod:`forkwalk`).  Memory: O(m*B*2^13 + B^m*S) for m sequences,
-    B members and S schedule points, independent of N: one block of
-    values, one block matrix and one product buffer per sequence, one
-    step's (row, point) sums and one running sum per (row, N), in
-    this process and again in the worker, which shares the rest of this
-    process's pages; this process holds one more step's sums, into which
-    the worker's are read.
+    (see :mod:`forkwalk`).  Memory: O(m*B*2^13 + (B+1)^m*S) for m
+    sequences, B members and S schedule points, independent of N: one
+    block of values, one block matrix and (but the first and last) one
+    product buffer per sequence, the table, one step's (row, point) sums,
+    their table indices and one running sum per (row, N), in this process
+    and again in the worker, which shares the rest of this process's
+    pages; this process holds one more step's sums, into which the
+    worker's are read.
     Every value equals :func:`delta_form`/:func:`product_form` at that N
     bit for bit: both are single-tuple calls of the same kernel.  A member
     that is NaN or infinite somewhere on a sequence's first N terms, at

@@ -32,6 +32,7 @@ DEFAULT_WINDOW = 5
 DEFAULT_MIN_POOL = 64
 # Member names of kappa_family_builder's family, in the order it returns them.
 KAPPA_FAMILY = ("naturals", "evens", "odds", "squares", "pow2", "thinned")
+MIN_BASE_DEPTH = 10 ** 3  # the shallowest base_depth of a family member
 # Coins the thinned member draws at a time (see _coin_thinned).
 _COIN_CHUNK = 1 << 16
 
@@ -321,7 +322,7 @@ def kappa_member(name: str, base_depth: int, seed: int = 0,
     Any seed >= 0 is taken, as ``default_rng`` takes it.
     """
     base_depth = _check_index(base_depth, "base_depth")
-    if base_depth < 10 ** 3:
+    if base_depth < MIN_BASE_DEPTH:
         raise ValueError(f"base_depth must be >= 1000, got {base_depth}")
     if base_depth >= 2 ** 63:
         raise ValueError(f"base_depth must be < 2^63, got {base_depth}")

@@ -652,7 +652,7 @@ def from_spec(obj, where: str = "sequence") -> BoundedSequence:
     ``obj`` is checked by :func:`normalize_spec`, a nested ``source`` spec is
     built first, and errors cite the JSON path: a constructor's ValueError
     or TypeError (its own :class:`SpecError` included) is cited at
-    ``<where>.params``.
+    ``<where>.params``, and an OSError (an unreadable file) at its ``path``.
     """
     spec = normalize_spec(obj, where)
     params = {key: from_spec(value, f"{where}.params.{key}")
@@ -663,6 +663,8 @@ def from_spec(obj, where: str = "sequence") -> BoundedSequence:
             **params, interval=Interval(*spec["interval"]))
     except (TypeError, ValueError) as exc:
         raise SpecError(f"{where}.params: {exc}") from None
+    except OSError as exc:  # only a file sequence reads anything
+        raise SpecError(f"{where}.params.path: {exc}") from None
 
 
 SEQUENCE_KINDS: dict[str, SequenceKind] = {

@@ -291,6 +291,19 @@ class TestSequenceRegistry:
         assert capsys.readouterr().err == \
             f"error: sequences[1].params: {message}\n"
 
+    @pytest.mark.parametrize("command", ["independence", "generate"])
+    def test_unreadable_file_names_its_path_field(self, tmp_path, capsys,
+                                                  command):
+        # the OSError reached the user as "[Errno 2] ...", naming no field
+        missing = {"kind": "file", "params": {"path": str(tmp_path / "none")}}
+        obj, where = ({"sequences": [KRON, missing]}, "sequences[1]") \
+            if command == "independence" else (missing, "sequence")
+        spec = write_spec(tmp_path, obj)
+        assert main([command, "--spec", spec, "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {where}.params.path: [Errno 2] ")
+        assert str(tmp_path / "none") in err
+
     @pytest.mark.parametrize("overrides, message", [
         ({"sequences": [{"kind": "kronecker", "params": {"alpha": "nan"}},
                         KRON]},
@@ -352,6 +365,18 @@ class TestFlags:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {flag}: ")
         assert not (tmp_path / "sequence_values.txt").exists()
+
+    @pytest.mark.parametrize("kappa", ["default", "pow2"])
+    def test_shallow_depth_names_the_flag(self, tmp_path, capsys, kappa):
+        # the family's own check reached the user as "base_depth must be
+        # >= 1000", naming no flag
+        spec = write_spec(tmp_path, {"sequences": [KRON, KRON],
+                                     "schedule": [10, 100], "kappa": kappa})
+        assert main(["independence", "--spec", spec, "--out", str(tmp_path),
+                     "--depth", "500"]) == 1
+        assert capsys.readouterr().err == (
+            f"error: kappa {kappa!r} needs --depth >= 1000, got 500; "
+            f"raise --depth or supply explicit checkpoints\n")
 
     def test_largest_seed_is_accepted(self, tmp_path, capsys):
         spec = write_spec(tmp_path, PERIODIC)

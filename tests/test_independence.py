@@ -874,13 +874,12 @@ def test_delta_within_blocked_summation_bound_of_exact(seqs, funcs, n):
 
 # -- memory of the schedule test ---------------------------------------------
 
-# about 13 rows of one block are live at the peak here (10 varying
-# members, the product buffers and a member's temporaries): 1.2 MB
+# about 13 rows of one block are live at the peak of a pair (10 varying
+# members, the sequences' chunks and a member's temporaries): 1.1 MB
 PEAK_LIMIT = 3 << 19  # 1.5 MiB
 
 
-def _statind_peak(n):
-    seqs = [make_block(0.0, 1.0, 2), KroneckerSequence("sqrt2-1")]
+def _statind_peak(seqs, n):
     tracemalloc.start()
     try:
         statind_test(seqs, default_battery(), [n // 16, n // 4, n], 0.01)
@@ -889,13 +888,45 @@ def _statind_peak(n):
         tracemalloc.stop()
 
 
-def test_statind_test_peak_memory_is_bounded():
+# the benchmark's schedule-quad sequences
+QUAD = (KroneckerSequence("sqrt2-1"), KroneckerSequence("sqrt3-1"),
+        KroneckerSequence("golden"), VanDerCorputSequence(3))
+
+
+@pytest.mark.parametrize("seqs, limit", [
+    ((make_block(0.0, 1.0, 2), KroneckerSequence("sqrt2-1")), PEAK_LIMIT),
+    # 20 varying members and the 10 product-buffer rows of slots 1 and 2,
+    # with the chunks and temporaries: about 3.1 MB
+    (QUAD, 7 << 19),  # 3.5 MiB
+], ids=["pair", "quad"])
+def test_statind_test_peak_memory_is_bounded(seqs, limit):
     # the kernel generates the values and holds block matrices and buffers
     # of one block, never a column or product of length N, so
     # its peak does not grow with N
-    small, large = _statind_peak(1 << 18), _statind_peak(1 << 20)
+    small = _statind_peak(seqs, 1 << 18)
+    large = _statind_peak(seqs, 1 << 20)
     assert large <= small + (64 << 10), (small, large)
-    assert large <= PEAK_LIMIT, large
+    assert large <= limit, large
+
+
+def test_one_einsum_per_group_and_later_slot(monkeypatch):
+    # one block of four sequences with three varying members each: the
+    # block table contracts each later slot with every product row of a
+    # slot at once, 6 + 3*3 + 9*1 + 3*1 calls, where one call per tuple
+    # prefix made 3 + 9 + 27
+    battery = FunctionBattery(tuple(default_battery().member(name)
+                                    for name in ("x", "x2", "cos2pix")))
+    calls = []
+    einsum = np.einsum
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return einsum(*args, **kwargs)
+
+    monkeypatch.setattr(forkwalk, "usable_cpus", lambda: [0])
+    monkeypatch.setattr(np, "einsum", counted)
+    statind_test(list(QUAD), battery, [BLOCK], 0.01)
+    assert len(calls) == 27
 
 
 def _harness_peak(n):
