@@ -11,7 +11,8 @@ Experiment descriptions are JSON files (see ``parse_experiment_spec``); all
 outputs are deterministic given the same spec, seed, and depth.  Exit codes:
 0 = completed with verdict agreement, 2 = completed but the two independence
 notions disagreed (a counterexample record is written), 1 = operational
-error (bad spec, unreadable file, failed extraction, usage mistake).
+error (bad spec, unreadable file, failed extraction, usage mistake), 141 =
+standard output closed by its reader (128 + SIGPIPE), all files written.
 """
 
 from __future__ import annotations
@@ -19,19 +20,20 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from pathlib import Path
 from typing import Callable
 
 import numpy as np
 
-from .distribution import StepCDF, cdf_eval, continuity_grid, empirical_cdf, \
+from .distribution import StepCDF, continuity_grid, empirical_cdf, \
     stieltjes, PiecewiseLinear
 from .density import sorted_unique
 from .errors import SpecError, StatIndepError
 from .independence import FunctionBattery, NamedFunction, _multilinear, \
     default_battery, equivalence_harness
-from .reporting import FLOAT_FORMAT, _replacing, write_csv, write_json
+from .reporting import _replacing, fmt_floats, write_csv, write_json
 from .selection import DEFAULT_MIN_POOL, DEFAULT_TOL, DEFAULT_WINDOW, \
     KAPPA_FAMILY, MIN_BASE_DEPTH, Extraction, _measurability, _pool_counts, \
     helly_extract, kappa_family_builder, kappa_member
@@ -305,13 +307,10 @@ def cmd_generate(args) -> int:
         basename = spec["outputs"]["basename"]
     n = args.depth
     path = _outdir(args) / f"{basename}_values.txt"
-    # a chunk at a time, each formatted in one call (fmt_float's bytes:
-    # every value is finite, as the range check let it through); a
-    # failure leaves no file
-    line = f"%{FLOAT_FORMAT}\n"
+    # a chunk at a time, each in one call; a failure leaves no file
     with _replacing(path) as fh:
         for chunk in seq.chunks(0, n):
-            fh.write((line * chunk.size) % tuple(chunk.tolist()))
+            fh.write(fmt_floats(chunk) + "\n")
     print(f"wrote {path} ({n} values of {seq.label})")
     return 0
 
@@ -329,24 +328,24 @@ def cmd_distribution(args) -> int:
     grid = resolve_grid(spec, seq.interval, cdfs=lambda: [deepest_cdf])
     means = _multilinear([seq], [battery.members], spec["schedule"])[1]
 
-    cdf_rows = []
-    weyl_rows = []
+    cdf_tables = []
+    weyl_tables = []
     for j, n in enumerate(spec["schedule"]):
         cdf = deepest_cdf if n == deepest \
             else StepCDF.from_values(values[:n], seq.interval)
-        for x in grid:
-            cdf_rows.append((int(n), float(x), cdf_eval(cdf, float(x))))
-        for member, mean in zip(battery, means[:, j].tolist()):
-            integral = stieltjes(member, cdf)
-            weyl_rows.append((int(n), member.name, mean, integral,
-                              abs(mean - integral)))
+        cdf_tables.append([np.full(len(grid), n), grid, cdf.eval(grid)])
+        integrals = np.array([stieltjes(member, cdf) for member in battery])
+        weyl_tables.append([np.full(len(battery), n), battery.names,
+                            means[:, j], integrals,
+                            np.abs(means[:, j] - integrals)])
 
     out = _outdir(args)
     base = spec["outputs"]["basename"]
     write_json(out / f"{base}_cdf.json", deepest_cdf.to_json_obj())
-    write_csv(out / f"{base}_cdf.csv", ["N", "x", "F"], cdf_rows)
+    write_csv(out / f"{base}_cdf.csv", ["N", "x", "F"], *cdf_tables)
     write_csv(out / f"{base}_weyl.csv",
-              ["N", "function", "mean", "stieltjes", "abs_diff"], weyl_rows)
+              ["N", "function", "mean", "stieltjes", "abs_diff"],
+              *weyl_tables)
     print(f"wrote {base}_cdf.json, {base}_cdf.csv, {base}_weyl.csv in {out}")
     return 0
 
@@ -375,16 +374,11 @@ def cmd_independence(args) -> int:
     write_json(out / f"{base}_report.json", report.to_json_obj())
     write_csv(out / f"{base}_gaps.csv",
               ["N", "tuple label", "delta", "product", "gap"],
-              report.statind.gap_rows())
-    m = len(seqs)
-    corner_cols = [f"corner_{i + 1}" for i in range(m)]
-    rect_rows = []
-    for outcome in report.outcomes:
-        if outcome.report is not None:
-            rect_rows.extend(outcome.report.rows())
+              report.statind.gap_columns())
+    corner_cols = [f"corner_{i + 1}" for i in range(len(seqs))]
     write_csv(out / f"{base}_rectangles.csv",
               ["kappa", *corner_cols, "density", "product", "residual"],
-              rect_rows)
+              *[o.report.columns() for o in report.outcomes if o.tested])
 
     print(f"statind verdict: {report.statind.verdict} "
           f"(max terminal |gap| = {report.statind.max_terminal_gap:.3g})")
@@ -472,14 +466,18 @@ def main(argv=None) -> int:
         # argparse exits 2 on usage errors; 2 is reserved for disagreement.
         return 0 if exc.code in (0, None) else 1
     try:
-        _norm_int(args.depth, "--depth", 1)
+        if _norm_int(args.depth, "--depth", 1) >= 2 ** 63:
+            _fail("--depth", f"must be < 2^63, got {args.depth}")
         if args.seed is not None:
             _norm_seed(args.seed, "--seed")
-        return args.func(args)
-    except StatIndepError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (OSError, ValueError) as exc:
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # stdout's reader stopped early: exit as SIGPIPE would (128 + 13)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
+    except (StatIndepError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -95,8 +95,8 @@ class StepCDF:
         return self.jump_points[self.masses > threshold]
 
     def to_json_obj(self) -> dict:
-        return {"points": [float(p) for p in self.jump_points],
-                "masses": [float(m) for m in self.masses]}
+        """For :func:`reporting.canonical_json`; vectors are arrays."""
+        return {"points": self.jump_points, "masses": self.masses}
 
     def __repr__(self) -> str:
         return (f"StepCDF({self.jump_points.size} jumps on "

@@ -389,12 +389,13 @@ class TupleTrace:
         return self.deltas - self.products
 
     def to_json_obj(self) -> dict:
+        """For :func:`reporting.canonical_json`; vectors are arrays."""
         return {
             "label": self.label,
             "functions": list(self.function_names),
-            "delta": [float(v) for v in self.deltas],
-            "product": [float(v) for v in self.products],
-            "gap": [float(v) for v in self.gaps],
+            "delta": self.deltas,
+            "product": self.products,
+            "gap": self.gaps,
         }
 
 
@@ -414,17 +415,17 @@ class IndependenceReport:
     max_terminal_gap: float
     battery_names: tuple[str, ...]
 
-    def gap_rows(self) -> list[tuple]:
-        """Rows (N, tuple label, delta, product, gap) in canonical order."""
-        rows = []
-        for trace in self.traces:
-            gaps = trace.gaps
-            for j, n in enumerate(self.schedule):
-                rows.append((n, trace.label, float(trace.deltas[j]),
-                             float(trace.products[j]), float(gaps[j])))
-        return rows
+    def gap_columns(self) -> list[np.ndarray]:
+        """Columns N, tuple label, delta, product and gap for
+        :func:`reporting.write_csv`, a row per trace and schedule point."""
+        deltas = np.stack([t.deltas for t in self.traces]).ravel()
+        products = np.stack([t.products for t in self.traces]).ravel()
+        return [np.tile(self.schedule, len(self.traces)),
+                np.repeat([t.label for t in self.traces], len(self.schedule)),
+                deltas, products, deltas - products]
 
     def to_json_obj(self) -> dict:
+        """For :func:`reporting.canonical_json`; vectors are arrays."""
         return {
             "schedule": list(self.schedule),
             "battery": list(self.battery_names),
@@ -548,7 +549,7 @@ class RectangleReport:
 
     kappa_label: str
     depth_checkpoint: int
-    corners: list[tuple[float, ...]]
+    corners: np.ndarray  # (G^m, m), rows in itertools.product order
     densities: np.ndarray
     products: np.ndarray
     tol: float
@@ -562,24 +563,24 @@ class RectangleReport:
     def max_abs_residual(self) -> float:
         return float(np.max(np.abs(self.residuals)))
 
-    def rows(self) -> list[tuple]:
-        """Rows (kappa, corners..., density, product, residual)."""
-        columns = zip(self.corners, self.densities.tolist(),
-                      self.products.tolist(), self.residuals.tolist())
-        return [(self.kappa_label, *map(float, corner), density, product,
-                 residual) for corner, density, product, residual in columns]
+    def columns(self) -> list[np.ndarray]:
+        """Columns kappa, corner_1..corner_m, density, product and residual,
+        a row per corner, for :func:`reporting.write_csv`."""
+        return [np.broadcast_to(self.kappa_label, len(self.corners)),
+                *self.corners.T, self.densities, self.products, self.residuals]
 
     def to_json_obj(self) -> dict:
+        """For :func:`reporting.canonical_json`; vectors are arrays."""
         return {
             "kappa": self.kappa_label,
             "depth_checkpoint": self.depth_checkpoint,
             "tol": self.tol,
             "verdict": self.verdict,
             "max_abs_residual": self.max_abs_residual,
-            "corners": [list(map(float, c)) for c in self.corners],
-            "density": [float(v) for v in self.densities],
-            "product": [float(v) for v in self.products],
-            "residual": [float(v) for v in self.residuals],
+            "corners": self.corners,
+            "density": self.densities,
+            "product": self.products,
+            "residual": self.residuals,
         }
 
 
@@ -661,7 +662,8 @@ def _rectangle_test(seqs: Sequence[BoundedSequence], kappa: SubsequenceIndex,
         products = np.multiply.outer(products, cdf)
     products = products.ravel()
 
-    corners = list(itertools.product([float(x) for x in grid], repeat=m))
+    corners = np.stack(np.meshgrid(*[grid] * m, indexing="ij"),
+                       axis=-1).reshape(-1, m)
     residuals = densities - products
     verdict = "independent" if float(np.max(np.abs(residuals))) <= tol \
         else "dependent"
@@ -680,6 +682,7 @@ class KappaOutcome:
     report: RectangleReport | None
 
     def to_json_obj(self) -> dict:
+        """For :func:`reporting.canonical_json`; vectors are arrays."""
         obj = {"kappa": self.kappa_label, "tested": self.tested}
         if self.skip_reason is not None:
             obj["skip_reason"] = self.skip_reason
@@ -703,6 +706,7 @@ class EquivalenceReport:
     counterexample: dict | None
 
     def to_json_obj(self) -> dict:
+        """For :func:`reporting.canonical_json`; vectors are arrays."""
         return {
             "statind": self.statind.to_json_obj(),
             "kappa_outcomes": [o.to_json_obj() for o in self.outcomes],

@@ -1,46 +1,47 @@
 """Deterministic report emitters.
 
 Identical inputs must produce byte-identical files, so floats are always
-rendered with 17 significant digits (enough to round-trip IEEE doubles),
-the decimal separator is '.', and line endings are '\\n' regardless of
-platform.  The JSON writer below is a small recursive serializer rather
-than json.dumps because the float format has to be pinned.
+rendered by :func:`fmt_floats`, a run in one ``%`` call, with 17
+significant digits (enough to round-trip IEEE doubles) and '.' as the
+decimal separator, and line endings are '\\n' regardless of platform.  The
+JSON writer is a small recursive serializer rather than json.dumps because
+the float format has to be pinned; ``to_json_obj`` hands it numpy arrays.
 
 Both serializers emit their text as pieces and hand them to a sink
-(``write`` of a file or of an ``io.StringIO``) ``_BATCH`` pieces at a
-time.  So besides the document being written, a writer holds at most one
-batch of text: :func:`write_json` and :func:`write_csv` stream to disk in
-memory that does not grow with the report, and :func:`canonical_json` and
-:func:`csv_text` are the same emitters run into a string.  A file writer
-writes a sibling temporary file and renames it onto the path only when
-the whole report was written, so a failed write leaves no partial file and
-any file already at the path unchanged.
+(``write`` of a file or of an ``io.StringIO``) ``_BATCH`` pieces, or
+``_BATCH`` array values, at a time.  So besides the document being
+written, a writer holds about one batch of text: :func:`write_json` and
+:func:`write_csv` stream to disk in memory that does not grow with the
+report, and :func:`canonical_json` and :func:`csv_text` are the same
+emitters run into a string.  A file writer writes a sibling temporary
+file and renames it onto the path only when the whole report was
+written, so a failed write leaves no partial file and any file already
+at the path unchanged.
 """
 
 from __future__ import annotations
 
 import io
 import json
-import math
 import os
 from contextlib import contextmanager
 from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
-FLOAT_FORMAT = ".17g"
-
 # Pieces of text an emitter holds before it writes them to its sink; a JSON
-# piece is at most one scalar, one key or one line's indentation.
+# piece is one scalar, key or indentation, or a slice of _BATCH array values.
 _BATCH = 1 << 12
 
 
-def fmt_float(x: float) -> str:
-    """Pinned float rendering: 17 significant digits, '.' separator."""
-    x = float(x)
-    if math.isnan(x) or math.isinf(x):
-        raise ValueError(f"cannot serialize non-finite value {x!r}")
-    return format(x, FLOAT_FORMAT)
+def fmt_floats(values) -> str:
+    """The pinned text of a 1-d run of floats, one a line with no final
+    newline, in one ``%`` call; ValueError names the first non-finite value."""
+    values = np.asarray(values, dtype=np.float64)
+    bad = values[~np.isfinite(values)]
+    if bad.size:
+        raise ValueError(f"cannot serialize non-finite value {float(bad[0])!r}")
+    return ("%.17g\n" * values.size)[:-1] % tuple(values.tolist())
 
 
 def _spill(out: list, write: Callable[[str], object]) -> None:
@@ -61,13 +62,12 @@ def _emit(obj, indent: int, out: list, write: Callable[[str], object]) -> None:
     elif isinstance(obj, (int, np.integer)):
         out.append(str(int(obj)))
     elif isinstance(obj, (float, np.floating)):
-        out.append(fmt_float(obj))
+        out.append(fmt_floats([obj]))
     elif isinstance(obj, str):
         out.append(json.dumps(obj, ensure_ascii=True))
+    elif isinstance(obj, (dict, list, tuple, np.ndarray)) and not len(obj):
+        out.append("{}" if isinstance(obj, dict) else "[]")
     elif isinstance(obj, dict):
-        if not obj:
-            out.append("{}")
-            return
         out.append("{\n")
         for i, (key, value) in enumerate(obj.items()):
             if not isinstance(key, str):
@@ -78,10 +78,18 @@ def _emit(obj, indent: int, out: list, write: Callable[[str], object]) -> None:
             if len(out) >= _BATCH:
                 _spill(out, write)
         out.append(pad + "}")
-    elif isinstance(obj, (list, tuple)):
-        if not obj:
-            out.append("[]")
-            return
+    elif isinstance(obj, np.ndarray) and obj.ndim == 1 \
+            and obj.dtype.kind in "iuf":
+        item = ",\n" + pad + "  "
+        out.append("[\n" + pad + "  ")
+        for lo in range(0, obj.size, _BATCH):
+            if lo:
+                out.append(item)
+            out.append(item.join(_cells(obj[lo:lo + _BATCH])))
+            _spill(out, write)
+        out.append("\n" + pad + "]")
+    elif isinstance(obj, (list, tuple)) \
+            or isinstance(obj, np.ndarray) and obj.ndim > 1:
         out.append("[\n")
         for i, value in enumerate(obj):
             out.append(pad + "  ")
@@ -107,24 +115,27 @@ def _quote(field: str) -> str:
     return field
 
 
-def _cell(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return fmt_float(value)
-    return str(value)
+def _cells(column: np.ndarray) -> list[str]:
+    """The text of each value of a 1-d float, int or (CSV-quoted) str array."""
+    if column.dtype.kind == "f":
+        return fmt_floats(column).split("\n")
+    return list(map(_quote if column.dtype.kind == "U" else str,
+                    column.tolist()))
 
 
-def _dump_csv(header: Sequence[str], rows: Iterable[Sequence],
+def _dump_csv(header: Sequence[str], tables: Iterable[Sequence],
               write: Callable[[str], object]) -> None:
-    out = [",".join(_quote(h) for h in header) + "\n"]
-    for row in rows:
-        out.append(",".join(_quote(_cell(v)) for v in row) + "\n")
-        if len(out) >= _BATCH:
-            _spill(out, write)
-    _spill(out, write)
+    write(",".join(map(_quote, header)) + "\n")
+    for table in tables:
+        columns = [np.asarray(c) for c in table]
+        if any(c.ndim != 1 or c.dtype.kind not in "iufU" for c in columns):
+            raise TypeError("CSV columns must be 1-d float, int or str arrays")
+        if len({len(c) for c in columns}) > 1:
+            raise ValueError("CSV columns of one table differ in length")
+        step = max(1, _BATCH // max(len(columns), 1))  # rows of _BATCH cells
+        for lo in range(0, len(columns[0]) if columns else 0, step):
+            cells = [_cells(c[lo:lo + step]) for c in columns]
+            write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
 @contextmanager
@@ -158,15 +169,16 @@ def write_json(path, obj) -> None:
         _dump_json(obj, fh.write)
 
 
-def csv_text(header: Sequence[str], rows: Iterable[Sequence]) -> str:
-    """CSV with minimal quoting: fields containing ',', '\"', or newlines
-    are double-quoted with embedded quotes doubled."""
+def csv_text(header: Sequence[str], *tables: Sequence) -> str:
+    """CSV of ``tables``, each a list of equal-length columns that
+    ``np.asarray`` makes 1-d float, int or str arrays (else TypeError), with
+    fields containing ',', '\"' or newlines double-quoted, quotes doubled."""
     buf = io.StringIO()
-    _dump_csv(header, rows, buf.write)
+    _dump_csv(header, tables, buf.write)
     return buf.getvalue()
 
 
-def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    """Write ``csv_text(header, rows)`` to ``path``, streamed in batches."""
+def write_csv(path, header: Sequence[str], *tables: Sequence) -> None:
+    """Write ``csv_text(header, *tables)`` to ``path``, streamed in batches."""
     with _replacing(path) as fh:
-        _dump_csv(header, rows, fh.write)
+        _dump_csv(header, tables, fh.write)

@@ -68,14 +68,15 @@ class MeasurabilityReport:
         return empirical_cdf(self.sequence, self.kappa)
 
     def to_json_obj(self) -> dict:
+        """For :func:`reporting.canonical_json`; vectors are arrays."""
         return {
             "sequence": self.sequence_label,
             "kappa": self.kappa_label,
             "tol": self.tol,
             "window": self.window,
             "measurable": self.measurable,
-            "grid": [float(x) for x in self.grid],
-            "oscillation": [float(v) for v in self.oscillations],
+            "grid": self.grid,
+            "oscillation": self.oscillations,
             "cdf_at_deepest": [t.value for t in self.traces],
             "limit_cdf": self.limit_cdf.to_json_obj(),
         }

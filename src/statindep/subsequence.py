@@ -98,7 +98,8 @@ class SubsequenceIndex:
                                 name=self.name)
 
     def to_json_obj(self) -> dict:
-        obj: dict = {"checkpoints": [int(k) for k in self.checkpoints]}
+        """For :func:`reporting.canonical_json`; vectors are arrays."""
+        obj: dict = {"checkpoints": self.checkpoints}
         if self.rule is not None:
             obj["rule"] = self.rule
         if self.name is not None:

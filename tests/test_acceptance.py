@@ -162,8 +162,7 @@ def test_c4_disagreement_detector(tmp_path):
     rect = kappa_independence_test([v, w], naturals, np.array([0.5]), tol=0.02)
     if rect.verdict != "dependent":
         failures.append(f"rectangle verdict {rect.verdict!r}")
-    row = rect.rows()[0]
-    residual = row[-1]
+    residual = rect.columns()[-1][0]
     if not abs(residual - (-0.25)) <= 0.02:
         failures.append(f"residual at (0.5, 0.5) was {residual}")
 

@@ -39,7 +39,7 @@ from statindep.cli import (
     main,
     parse_experiment_spec,
 )
-from statindep.reporting import canonical_json, csv_text, fmt_float
+from statindep.reporting import canonical_json, csv_text, fmt_floats
 from statindep.selection import DEFAULT_MIN_POOL, DEFAULT_TOL, DEFAULT_WINDOW, \
     KAPPA_FAMILY
 from statindep.sequences import SEQUENCE_KINDS, normalize_spec
@@ -378,6 +378,21 @@ class TestFlags:
             f"error: kappa {kappa!r} needs --depth >= 1000, got 500; "
             f"raise --depth or supply explicit checkpoints\n")
 
+    @pytest.mark.parametrize("command, kappa", [
+        ("independence", "default"), ("independence", "pow2"),
+        ("extract", "extract")])
+    def test_depth_past_int64_names_the_flag(self, tmp_path, capsys, command,
+                                             kappa):
+        # a family's own check reached the user as "base_depth must be <
+        # 2^63", and extract's pool as a RuntimeWarning
+        spec = write_spec(tmp_path, {"sequences": [KRON, KRON],
+                                     "schedule": [10, 100], "kappa": kappa})
+        assert main([command, "--spec", spec, "--out", str(tmp_path),
+                     "--depth", str(2 ** 63)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: --depth: must be < 2^63, got {2 ** 63}\n")
+        assert os.listdir(tmp_path) == ["spec.json"]
+
     def test_largest_seed_is_accepted(self, tmp_path, capsys):
         spec = write_spec(tmp_path, PERIODIC)
         assert main(["generate", "--spec", spec, "--out", str(tmp_path),
@@ -407,7 +422,7 @@ class TestGenerate:
         assert np.array_equal(reloaded.prefix(200), direct)
 
     def test_edge_values_keep_their_bytes(self, tmp_path):
-        # each chunk is formatted in one call, with fmt_float's bytes
+        # each chunk is formatted in one call, with format()'s bytes
         values = [-0.0, 5e-324, 1e-300, 0.1, 0.0, 1.0, 1 / 3, 2.0 ** -1074,
                   0.30000000000000004, 1 - 2.0 ** -53]
         path = tmp_path / "values.txt"
@@ -416,7 +431,7 @@ class TestGenerate:
                                      "params": {"path": str(path)}})
         assert main(["generate", "--spec", spec, "--out", str(tmp_path),
                      "--depth", str(len(values))]) == 0
-        want = "".join(fmt_float(v) + "\n" for v in values)
+        want = "".join(format(v, ".17g") + "\n" for v in values)
         assert want.startswith("-0\n4.9406564584124654e-324\n1e-300\n"
                                "0.10000000000000001\n")
         assert (tmp_path / "sequence_values.txt").read_text() == want
@@ -435,14 +450,14 @@ class TestGenerate:
         if kind == "file":
             path = tmp_path / "values.txt"
             path.write_text("".join(
-                fmt_float(v) + "\n"
+                format(v, ".17g") + "\n"
                 for v in np.random.default_rng(2).random(n + 9).tolist()))
             obj = {"kind": "file", "params": {"path": str(path)}}
         spec = write_spec(tmp_path, obj)
         assert main(["generate", "--spec", spec, "--out", str(tmp_path),
                      "--depth", str(n)]) == 0
         values = from_spec(obj).prefix(n)
-        want = "".join(fmt_float(float(v)) + "\n" for v in values)
+        want = "".join(format(float(v), ".17g") + "\n" for v in values)
         assert (tmp_path / "sequence_values.txt").read_text() == want
 
     @pytest.mark.skipif(not os.path.exists("/proc/self/status"),
@@ -515,7 +530,7 @@ class TestDistribution:
         for row in rows:
             n, name, mean = row.split(",")[:3]
             want = product_form([seq], [battery.member(name)], int(n))
-            assert float(mean) == want and fmt_float(want) == mean, row
+            assert float(mean) == want and fmt_floats([want]) == mean, row
 
     def test_count_grid(self, tmp_path):
         spec = write_spec(tmp_path, {
@@ -564,9 +579,10 @@ class TestDistribution:
         assert (tmp_path / "d_cdf.json").read_text() == \
             canonical_json(deepest.to_json_obj())
         assert (tmp_path / "d_cdf.csv").read_text() == \
-            csv_text(["N", "x", "F"], cdf_rows)
+            csv_text(["N", "x", "F"], list(zip(*cdf_rows)))
         assert (tmp_path / "d_weyl.csv").read_text() == csv_text(
-            ["N", "function", "mean", "stieltjes", "abs_diff"], weyl_rows)
+            ["N", "function", "mean", "stieltjes", "abs_diff"],
+            list(zip(*weyl_rows)))
 
 
     def test_each_index_generated_once(self, tmp_path, monkeypatch):
@@ -688,12 +704,11 @@ class TestIndependence:
             canonical_json(report.to_json_obj())
         assert (tmp_path / "s_gaps.csv").read_text() == csv_text(
             ["N", "tuple label", "delta", "product", "gap"],
-            report.statind.gap_rows())
-        rows = [row for o in report.outcomes if o.tested
-                for row in o.report.rows()]
+            report.statind.gap_columns())
         assert (tmp_path / "s_rectangles.csv").read_text() == csv_text(
             ["kappa", "corner_1", "corner_2", "density", "product",
-             "residual"], rows)
+             "residual"],
+            *[o.report.columns() for o in report.outcomes if o.tested])
 
     def test_count_grid_placed_per_kappa(self, tmp_path, capsys):
         spec = self.spec_pair(tmp_path, schedule=[100, 1000, 4000], grid=5)
@@ -853,6 +868,26 @@ def test_no_command_imports_numpy_ma_or_random(tmp_path, command, spec):
 
 
 class TestExitCodes:
+    @pytest.mark.parametrize("unbuffered", ["1", ""],
+                             ids=["unbuffered", "buffered"])
+    def test_closed_stdout_is_not_a_failed_run(self, tmp_path, unbuffered):
+        # a reader that stopped early: the file is written, nothing reaches
+        # stderr, and the exit status is SIGPIPE's 128 + 13
+        spec = write_spec(tmp_path, PERIODIC)
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            out = subprocess.run(
+                [sys.executable, "-m", "statindep.cli", "generate", "--spec",
+                 spec, "--out", str(tmp_path), "--depth", "10"],
+                stdout=write, stderr=subprocess.PIPE, text=True,
+                env=dict(os.environ, PYTHONPATH=SRC,
+                         PYTHONUNBUFFERED=unbuffered))
+        finally:
+            os.close(write)
+        assert (out.returncode, out.stderr) == (141, "")
+        assert (tmp_path / "sequence_values.txt").read_text() == "0.5\n0\n" * 5
+
     def test_usage_error_is_one_not_two(self, capsys):
         assert main(["independence"]) == 1  # missing --spec
         assert main(["no-such-command"]) == 1

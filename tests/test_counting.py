@@ -118,7 +118,7 @@ def test_rectangle_densities_match_per_n_loop(seqs, grid, kappa):
     cdfs = [empirical_cdf(s, kappa) for s in seqs]
     corners = list(itertools.product([float(x) for x in grid],
                                      repeat=len(seqs)))
-    assert rep.corners == corners
+    assert [tuple(c) for c in rep.corners.tolist()] == corners
     for i, corner in enumerate(corners):
         count = sum(1 for n in range(depth)
                     if all(v[n] < x for v, x in zip(values, corner)))

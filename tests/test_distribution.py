@@ -71,7 +71,9 @@ class TestStepCDF:
 
     def test_json_shape(self):
         F = StepCDF(np.array([0.3]), np.array([1.0]), UNIT)
-        assert F.to_json_obj() == {"points": [0.3], "masses": [1.0]}
+        obj = F.to_json_obj()
+        assert {k: v.tolist() for k, v in obj.items()} == {"points": [0.3],
+                                                          "masses": [1.0]}
 
 
 class TestEmpiricalCDF:

@@ -187,14 +187,15 @@ class TestStatind:
         assert labels == sorted(labels)
         assert len(labels) == len(default_battery()) ** 2
 
-    def test_gap_rows_shape(self):
+    def test_gap_columns_shape(self):
         v1 = KroneckerSequence("sqrt2-1")
         battery = FunctionBattery((NamedFunction("x", IDENT),))
         rep = statind_test([v1], battery, [10, 20], 0.1)
-        rows = rep.gap_rows()
-        assert [(r[0], r[1]) for r in rows] == [(10, "x"), (20, "x")]
-        for r in rows:
-            assert r[4] == pytest.approx(r[2] - r[3], abs=0)
+        ns, labels, deltas, products, gaps = rep.gap_columns()
+        assert list(zip(ns.tolist(), labels.tolist())) == [(10, "x"),
+                                                           (20, "x")]
+        assert np.array_equal(gaps, deltas - products)
+        assert np.array_equal(deltas, rep.traces[0].deltas)
 
 
 class TestKappaIndependence:
@@ -223,7 +224,7 @@ class TestKappaIndependence:
         rep = kappa_independence_test([v, w], kappa,
                                       np.array([0.25, 0.5, 0.75]), 0.02)
         assert rep.verdict == "dependent"
-        i = rep.corners.index((0.5, 0.5))
+        i = rep.corners.tolist().index([0.5, 0.5])
         assert rep.residuals[i] == pytest.approx(-0.25, abs=0.02)
 
     def test_density_column_matches_rectangle_count(self):
@@ -236,8 +237,8 @@ class TestKappaIndependence:
             c = brute_rectangle_count([v1, v2], corner, kappa.deepest)
             assert density == c / kappa.deepest
 
-    def test_rows_take_the_residuals_once(self, monkeypatch):
-        # one subtraction per rows() call, not one per corner
+    def test_columns_take_the_residuals_once(self, monkeypatch):
+        # one subtraction per columns() call, not one per corner
         rep = kappa_independence_test(
             [KroneckerSequence("sqrt2-1"), KroneckerSequence("sqrt3-1")],
             naturals(2048, 64), np.array([0.3, 0.6]), 0.05)
@@ -250,13 +251,14 @@ class TestKappaIndependence:
 
         monkeypatch.setattr(independence.RectangleReport, "residuals",
                             property(residuals))
-        rows = rep.rows()
+        columns = rep.columns()
         assert taken == [rep]
+        rows = list(zip(*[c.tolist() for c in columns]))
         assert rows == [(rep.kappa_label, *corner, density, product,
                          density - product)
                         for corner, density, product in zip(
-                            rep.corners, rep.densities.tolist(),
-                            rep.products.tolist())]
+                            itertools.product([0.3, 0.6], repeat=2),
+                            rep.densities.tolist(), rep.products.tolist())]
 
     def test_five_sequences_need_one_joint_row(self, monkeypatch):
         # measurability reads each sequence's own counts at the window's
@@ -431,7 +433,8 @@ class TestEquivalenceHarness:
             if outcome.tested:
                 want = kappa_independence_test(seqs, kappa, grid, 0.04,
                                                window=4)
-                assert outcome.report.to_json_obj() == want.to_json_obj()
+                assert canonical_json(outcome.report.to_json_obj()) == \
+                    canonical_json(want.to_json_obj())
             else:
                 with pytest.raises(MeasurabilityError):
                     kappa_independence_test(seqs, kappa, grid, 0.04,
@@ -1090,13 +1093,13 @@ def test_harness_reads_only_the_last_window_of_each_index(grid):
         rep = equivalence_harness(seqs, default_battery(), family,
                                   [100, 1000, depth], 0.02, grid=grid,
                                   window=window)
-        rows = [row for o in rep.outcomes if o.tested
-                for row in o.report.rows()]
         return (canonical_json(rep.to_json_obj()),
                 csv_text(["N", "tuple label", "delta", "product", "gap"],
-                         rep.statind.gap_rows()),
+                         rep.statind.gap_columns()),
                 csv_text(["kappa", "corner_1", "corner_2", "density",
-                          "product", "residual"], rows))
+                          "product", "residual"],
+                         *[o.report.columns() for o in rep.outcomes
+                           if o.tested]))
 
     want = texts(kappa_family_builder(depth))
     assert texts(kappa_family_builder(depth, last=window)) == want

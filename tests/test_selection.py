@@ -26,6 +26,7 @@ from statindep import (
     make_block,
     selection,
 )
+from statindep.reporting import canonical_json
 from statindep.selection import KAPPA_FAMILY
 
 DECILES = np.linspace(0.1, 0.9, 9)
@@ -91,7 +92,8 @@ class TestDetectMeasurable:
         assert np.array_equal(rep.limit_cdf.jump_points, want.jump_points)
         assert np.array_equal(rep.limit_cdf.masses, want.masses)
         obj = rep.to_json_obj()
-        assert obj["limit_cdf"] == want.to_json_obj()
+        assert canonical_json(obj["limit_cdf"]) == \
+            canonical_json(want.to_json_obj())
         assert (obj["sequence"], obj["kappa"]) == (seq.label, kappa.label)
 
 

@@ -511,7 +511,7 @@ class TestSubsequenceIndex:
         assert kappa.deepest == 9
         assert list(kappa) == [1, 4, 9]
         assert kappa.label == "sq"
-        assert kappa.to_json_obj()["checkpoints"] == [1, 4, 9]
+        assert kappa.to_json_obj()["checkpoints"].tolist() == [1, 4, 9]
 
     def test_take_and_equality(self):
         kappa = SubsequenceIndex([2, 4, 8, 16])
