@@ -62,7 +62,6 @@ from .independence import (
     KappaOutcome,
     NamedFunction,
     RectangleReport,
-    TupleTrace,
     default_battery,
     delta_form,
     equivalence_harness,
@@ -93,7 +92,7 @@ __all__ = [
     "PiecewiseLinear", "RangeViolation", "RectangleReport",
     "SequenceExhausted", "SequenceFileError", "SpecError", "StatIndepError",
     "StepCDF", "StepEnvelope", "StepFunction", "SubsequenceIndex",
-    "TupleTrace", "UNIT", "VanDerCorputSequence", "cdf_eval",
+    "UNIT", "VanDerCorputSequence", "cdf_eval",
     "continuity_grid", "default_battery", "delta_form", "detect_measurable",
     "empirical_cdf", "equivalence_harness", "from_spec", "helly_extract",
     "indicator_below", "kappa_family_builder", "kappa_independence_test",

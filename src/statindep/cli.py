@@ -32,7 +32,7 @@ from .distribution import StepCDF, continuity_grid, empirical_cdf, \
 from .density import sorted_unique
 from .errors import SpecError, StatIndepError
 from .independence import FunctionBattery, NamedFunction, _multilinear, \
-    default_battery, equivalence_harness
+    check_member_name, default_battery, equivalence_harness
 from .reporting import _replacing, fmt_floats, write_csv, write_json
 from .selection import DEFAULT_MIN_POOL, DEFAULT_TOL, DEFAULT_WINDOW, \
     KAPPA_FAMILY, MIN_BASE_DEPTH, Extraction, _measurability, _pool_counts, \
@@ -76,6 +76,10 @@ def _norm_battery_entry(entry, path: str):
     name = entry.get("name")
     if not isinstance(name, str) or not name:
         _fail(f"{path}.name", "expected a nonempty string")
+    try:
+        check_member_name(name)
+    except ValueError as err:
+        _fail(f"{path}.name", str(err))
     knots = _norm_increasing(entry.get("knots"), f"{path}.knots", _norm_finite)
     values = entry.get("values")
     if not isinstance(values, (list, tuple)) or len(values) != len(knots):
@@ -114,6 +118,14 @@ def parse_experiment_spec(obj) -> dict:
         _fail("battery", "expected a nonempty array")
     battery = [_norm_battery_entry(e, f"battery[{i}]")
                for i, e in enumerate(raw_battery)]
+    first = {}
+    for i, entry in enumerate(battery):
+        name = entry if isinstance(entry, str) else entry["name"]
+        if first.setdefault(name, i) != i:
+            _fail(f"battery[{i}]" if isinstance(entry, str)
+                  else f"battery[{i}].name",
+                  f"battery names must be unique, {name!r} is also "
+                  f"battery[{first[name]}]")
 
     schedule = _norm_increasing(obj.get("schedule", list(DEFAULT_SCHEDULE)),
                                 "schedule", lambda v, p: _norm_int(v, p, 1))

@@ -54,6 +54,18 @@ class NamedFunction:
         return self.fn(x)
 
 
+def check_member_name(name: str) -> None:
+    """ValueError unless ``name`` can name a battery member: a tuple's
+    label joins its members' names with ``*``, so a name holding ``*``
+    could give two tuples one label, and a CSV str column drops a
+    trailing NUL, so neither character may appear in a name."""
+    for char, what in (("*", "'*' (the tuple label separator)"),
+                       ("\x00", "NUL")):
+        if char in name:
+            raise ValueError(
+                f"battery member name must not contain {what}, got {name!r}")
+
+
 @dataclass(frozen=True)
 class FunctionBattery:
     """Finite stand-in for "every continuous function": named members."""
@@ -64,6 +76,8 @@ class FunctionBattery:
         if not self.members:
             raise ValueError("battery must have at least one member")
         names = [m.name for m in self.members]
+        for name in names:
+            check_member_name(name)
         if len(set(names)) != len(names):
             raise ValueError(f"battery names must be unique, got {names}")
 
@@ -375,33 +389,15 @@ def product_form(seqs: Sequence[BoundedSequence], funcs: Sequence,
     return _single_tuple(seqs, funcs, N)[1]
 
 
-@dataclass
-class TupleTrace:
-    """Convergence record for one battery tuple along the schedule."""
-
-    label: str
-    function_names: tuple[str, ...]
-    deltas: np.ndarray
-    products: np.ndarray
-
-    @property
-    def gaps(self) -> np.ndarray:
-        return self.deltas - self.products
-
-    def to_json_obj(self) -> dict:
-        """For :func:`reporting.canonical_json`; vectors are arrays."""
-        return {
-            "label": self.label,
-            "functions": list(self.function_names),
-            "delta": self.deltas,
-            "product": self.products,
-            "gap": self.gaps,
-        }
-
-
-@dataclass
+@dataclass(frozen=True)
 class IndependenceReport:
-    """Outcome of the schedule test over every battery tuple.
+    """Outcome of the schedule test over every battery tuple, as one table.
+
+    Row i is the tuple ``labels[i]``, the names of ``members[i]`` (one
+    battery index per sequence) joined by ``*``; rows are sorted by label.
+    ``deltas``, ``products`` and ``gaps`` = deltas - products are (tuple,
+    schedule point) float64 arrays, read-only, as is ``members``; row i
+    of each is what was ``traces[i].deltas`` (``.products``, ``.gaps``).
 
     verdict: "independent" when every terminal |gap| is within tol;
     "dependent" when some terminal gap exceeds 3*tol without shrinking
@@ -409,45 +405,49 @@ class IndependenceReport:
     """
 
     schedule: tuple[int, ...]
-    traces: list[TupleTrace]
+    battery_names: tuple[str, ...]
+    labels: tuple[str, ...]
+    members: np.ndarray
+    deltas: np.ndarray
+    products: np.ndarray
+    gaps: np.ndarray
     tol: float
     verdict: str
     max_terminal_gap: float
-    battery_names: tuple[str, ...]
 
     def gap_columns(self) -> list[np.ndarray]:
         """Columns N, tuple label, delta, product and gap for
-        :func:`reporting.write_csv`, a row per trace and schedule point."""
-        deltas = np.stack([t.deltas for t in self.traces]).ravel()
-        products = np.stack([t.products for t in self.traces]).ravel()
-        return [np.tile(self.schedule, len(self.traces)),
-                np.repeat([t.label for t in self.traces], len(self.schedule)),
-                deltas, products, deltas - products]
+        :func:`reporting.write_csv`, a row per tuple and schedule point."""
+        return [np.tile(self.schedule, len(self.labels)),
+                np.repeat(self.labels, len(self.schedule)),
+                self.deltas.ravel(), self.products.ravel(), self.gaps.ravel()]
 
     def to_json_obj(self) -> dict:
         """For :func:`reporting.canonical_json`; vectors are arrays."""
+        names = self.battery_names
         return {
             "schedule": list(self.schedule),
-            "battery": list(self.battery_names),
+            "battery": list(names),
             "tol": self.tol,
             "verdict": self.verdict,
             "max_terminal_gap": self.max_terminal_gap,
-            "traces": [t.to_json_obj() for t in self.traces],
+            "traces": [{"label": label,
+                        "functions": [names[j] for j in row],
+                        "delta": delta, "product": product, "gap": gap}
+                       for label, row, delta, product, gap in zip(
+                           self.labels, self.members.tolist(), self.deltas,
+                           self.products, self.gaps)],
         }
 
 
-def _verdict_from_gaps(traces: Sequence[TupleTrace],
-                       tol: float) -> tuple[str, float]:
-    terminal = np.asarray([abs(float(t.gaps[-1])) for t in traces])
+def _verdict_from_gaps(gaps: np.ndarray, tol: float) -> tuple[str, float]:
+    terminal = np.abs(gaps[:, -1])
     max_terminal = float(terminal.max())
     if max_terminal <= tol:
         return "independent", max_terminal
-    half = len(traces[0].gaps) // 2
-    for t in traces:
-        g_last = abs(float(t.gaps[-1]))
-        g_half = abs(float(t.gaps[half]))
-        if g_last > 3.0 * tol and g_last >= 0.5 * g_half:
-            return "dependent", max_terminal
+    half = np.abs(gaps[:, gaps.shape[1] // 2])
+    if np.any((terminal > 3.0 * tol) & (terminal >= 0.5 * half)):
+        return "dependent", max_terminal
     return "inconclusive", max_terminal
 
 
@@ -479,7 +479,10 @@ def statind_test(seqs: Sequence[BoundedSequence], battery: FunctionBattery,
     """Trace delta/product/gap for every battery tuple along the schedule.
 
     Tuples are all selections with repetition, one battery member per
-    sequence; traces are listed sorted by tuple label.
+    sequence.  The report holds them as one read-only table (see
+    :class:`IndependenceReport`): row i of ``deltas``, ``products`` and
+    ``gaps`` is the tuple ``labels[i]``, rows sorted by label, and column
+    k the schedule point ``schedule[k]``.
 
     Sums: every sum over n = 1..N adds, left to right in block order, one
     sum per fixed absolute block of 2^13 indices, the last block ending at
@@ -529,23 +532,28 @@ def statind_test(seqs: Sequence[BoundedSequence], battery: FunctionBattery,
 
     deltas, products = _multilinear(seqs, [battery.members] * m, schedule,
                                     tallies)
-    traces = []
-    for combo in itertools.product(range(len(battery)), repeat=m):
-        names = tuple(battery.members[j].name for j in combo)
-        traces.append(TupleTrace(label="*".join(names), function_names=names,
-                                 deltas=deltas[combo],
-                                 products=products[combo]))
-    traces.sort(key=lambda t: t.label)
-
-    verdict, max_terminal = _verdict_from_gaps(traces, tol)
-    return IndependenceReport(schedule=tuple(schedule), traces=traces, tol=tol,
-                              verdict=verdict, max_terminal_gap=max_terminal,
-                              battery_names=battery.names)
+    names = battery.names
+    labels = ["*".join(names[j] for j in combo) for combo in
+              itertools.product(range(len(battery)), repeat=m)]
+    order = sorted(range(len(labels)), key=labels.__getitem__)
+    members = np.stack(np.unravel_index(order, deltas.shape[:-1]), axis=-1)
+    deltas = deltas.reshape(len(labels), -1)[order]
+    products = products.reshape(len(labels), -1)[order]
+    gaps = deltas - products
+    for table in (members, deltas, products, gaps):
+        table.setflags(write=False)
+    verdict, max_terminal = _verdict_from_gaps(gaps, tol)
+    return IndependenceReport(
+        schedule=tuple(schedule), battery_names=names,
+        labels=tuple(labels[i] for i in order), members=members,
+        deltas=deltas, products=products, gaps=gaps, tol=tol,
+        verdict=verdict, max_terminal_gap=max_terminal)
 
 
 @dataclass
 class RectangleReport:
-    """Residual table for the rectangle factorization test along one index."""
+    """Residual table for the rectangle factorization test along one
+    index; ``corners``, ``densities`` and ``products`` are read-only."""
 
     kappa_label: str
     depth_checkpoint: int
@@ -664,6 +672,8 @@ def _rectangle_test(seqs: Sequence[BoundedSequence], kappa: SubsequenceIndex,
 
     corners = np.stack(np.meshgrid(*[grid] * m, indexing="ij"),
                        axis=-1).reshape(-1, m)
+    for table in (corners, densities, products):
+        table.setflags(write=False)
     residuals = densities - products
     verdict = "independent" if float(np.max(np.abs(residuals))) <= tol \
         else "dependent"

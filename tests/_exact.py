@@ -1,4 +1,5 @@
-"""Exact large-N references for Kronecker sequences, at 200-bit precision.
+"""Exact references: large-N Weyl sums of Kronecker sequences, at 200-bit
+precision, and the rectangle discrepancy of a finite point set.
 
 A Kronecker sequence v(n) = frac(n * alpha) enters ``sin2pix`` and
 ``cos2pix`` only through e^{2 pi i n alpha}, so an average of a product of
@@ -8,11 +9,15 @@ needs no walk.  Each alpha is taken exactly, as the rational of the
 sequence's extended-precision constant, so the reference is the exact
 average for the alpha the library multiplies by: what separates the two
 is only the library's rounding.
+
+The rectangle discrepancy is counted in integers and rounded once (see
+:func:`rectangle_discrepancy`).
 """
 
 import itertools
 
 import mpmath
+import numpy as np
 
 _BITS = 200
 
@@ -51,3 +56,37 @@ def weyl_mean(factors, n: int) -> float:
                 theta += s * alpha
             total += coeff * _geometric(theta, n)
         return float(total.real / n)
+
+
+# rank-grid tables have (U + 1)(V + 1) cells for U and V distinct values
+MAX_DISCREPANCY_POINTS = 1 << 10
+
+
+def rectangle_discrepancy(x, y) -> float:
+    """D_N = sup_{s,t} |C_N(s, t)/N - F_N(s) G_N(t)| of the N points
+    (x[n], y[n]), rounded once to float64: C_N(s, t) counts the points
+    with x <= s and y <= t, and F_N, G_N are the marginal empirical CDFs
+    (the Blum-Kiefer-Rosenblatt statistic, Ann. Math. Stat. 1961).
+
+    All three step only at the data, so the supremum is reached at a data
+    corner, on one of its sides: x <= s or x < s, and y <= t or y < t.  A
+    table over the ranks of the distinct values, with a row and a column
+    of zeros in front for "below the smallest value", holds every side of
+    every corner: the cumulative sums of the rank histogram, with no loop
+    over corners.  D_N is the largest |N*C - A*B| over its entries, for
+    marginal counts A and B, divided by N^2.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    n = x.size
+    if not 1 <= n <= MAX_DISCREPANCY_POINTS or y.size != n:
+        raise ValueError(f"need 1 to {MAX_DISCREPANCY_POINTS} points, "
+                         f"got {x.size} and {y.size} values")
+    xs, i = np.unique(x, return_inverse=True)
+    ys, j = np.unique(y, return_inverse=True)
+    counts = np.zeros((xs.size + 1, ys.size + 1), dtype=np.int64)
+    np.add.at(counts, (i + 1, j + 1), 1)
+    counts = counts.cumsum(axis=0).cumsum(axis=1)
+    excess = n * counts - np.outer(counts[:, -1], counts[-1, :])
+    # int / int is correctly rounded
+    return int(np.abs(excess).max()) / (n * n)

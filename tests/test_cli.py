@@ -52,6 +52,10 @@ MIRROR = {"kind": "affine_image",
 PERIODIC = {"kind": "periodic", "params": {"values": [0.5, 0.0]}}
 
 
+def linear_member(name):
+    return {"name": name, "knots": [0, 1], "values": [0, 1]}
+
+
 def write_spec(tmp_path, obj, name="spec.json"):
     path = tmp_path / name
     path.write_text(json.dumps(obj), encoding="utf-8")
@@ -134,6 +138,23 @@ class TestSpecParsing:
               "battery": [{"name": "tent", "knots": [0, 1],
                            "values": [0, 1], "junk": 1}]},
              r"^battery\[0\]\.junk: unknown field$"),
+            # (a*b, a) and (a, b*a) were both labelled a*b*a
+            ({"sequences": [KRON], "battery": [
+                linear_member("a*b"), linear_member("a"),
+                linear_member("b*a")]},
+             r"^battery\[0\]\.name: battery member name must not contain "
+             r"'\*' \(the tuple label separator\), got 'a\*b'$"),
+            # a CSV str column drops a trailing NUL
+            ({"sequences": [KRON], "battery": ["x", linear_member("b\x00")]},
+             r"^battery\[1\]\.name: battery member name must not contain "
+             r"NUL, got 'b\\x00'$"),
+            ({"sequences": [KRON], "battery": [
+                linear_member("a"), "x", linear_member("a")]},
+             r"^battery\[2\]\.name: battery names must be unique, 'a' is "
+             r"also battery\[0\]$"),
+            ({"sequences": [KRON], "battery": ["x", "one", "x"]},
+             r"^battery\[2\]: battery names must be unique, 'x' is also "
+             r"battery\[0\]$"),
             # an object's unknown keys are cited before its values...
             ({"sequences": [KRON],
               "tolerances": {"tol": float("nan"), "slack": 1.0}},
@@ -184,13 +205,16 @@ SEQUENCE_SPECS = st.recursive(
 INCREASING = st.lists(st.integers(1, 10 ** 6), min_size=1, max_size=6,
                       unique=True).map(sorted)
 PIECEWISE = st.integers(2, 4).flatmap(lambda n: st.fixed_dictionaries({
-    "name": st.text(min_size=1, max_size=6),
+    "name": st.text(st.characters(exclude_characters="*\x00"),
+                    min_size=1, max_size=6),
     "knots": st.lists(NUMBER, min_size=n, max_size=n,
                       unique_by=float).map(sorted),
     "values": st.lists(NUMBER, min_size=n, max_size=n)}))
 SPEC_FIELDS = optional(
     battery=st.lists(st.one_of(st.sampled_from(default_battery().names),
-                               PIECEWISE), min_size=1, max_size=3),
+                               PIECEWISE), min_size=1, max_size=3,
+                     unique_by=lambda e: e if isinstance(e, str)
+                     else e["name"]),
     schedule=INCREASING,
     kappa=st.one_of(st.sampled_from(("default", "extract") + KAPPA_FAMILY),
                     INCREASING),

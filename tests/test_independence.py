@@ -19,7 +19,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from _brute import BLOCK, brute_forms, brute_grid_counts, brute_rectangle_count
-from _exact import weyl_mean
+from _exact import MAX_DISCREPANCY_POINTS, rectangle_discrepancy, weyl_mean
 from statindep import (
     AffineImageSequence,
     CheckpointError,
@@ -160,14 +160,13 @@ class TestStatind:
         rep = statind_test([v, v], battery, [100, 1000, 10000, 100000], 0.01)
         assert rep.verdict == "dependent"
         # terminal gap approaches 1/3 - 1/4 = 1/12
-        assert rep.traces[0].gaps[-1] == pytest.approx(1 / 12, abs=0.005)
+        assert rep.gaps[0, -1] == pytest.approx(1 / 12, abs=0.005)
 
     def test_constant_factor_gap_exactly_zero(self):
         v = VanDerCorputSequence(2)
         c = ConstantSequence(0.37)
         rep = statind_test([v, c], default_battery(), [10, 100, 1000], 0.01)
-        for trace in rep.traces:
-            assert np.all(trace.gaps == 0.0)
+        assert np.all(rep.gaps == 0.0)
         assert rep.verdict == "independent"
 
     def test_bad_inputs(self):
@@ -183,9 +182,14 @@ class TestStatind:
         v1 = KroneckerSequence("sqrt2-1")
         v2 = KroneckerSequence("sqrt3-1")
         rep = statind_test([v1, v2], default_battery(), [50, 100], 0.5)
-        labels = [t.label for t in rep.traces]
+        labels = list(rep.labels)
         assert labels == sorted(labels)
         assert len(labels) == len(default_battery()) ** 2
+        names = default_battery().names
+        assert labels == ["*".join(names[j] for j in row)
+                          for row in rep.members.tolist()]
+        assert rep.deltas.shape == rep.products.shape == rep.gaps.shape \
+            == (len(labels), 2)
 
     def test_gap_columns_shape(self):
         v1 = KroneckerSequence("sqrt2-1")
@@ -195,7 +199,42 @@ class TestStatind:
         assert list(zip(ns.tolist(), labels.tolist())) == [(10, "x"),
                                                            (20, "x")]
         assert np.array_equal(gaps, deltas - products)
-        assert np.array_equal(deltas, rep.traces[0].deltas)
+        assert np.array_equal(deltas, rep.deltas[0])
+
+    @pytest.mark.parametrize("rows, verdict", [
+        ([[0.5, 9.0, 0.25]], "independent"),  # terminal |gap| at tol
+        ([[0.0, 2.0, 1.0]], "dependent"),  # over 3 tol, at half |gap| / 2
+        ([[0.0, -2.5, -1.0]], "inconclusive"),  # below half |gap| / 2
+        ([[0.0, 0.0, 0.75]], "inconclusive"),  # at 3 tol
+        ([[0.0, 9.0, 2.0, 1.0]], "dependent"),  # half is point 2 of 4
+        # one row must meet both: one row's terminal, another's half
+        ([[0.0, 0.0, 0.5], [0.0, 4.0, 1.0]], "inconclusive")])
+    def test_verdict_reads_terminal_and_half_schedule_gaps(self, rows,
+                                                            verdict):
+        gaps = np.array(rows)
+        assert independence._verdict_from_gaps(gaps, 0.25) == (
+            verdict, float(np.max(np.abs(gaps[:, -1]))))
+
+    @pytest.mark.parametrize("name, what", [
+        ("a*b", "'*'"), ("*", "'*'"), ("b\x00", "NUL"), ("\x00a", "NUL")])
+    def test_member_names_that_cannot_label_a_tuple(self, name, what):
+        # with "a*b", "a" and "b*a", the tuples (a*b, a) and (a, b*a) were
+        # both labelled a*b*a; a CSV str column drops a trailing NUL
+        with pytest.raises(ValueError, match=re.escape(
+                f"battery member name must not contain {what}")):
+            FunctionBattery((NamedFunction("a", IDENT),
+                             NamedFunction(name, IDENT)))
+
+    def test_report_tables_are_read_only(self):
+        seqs = [KroneckerSequence("sqrt2-1"), KroneckerSequence("sqrt3-1")]
+        rep = statind_test(seqs, default_battery(), [50, 100], 0.5)
+        for table in (rep.members, rep.deltas, rep.products, rep.gaps):
+            with pytest.raises(ValueError, match="read-only"):
+                table[0, 0] = 9
+        trace = rep.to_json_obj()["traces"][0]
+        for key in ("delta", "product", "gap"):
+            with pytest.raises(ValueError, match="read-only"):
+                trace[key][0] = 9.0
 
 
 class TestKappaIndependence:
@@ -206,6 +245,16 @@ class TestKappaIndependence:
                                       np.linspace(0.1, 0.9, 9), 0.02)
         assert np.all(rep.residuals == 0.0)
         assert rep.verdict == "independent"
+
+    def test_report_is_read_only_through_to_json_obj(self):
+        # setting obj["density"][0] changed the report's densities
+        seqs = [KroneckerSequence("sqrt2-1"), KroneckerSequence("sqrt3-1")]
+        rep = kappa_independence_test(seqs, naturals(10 ** 4, 100),
+                                      np.linspace(0.1, 0.9, 9), 0.02)
+        obj = rep.to_json_obj()
+        for key in ("corners", "density", "product"):
+            with pytest.raises(ValueError, match="read-only"):
+                obj[key][0] = 9.0
 
     def test_independent_pair_decile_residuals(self):
         v1 = KroneckerSequence("sqrt2-1")
@@ -654,6 +703,53 @@ def test_trigonometric_averages_equal_the_exact_weyl_sums():
         assert abs(delta_form([seq], [trig[t]], n) - want) <= 1e-15
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from((0.0, 0.25, 0.5, 1.0)),
+                          st.sampled_from((0.0, 0.5, 0.75, 1.0))),
+                min_size=1, max_size=12))
+def test_rectangle_discrepancy_is_the_largest_corner_excess(points):
+    # every data corner, on each side of it, one corner at a time
+    x, y = (np.array(values) for values in zip(*points))
+    n = len(points)
+    want = max(abs(Fraction(int(np.sum(below_x & below_y)), n)
+                   - Fraction(int(np.sum(below_x)) * int(np.sum(below_y)),
+                              n * n))
+               for s, t in itertools.product(x, y)
+               for below_x in (x < s, x <= s) for below_y in (y < t, y <= t))
+    assert rectangle_discrepancy(x, y) == float(want)
+
+
+# total variation on [0, 1] of each default battery member
+VARIATION = {"one": 0, "x": 1, "x2": 1, "ramp": 1, "sin2pix": 4,
+             "cos2pix": 4}
+BOUND_SEQUENCES = (
+    KroneckerSequence("sqrt2-1"), KroneckerSequence("sqrt3-1"),
+    KroneckerSequence("golden"), VanDerCorputSequence(2),
+    VanDerCorputSequence(3), make_block(0.0, 1.0, 2),
+    PeriodicSequence([0.1, 0.9, 0.4]),
+    AffineImageSequence(KroneckerSequence("sqrt2-1"), -1.0, 1.0))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(BOUND_SEQUENCES), st.sampled_from(BOUND_SEQUENCES),
+       st.lists(st.integers(1, MAX_DISCREPANCY_POINTS), min_size=1,
+                max_size=3, unique=True).map(sorted))
+def test_gap_within_variations_times_rectangle_discrepancy(u, v, schedule):
+    # Hoeffding's covariance identity (1940): the gap of (f, g) over the
+    # first N points is the sum over data corners of (C_N/N - F_N G_N)
+    # times the increments of f and g, so |gap| <= V(f) V(g) D_N.  Slack:
+    # the sums, means and products round by at most 3 (N + 1) 2^-53 on
+    # values in [-1, 1], and each member's value by a few ulps; (N + 8)
+    # 2^-50 = 8 (N + 8) 2^-53 is more than twice the first.
+    battery = default_battery()
+    rep = statind_test([u, v], battery, schedule, 0.01)
+    variation = np.array([VARIATION[name] for name in battery.names])
+    weight = variation[rep.members[:, 0]] * variation[rep.members[:, 1]]
+    for k, n in enumerate(schedule):
+        bound = weight * rectangle_discrepancy(u.prefix(n), v.prefix(n))
+        assert np.all(np.abs(rep.gaps[:, k]) <= bound + (n + 8) * 2.0 ** -50)
+
+
 def _same_bits(a, b):
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
@@ -708,16 +804,15 @@ BLOCK_POINTS = (BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5)
 def test_kernel_bitwise_equals_block_reference(seqs, members, schedule):
     battery = FunctionBattery(tuple(members))
     rep = statind_test(seqs, battery, schedule, 0.01)
-    by_name = {f.name: f for f in members}
-    assert len(rep.traces) == len(members) ** len(seqs)
-    for trace in rep.traces:
-        funcs = [by_name[name] for name in trace.function_names]
+    assert len(rep.labels) == len(members) ** len(seqs)
+    for i, label in enumerate(rep.labels):
+        funcs = [members[j] for j in rep.members[i]]
         for k, n in enumerate(schedule):
             delta, product, varying = brute_forms(seqs, funcs, n)
-            assert _same_bits(trace.deltas[k], delta), (trace.label, n)
-            assert _same_bits(trace.products[k], product), (trace.label, n)
+            assert _same_bits(rep.deltas[i, k], delta), (label, n)
+            assert _same_bits(rep.products[i, k], product), (label, n)
             if varying <= 1:
-                assert trace.gaps[k] == 0.0, (trace.label, n)
+                assert rep.gaps[i, k] == 0.0, (label, n)
 
 
 def test_traces_equal_single_tuple_forms_bitwise():
@@ -726,12 +821,11 @@ def test_traces_equal_single_tuple_forms_bitwise():
     battery = FunctionBattery(KERNEL_MEMBERS)
     schedule = [2, 5, 6, 40, 97, BLOCK + 1]
     rep = statind_test(seqs, battery, schedule, 0.01)
-    by_name = {f.name: f for f in KERNEL_MEMBERS}
-    for trace in rep.traces:
-        funcs = [by_name[name] for name in trace.function_names]
+    for i, row in enumerate(rep.members):
+        funcs = [KERNEL_MEMBERS[j] for j in row]
         for k, n in enumerate(schedule):
-            assert _same_bits(trace.deltas[k], delta_form(seqs, funcs, n))
-            assert _same_bits(trace.products[k],
+            assert _same_bits(rep.deltas[i, k], delta_form(seqs, funcs, n))
+            assert _same_bits(rep.products[i, k],
                               product_form(seqs, funcs, n))
 
 
@@ -742,14 +836,14 @@ def test_constant_pattern_changes_along_the_schedule():
     seqs = [_leading_run_periodic(5), KroneckerSequence("sqrt2-1")]
     battery = FunctionBattery((NamedFunction("x", IDENT),))
     rep = statind_test(seqs, battery, [3, 5, 6, 50], 0.01)
-    gaps = rep.traces[0].gaps
+    gaps = rep.gaps[0]
     assert np.all(gaps[:2] == 0.0)
     assert np.all(gaps[2:] != 0.0)
     # the same with a constant run that ends in the middle of a later block
     seqs = [_leading_run_periodic(BLOCK + 9), KroneckerSequence("sqrt2-1")]
     rep = statind_test(seqs, battery, [BLOCK, BLOCK + 9, BLOCK + 10,
                                        3 * BLOCK + 5], 0.01)
-    gaps = rep.traces[0].gaps
+    gaps = rep.gaps[0]
     assert np.all(gaps[:2] == 0.0)
     assert np.all(gaps[2:] != 0.0)
 
@@ -822,7 +916,7 @@ from statindep import statind_test
 rep = statind_test([KroneckerSequence("sqrt2-1"), VanDerCorputSequence(3),
                     KroneckerSequence("golden")], default_battery(),
                    [{points}], 0.01)
-values = np.array([[t.deltas, t.products] for t in rep.traces])
+values = np.stack([rep.deltas, rep.products], axis=1)
 print(hashlib.sha256(values.tobytes()).hexdigest())
 """
 
@@ -1010,8 +1104,9 @@ def test_constant_run_scan_stops_at_the_value_set(generation_log):
     assert n < generated[seqs[0].label] <= n + _CHUNK
     assert generated[seqs[1].label] == n + _CHUNK
     # and its means are still the constant's, cos(0) = cos(2 pi) = 1.0
-    trace = {t.label: t for t in rep.traces}["cos2pix*one"]
-    assert np.all(trace.products == 1.0) and np.all(trace.deltas == 1.0)
+    row = rep.labels.index("cos2pix*one")
+    assert np.all(rep.products[row] == 1.0)
+    assert np.all(rep.deltas[row] == 1.0)
 
 
 @pytest.mark.parametrize("seq", [
@@ -1268,7 +1363,7 @@ def _serial_and_forked(monkeypatch, forks, run, forked):
 
 def _statind_digest(seqs, schedule):
     rep = statind_test(seqs, default_battery(), schedule, 0.01)
-    values = np.array([[t.deltas, t.products] for t in rep.traces])
+    values = np.stack([rep.deltas, rep.products], axis=1)
     return hashlib.sha256(values.tobytes()).hexdigest()
 
 
