@@ -32,12 +32,11 @@ def main():
 
     pow2 = SubsequenceIndex(2 ** np.arange(0, 18), name="pow2")
     rep = detect_measurable(blk, pow2, grid)
-    est = rep.traces[0]
     print("share of terms below 0.5 along powers of two:")
-    print("  " + "  ".join(f"{r:.3f}" for r in est.trace_ratios[-10:])
+    print("  " + "  ".join(f"{r:.3f}" for r in rep.ratios[-10:, 0])
           + "  (last 10)")
-    print(f"  trailing oscillation {est.oscillation:.3f} -> no density along "
-          f"this checkpoint sequence")
+    print(f"  trailing oscillation {rep.oscillations[0]:.3f} -> no density "
+          f"along this checkpoint sequence")
     print(f"  detect_measurable: measurable={rep.measurable}")
 
     pool = geometric_pool()
@@ -46,13 +45,12 @@ def main():
           f"(deepest {kappa.deepest}):")
     print("  " + ", ".join(str(int(k)) for k in kappa.checkpoints))
     rep2 = detect_measurable(blk, kappa, grid)
-    est2 = rep2.traces[0]
     print("  ratios along the extracted checkpoints:")
-    print("  " + "  ".join(f"{r:.4f}" for r in est2.trace_ratios))
-    print(f"  trailing oscillation {est2.oscillation:.2e} -> density exists "
-          f"along these checkpoints")
+    print("  " + "  ".join(f"{r:.4f}" for r in rep2.ratios[:, 0]))
+    print(f"  trailing oscillation {rep2.oscillations[0]:.2e} -> density "
+          f"exists along these checkpoints")
     print(f"  detect_measurable: measurable={rep2.measurable}, "
-          f"limiting F(0.5) ~ {rep2.traces[0].value:.4f}")
+          f"limiting F(0.5) ~ {rep2.ratios[-1, 0]:.4f}")
 
     again = helly_extract([blk], kappa, grid, min_pool=5)
     print(f"\nre-running extraction on its own output is a no-op: "

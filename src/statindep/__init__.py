@@ -41,7 +41,6 @@ from .sequences import (
     make_block,
 )
 from .subsequence import SubsequenceIndex
-from .density import DensityEstimate
 from .distribution import (
     FunctionSandwich,
     PiecewiseLinear,
@@ -84,7 +83,7 @@ __version__ = "0.1.0"
 __all__ = [
     "ALPHA_GOLDEN", "ALPHA_SQRT2", "ALPHA_SQRT3", "AffineImageSequence",
     "BlockSequence", "BoundedSequence", "CheckpointError", "ConstantSequence",
-    "DensityEstimate", "EnvelopeError", "EquivalenceReport", "Extraction",
+    "EnvelopeError", "EquivalenceReport", "Extraction",
     "ExtractionError", "FileSequence", "FunctionBattery", "FunctionSandwich",
     "GridError", "IndependenceReport", "Interval", "IntervalError",
     "KappaOutcome", "KroneckerSequence", "MeasurabilityError",

@@ -11,14 +11,14 @@ every checkpoint.  Tallies are fed by the one walk driver,
 schedule test the equivalence harness's, from its own walk.  Nothing
 holds an array of one entry per index.  The rectangle test,
 measurability detection and extraction all count through it.
-Densities are finite-prefix ratios count / k, reported with a
-trailing-window Cauchy diagnostic (:class:`DensityEstimate`) instead of
-a bare limit claim.
+Densities are finite-prefix ratios count / k, one division each, which
+:func:`selection.detect_measurable` tabulates per checkpoint and grid
+point with a trailing-window Cauchy diagnostic instead of a bare limit
+claim.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -44,43 +44,6 @@ def sorted_unique(values) -> np.ndarray:
     keep[:1] = True
     np.not_equal(arr[1:], arr[:-1], out=keep[1:])
     return arr[keep]
-
-
-@dataclass
-class DensityEstimate:
-    """Finite-prefix density with convergence diagnostics.
-
-    ``checkpoints`` and ``trace_ratios`` hold the ratio at every checkpoint;
-    ``trace`` lists them as (checkpoint, ratio) pairs.  ``converged`` means
-    the last ``window`` ratios vary by at most ``tol``.
-    """
-
-    value: float
-    checkpoints: np.ndarray
-    trace_ratios: np.ndarray
-    oscillation: float
-    converged: bool
-    tol: float
-    window: int
-
-    @classmethod
-    def from_counts(cls, checkpoints: np.ndarray, counts: np.ndarray,
-                    tol: float, window: int) -> "DensityEstimate":
-        """Estimate from exact counts at each checkpoint.
-
-        Each ratio is the single correctly rounded division count / k.
-        """
-        ratios = counts / checkpoints
-        ratios.setflags(write=False)
-        tail = ratios[-window:]
-        oscillation = float(tail.max() - tail.min())
-        return cls(value=float(ratios[-1]), checkpoints=checkpoints,
-                   trace_ratios=ratios, oscillation=oscillation,
-                   converged=oscillation <= tol, tol=tol, window=window)
-
-    @property
-    def trace(self) -> list[tuple[int, float]]:
-        return list(zip(self.checkpoints.tolist(), self.trace_ratios.tolist()))
 
 
 def check_table_size(rows: int, points: int, m: int) -> None:

@@ -16,6 +16,7 @@ Conventions that everything downstream relies on:
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -287,28 +288,37 @@ def continuity_grid(cdfs: Sequence[StepCDF], count: int, atom_tol: float = 1e-3,
         return min(options, key=lambda p: (abs(p - x), p))
 
     chosen: list[float] = []
+    seen: set[float] = set()
+
+    def choose(x: float) -> None:
+        if x not in seen:
+            seen.add(x)
+            chosen.append(x)
+
     for i in range(1, count + 1):
-        candidate = a + i * (b - a) / (count + 1)
-        placed = relocate(candidate)
-        if placed is not None and placed not in chosen:
-            chosen.append(placed)
+        placed = relocate(a + i * (b - a) / (count + 1))
+        if placed is not None:
+            choose(placed)
     chosen.sort()
 
     if len(chosen) < count:
-        segments = [(lo, hi) for lo, hi in _allowed_segments(interval, blocked)]
+        # Largest clear segment first, then leftmost; the segments are
+        # disjoint, so no two keys tie.
+        heap = [(lo - hi, lo, hi)
+                for lo, hi in _allowed_segments(interval, blocked)]
+        heapq.heapify(heap)
         budget = 4 * count + 64
-        while len(chosen) < count and segments and budget > 0:
+        while len(chosen) < count and heap and budget > 0:
             budget -= 1
-            j = max(range(len(segments)),
-                    key=lambda i: (segments[i][1] - segments[i][0], -segments[i][0]))
-            lo, hi = segments.pop(j)
+            _, lo, hi = heapq.heappop(heap)
             mid = lo + (hi - lo) / 2.0
-            if mid not in chosen:
-                chosen.append(mid)
+            choose(mid)
             if lo < mid:
-                segments.append((lo, np.nextafter(mid, lo)))
+                left = np.nextafter(mid, lo)
+                heapq.heappush(heap, (lo - left, lo, left))
             if mid < hi:
-                segments.append((np.nextafter(mid, hi), hi))
+                right = np.nextafter(mid, hi)
+                heapq.heappush(heap, (right - hi, right, hi))
         chosen.sort()
         if len(chosen) < count:
             raise GridError(

@@ -550,26 +550,22 @@ def statind_test(seqs: Sequence[BoundedSequence], battery: FunctionBattery,
         verdict=verdict, max_terminal_gap=max_terminal)
 
 
-@dataclass
+@dataclass(frozen=True)
 class RectangleReport:
     """Residual table for the rectangle factorization test along one
-    index; ``corners``, ``densities`` and ``products`` are read-only."""
+    index, a row per corner: ``corners``, ``densities``, ``products`` and
+    ``residuals`` = densities - products are read-only arrays, and
+    ``max_abs_residual`` is the largest |residual|, each computed once."""
 
     kappa_label: str
     depth_checkpoint: int
     corners: np.ndarray  # (G^m, m), rows in itertools.product order
     densities: np.ndarray
     products: np.ndarray
+    residuals: np.ndarray
+    max_abs_residual: float
     tol: float
     verdict: str
-
-    @property
-    def residuals(self) -> np.ndarray:
-        return self.densities - self.products
-
-    @property
-    def max_abs_residual(self) -> float:
-        return float(np.max(np.abs(self.residuals)))
 
     def columns(self) -> list[np.ndarray]:
         """Columns kappa, corner_1..corner_m, density, product and residual,
@@ -606,8 +602,8 @@ def kappa_independence_test(seqs: Sequence[BoundedSequence],
     the product of marginal CDF values.  The grid must pass
     :func:`selection.check_grid`.  Each sequence, in order, must first pass
     :func:`detect_measurable` along kappa; the first that fails raises
-    MeasurabilityError, whose ``report`` is its failing report, traced at
-    kappa's last ``window`` checkpoints (all that its verdict reads).
+    MeasurabilityError, whose ``report`` is its failing report, tabulated
+    over kappa's last ``window`` checkpoints (all that its verdict reads).
 
     One walk (:func:`density.fill`) counts every sequence on its own at
     those checkpoints, which decides measurability and gives the marginal
@@ -630,7 +626,8 @@ def kappa_independence_test(seqs: Sequence[BoundedSequence],
         raise ValueError(f"tol must be positive, got {tol}")
     _check_window(kappa, window)
     if not measurability_tol > 0:
-        raise ValueError(f"tol must be positive, got {measurability_tol}")
+        raise ValueError(
+            f"measurability_tol must be positive, got {measurability_tol}")
     points, rows = sorted_unique(grid), kappa.checkpoints[-window:]
     tallies = [Tally(points, rows, [r]) for r in range(m)]
     joint = Tally(points, rows[-1:], range(m))
@@ -672,14 +669,15 @@ def _rectangle_test(seqs: Sequence[BoundedSequence], kappa: SubsequenceIndex,
 
     corners = np.stack(np.meshgrid(*[grid] * m, indexing="ij"),
                        axis=-1).reshape(-1, m)
-    for table in (corners, densities, products):
-        table.setflags(write=False)
     residuals = densities - products
-    verdict = "independent" if float(np.max(np.abs(residuals))) <= tol \
-        else "dependent"
-    return RectangleReport(kappa_label=kappa.label, depth_checkpoint=depth,
-                           corners=corners, densities=densities,
-                           products=products, tol=tol, verdict=verdict)
+    for table in (corners, densities, products, residuals):
+        table.setflags(write=False)
+    max_abs = float(np.max(np.abs(residuals)))
+    return RectangleReport(
+        kappa_label=kappa.label, depth_checkpoint=depth, corners=corners,
+        densities=densities, products=products, residuals=residuals,
+        max_abs_residual=max_abs, tol=tol,
+        verdict="independent" if max_abs <= tol else "dependent")
 
 
 @dataclass

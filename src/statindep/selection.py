@@ -2,12 +2,15 @@
 
 A sequence is treated as measurable along a checkpoint index when, at every
 evaluation point of a finite grid, the preimage-counting ratios are Cauchy
-over a trailing window.  When a sequence fails that test, a stabilizing
-sub-index can often be extracted from a candidate pool by a greedy diagonal
-pass: for each (sequence, grid point) pair in turn, keep the checkpoints
-whose ratios fall in the most populous tol-wide band (leftmost band on
-ties).  The surviving checkpoints satisfy every earlier pair's constraint
-automatically, since subsets of a tol-wide band stay within it.
+over a trailing window.  :func:`detect_measurable` reports them as one
+read-only table of ratios, a row per checkpoint and a column per grid
+point, with each column's trailing-window oscillation.  When a sequence
+fails that test, a stabilizing sub-index can often be extracted from a
+candidate pool by a greedy diagonal pass: for each (sequence, grid point)
+pair in turn, keep the checkpoints whose ratios fall in the most populous
+tol-wide band (leftmost band on ties).  The surviving checkpoints satisfy
+every earlier pair's constraint automatically, since subsets of a tol-wide
+band stay within it.
 """
 
 from __future__ import annotations
@@ -19,8 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .density import DensityEstimate, Tally, fill, grid_counts, \
-    sorted_unique
+from .density import Tally, fill, grid_counts, sorted_unique
 from .distribution import StepCDF, empirical_cdf
 from .errors import (CheckpointError, ExtractionError, IntervalError,
                      SequenceExhausted)
@@ -37,19 +39,27 @@ MIN_BASE_DEPTH = 10 ** 3  # the shallowest base_depth of a family member
 _COIN_CHUNK = 1 << 16
 
 
-@dataclass
+@dataclass(frozen=True)
 class MeasurabilityReport:
-    """Per-grid-point convergence evidence for one sequence along one index.
+    """Per-grid-point convergence evidence for one sequence along one index,
+    as one table.
 
-    ``limit_cdf``, the empirical CDF at kappa's deepest checkpoint, is
-    computed on first access: it sorts the whole prefix, and the verdict
-    does not need it.
+    ``grid`` is a copy of the caller's grid and ``checkpoints`` the (M,)
+    kappa checkpoints the table covers.  ``ratios`` (M, G) holds the single
+    division #{n <= k : v(n) < grid[j]} / k at checkpoint k (row) and grid
+    point j (column), and ``oscillations`` (G,) the spread max - min of
+    each column's last ``window`` ratios; grid point j has converged when
+    ``oscillations[j] <= tol``, and ``measurable`` is True when every one
+    has.  All four arrays are read-only.  ``limit_cdf``, the empirical CDF
+    at kappa's deepest checkpoint, is computed on first access: it sorts
+    the whole prefix, and the verdict does not need it.
     """
 
     sequence: BoundedSequence
     kappa: SubsequenceIndex
     grid: np.ndarray
-    traces: list[DensityEstimate]
+    checkpoints: np.ndarray
+    ratios: np.ndarray
     oscillations: np.ndarray
     measurable: bool
     tol: float
@@ -77,7 +87,7 @@ class MeasurabilityReport:
             "measurable": self.measurable,
             "grid": self.grid,
             "oscillation": self.oscillations,
-            "cdf_at_deepest": [t.value for t in self.traces],
+            "cdf_at_deepest": self.ratios[-1],
             "limit_cdf": self.limit_cdf.to_json_obj(),
         }
 
@@ -116,11 +126,11 @@ def detect_measurable(seq: BoundedSequence, kappa: SubsequenceIndex,
 
     One :func:`grid_counts` table gives #{n <= k : v(n) < x} at every
     checkpoint and grid point, in O(k_M + M G) time and, besides one
-    chunk of the sequence, O(M G) memory.  Each trace ratio
-    is the single division count / k, so each trace's value equals
-    ``empirical_cdf(seq, kappa)`` at x bit for bit.  measurable is True
-    exactly when each grid point's trailing-window oscillation is at most
-    tol; ``window`` must be >= 1.
+    chunk of the sequence, O(M G) memory.  Each ratio is the single
+    division count / k, so ``ratios[-1, j]`` equals
+    ``empirical_cdf(seq, kappa)`` at ``grid[j]`` bit for bit.  measurable
+    is True exactly when each grid point's trailing-window oscillation is
+    at most tol; ``window`` must be >= 1.
     """
     grid = check_grid(seq, grid, window)
     _check_window(kappa, window)
@@ -143,17 +153,20 @@ def _measurability(seq: BoundedSequence, kappa: SubsequenceIndex,
     """The report of ``seq`` along ``kappa`` from its counts: ``counts``
     holds #{n <= k : v(n) < x} for the sorted unique grid points x (and
     k itself in the last column) at kappa's last ``len(counts)``
-    checkpoints, at least ``window`` of them.  The traces cover those
+    checkpoints, at least ``window`` of them.  The table covers those
     checkpoints, which hold everything the verdict reads.
     """
     position = np.unique(grid, return_inverse=True)[1]
     checkpoints = kappa.checkpoints[len(kappa) - counts.shape[0]:]
-    traces = [DensityEstimate.from_counts(checkpoints, counts[:, j], tol,
-                                          window) for j in position]
-    oscillations = np.asarray([t.oscillation for t in traces])
+    ratios = counts[:, position] / checkpoints[:, None]
+    tail = ratios[-window:]
+    oscillations = tail.max(axis=0) - tail.min(axis=0)
+    grid = grid.copy()
+    for table in (grid, checkpoints, ratios, oscillations):
+        table.setflags(write=False)
     return MeasurabilityReport(
-        sequence=seq, kappa=kappa, grid=grid, traces=traces,
-        oscillations=oscillations,
+        sequence=seq, kappa=kappa, grid=grid, checkpoints=checkpoints,
+        ratios=ratios, oscillations=oscillations,
         measurable=bool(np.all(oscillations <= tol)), tol=tol, window=window)
 
 

@@ -7,22 +7,27 @@ equality between these and the library's ``grid_counts`` route.
 documented block contract, for bitwise comparison with the kernel, and
 ``brute_van_der_corput`` reverses digits by boolean indexing, for bitwise
 comparison with the in-place van der Corput core.
+``brute_continuity_grid`` keeps ``continuity_grid``'s list-scanning
+placement loop, quadratic in the point count, as its reference.
 """
 
 import itertools
 
 import numpy as np
 
-from statindep import DensityEstimate
+from statindep import GridError
+from statindep.distribution import _allowed_segments, _merged_blocked
 
 
-def brute_density(seq, x, kappa, tol=1e-2, window=5):
-    """Density of {n : v(n) < x} along kappa, by mask and cumulative sum."""
-    checkpoints = kappa.checkpoints
-    below = seq.prefix(int(checkpoints[-1])) < x
-    csum = np.cumsum(below, dtype=np.int64)
-    return DensityEstimate.from_counts(checkpoints, csum[checkpoints - 1],
-                                       tol, window)
+def brute_density(seq, x, kappa, window=5):
+    """Ratios #{n <= k : v(n) < x} / k at kappa's checkpoints k, by mask
+    and cumulative sum, and their spread over the last ``window``, as a
+    list of Python floats and a float."""
+    checkpoints = kappa.checkpoints.tolist()
+    below = np.cumsum(seq.prefix(checkpoints[-1]) < x, dtype=np.int64)
+    ratios = [int(below[k - 1]) / k for k in checkpoints]
+    tail = ratios[-window:]
+    return ratios, max(tail) - min(tail)
 
 
 def brute_rectangle_count(seqs, corners, n):
@@ -122,3 +127,53 @@ def brute_van_der_corput(base, ns):
         numer[active] = numer[active] * base + digits[active]
         denom[active] *= base
     return numer / denom
+
+
+def brute_continuity_grid(cdfs, count, atom_tol=1e-3, interval=None):
+    """``continuity_grid`` for valid arguments by list membership tests
+    and a rescan of every clear segment per fill-up point."""
+    interval = cdfs[0].interval if interval is None else interval
+    a, b = interval.a, interval.b
+    blocked = _merged_blocked(cdfs, atom_tol)
+    starts = np.asarray([lo for lo, _ in blocked])
+
+    def relocate(x):
+        if not blocked:
+            return x
+        i = int(np.searchsorted(starts, x, side="right")) - 1
+        if i < 0 or x >= blocked[i][1]:
+            return x
+        lo, hi = blocked[i]
+        options = [p for p in (lo, hi) if a < p < b]
+        if not options:
+            return None
+        return min(options, key=lambda p: (abs(p - x), p))
+
+    chosen = []
+    for i in range(1, count + 1):
+        placed = relocate(a + i * (b - a) / (count + 1))
+        if placed is not None and placed not in chosen:
+            chosen.append(placed)
+    chosen.sort()
+    if len(chosen) < count:
+        segments = list(_allowed_segments(interval, blocked))
+        budget = 4 * count + 64
+        while len(chosen) < count and segments and budget > 0:
+            budget -= 1
+            j = max(range(len(segments)),
+                    key=lambda i: (segments[i][1] - segments[i][0],
+                                   -segments[i][0]))
+            lo, hi = segments.pop(j)
+            mid = lo + (hi - lo) / 2.0
+            if mid not in chosen:
+                chosen.append(mid)
+            if lo < mid:
+                segments.append((lo, np.nextafter(mid, lo)))
+            if mid < hi:
+                segments.append((np.nextafter(mid, hi), hi))
+        chosen.sort()
+        if len(chosen) < count:
+            raise GridError(
+                f"cannot place {count} atom-clear points on ({a}, {b}); "
+                f"achievable: {len(chosen)}", achievable=len(chosen))
+    return np.asarray(chosen, dtype=np.float64)

@@ -10,7 +10,8 @@ sequence's extended-precision constant, so the reference is the exact
 average for the alpha the library multiplies by: what separates the two
 is only the library's rounding.
 
-The rectangle discrepancy is counted in integers and rounded once (see
+The rectangle discrepancy is counted in integers (its N^2 multiple,
+:func:`rectangle_excess`) and rounded once (see
 :func:`rectangle_discrepancy`).
 """
 
@@ -67,14 +68,26 @@ def rectangle_discrepancy(x, y) -> float:
     (x[n], y[n]), rounded once to float64: C_N(s, t) counts the points
     with x <= s and y <= t, and F_N, G_N are the marginal empirical CDFs
     (the Blum-Kiefer-Rosenblatt statistic, Ann. Math. Stat. 1961).
+    It is :func:`rectangle_excess` / N^2.
+    """
+    n = np.size(x)
+    # int / int is correctly rounded
+    return rectangle_excess(x, y) / (n * n)
+
+
+def rectangle_excess(x, y) -> int:
+    """N^2 D_N of the N points (x[n], y[n]), exactly: the largest
+    |N c(s, t) - A(s) B(t)| over every s and t, where c(s, t) counts the
+    points with x <= s and y <= t and A(s), B(t) the points with x <= s
+    and with y <= t.
 
     All three step only at the data, so the supremum is reached at a data
     corner, on one of its sides: x <= s or x < s, and y <= t or y < t.  A
     table over the ranks of the distinct values, with a row and a column
     of zeros in front for "below the smallest value", holds every side of
     every corner: the cumulative sums of the rank histogram, with no loop
-    over corners.  D_N is the largest |N*C - A*B| over its entries, for
-    marginal counts A and B, divided by N^2.
+    over corners.  The excess is the largest |N*c - A*B| over its
+    entries, whose last row and column are A and B.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -88,5 +101,4 @@ def rectangle_discrepancy(x, y) -> float:
     np.add.at(counts, (i + 1, j + 1), 1)
     counts = counts.cumsum(axis=0).cumsum(axis=1)
     excess = n * counts - np.outer(counts[:, -1], counts[-1, :])
-    # int / int is correctly rounded
-    return int(np.abs(excess).max()) / (n * n)
+    return int(np.abs(excess).max())

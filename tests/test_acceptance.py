@@ -209,20 +209,20 @@ def test_c5_measurability_machinery():
     pool = SubsequenceIndex(
         np.unique(np.round(np.exp2(np.arange(0, 8 * 18 + 1) / 8.0))
                   .astype(np.int64)), name="geometric")
-    ratios = detect_measurable(blk, pool, half).traces[0].trace_ratios
+    ratios = detect_measurable(blk, pool, half).ratios[:, 0]
     swing = float(np.max(ratios) - np.min(ratios))
     if not swing > 0.2:
         failures.append(f"full-pool ratio swing {swing} not > 0.2")
 
     kappa = helly_extract([blk], pool, half)
-    est = detect_measurable(blk, kappa, half).traces[0]
-    if not est.oscillation <= 1e-2:
-        failures.append(f"extracted trace oscillation {est.oscillation}")
+    extracted = float(detect_measurable(blk, kappa, half).oscillations[0])
+    if not extracted <= 1e-2:
+        failures.append(f"extracted trace oscillation {extracted}")
     again = helly_extract([blk], kappa, half, min_pool=5)
     if again != kappa:
         failures.append("extraction is not idempotent")
     _finish("C5", f"block sequence: oscillation {osc:.2f} > 0.2 before, "
-                  f"{est.oscillation:.1e} <= 1e-2 after extraction, "
+                  f"{extracted:.1e} <= 1e-2 after extraction, "
                   f"idempotent", failures)
 
 

@@ -10,6 +10,7 @@ unsorted and duplicate grids.
 
 import itertools
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -133,14 +134,16 @@ def test_measurability_ratios_match_kappa_density(seqs, grid, kappa, window):
     seq = seqs[0]
     window = min(window, len(kappa))
     rep = detect_measurable(seq, kappa, grid, tol=0.05, window=window)
-    assert len(rep.traces) == grid.size
-    for x, est in zip(grid, rep.traces):
-        want = brute_density(seq, float(x), kappa, tol=0.05, window=window)
-        assert np.array_equal(est.checkpoints, want.checkpoints)
-        assert np.array_equal(est.trace_ratios, want.trace_ratios)
-        assert est.trace == want.trace
-        assert (est.value, est.oscillation, est.converged) == \
-            (want.value, want.oscillation, want.converged)
+    assert rep.ratios.shape == (len(kappa), grid.size)
+    assert np.array_equal(rep.checkpoints, kappa.checkpoints)
+    assert np.array_equal(rep.grid, grid)
+    oscillations = []
+    for j, x in enumerate(grid):
+        ratios, oscillation = brute_density(seq, float(x), kappa, window)
+        assert rep.ratios[:, j].tolist() == ratios
+        assert rep.oscillations[j] == oscillation
+        oscillations.append(oscillation)
+    assert rep.measurable == (max(oscillations) <= 0.05)
 
 
 def cumsum_extract(seqs, pool, grid, tol, window):
@@ -345,15 +348,6 @@ class TestGridCountsInputErrors:
             grid_counts([], np.array([0.5]), [4])
 
 
-def test_trace_property_lists_python_pairs():
-    seq = PeriodicSequence([0.0, 1.0])
-    rep = detect_measurable(seq, SubsequenceIndex([2, 4, 6, 8, 10]),
-                            np.array([0.5]))
-    trace = rep.traces[0].trace
-    assert trace == [(2, 0.5), (4, 0.5), (6, 0.5), (8, 0.5), (10, 0.5)]
-    assert all(type(k) is int and type(r) is float for k, r in trace)
-
-
 class TestErrorsKept:
     def test_shallow_kappa(self):
         seq = VanDerCorputSequence(2)
@@ -368,9 +362,15 @@ class TestErrorsKept:
         kappa = SubsequenceIndex(range(1, 11))
         with pytest.raises(ValueError, match="tol must be positive"):
             detect_measurable(seq, kappa, np.array([0.5]), tol=0.0)
-        with pytest.raises(ValueError, match="tol must be positive"):
-            kappa_independence_test([seq], kappa, np.array([0.5]), 0.05,
-                                    measurability_tol=-1.0)
+        # each tolerance is named: measurability_tol=0.0 raised the text
+        # for tol, "tol must be positive, got 0.0"
+        for tol, measurability_tol, message in (
+                (-1.0, 0.01, "tol must be positive, got -1.0"),
+                (0.05, 0.0, "measurability_tol must be positive, got 0.0"),
+                (0.05, -1.0, "measurability_tol must be positive, got -1.0")):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                kappa_independence_test([seq], kappa, np.array([0.5]), tol,
+                                        measurability_tol=measurability_tol)
 
     @pytest.mark.parametrize("x, message", [
         (1.5, r"grid point 1\.5 outside \[0\.0, 1\.0\]"),
@@ -431,7 +431,8 @@ def test_public_surface_is_consistent():
         assert name not in names
         assert not any(hasattr(module, name)
                        for module in (statindep, density, independence))
-    assert not hasattr(statindep.DensityEstimate, "ratios")
+    assert not hasattr(statindep, "DensityEstimate")
+    assert not hasattr(density, "DensityEstimate")
 
 
 def test_harness_counts_once_in_the_schedule_walk(monkeypatch):

@@ -1,7 +1,7 @@
 """Preimage counts and selective-density tests.
 
 Counts come from the grid counting core (``grid_counts``)
-and densities from ``detect_measurable``'s traces.  They are checked
+and densities from ``detect_measurable``'s ratio table.  They are checked
 against exact finite counts (periodic and block sequences give closed-form
 prefix counts) and brute-force masks, never against asserted limits.
 """
@@ -31,8 +31,9 @@ def below_counts(seq, points, checkpoints):
     return grid_counts([seq], points, checkpoints)
 
 
-def trace_below(seq, x, kappa, **kwargs):
-    return detect_measurable(seq, kappa, np.array([x]), **kwargs).traces[0]
+def measure_below(seq, x, kappa, **kwargs):
+    """The measurability table of ``seq`` along ``kappa`` at one point x."""
+    return detect_measurable(seq, kappa, np.array([x]), **kwargs)
 
 
 class TestPrefixCount:
@@ -88,39 +89,41 @@ class TestKappaDensity:
     def test_periodic_exact_ratios(self):
         seq = PeriodicSequence([0.0, 1.0])
         kappa = SubsequenceIndex([2, 4, 6, 8, 10, 12])
-        est = trace_below(seq, 0.5, kappa)
+        rep = measure_below(seq, 0.5, kappa)
         # at even checkpoints the ratio is exactly 1/2
-        assert [r for _, r in est.trace] == [0.5] * 6
-        assert est.oscillation == 0.0
-        assert est.converged
-        assert est.value == 0.5
+        assert rep.checkpoints.tolist() == [2, 4, 6, 8, 10, 12]
+        assert rep.ratios[:, 0].tolist() == [0.5] * 6
+        assert rep.oscillations[0] == 0.0
+        assert rep.measurable
+        assert rep.ratios[-1, 0] == 0.5
 
     def test_block_ratio_exact_thirds_at_high_block_ends(self):
         blk = make_block(0.0, 1.0, 2)
         ends = blk.block_ends(10 ** 5)  # 2, 6, 14, ...
         high_ends = ends.take(np.arange(1, len(ends), 2))  # 6, 30, 126, ...
-        est = trace_below(blk, 0.5, high_ends)
-        for _, ratio in est.trace:
+        rep = measure_below(blk, 0.5, high_ends)
+        for ratio in rep.ratios[:, 0]:
             assert ratio == pytest.approx(1 / 3, abs=1e-15)
 
     def test_oscillation_detects_block_swings(self):
         blk = make_block(0.0, 1.0, 2)
         pow2 = SubsequenceIndex(2 ** np.arange(0, 15), name="pow2")
-        est = trace_below(blk, 0.5, pow2)
-        assert est.oscillation > 0.2
-        assert not est.converged
+        rep = measure_below(blk, 0.5, pow2)
+        assert rep.oscillations[0] > 0.2
+        assert not rep.oscillations[0] <= rep.tol
+        assert not rep.measurable
 
     def test_shallow_kappa_rejected(self):
         seq = PeriodicSequence([0.0, 1.0])
         with pytest.raises(CheckpointError):
-            trace_below(seq, 0.5, SubsequenceIndex([2, 4]), window=5)
+            measure_below(seq, 0.5, SubsequenceIndex([2, 4]), window=5)
 
     def test_trace_matches_brute_force(self):
         seq = VanDerCorputSequence(3)
         kappa = SubsequenceIndex([7, 20, 33, 81, 100, 243])
-        est = trace_below(seq, 0.6, kappa)
+        rep = measure_below(seq, 0.6, kappa)
         vals = seq.prefix(243)
-        for k, ratio in est.trace:
+        for k, ratio in zip(rep.checkpoints.tolist(), rep.ratios[:, 0]):
             assert ratio == int(np.sum(vals[:k] < 0.6)) / k
 
 
@@ -140,9 +143,13 @@ def test_count_complement_identity(n, x):
 def test_density_value_is_last_trace_entry(m):
     seq = VanDerCorputSequence(2)
     kappa = SubsequenceIndex(np.arange(1, m + 1) * 7)
-    est = trace_below(seq, 0.5, kappa)
-    assert est.value == est.trace[-1][1]
-    assert len(est.trace) == m
+    rep = measure_below(seq, 0.5, kappa)
+    # the reported density at x is the table's deepest row
+    assert rep.to_json_obj()["cdf_at_deepest"].tolist() == \
+        rep.ratios[-1].tolist()
+    assert rep.ratios.shape == (m, 1)
+    assert rep.ratios[-1, 0] == \
+        int(np.sum(seq.prefix(7 * m) < 0.5)) / (7 * m)
 
 
 # Duplicates, both zeros and the int64 extremes come up often, as in

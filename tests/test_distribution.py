@@ -1,10 +1,12 @@
 """Empirical CDF, Stieltjes sum, grid, sandwich, and envelope tests."""
 
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from _brute import brute_density
+from _brute import brute_continuity_grid, brute_density
 from statindep import (
     ConstantSequence,
     EnvelopeError,
@@ -30,6 +32,12 @@ from statindep.distribution import _merged_blocked
 
 def naturals(depth, stride=1):
     return SubsequenceIndex(np.arange(stride, depth + 1, stride))
+
+
+# Atom positions for continuity_grid: the ends and a few exact fractions,
+# so relocated points and fill-up midpoints collide.
+GRID_ATOMS = st.one_of(st.sampled_from((0.0, 0.001, 0.25, 0.5, 0.75, 1.0)),
+                       st.floats(0.0, 1.0).map(abs))
 
 
 class TestStepCDF:
@@ -106,9 +114,9 @@ class TestEmpiricalCDF:
         F = empirical_cdf(seq, kappa)
         grid = np.array([0.1, 0.33333, 0.5, 0.717, 0.9])
         rep = detect_measurable(seq, kappa, grid)
-        for x, est in zip(grid, rep.traces):
-            assert cdf_eval(F, x) == est.value
-            assert est.value == brute_density(seq, x, kappa).value
+        for x, value in zip(grid, rep.ratios[-1]):
+            assert cdf_eval(F, x) == value
+            assert value == brute_density(seq, x, kappa)[0][-1]
 
     def test_total_mass_exact_for_counts(self):
         seq = VanDerCorputSequence(2)
@@ -191,6 +199,42 @@ class TestContinuityGrid:
             continuity_grid([], 5)
         grid = continuity_grid([], 3, interval=Interval(2.0, 4.0))
         assert grid.tolist() == pytest.approx([2.5, 3.0, 3.5], abs=1e-12)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.lists(st.tuples(GRID_ATOMS, st.integers(1, 20)),
+                             min_size=1, max_size=12), max_size=3),
+           st.integers(1, 80),
+           st.sampled_from((1e-3, 0.0049, 0.02, 0.1, 0.25, 0.3, 0.5)))
+    def test_same_points_as_the_list_scanning_loop(self, atoms, count,
+                                                   atom_tol):
+        cdfs = []
+        for cdf_atoms in atoms:
+            points, counts = zip(*sorted(dict(cdf_atoms).items()))
+            cdfs.append(StepCDF.from_counts(np.array(points), counts,
+                                            sum(counts), UNIT))
+
+        def placed(place):
+            try:
+                return place(cdfs, count, atom_tol, UNIT).tobytes()
+            except GridError as err:
+                return str(err), err.achievable
+
+        assert placed(continuity_grid) == placed(brute_continuity_grid)
+
+    @pytest.mark.parametrize("count, cdfs, atom_tol", [
+        (10 ** 5, [], 1e-3),
+        # 100 atoms leave 100 clear slivers: all but 200 points come from
+        # the fill-up, one midpoint at a time
+        (20000, [StepCDF(0.005 + np.arange(100) / 100, np.full(100, 0.01),
+                         UNIT)], 0.0049)])
+    def test_large_counts_place_in_near_linear_time(self, count, cdfs,
+                                                    atom_tol):
+        # list membership tests and a rescan of every segment per fill-up
+        # point took 56.9 s and 40.4 s
+        took = time.perf_counter()
+        grid = continuity_grid(cdfs, count, atom_tol, UNIT)
+        assert time.perf_counter() - took < 5.0
+        assert grid.size == count and np.all(np.diff(grid) > 0)
 
 
 class TestSandwich:

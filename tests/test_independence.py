@@ -1,5 +1,6 @@
 """Multilinear form, rectangle test, and equivalence harness tests."""
 
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -19,7 +20,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from _brute import BLOCK, brute_forms, brute_grid_counts, brute_rectangle_count
-from _exact import MAX_DISCREPANCY_POINTS, rectangle_discrepancy, weyl_mean
+from _exact import (MAX_DISCREPANCY_POINTS, rectangle_discrepancy,
+                    rectangle_excess, weyl_mean)
 from statindep import (
     AffineImageSequence,
     CheckpointError,
@@ -56,7 +58,7 @@ from statindep import (
     step_envelope,
     stieltjes,
 )
-from statindep.density import grid_counts
+from statindep.density import grid_counts, sorted_unique
 from statindep import forkwalk, independence
 from statindep import density as density_module
 from statindep.reporting import canonical_json, csv_text
@@ -252,9 +254,11 @@ class TestKappaIndependence:
         rep = kappa_independence_test(seqs, naturals(10 ** 4, 100),
                                       np.linspace(0.1, 0.9, 9), 0.02)
         obj = rep.to_json_obj()
-        for key in ("corners", "density", "product"):
+        for key in ("corners", "density", "product", "residual"):
             with pytest.raises(ValueError, match="read-only"):
                 obj[key][0] = 9.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            rep.max_abs_residual = 0.0
 
     def test_independent_pair_decile_residuals(self):
         v1 = KroneckerSequence("sqrt2-1")
@@ -286,22 +290,16 @@ class TestKappaIndependence:
             c = brute_rectangle_count([v1, v2], corner, kappa.deepest)
             assert density == c / kappa.deepest
 
-    def test_columns_take_the_residuals_once(self, monkeypatch):
-        # one subtraction per columns() call, not one per corner
+    def test_columns_take_the_residuals_once(self):
+        # the residuals are taken once, where the report is built, and
+        # columns() and to_json_obj() hand out that one array
         rep = kappa_independence_test(
             [KroneckerSequence("sqrt2-1"), KroneckerSequence("sqrt3-1")],
             naturals(2048, 64), np.array([0.3, 0.6]), 0.05)
-        real = independence.RectangleReport.residuals
-        taken = []
-
-        def residuals(self):
-            taken.append(self)
-            return real.fget(self)
-
-        monkeypatch.setattr(independence.RectangleReport, "residuals",
-                            property(residuals))
         columns = rep.columns()
-        assert taken == [rep]
+        assert columns[-1] is rep.residuals
+        assert rep.to_json_obj()["residual"] is rep.residuals
+        assert rep.max_abs_residual == float(np.max(np.abs(rep.residuals)))
         rows = list(zip(*[c.tolist() for c in columns]))
         assert rows == [(rep.kappa_label, *corner, density, product,
                          density - product)
@@ -577,7 +575,7 @@ NAN = float("nan")
      "tol must be positive"),
     (lambda s, k, g: kappa_independence_test(s, k, g, 0.02,
                                              measurability_tol=NAN),
-     "tol must be positive"),
+     "measurability_tol must be positive"),
     (lambda s, k, g: detect_measurable(s[0], k, g, tol=NAN),
      "tol must be positive"),
     (lambda s, k, g: helly_extract(s, k, g, tol=NAN),
@@ -748,6 +746,25 @@ def test_gap_within_variations_times_rectangle_discrepancy(u, v, schedule):
     for k, n in enumerate(schedule):
         bound = weight * rectangle_discrepancy(u.prefix(n), v.prefix(n))
         assert np.all(np.abs(rep.gaps[:, k]) <= bound + (n + 8) * 2.0 ** -50)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(BOUND_SEQUENCES), st.sampled_from(BOUND_SEQUENCES),
+       st.integers(1, MAX_DISCREPANCY_POINTS),
+       st.lists(st.floats(0.0, 1.0), min_size=1, max_size=9))
+def test_grid_table_brackets_the_rectangle_discrepancy(u, v, n, grid):
+    # ROADMAP item 4, step 2: a Tally table at N over any grid brackets
+    # N^2 D_N in integers.  Its corners are one-sided limits of data
+    # rectangles, so its largest excess is at most N^2 D_N.  Inside a grid
+    # cell, c, A and B lie between their values at the cell's corners, so
+    # N c - A B is within N max dA + N max dB of a corner's excess.
+    table = grid_counts([u, v], sorted_unique(grid), [n])[0]
+    c = np.pad(table, ((1, 0), (1, 0)))  # 0 in front: nothing below
+    a, b = c[:, -1], c[-1, :]  # each ends at N
+    grid_sup = int(np.abs(n * c - np.outer(a, b)).max())
+    excess = rectangle_excess(u.prefix(n), v.prefix(n))
+    assert grid_sup <= excess <= grid_sup + n * int(np.diff(a).max()) \
+        + n * int(np.diff(b).max())
 
 
 def _same_bits(a, b):

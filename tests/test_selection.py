@@ -1,5 +1,6 @@
 """Measurability detection, extraction, and checkpoint family tests."""
 
+import dataclasses
 import math
 import re
 import time
@@ -49,8 +50,8 @@ class TestDetectMeasurable:
         rep = detect_measurable(seq, naturals(10 ** 4, 100), DECILES)
         assert rep.measurable
         # the limiting CDF estimate should be near F(x) = x
-        for x, trace in zip(rep.grid, rep.traces):
-            assert trace.value == pytest.approx(x, abs=0.01)
+        for x, cdf in zip(rep.grid, rep.ratios[-1]):
+            assert cdf == pytest.approx(x, abs=0.01)
 
     def test_block_not_measurable_along_pow2(self):
         blk = make_block(0.0, 1.0, 2)
@@ -72,6 +73,25 @@ class TestDetectMeasurable:
         seq = ConstantSequence(0.3)
         with pytest.raises(CheckpointError):
             detect_measurable(seq, SubsequenceIndex([1, 2]), DECILES, window=5)
+
+    def test_report_is_read_only_and_keeps_its_own_grid(self):
+        # the report held the caller's grid array itself, and writing into
+        # to_json_obj()["grid"] changed both the report and that array
+        grid = np.array([0.25, 0.5])
+        rep = detect_measurable(KroneckerSequence("sqrt2-1"),
+                                naturals(1000, 100), grid)
+        assert rep.grid is not grid
+        obj = rep.to_json_obj()
+        for key in ("grid", "oscillation", "cdf_at_deepest"):
+            with pytest.raises(ValueError, match="read-only"):
+                obj[key][0] = 0.9
+        for table in (rep.checkpoints, rep.ratios):
+            with pytest.raises(ValueError, match="read-only"):
+                table[0] = 9
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            rep.measurable = False
+        assert grid.tolist() == [0.25, 0.5]
+        assert rep.grid.tolist() == [0.25, 0.5]
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
@@ -106,8 +126,7 @@ class TestHellyExtract:
         assert np.all(np.isin(kappa.checkpoints, pool.checkpoints))
         assert np.all(np.diff(kappa.checkpoints) > 0)
         # trailing-window ratios are Cauchy within tol
-        est = brute_density(blk, 0.5, kappa)
-        assert est.oscillation <= 1e-2
+        assert brute_density(blk, 0.5, kappa)[1] <= 1e-2
         assert detect_measurable(blk, kappa, np.array([0.5])).measurable
 
     def test_idempotent(self):
