@@ -4,7 +4,8 @@
 < 0.5`` bit for bit, for any non-negative int seed, in O(log lo + n) time.
 Importing ``numpy.random`` costs more resident memory than the rest of a
 CLI run holds beyond numpy itself, and one thinned checkpoint index is its
-only use here.
+only use here.  :func:`_mul_add` is the package's one 128-bit multiply;
+Kronecker sequences take their values from it too.
 
 The generator (O'Neill, "PCG: A Family of Simple Fast Space-Efficient
 Statistically Good Algorithms for Random Number Generation",

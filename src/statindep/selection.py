@@ -22,6 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
+from ._pcg64 import Coins
 from .density import Tally, fill, grid_counts, sorted_unique
 from .distribution import StepCDF, empirical_cdf
 from .errors import (CheckpointError, ExtractionError, IntervalError,
@@ -390,9 +391,7 @@ def _coin_thinned(base_depth: int, seed: int,
     first coin jumps to in O(log) steps, until ``last`` kept indices are
     found: O(last) time and memory at any base_depth.
     """
-    from . import _pcg64  # here, so that runs without thinned never load it
-
-    stream = _pcg64.Coins(seed)
+    stream = Coins(seed)
 
     def coins(lo: int) -> np.ndarray:
         return stream.heads(lo, min(_COIN_CHUNK, base_depth - lo))

@@ -18,12 +18,14 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
+from ._pcg64 import _MASK64, _MASK128, _mul_add, _split
 from .errors import (
     CheckpointError,
     IntervalError,
@@ -58,23 +60,20 @@ class Interval:
 
 UNIT = Interval(0.0, 1.0)
 
-# Extended-precision constants for the usual irrational rotations.
-ALPHA_SQRT2 = np.sqrt(np.longdouble(2)) - 1
-ALPHA_SQRT3 = np.sqrt(np.longdouble(3)) - 1
-ALPHA_GOLDEN = (np.sqrt(np.longdouble(5)) - 1) / 2
+# Names of the usual irrational rotations, kept as floor(alpha 2^128)
+# from integer square roots.
+ALPHA_SQRT2, ALPHA_SQRT3, ALPHA_GOLDEN = "sqrt2-1", "sqrt3-1", "golden"
 
-_NAMED_ALPHAS = {
-    "sqrt2-1": ALPHA_SQRT2,
-    "sqrt3-1": ALPHA_SQRT3,
-    "sqrt5-1": np.sqrt(np.longdouble(5)) - 1,
-    "golden": ALPHA_GOLDEN,
-}
+_NAMED_ALPHAS = {"sqrt2-1": math.isqrt(2 << 256) - (1 << 128),
+                 "sqrt3-1": math.isqrt(3 << 256) - (1 << 128),
+                 "sqrt5-1": math.isqrt(5 << 256) - (1 << 128),
+                 "golden": (math.isqrt(5 << 256) - (1 << 128)) >> 1}
 
 # Indices evaluated per batch, in blocks aligned to multiples of _CHUNK.
-# A chunk's temporaries (16-byte longdouble for Kronecker) stay near 128 KiB,
-# glibc's default mmap threshold; at 2^16 they are mapped and unmapped per
-# chunk, and 4M Kronecker terms take 60x the page faults and are slower
-# than evaluating them at once.
+# A chunk's arrays (8-byte limbs and values for Kronecker) take 64 KiB
+# each, below glibc's default 128 KiB mmap threshold; at 2^16 they are
+# mapped and unmapped per chunk, and 4M terms take 60x the page faults and
+# are slower than evaluating them at once.
 _CHUNK = 1 << 13
 
 
@@ -101,7 +100,8 @@ class BoundedSequence:
         return self._interval
 
     def _eval_batch(self, ns: np.ndarray) -> np.ndarray:
-        """Raw values for an int64 array of indices (n >= 1), unchecked.
+        """Raw values for an int64 array of consecutive indices n >= 1, as
+        :meth:`_block` passes them, unchecked.
 
         Each value depends on its own index only, so evaluating a range in
         pieces gives the same bits as evaluating it at once.
@@ -232,49 +232,73 @@ class MaterializedSequence(BoundedSequence):
         return self.values[:n]
 
 
-class KroneckerSequence(BoundedSequence):
-    """v(n) = frac(n * alpha), evaluated in 80-bit extended precision.
+# A Kronecker block is evaluated as rows of _ROW indices.
+_ROW = 64
+_DECIMAL = re.compile(r"([+-]?[0-9]*)(?:\.([0-9]*))?(?:[eE]([+-]?[0-9]+))?")
 
-    Per-term reduction mod 1 in extended precision keeps the orbit accurate
-    to ~5e-13 absolute at n = 1e7; naive float64 accumulation would drift.
-    ``alpha`` may be a float, an extended-precision scalar, a decimal string
-    (parsed at extended precision), or one of the named constants
-    "sqrt2-1", "sqrt3-1", "sqrt5-1", "golden".
+
+class KroneckerSequence(BoundedSequence):
+    """v(n) = frac(n * alpha), from the integer A = floor(frac(alpha) 2^128).
+
+    v(n) = ((n A mod 2^128) >> 75) 2^-53, in exact integer arithmetic: a
+    multiple of 2^-53 in [0, 1), within 2^-53 + n 2^-128 of frac(n alpha),
+    with the same bits on every platform, for every n < 2^63.  A
+    fractional part below 2^-128 reads as 0.  ``alpha`` is read exactly:
+    a float or int (Python or numpy), a decimal string
+    ``[+-]digits[.digits][e[+-]digits]``, or one of the named constants
+    "sqrt2-1", "sqrt3-1", "sqrt5-1", "golden" (``ALPHA_SQRT2``,
+    ``ALPHA_SQRT3`` and ``ALPHA_GOLDEN`` are three of these names).
+    ``alpha`` is then the integer A; the label shows alpha as given.
     """
 
     def __init__(self, alpha, interval: Interval = UNIT):
-        self.alpha = _parse_alpha(alpha)
-        label = f"kronecker({float(self.alpha):.12g})"
-        super().__init__(interval, "kronecker", label)
+        self.alpha, value = _parse_alpha(alpha)
+        # w A mod 2^128 for w < _ROW: its high limbs, and the complements
+        # of its low limbs (a low limb added to w A's carries iff it
+        # exceeds the complement)
+        cols = [w * self.alpha & _MASK128 for w in range(_ROW)]
+        self._col_hi = np.array([c >> 64 for c in cols], np.uint64)
+        self._col_carry = np.array([~c & _MASK64 for c in cols], np.uint64)
+        super().__init__(interval, "kronecker", f"kronecker({value:.12g})")
 
     def _eval_batch(self, ns: np.ndarray) -> np.ndarray:
-        vals = ns.astype(np.longdouble)
-        vals *= self.alpha
-        # Rounding is monotone, so the largest product is the largest n's.
-        # For 0 <= v < 2^63, v - trunc(v) is exact and equals fmod(v, 1)
-        # bit for bit, at about 60% of fmodl's cost.  alpha <= 0 keeps %,
-        # which also turns -0.0 into 0.0.  Slices of 2^11 keep the integer
-        # parts and their cast back to longdouble below the float64 result.
-        top = np.longdouble(ns.max(initial=0)) * self.alpha
-        if self.alpha > 0 and top < 2.0 ** 63:
-            for lo in range(0, vals.size, 1 << 11):
-                part = vals[lo:lo + (1 << 11)]
-                part -= part.astype(np.int64)
-        else:
-            vals %= np.longdouble(1.0)
-        return vals.astype(np.float64)
+        # ns is n0 .. n0 + k - 1, laid out as rows of _ROW: n = n0 + j + w
+        # for j a multiple of _ROW and w < _ROW, so n A mod 2^128 is the
+        # row's n0 A + j A, from _mul_add, plus the column's w A
+        start = int(ns[0]) * self.alpha & _MASK128
+        row_hi, row_lo = _mul_add(_split(np.uint64(0), np.arange(
+            0, ns.size, _ROW, dtype=np.uint64)[:, None]), self.alpha,
+            np.uint64(start >> 64), np.uint64(start & _MASK64))
+        hi = row_hi + self._col_hi
+        hi += self._col_carry < row_lo
+        hi >>= np.uint64(11)
+        return (hi * 2.0 ** -53).ravel()[:ns.size]
 
 
-def _parse_alpha(alpha) -> np.longdouble:
+def _parse_alpha(alpha) -> tuple[int, float]:
+    """(A, alpha as a float) for a Kronecker ``alpha``, A being
+    floor(frac(alpha) 2^128) of alpha read exactly."""
     if isinstance(alpha, str) and alpha in _NAMED_ALPHAS:
-        return _NAMED_ALPHAS[alpha]
+        scaled = _NAMED_ALPHAS[alpha]
+        return scaled & _MASK128, scaled / (1 << 128)
     try:
-        value = np.longdouble(alpha)
-    except ValueError:
+        value = float(alpha)
+    except (TypeError, ValueError):
         raise SpecError(f"cannot parse kronecker alpha {alpha!r}") from None
-    if not np.isfinite(value):
+    if not math.isfinite(value):
         raise SpecError(f"kronecker alpha must be finite, got {alpha!r}")
-    return value
+    if isinstance(alpha, str):
+        match = _DECIMAL.fullmatch(alpha)
+        if match is None:
+            raise SpecError(f"cannot parse kronecker alpha {alpha!r}")
+        # p / 10^places; past len(digits) + 39 places |p| 2^128 < 10^places,
+        # so floor(p 2^128 / 10^places) is 0 or -1 at any larger places too
+        whole, frac, exp = match.groups(default="")
+        digits, places = whole + frac, len(frac) - int(exp or 0)
+        p, q = int(digits), 10 ** max(0, min(places, len(digits) + 39))
+    else:  # a numpy int has no ratio of its own; its float is an integer
+        p, q = getattr(alpha, "as_integer_ratio", value.as_integer_ratio)()
+    return (p << 128) // q & _MASK128, value
 
 
 class VanDerCorputSequence(BoundedSequence):

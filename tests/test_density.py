@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from _brute import brute_rectangle_count
+from _exact import kronecker_count
 from statindep import (
     CheckpointError,
     IntervalError,
@@ -46,6 +47,38 @@ class TestPrefixCount:
         seq = VanDerCorputSequence(2)
         vals = seq.prefix(500)
         assert below_counts(seq, [0.3], [500])[0, 0] == int(np.sum(vals < 0.3))
+
+
+class TestKroneckerFloorSums:
+    """Marginal counts of Kronecker sequences against the exact floor sums
+    of n A / 2^128 (tests/_exact.py)."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(["sqrt2-1", "golden", 0.3, "0.1"]),
+           st.integers(min_value=0, max_value=1 << 14),
+           st.floats(min_value=-0.5, max_value=1.5))
+    def test_floor_sums_count_like_brute_force(self, alpha, n, x):
+        seq = KroneckerSequence(alpha)
+        vals = seq.prefix(1 << 14)[:n]
+        assert kronecker_count(seq.alpha, n, x) == int(np.sum(vals < x))
+
+    def test_floor_sums_count_at_the_values_themselves(self):
+        # x on a value and one 2^-53 step above it
+        seq = KroneckerSequence("sqrt3-1")
+        vals = seq.prefix(1 << 12)
+        for x in vals[:50].tolist() + (vals[:50] + 2.0 ** -53).tolist():
+            assert kronecker_count(seq.alpha, vals.size, x) == \
+                int(np.sum(vals < x))
+
+    def test_grid_counts_equal_the_floor_sums_up_to_2_to_the_22(self):
+        seq = KroneckerSequence("sqrt2-1")
+        deciles = np.linspace(0.1, 0.9, 9)
+        checkpoints = sorted({1, 7, 100, 8191, 8192, 8193, 10 ** 5, 10 ** 6,
+                              *(1 << k for k in range(23))})
+        counts = below_counts(seq, deciles, checkpoints)
+        want = [[kronecker_count(seq.alpha, k, x) for x in deciles] + [k]
+                for k in checkpoints]
+        assert counts.tolist() == want
 
 
 class TestPreimage:

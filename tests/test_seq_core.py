@@ -1,7 +1,8 @@
 """Generator and checkpoint-index unit tests.
 
 Irrational-rotation values are checked against literals precomputed with
-50-digit arithmetic; radical-inverse values against the exact dyadic/triadic
+50-digit arithmetic and bit for bit against the integer formula they are
+defined by; radical-inverse values against the exact dyadic/triadic
 fractions.
 """
 
@@ -12,11 +13,15 @@ from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from statindep import (
+    ALPHA_GOLDEN,
+    ALPHA_SQRT2,
+    ALPHA_SQRT3,
     AffineImageSequence,
     BlockSequence,
     CheckpointError,
@@ -59,6 +64,25 @@ KRONECKER_ORACLE = {
 }
 
 
+# The named rotations as reals, taken at 300 bits by exact_alpha
+NAMED_REALS = {
+    "sqrt2-1": lambda: mpmath.sqrt(2) - 1,
+    "sqrt3-1": lambda: mpmath.sqrt(3) - 1,
+    "sqrt5-1": lambda: mpmath.sqrt(5) - 1,
+    "golden": lambda: (mpmath.sqrt(5) - 1) / 2,
+}
+
+
+def exact_alpha(alpha) -> int:
+    """floor(frac(alpha) 2^128): a named alpha's from mpmath at 300 bits,
+    any other's from its exact rational value."""
+    if isinstance(alpha, str) and alpha in NAMED_REALS:
+        with mpmath.workprec(300):
+            scaled = mpmath.floor(NAMED_REALS[alpha]() * 2 ** 128)
+            return int(scaled) % 2 ** 128
+    return math.floor(Fraction(alpha) * 2 ** 128) % 2 ** 128
+
+
 class TestInterval:
     def test_basic(self):
         iv = Interval(-1.0, 3.0)
@@ -80,7 +104,7 @@ class TestKronecker:
     def test_matches_high_precision_oracle(self, name):
         seq = KroneckerSequence(name)
         for n, want in KRONECKER_ORACLE[name].items():
-            assert seq.eval(n) == pytest.approx(want, abs=1e-12)
+            assert seq.eval(n) == pytest.approx(want, abs=2 ** -52)
 
     def test_rational_alpha_is_periodic(self):
         seq = KroneckerSequence(0.5)
@@ -99,31 +123,71 @@ class TestKronecker:
         assert np.array_equal(a[:30], b)
         assert not a.flags.writeable
 
-    # The named alphas, 20 random ones, and alphas that must keep the %
-    # reduction: zero, -0.0 and a negative one (v - trunc(v) would keep
-    # a -0.0 and a negative sign), and 3.75, whose products pass 2^63 at
-    # the deepest indices below.
-    FMOD_ALPHAS = (["sqrt2-1", "sqrt3-1", "sqrt5-1", "golden"]
-                   + np.random.default_rng(7).random(20).tolist()
-                   + [0.5, 3.75, 0.0, "-0.0", -0.3])
+    # The named alphas, 20 random ones, rationals, zero, -0.0 and a
+    # negative one, 3.75 (alpha >= 1), and decimal strings: "0.1", and
+    # frac(sqrt(7)) to 30 digits as the benchmark's workload seeds give it
+    ORACLE_ALPHAS = (["sqrt2-1", "sqrt3-1", "sqrt5-1", "golden"]
+                     + np.random.default_rng(7).random(20).tolist()
+                     + [0.5, 3.75, 0.0, "-0.0", -0.3, "0.1",
+                        "0.645751311064590590501615753600"])
 
-    @pytest.mark.parametrize("alpha", FMOD_ALPHAS)
-    def test_values_equal_the_fmod_reduction_bit_for_bit(self, alpha):
+    @pytest.mark.parametrize("alpha", ORACLE_ALPHAS)
+    def test_values_equal_the_integer_oracle_bit_for_bit(self, alpha):
         seq = KroneckerSequence(alpha)
+        a = exact_alpha(alpha)
+        assert seq.alpha == a
 
-        def fmod(ns):
-            vals = ns.astype(np.longdouble) * seq.alpha
-            return (vals % np.longdouble(1.0)).astype(np.float64)
+        def oracle(lo, hi):
+            return np.array([(n * a % 2 ** 128) >> 75
+                             for n in range(lo + 1, hi + 1)]) * 2.0 ** -53
 
-        # 1 .. 2^16 and a range across chunk edges, read as the walk reads
-        for lo, hi in ((0, 1 << 16), (_CHUNK - 5, 3 * _CHUNK + 7)):
-            got = np.concatenate(list(seq._chunks(lo, hi)))
-            assert _same_bits(got, fmod(np.arange(lo + 1, hi + 1)))
+        # 1 .. 2^16 and a range across chunk edges, then runs across a
+        # block edge at random depths up to 2^62, read as the walk reads
+        ranges = [(0, 1 << 16), (_CHUNK - 5, 3 * _CHUNK + 7)]
         rng = np.random.default_rng(11)
-        for ns in (np.sort(rng.integers(1, 2 ** 40, 4096)),
-                   rng.integers(2 ** 50, 2 ** 52, 4096),
-                   rng.integers(2 ** 61, 2 ** 62, 64)):
-            assert _same_bits(seq._eval_batch(ns), fmod(ns))
+        for low, high, runs in ((1, 2 ** 40, 8), (2 ** 50, 2 ** 52, 8),
+                                (2 ** 61, 2 ** 62, 4)):
+            for n in rng.integers(low, high, runs).tolist():
+                edge = n // _CHUNK * _CHUNK
+                ranges.append((edge - 70, edge + 130))
+        for lo, hi in ranges:
+            got = np.concatenate(list(seq._chunks(lo, hi)))
+            assert _same_bits(got, oracle(lo, hi)), lo
+
+    def test_alpha_is_read_exactly_and_truncated_at_2_to_the_minus_128(self):
+        # a decimal string is its decimal value, not its nearest float's
+        assert KroneckerSequence("0.1").alpha == 2 ** 128 // 10
+        assert KroneckerSequence(0.1).alpha == \
+            math.floor(Fraction(0.1) * 2 ** 128)
+        assert KroneckerSequence("-0.1").alpha == 2 ** 128 - 2 ** 128 // 10 - 1
+        assert KroneckerSequence("1e-30").alpha == 2 ** 128 // 10 ** 30
+        # frac(alpha) below 2^-128 reads as 0; above, v(1) rounds down
+        assert KroneckerSequence(1e-300).eval(3) == 0.0
+        assert KroneckerSequence("1e-5000").alpha == 0
+        assert KroneckerSequence("-1e-5000").alpha == 2 ** 128 - 1
+        assert KroneckerSequence(-1e-300).eval(1) == 1 - 2.0 ** -53
+        assert KroneckerSequence(np.int64(3)).alpha == 0
+        assert KroneckerSequence(np.float32(0.1)).alpha == \
+            math.floor(Fraction(float(np.float32(0.1))) * 2 ** 128)
+        # labels show alpha as given
+        assert [KroneckerSequence(a).label for a in
+                ("sqrt2-1", "sqrt5-1", 3.75, "-0.0")] == [
+            "kronecker(0.414213562373)", "kronecker(1.2360679775)",
+            "kronecker(3.75)", "kronecker(-0)"]
+
+    def test_alpha_names_are_the_named_sequences(self):
+        for const, name in ((ALPHA_SQRT2, "sqrt2-1"), (ALPHA_SQRT3, "sqrt3-1"),
+                            (ALPHA_GOLDEN, "golden")):
+            assert const == name
+            assert _same_bits(KroneckerSequence(const).prefix(100),
+                              KroneckerSequence(name).prefix(100))
+
+    @pytest.mark.parametrize("alpha", ["0x1p-1", " 0.5", "1_0", "1e", ".",
+                                       "--1", "0.5.5", "zz"])
+    def test_other_strings_do_not_parse(self, alpha):
+        with pytest.raises(SpecError, match=r"^cannot parse kronecker alpha "
+                           rf"{re.escape(repr(alpha))}$"):
+            KroneckerSequence(alpha)
 
 
 class TestVanDerCorput:
