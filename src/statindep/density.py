@@ -70,8 +70,9 @@ class Tally:
     per (checkpoint segment, grid cell), which the walk driver replaces.
 
     Raises CheckpointError for checkpoints that are empty, below 1 or not
-    strictly increasing, and ValueError when the table would exceed
-    MAX_TABLE_CELLS cells, both before anything is counted.
+    strictly increasing, and ValueError, naming the first bad point, for
+    points that are not finite and strictly increasing or when the table
+    would exceed MAX_TABLE_CELLS cells, all before anything is counted.
     """
 
     def __init__(self, points: np.ndarray, checkpoints,
@@ -81,6 +82,13 @@ class Tally:
             raise ValueError("need at least one sequence")
         self.checkpoints = check_checkpoints(checkpoints)
         self.points = np.asarray(points, dtype=np.float64)
+        bad = ~np.isfinite(self.points)
+        bad[1:] |= ~(self.points[1:] > self.points[:-1])
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise ValueError(
+                f"grid points must be finite and strictly increasing; "
+                f"point {i} is {float(self.points[i])!r}")
         m, g, rows = len(self.members), self.points.size, self.checkpoints.size
         check_table_size(rows, g, m)
         self._cells = (g + 1) ** m

@@ -250,6 +250,18 @@ def _allowed_segments(interval: Interval,
     return out
 
 
+def check_count(count: int, atom_tol: float) -> int:
+    """``count`` as an int, checked as :func:`continuity_grid` checks its
+    arguments: TypeError unless it is an integer, ValueError unless it is
+    >= 1 and ``atom_tol`` is positive."""
+    number = _check_index(count, "count")
+    if number < 1:
+        raise ValueError(f"count must be >= 1, got {count}")
+    if not atom_tol > 0:
+        raise ValueError(f"atom_tol must be positive, got {atom_tol}")
+    return number
+
+
 def continuity_grid(cdfs: Sequence[StepCDF], count: int, atom_tol: float = 1e-3,
                     interval: Interval | None = None) -> np.ndarray:
     """``count`` points in (a, b), each >= atom_tol away from every heavy atom.
@@ -260,10 +272,7 @@ def continuity_grid(cdfs: Sequence[StepCDF], count: int, atom_tol: float = 1e-3,
     clear position (ties resolve left), and any shortfall is filled from
     midpoints of the largest clear segments.  Deterministic throughout.
     """
-    if _check_index(count, "count") < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
-    if not atom_tol > 0:
-        raise ValueError(f"atom_tol must be positive, got {atom_tol}")
+    check_count(count, atom_tol)
     if interval is None:
         if not cdfs:
             raise ValueError("need an interval when no CDFs are supplied")

@@ -28,7 +28,7 @@ import numpy as np
 
 from .density import (MAX_TABLE_CELLS, Tally, check_table_size, fill,
                       marginal, sorted_unique)
-from .distribution import continuity_grid, empirical_cdf
+from .distribution import check_count, continuity_grid, empirical_cdf
 from . import forkwalk
 from .errors import IntervalError, MeasurabilityError
 from .selection import (DEFAULT_TOL, DEFAULT_WINDOW, Extraction, check_grid,
@@ -241,11 +241,12 @@ def _multilinear(seqs: Sequence[BoundedSequence], funcs: Sequence[Sequence],
     fill one table indexed by digits (see :func:`_block_table`).  Every
     (row, point) of a step, each slot's candidates and then each tuple in
     C order, reads the entry at its digits, an index fixed here.  Each
-    step is computed by :func:`_compute_step`, in this process or a
-    worker, and added here, every step in order, into one array of running
-    sums: a block into every point past its start.  Nothing of length N is
-    held.  The walk also feeds every tally, and runs on past the schedule
-    to the deepest checkpoint of the tallies that count each sequence.
+    step is computed by :func:`_compute_step`, which evaluates each
+    varying member once, in this process or a worker, and added here,
+    every step in order, into one array of running sums: a block into
+    every point past its start.  Nothing of length N is held.  The walk
+    also feeds every tally, and runs on past the schedule to the deepest
+    checkpoint of the tallies that count each sequence.
 
     Raises ValueError, naming the member and the sequence, when a
     member's mean at the last schedule point is NaN or infinite: it takes
@@ -321,16 +322,19 @@ def _compute_step(kernel, start: int, values: list) -> np.ndarray:
     ``values``: entry (row, p) is the block's sum for that row cut at
     schedule point p when the point lies inside the block, and whole when
     it lies past the block's end; entries for points at or before the
-    block's start are left as they were.  On each cut of
-    :func:`_block_cuts`, every varying member is evaluated straight into
-    its slot's block matrix, the block table is filled and every row
-    reads its entry at each of the cut's points."""
+    block's start are left as they were.  Every varying member is
+    evaluated once, over the longest cut of :func:`_block_cuts`, straight
+    into its slot's block matrix; on each cut, the block table is filled
+    from the matrices' first ``length`` columns and every row reads its
+    entry at each of the cut's points."""
     slots, table, out = kernel.slots, kernel.table, kernel.out
-    for length, lo, hi in _block_cuts(kernel.schedule, start):
-        for slot, v in zip(slots, values):
-            x = v[:length]
-            for r, f in enumerate(slot.members):
-                slot.matrix[r, :length] = f(x)  # a scalar is broadcast
+    cuts = list(_block_cuts(kernel.schedule, start))
+    longest = cuts[-1][0]
+    for slot, v in zip(slots, values):
+        x = v[:longest]
+        for r, f in enumerate(slot.members):
+            slot.matrix[r, :longest] = f(x)  # a scalar is broadcast
+    for length, lo, hi in cuts:
         mats = [slot.matrix[:, :length] for slot in slots]
         for s, mat in enumerate(mats):  # one nonzero digit: a row sum
             after = len(mats) - s - 1
@@ -499,10 +503,11 @@ def statind_test(seqs: Sequence[BoundedSequence], battery: FunctionBattery,
     value at every value the sequence can take (its ``value_set``, such
     as a block sequence's two levels) is known constant after the first
     chunk.  Then one walk reads the sequences one block a step: each
-    member that varies is evaluated once per block (and once more for
-    each schedule point inside it) into one block table of the sums of
-    products of varying members (see :func:`_block_table`), and every
-    (row, schedule point) of a step reads its entry of the table.
+    member that varies is evaluated once per block, and the block's sums
+    of products of varying members fill one block table (see
+    :func:`_block_table`) for each schedule point inside the block and
+    once for the points past it; every (row, schedule point) of a step
+    reads its entry of the table.
     When at least two CPUs are usable, no other thread is alive and the
     rest of the walk, projected from its first step, would take 0.1 s or
     more, one forked worker process computes every other step and pipes
@@ -783,9 +788,7 @@ def equivalence_harness(seqs: Sequence[BoundedSequence],
     m = len(seqs)
     count = isinstance(grid, numbers.Integral)
     if count:
-        # continuity_grid's own checks of the count and atom_tol
-        continuity_grid([], grid, atom_tol=atom_tol,
-                        interval=seqs[0].interval)
+        grid = check_count(grid, atom_tol)
     points = check_grid(seqs[0], None if count else grid, window)
     check_table_size(1, grid if count else sorted_unique(points).size, m)
     for member in kappa_family:

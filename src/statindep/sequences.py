@@ -16,7 +16,7 @@ reads which step.
 
 from __future__ import annotations
 
-import itertools
+import bisect
 import math
 import re
 from dataclasses import dataclass
@@ -197,11 +197,12 @@ class MaterializedSequence(BoundedSequence):
     finite source) generated once and kept.
 
     For callers that must read whole prefixes anyway, such as empirical
-    CDFs along several indices: chunks and prefixes within the kept terms
-    are read-only slices of them.  A read past them takes the kept whole
-    blocks from them too, and only the rest from ``source``.  Interval,
-    label and length are the source's, so every value, report and error is
-    the same as reading ``source``.
+    CDFs along several indices: its values are the kept terms, as
+    read-only slices of them, and past them the source's, which evaluates
+    only the indices past them.  Blocks are read and range-checked as any
+    sequence's are, and a prefix within the kept terms is a slice of them.
+    Interval, label and length are the source's, so every value, report
+    and error is the same as reading ``source``.
     """
 
     def __init__(self, source: BoundedSequence, n: int):
@@ -212,16 +213,11 @@ class MaterializedSequence(BoundedSequence):
         super().__init__(source.interval, source.kind, source.label,
                          source.length)
 
-    def _chunks(self, lo: int, hi: int) -> Iterator[np.ndarray]:
-        if hi <= self.values.size:
-            return super()._chunks(lo, hi)
-        # the kept whole blocks, then the source's from a block edge on
-        cut = max(lo, self.values.size // _CHUNK * _CHUNK)
-        return itertools.chain(super()._chunks(lo, cut),
-                               self.source._chunks(cut, hi))
-
-    def _block(self, lo: int, hi: int) -> np.ndarray:
-        return self.values[lo:hi]  # checked when it was kept
+    def _eval_batch(self, ns: np.ndarray) -> np.ndarray:
+        kept = self.values[int(ns[0]) - 1:int(ns[-1])]
+        if kept.size == ns.size:
+            return kept
+        return np.concatenate((kept, self.source._eval_batch(ns[kept.size:])))
 
     def value_set(self) -> np.ndarray | None:
         return self.source.value_set()
@@ -294,11 +290,25 @@ def _parse_alpha(alpha) -> tuple[int, float]:
         # p / 10^places; past len(digits) + 39 places |p| 2^128 < 10^places,
         # so floor(p 2^128 / 10^places) is 0 or -1 at any larger places too
         whole, frac, exp = match.groups(default="")
-        digits, places = whole + frac, len(frac) - int(exp or 0)
-        p, q = int(digits), 10 ** max(0, min(places, len(digits) + 39))
+        digits, places = whole + frac, len(frac) - _decimal_int(exp or "0")
+        p, q = _decimal_int(digits), 10 ** max(0, min(places,
+                                                      len(digits) + 39))
     else:  # a numpy int has no ratio of its own; its float is an integer
         p, q = getattr(alpha, "as_integer_ratio", value.as_integer_ratio)()
     return (p << 128) // q & _MASK128, value
+
+
+def _decimal_int(text: str) -> int:
+    """int(text) for a decimal digit string, signed or not, of any length.
+
+    Read 640 digits at a time: Python's int-from-string digit limit is
+    either off or at least 640, so no limit in force refuses a piece.
+    """
+    digits, value = text.lstrip("+-"), 0
+    for i in range(0, len(digits), 640):
+        piece = digits[i:i + 640]
+        value = value * 10 ** len(piece) + int(piece)
+    return -value if text.startswith("-") else value
 
 
 class VanDerCorputSequence(BoundedSequence):
@@ -308,7 +318,8 @@ class VanDerCorputSequence(BoundedSequence):
         if int(base) != base or base < 2:
             raise SpecError(f"van der Corput base must be an integer >= 2, got {base}")
         self.base = int(base)
-        super().__init__(interval, "van_der_corput", f"van_der_corput(base={base})")
+        super().__init__(interval, "van_der_corput",
+                         f"van_der_corput(base={self.base})")
 
     def _eval_batch(self, ns: np.ndarray) -> np.ndarray:
         # base^k <= n * base, so below this bound numer and denom fit int64;
@@ -412,8 +423,9 @@ class BlockSequence(BoundedSequence):
         self.low = float(low)
         self.high = float(high)
         self.growth = int(growth)
-        super().__init__(interval, "block",
-                         f"block(low={low:g},high={high:g},growth={growth})")
+        super().__init__(
+            interval, "block",
+            f"block(low={low:g},high={high:g},growth={self.growth})")
 
     def _boundaries_upto(self, limit: int) -> list[int]:
         ends = []
@@ -437,26 +449,16 @@ class BlockSequence(BoundedSequence):
                                 name="block_ends")
 
     def _eval_batch(self, ns: np.ndarray) -> np.ndarray:
-        # Block b (0-based) holds the indices after its b block ends.  Only
-        # the ends between the smallest and the largest index are kept:
-        # a chunk past the first few blocks holds at most one.
+        # Block b (0-based) holds the indices after its b block ends; a
+        # chunk past the first few blocks holds at most one end.
         if ns.size == 0:
             return np.empty(0)
-        first, last = int(ns.min()), int(ns.max())
-        block, inner, total, length = 0, [], 0, 1
-        while True:
-            length *= self.growth
-            total += length
-            if total >= last:
-                break
-            if total < first:
-                block += 1
-            else:
-                inner.append(total)
-        if not inner:
+        ends = self._boundaries_upto(int(ns.max()) - 1)
+        block = bisect.bisect_left(ends, int(ns.min()))
+        if block == len(ends):
             return np.full(ns.shape, self.high if block % 2 else self.low)
-        block += np.searchsorted(np.asarray(inner, dtype=np.int64), ns,
-                                 side="left")
+        block = np.searchsorted(np.asarray(ends, dtype=np.int64), ns,
+                                side="left")
         return np.where(block % 2 == 0, self.low, self.high)
 
     def value_set(self) -> np.ndarray:

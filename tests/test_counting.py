@@ -343,6 +343,16 @@ class TestGridCountsInputErrors:
             grid_counts([VanDerCorputSequence(2), seq], np.array([0.5]),
                         [4, 11])
 
+    @pytest.mark.parametrize("points, bad", [
+        ([0.7, 0.2], "point 1 is 0.2"), ([0.2, 0.5, 0.5], "point 2 is 0.5"),
+        ([0.1, np.nan, 0.9], "point 1 is nan"), ([np.inf], "point 0 is inf"),
+        ([-0.0, 0.0, 0.5], "point 1 is 0.0")])
+    def test_points_not_finite_and_increasing_are_named(self, points, bad):
+        # counted against unsorted points, every cell would be miscounted
+        with pytest.raises(ValueError, match=rf"strictly increasing; {bad}$"):
+            grid_counts([KroneckerSequence("sqrt2-1")], np.array(points),
+                        np.array([10]))
+
     def test_no_sequences(self):
         with pytest.raises(ValueError, match="at least one sequence"):
             grid_counts([], np.array([0.5]), [4])

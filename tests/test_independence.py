@@ -1043,6 +1043,45 @@ def test_one_einsum_per_group_and_later_slot(monkeypatch):
     assert len(calls) == 27
 
 
+def test_each_varying_member_is_evaluated_once_a_step(monkeypatch):
+    # four schedule points inside the first block, one inside the second
+    # and one inside the third: each step evaluates each varying member
+    # once, over its longest cut, where each cut used to evaluate it again
+    calls = []
+
+    def counted(name, fn):
+        return NamedFunction(name, lambda x: (calls.append(x.size), fn(x))[1])
+
+    battery = FunctionBattery((counted("x", IDENT),
+                               counted("x2", lambda x: IDENT(x) ** 2)))
+    runs = independence._constant_runs
+    monkeypatch.setattr(independence, "_constant_runs",
+                        lambda *args: (runs(*args), calls.clear())[0])
+    monkeypatch.setattr(forkwalk, "usable_cpus", lambda: [0])
+    seqs = [KroneckerSequence("sqrt2-1"), VanDerCorputSequence(2)]
+    schedule = [5, 100, 4000, _CHUNK - 1, _CHUNK + 7, 2 * _CHUNK + 3]
+    rep = statind_test(seqs, battery, schedule, 0.01)
+    assert calls == [_CHUNK] * 8 + [3] * 4
+    # and every point still reads the single-tuple forms' bits
+    for i, label in enumerate(rep.labels):
+        funcs = [battery.member(name) for name in label.split("*")]
+        for k, n in enumerate(schedule):
+            assert rep.deltas[i, k] == delta_form(seqs, funcs, n)
+
+
+def test_count_grid_table_size_is_checked_before_any_grid(monkeypatch):
+    # a count whose one joint row is too large fails before a single
+    # grid is placed, a throwaway one included
+    placed = []
+    monkeypatch.setattr(independence, "continuity_grid",
+                        lambda *args, **kwargs: placed.append(args))
+    seqs = [KroneckerSequence("sqrt2-1"), KroneckerSequence("sqrt3-1")]
+    with pytest.raises(ValueError, match="counting table of 1 checkpoints"):
+        equivalence_harness(seqs, default_battery(), kappa_family_builder(1000),
+                            [100, 1000], 0.02, grid=10 ** 6)
+    assert placed == []
+
+
 def _harness_peak(n):
     seqs = [make_block(0.0, 1.0, 2), KroneckerSequence("sqrt2-1")]
     family = [SubsequenceIndex(np.linspace(1, n, 64).astype(np.int64),

@@ -8,6 +8,7 @@ fractions.
 
 import math
 import re
+import sys
 import tempfile
 from fractions import Fraction
 from pathlib import Path
@@ -181,6 +182,22 @@ class TestKronecker:
             assert const == name
             assert _same_bits(KroneckerSequence(const).prefix(100),
                               KroneckerSequence(name).prefix(100))
+
+    def test_alphas_past_the_int_digit_limit_are_read_exactly(self):
+        # as Fraction reads them whole, under a lifted int digit limit
+        alphas = ["0." + "1" * 5000, "-0." + "7" * 4400 + "e2",
+                  "3." + "9" * 4301 + "e-1", "0.123e" + "0" * 5000 + "1",
+                  "1" * 4400 + "e-4399"]
+        got = [KroneckerSequence(alpha).alpha for alpha in alphas]
+        spec = from_spec({"kind": "kronecker", "params": {"alpha": alphas[0]}})
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            want = [exact_alpha(alpha) for alpha in alphas]
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert got == want
+        assert spec.alpha == want[0]
 
     @pytest.mark.parametrize("alpha", ["0x1p-1", " 0.5", "1_0", "1e", ".",
                                        "--1", "0.5.5", "zz"])
@@ -379,6 +396,16 @@ class TestAffineImage:
         assert np.array_equal(mirrored.prefix(100), 1.0 - pre)
         assert (mirrored.interval.a, mirrored.interval.b) == (0.0, 1.0)
 
+    def test_image_of_a_kept_prefix_is_the_image_of_its_source(self):
+        # the image reads the kept terms through their _eval_batch, and
+        # the source's past them
+        source = KroneckerSequence("golden")
+        kept = AffineImageSequence(
+            sequences.MaterializedSequence(source, 100), -1.0, 1.0)
+        plain = AffineImageSequence(source, -1.0, 1.0)
+        assert kept.eval(3) == plain.eval(3)
+        assert _same_bits(kept.prefix(_CHUNK + 50), plain.prefix(_CHUNK + 50))
+
     def test_interval_follows_image(self):
         base = ConstantSequence(0.5)
         scaled = AffineImageSequence(base, 2.0, 1.0)
@@ -388,6 +415,13 @@ class TestAffineImage:
     def test_zero_scale_rejected(self):
         with pytest.raises(SpecError):
             AffineImageSequence(ConstantSequence(0.5), 0.0, 0.0)
+
+
+def test_labels_do_not_depend_on_argument_types():
+    assert make_block(0, 1, 2.0).label == make_block(0, 1, 2).label \
+        == "block(low=0,high=1,growth=2)"
+    assert VanDerCorputSequence(3.0).label == VanDerCorputSequence(3).label \
+        == "van_der_corput(base=3)"
 
 
 class TestFileSequences(object):
@@ -769,14 +803,14 @@ def test_materialized_sequence_reads_its_kept_terms():
     calls.clear()
     assert _same_bits(kept.prefix(3 * _CHUNK),
                       source.prefix(3 * _CHUNK))
-    # past the kept terms, only the blocks from the last kept block edge
-    # on are the source's: the third block here, then all three blocks of
-    # the source's own prefix
-    assert calls == [_CHUNK] * 4
+    # past the kept terms, only the indices past them are the source's:
+    # the last _CHUNK - 5 of the third block here, then all three blocks
+    # of the source's own prefix
+    assert calls == [_CHUNK - 5] + [_CHUNK] * 3
     calls.clear()
     got = list(kept.chunks(_CHUNK + 3, 4 * _CHUNK - 1))
     assert [c.size for c in got] == [_CHUNK - 3, _CHUNK, _CHUNK - 1]
-    assert calls == [_CHUNK, _CHUNK - 1]
+    assert calls == [_CHUNK - 5, _CHUNK - 1]
     assert _same_bits(np.concatenate(got),
                       source.prefix(4 * _CHUNK - 1)[_CHUNK + 3:])
     # a finite source keeps what it has, and fails past its end as before
