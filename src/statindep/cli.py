@@ -27,19 +27,18 @@ from typing import Callable
 
 import numpy as np
 
-from .distribution import StepCDF, continuity_grid, empirical_cdf, \
+from .distribution import StepCDF, atom_clear_grid, prefix_atoms, \
     stieltjes, PiecewiseLinear
 from .density import sorted_unique
-from .errors import SpecError, StatIndepError
+from .errors import IntervalError, SpecError, StatIndepError
 from .independence import FunctionBattery, NamedFunction, _multilinear, \
     check_member_name, default_battery, equivalence_harness
 from .reporting import _replacing, fmt_floats, write_csv, write_json
 from .selection import DEFAULT_MIN_POOL, DEFAULT_TOL, DEFAULT_WINDOW, \
     KAPPA_FAMILY, MIN_BASE_DEPTH, Extraction, _measurability, _pool_counts, \
     helly_extract, kappa_family_builder, kappa_member
-from .sequences import BoundedSequence, Interval, MaterializedSequence, \
-    _check_keys, _fail, _norm_float, _norm_int, \
-    from_spec as sequence_from_spec, normalize_spec
+from .sequences import BoundedSequence, Interval, _check_keys, _fail, \
+    _norm_float, _norm_int, from_spec as sequence_from_spec, normalize_spec
 from .subsequence import SubsequenceIndex
 
 BUILTIN_BATTERY = default_battery().names
@@ -212,11 +211,11 @@ def build_battery(spec: dict, interval: Interval) -> FunctionBattery:
 
 
 def resolve_grid(spec: dict, interval: Interval,
-                 cdfs: Callable[[], list[StepCDF]] | None = None):
+                 atoms: Callable[[], np.ndarray] | None = None):
     """The spec's grid points on ``interval``, or the spec's count when
-    ``cdfs`` is None (the harness places a count grid per kappa).  A count
-    grid is placed here only when ``cdfs`` is given: it is called, only
-    then, for the CDFs to avoid.
+    ``atoms`` is None (the harness places a count grid per kappa).  A
+    count grid is placed here only when ``atoms`` is given: it is called,
+    only then, for the heavy atoms to avoid.
     """
     grid = spec["grid"]
     if isinstance(grid, list):
@@ -229,11 +228,10 @@ def resolve_grid(spec: dict, interval: Interval,
     if isinstance(grid, dict):
         ks = np.arange(1, 10, dtype=np.float64)
         return interval.a + interval.length * ks / 10.0
-    if cdfs is None:
+    if atoms is None:
         return grid
-    return continuity_grid(cdfs(), grid,
-                           atom_tol=spec["tolerances"]["atom_tol"],
-                           interval=interval)
+    return atom_clear_grid(atoms(), grid, spec["tolerances"]["atom_tol"],
+                           interval)
 
 
 def _derived_pool(depth: int) -> SubsequenceIndex:
@@ -332,12 +330,12 @@ def cmd_distribution(args) -> int:
     seq = _single_sequence(spec, "distribution")
     battery = build_battery(spec, seq.interval)
     deepest = spec["schedule"][-1]
-    # One prefix for every CDF and for the one kernel walk of every mean:
-    # the products of single-member tuples are the members' means.
-    seq = MaterializedSequence(seq, deepest)
+    # One prefix for every CDF; the one kernel walk of every mean (the
+    # products of single-member tuples) generates it again.
     values = seq.prefix(deepest)
     deepest_cdf = StepCDF.from_values(values, seq.interval)
-    grid = resolve_grid(spec, seq.interval, cdfs=lambda: [deepest_cdf])
+    grid = resolve_grid(spec, seq.interval, atoms=lambda: deepest_cdf
+                        .heavy_atoms(spec["tolerances"]["atom_tol"]))
     means = _multilinear([seq], [battery.members], spec["schedule"])[1]
 
     cdf_tables = []
@@ -414,12 +412,17 @@ def cmd_extract(args) -> int:
     seqs = build_sequences(spec)
     tol, window = spec["tolerances"]["tol"], spec["tolerances"]["window"]
     pool = resolve_pool(spec, args.depth)
-    # Each report's limit CDF sorts a whole prefix along kappa, a subset of
-    # the pool: each sequence is generated once, up to the pool's deepest
-    # checkpoint, for the CDFs along the pool, the counts and those.
-    seqs = [MaterializedSequence(s, pool.deepest) for s in seqs]
-    grid = resolve_grid(spec, seqs[0].interval,
-                        cdfs=lambda: [empirical_cdf(s, pool) for s in seqs])
+
+    def atoms() -> np.ndarray:
+        # Each sequence's heavy atoms along the pool, and later each
+        # report's limit CDF along kappa, generate a prefix of their own:
+        # none is held while the pool is counted.
+        if any(s.interval != seqs[0].interval for s in seqs):
+            raise IntervalError("all CDFs must share one interval")
+        return np.concatenate([prefix_atoms(
+            s, pool.deepest, spec["tolerances"]["atom_tol"]) for s in seqs])
+
+    grid = resolve_grid(spec, seqs[0].interval, atoms)
     # One walk counts the pool; the extraction and each measurability
     # report read their rows, as kappa's checkpoints are pool checkpoints.
     counts = _pool_counts(seqs, pool, sorted_unique(grid))

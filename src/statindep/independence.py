@@ -28,13 +28,12 @@ import numpy as np
 
 from .density import (MAX_TABLE_CELLS, Tally, check_table_size, fill,
                       marginal, sorted_unique)
-from .distribution import check_count, continuity_grid, empirical_cdf
+from .distribution import atom_clear_grid, check_count, prefix_atoms
 from . import forkwalk
 from .errors import IntervalError, MeasurabilityError
 from .selection import (DEFAULT_TOL, DEFAULT_WINDOW, Extraction, check_grid,
                         _check_window, _measurability)
-from .sequences import (_CHUNK, BoundedSequence, Interval,
-                        MaterializedSequence, UNIT)
+from .sequences import _CHUNK, BoundedSequence, Interval, UNIT
 from .subsequence import SubsequenceIndex, _check_index
 
 MAX_TUPLE_ARITY = 5
@@ -768,12 +767,12 @@ def equivalence_harness(seqs: Sequence[BoundedSequence],
     of its own, and then counted as an index.
 
     An int ``grid`` is a count: each member's corners are then
-    :func:`continuity_grid` of that many points, clear of the atoms of
-    every sequence's empirical CDF along the member, and an Extraction is
-    extracted first, along such a grid for its pool.  Those CDFs sort
-    whole prefixes, so each sequence is then generated once, up to the
-    deepest checkpoint or schedule point anything reads, and kept
-    (:class:`sequences.MaterializedSequence`) for every CDF and walk.
+    :func:`distribution.atom_clear_grid` of that many points, clear of the
+    heavy atoms of every sequence's empirical CDF along the member, and an
+    Extraction is extracted first, along such a grid for its pool.  Those
+    atoms (:func:`distribution.prefix_atoms`) sort a whole prefix, up to
+    the member's deepest checkpoint, one sequence at a time: each such
+    prefix is generated again for them, and none is kept.
     Anything else is the grid points for every member.  The schedule test
     uses ``tol``, and measurability ``selection.DEFAULT_TOL``.
     Every argument, and the size of every table, is checked before the
@@ -794,17 +793,13 @@ def equivalence_harness(seqs: Sequence[BoundedSequence],
     for member in kappa_family:
         if not isinstance(member, Extraction):
             _check_window(member, window)
-    if count:
-        depth = max([schedule[-1]] + [
-            (k.pool if isinstance(k, Extraction) else k).deepest
-            for k in kappa_family])
-        seqs = [MaterializedSequence(s, depth) for s in seqs]
 
     def grid_along(kappa: SubsequenceIndex) -> np.ndarray:
         if not count:
             return points
-        return continuity_grid([empirical_cdf(s, kappa) for s in seqs],
-                               grid, atom_tol=atom_tol)
+        atoms = [prefix_atoms(s, kappa.deepest, atom_tol) for s in seqs]
+        return atom_clear_grid(np.concatenate(atoms), grid, atom_tol,
+                               seqs[0].interval)
 
     # Per distinct grid, the checkpoints at which the walk counts every
     # sequence jointly.

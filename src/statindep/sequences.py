@@ -11,7 +11,9 @@ range-checked when it is reached.  ``eval`` and ``prefix`` read through
 it, and so does :func:`forkwalk.steps`, which walks several sequences in
 step and may give every other step to one forked worker process.  Each
 value depends on its own index only, so no bit depends on which process
-reads which step.
+reads which step.  No prefix is kept between reads: a caller that reads
+one twice (an empirical CDF, a count grid's heavy atoms, a walk) has it
+generated twice.
 """
 
 from __future__ import annotations
@@ -80,12 +82,11 @@ _CHUNK = 1 << 13
 class BoundedSequence:
     """Deterministic real sequence v(1), v(2), ... inside a fixed interval.
 
-    Evaluation is pure and nothing is cached (a
-    :class:`MaterializedSequence` keeps only the read-only prefix it is
-    made with): instances may be shared across concurrent readers with no
-    synchronization.  Every value is read through :meth:`chunks`, a block
-    of ``_CHUNK`` indices at a time; :meth:`eval` reads one value and
-    :meth:`prefix` a whole prefix as one array.
+    Evaluation is pure and nothing is cached: instances may be shared
+    across concurrent readers with no synchronization, and a prefix read
+    twice is generated twice.  Every value is read through
+    :meth:`chunks`, a block of ``_CHUNK`` indices at a time; :meth:`eval`
+    reads one value and :meth:`prefix` a whole prefix as one array.
     """
 
     def __init__(self, interval: Interval, kind: str, label: str,
@@ -170,10 +171,11 @@ class BoundedSequence:
         Uncached: each call reads the n values again, through
         :meth:`chunks`, into one new array.
         """
-        if n < 1:
+        if _check_index(n, "n") < 1:
             raise IndexError(f"prefix length must be >= 1, got {n}")
+        chunks = self.chunks(0, n)  # SequenceExhausted before any memory
         values = np.empty(n, dtype=np.float64)
-        _copy_chunks(self.chunks(0, n), values)
+        _copy_chunks(chunks, values)
         values.setflags(write=False)
         return values
 
@@ -190,42 +192,6 @@ def _copy_chunks(chunks: Iterator[np.ndarray], out: np.ndarray) -> np.ndarray:
         filled += chunk.size
         del chunk
     return out[:filled]
-
-
-class MaterializedSequence(BoundedSequence):
-    """``source`` with its first ``n`` terms (all of them, for a shorter
-    finite source) generated once and kept.
-
-    For callers that must read whole prefixes anyway, such as empirical
-    CDFs along several indices: its values are the kept terms, as
-    read-only slices of them, and past them the source's, which evaluates
-    only the indices past them.  Blocks are read and range-checked as any
-    sequence's are, and a prefix within the kept terms is a slice of them.
-    Interval, label and length are the source's, so every value, report
-    and error is the same as reading ``source``.
-    """
-
-    def __init__(self, source: BoundedSequence, n: int):
-        if source.length is not None:
-            n = min(n, source.length)
-        self.source = source
-        self.values = source.prefix(n)
-        super().__init__(source.interval, source.kind, source.label,
-                         source.length)
-
-    def _eval_batch(self, ns: np.ndarray) -> np.ndarray:
-        kept = self.values[int(ns[0]) - 1:int(ns[-1])]
-        if kept.size == ns.size:
-            return kept
-        return np.concatenate((kept, self.source._eval_batch(ns[kept.size:])))
-
-    def value_set(self) -> np.ndarray | None:
-        return self.source.value_set()
-
-    def prefix(self, n: int) -> np.ndarray:
-        if not 1 <= n <= self.values.size:
-            return super().prefix(n)
-        return self.values[:n]
 
 
 # A Kronecker block is evaluated as rows of _ROW indices.

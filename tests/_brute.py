@@ -134,7 +134,8 @@ def brute_continuity_grid(cdfs, count, atom_tol=1e-3, interval=None):
     and a rescan of every clear segment per fill-up point."""
     interval = cdfs[0].interval if interval is None else interval
     a, b = interval.a, interval.b
-    blocked = _merged_blocked(cdfs, atom_tol)
+    blocked = _merged_blocked(np.concatenate(
+        [np.empty(0)] + [cdf.heavy_atoms(atom_tol) for cdf in cdfs]), atom_tol)
     starts = np.asarray([lo for lo, _ in blocked])
 
     def relocate(x):

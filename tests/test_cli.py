@@ -42,7 +42,7 @@ from statindep.cli import (
 from statindep.reporting import canonical_json, csv_text, fmt_floats
 from statindep.selection import DEFAULT_MIN_POOL, DEFAULT_TOL, DEFAULT_WINDOW, \
     KAPPA_FAMILY
-from statindep.sequences import SEQUENCE_KINDS, normalize_spec
+from statindep.sequences import _CHUNK, SEQUENCE_KINDS, normalize_spec
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -609,15 +609,16 @@ class TestDistribution:
             list(zip(*weyl_rows)))
 
 
-    def test_each_index_generated_once(self, tmp_path, monkeypatch):
-        # every CDF and the one kernel walk of every mean read one prefix
+    def test_each_index_generated_once_per_read(self, tmp_path, monkeypatch):
+        # every CDF reads one prefix, and the one kernel walk of every
+        # mean generates it again, past the constant-run scan's chunk
         generated = _count_generation(monkeypatch)
         spec = write_spec(tmp_path, {"sequences": [KRON],
                                      "schedule": [10, 8193, 20001],
                                      "outputs": {"basename": "d"}})
         assert main(["distribution", "--spec", spec,
                      "--out", str(tmp_path)]) == 0
-        assert generated == {"kronecker": 20001}
+        assert generated == {"kronecker": 2 * 20001 + _CHUNK}
 
 
 def _count_generation(monkeypatch) -> dict:
@@ -841,9 +842,9 @@ class TestExtract:
         assert (tmp_path / "x_measurability.json").read_text() == \
             canonical_json([r.to_json_obj() for r in reports])
 
-    def test_each_index_generated_once(self, tmp_path, monkeypatch):
-        # the pool's CDFs, its counts and the limit CDFs read one kept
-        # prefix per sequence
+    def test_each_index_generated_once_per_read(self, tmp_path, monkeypatch):
+        # the pool's atoms and its counts read each sequence to the pool's
+        # deepest checkpoint, and each limit CDF to kappa's
         generated = _count_generation(monkeypatch)
         seqs = [{"kind": "block",
                  "params": {"low": 0.0, "high": 1.0, "growth": 2}}, KRON]
@@ -851,8 +852,10 @@ class TestExtract:
                                      "grid": 5, "outputs": {"basename": "x"}})
         assert main(["extract", "--spec", spec, "--out", str(tmp_path),
                      "--depth", "100000"]) == 0
-        assert generated == {"block": _derived_pool(100000).deepest,
-                             "kronecker": _derived_pool(100000).deepest}
+        kappa = json.loads((tmp_path / "x_kappa.json").read_text())
+        assert kappa["checkpoints"][-1] == 71_468
+        total = 2 * _derived_pool(100000).deepest + 71_468
+        assert generated == {"block": total, "kronecker": total}
 
     def test_requires_extract_kappa(self, tmp_path, capsys):
         spec = write_spec(tmp_path, {"sequences": [KRON]})

@@ -1,15 +1,18 @@
 """Empirical CDF, Stieltjes sum, grid, sandwich, and envelope tests."""
 
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from _brute import brute_continuity_grid, brute_density
 from statindep import (
+    AffineImageSequence,
     ConstantSequence,
     EnvelopeError,
+    FileSequence,
     GridError,
     Interval,
     IntervalError,
@@ -23,11 +26,13 @@ from statindep import (
     continuity_grid,
     detect_measurable,
     empirical_cdf,
+    make_block,
     sandwich_indicator,
     step_envelope,
     stieltjes,
 )
-from statindep.distribution import _merged_blocked
+from statindep.distribution import _merged_blocked, prefix_atoms
+from statindep.sequences import _CHUNK
 
 
 def naturals(depth, stride=1):
@@ -74,7 +79,8 @@ class TestStepCDF:
                                 1000, UNIT)
         assert F.masses[0] == 0.001
         assert F.heavy_atoms(0.001).tolist() == [0.5]
-        assert _merged_blocked([F], 0.001) == [(0.5 - 0.001, 0.5 + 0.001)]
+        assert _merged_blocked(F.heavy_atoms(0.001), 0.001) == \
+            [(0.5 - 0.001, 0.5 + 0.001)]
         assert 0.25 in continuity_grid([F], 3, atom_tol=0.001).tolist()
 
     def test_json_shape(self):
@@ -122,6 +128,56 @@ class TestEmpiricalCDF:
         seq = VanDerCorputSequence(2)
         F = empirical_cdf(seq, naturals(777))
         assert F.total_mass == 1.0
+
+
+_ATOM_SEQUENCES = {
+    "kronecker": lambda: KroneckerSequence("golden"),
+    "van_der_corput": lambda: VanDerCorputSequence(3),
+    "signed zeros": lambda: PeriodicSequence([-0.0, 0.0, 0.5]),
+    "periodic": lambda: PeriodicSequence([0.1, 0.3, 0.3, 0.7, 0.1, 0.9, 0.3]),
+    "constant": lambda: ConstantSequence(0.25),
+    "block": lambda: make_block(0.0, 1.0, 2),
+    "affine_image": lambda: AffineImageSequence(
+        PeriodicSequence([0.1, 0.6, 0.6, -0.0]), -1.0, 1.0),
+    "file": lambda: FileSequence(
+        (np.arange(3 * _CHUNK) * 7 % 13) / 13.0, UNIT, "mod13"),
+}
+
+
+class TestPrefixAtoms:
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(sorted(_ATOM_SEQUENCES)),
+           st.integers(1, 3 * _CHUNK), st.data())
+    @example("signed zeros", 3 * _CHUNK, None)
+    @example("file", 3 * _CHUNK, None)
+    def test_equals_the_heavy_atoms_of_the_empirical_cdf(self, kind, n,
+                                                         data):
+        # tol = k / n makes a count of k a mass of exactly tol, which is
+        # not heavy; the examples put it on the smallest run: 0.5 of the
+        # signed zeros, one residue of the file
+        seq = _ATOM_SEQUENCES[kind]()
+        if data is None:
+            tol = min(np.unique(seq.prefix(n), return_counts=True)[1]) / n
+        else:
+            tol = data.draw(st.one_of(
+                st.integers(0, n).map(lambda k: k / n),
+                st.floats(1e-6, 1.0), st.sampled_from((1e-3, 0.5, 2.0))))
+        want = empirical_cdf(seq, SubsequenceIndex([n])).heavy_atoms(tol)
+        got = prefix_atoms(seq, n, tol)
+        assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+
+    def test_peak_memory_is_ten_bytes_per_term(self):
+        # one sorted float64 buffer and two byte masks; an empirical CDF
+        # followed by heavy_atoms took 49 bytes per term
+        n = 1 << 20
+        seq = KroneckerSequence("sqrt2-1")
+        tracemalloc.start()
+        try:
+            prefix_atoms(seq, n, 1e-3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 12 * n, peak / n
 
 
 class TestStieltjes:

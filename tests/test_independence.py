@@ -59,6 +59,7 @@ from statindep import (
     stieltjes,
 )
 from statindep.density import grid_counts, sorted_unique
+from statindep.distribution import prefix_atoms
 from statindep import forkwalk, independence
 from statindep import density as density_module
 from statindep.reporting import canonical_json, csv_text
@@ -616,6 +617,9 @@ def test_nan_tolerance_is_rejected_at_every_entry_point(call, message):
      "checkpoints must have an integer dtype, got float64"),
     (lambda s, k, g: s[0].eval(2.5), "n must be an integer, got 2.5"),
     (lambda s, k, g: s[0].chunks(0, 2.5), "hi must be an integer, got 2.5"),
+    (lambda s, k, g: s[0].prefix(2.5), "n must be an integer, got 2.5"),
+    (lambda s, k, g: prefix_atoms(s[0], 2.5, 0.1),
+     "n must be an integer, got 2.5"),
     (lambda s, k, g: kappa_member("evens", 2000, last=2.5),
      "last must be an integer, got 2.5"),
     (lambda s, k, g: kappa_member("evens", 2000.0),
@@ -643,6 +647,7 @@ def test_nan_tolerance_is_rejected_at_every_entry_point(call, message):
      "min_pool must be an integer, got 1.5"),
 ], ids=["statind_test", "statind_test str", "equivalence_harness schedule",
         "SubsequenceIndex", "SubsequenceIndex float array", "eval", "chunks",
+        "prefix", "prefix_atoms",
         "kappa_member last", "kappa_member base_depth", "helly_extract",
         "Extraction", "detect_measurable", "kappa_independence_test",
         "equivalence_harness window", "delta_form", "product_form",
@@ -1071,9 +1076,9 @@ def test_each_varying_member_is_evaluated_once_a_step(monkeypatch):
 
 def test_count_grid_table_size_is_checked_before_any_grid(monkeypatch):
     # a count whose one joint row is too large fails before a single
-    # grid is placed, a throwaway one included
+    # prefix is read for a grid's atoms, a throwaway one included
     placed = []
-    monkeypatch.setattr(independence, "continuity_grid",
+    monkeypatch.setattr(independence, "prefix_atoms",
                         lambda *args, **kwargs: placed.append(args))
     seqs = [KroneckerSequence("sqrt2-1"), KroneckerSequence("sqrt3-1")]
     with pytest.raises(ValueError, match="counting table of 1 checkpoints"):
@@ -1272,9 +1277,11 @@ def test_harness_rejects_a_short_tail_as_it_rejects_the_member():
         "index pow2 has 10 checkpoints; need at least window = 11")
 
 
-def test_count_grid_harness_generates_each_index_once(generation_log):
-    # empirical CDFs along every member and the pool, the extraction and
-    # the schedule walk all read one kept prefix per sequence
+def test_count_grid_harness_generates_each_atom_prefix_again(
+        generation_log):
+    # each grid's atoms read a prefix of their own, up to the pool's and
+    # then each member's deepest checkpoint, and the schedule walk reads
+    # the sequences once more, past the constant-run scan's first chunk
     seqs = [make_block(0.0, 1.0, 2), KroneckerSequence("sqrt2-1")]
     generation_log.watch(*seqs)
     pool = SubsequenceIndex(np.unique(np.round(
@@ -1283,7 +1290,13 @@ def test_count_grid_harness_generates_each_index_once(generation_log):
     rep = equivalence_harness(seqs, default_battery(), family,
                               [100, 1000, 20_000], 0.02, grid=5)
     assert len(rep.outcomes) == 2
-    assert generation_log.totals() == {s.label: pool.deepest for s in seqs}
+    extracted = 110_218  # the deepest checkpoint extracted from the pool
+    # atoms along the pool and its extraction walk, atoms along the
+    # extracted index and the schedule walk to that deepest row, atoms
+    # along naturals, and the scan's chunk
+    assert generation_log.totals() == {
+        s.label: 2 * pool.deepest + 2 * extracted + 30_000 + _CHUNK
+        for s in seqs}
 
 
 def _two_walk_extract(seqs, extraction, schedule, tol, grid):
@@ -1502,7 +1515,7 @@ def test_no_worker_where_children_are_reaped_for_us(forks):
 
 
 def test_worker_moves_no_bit_of_a_count_grid_harness(monkeypatch, forks):
-    # every sequence kept whole (MaterializedSequence) for the CDFs
+    # each grid's atoms read their own prefix, outside the walk
     seqs = [make_block(0.0, 1.0, 2), KroneckerSequence("sqrt2-1")]
     family = [naturals(3 * WIDTH, 97)]
 

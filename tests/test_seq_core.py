@@ -47,6 +47,7 @@ from statindep import (
 )
 from statindep import forkwalk, sequences
 from statindep.density import Tally
+from statindep.distribution import prefix_atoms
 from statindep.sequences import _CHUNK, SEQUENCE_KINDS, normalize_spec
 from _brute import brute_grid_counts, brute_van_der_corput
 from test_independence import _same_bits, _serial_and_forked, forks
@@ -384,8 +385,6 @@ class TestValueSet:
                     FileSequence(np.full(4, 0.5), UNIT, "four"),
                     AffineImageSequence(KroneckerSequence("golden"), 1, 0)):
             assert seq.value_set() is None
-        kept = sequences.MaterializedSequence(make_block(0.0, 1.0, 2), 50)
-        assert kept.value_set().tolist() == [0.0, 1.0]
 
 
 class TestAffineImage:
@@ -395,16 +394,6 @@ class TestAffineImage:
         pre = base.prefix(100)
         assert np.array_equal(mirrored.prefix(100), 1.0 - pre)
         assert (mirrored.interval.a, mirrored.interval.b) == (0.0, 1.0)
-
-    def test_image_of_a_kept_prefix_is_the_image_of_its_source(self):
-        # the image reads the kept terms through their _eval_batch, and
-        # the source's past them
-        source = KroneckerSequence("golden")
-        kept = AffineImageSequence(
-            sequences.MaterializedSequence(source, 100), -1.0, 1.0)
-        plain = AffineImageSequence(source, -1.0, 1.0)
-        assert kept.eval(3) == plain.eval(3)
-        assert _same_bits(kept.prefix(_CHUNK + 50), plain.prefix(_CHUNK + 50))
 
     def test_interval_follows_image(self):
         base = ConstantSequence(0.5)
@@ -732,6 +721,11 @@ def test_chunks_past_a_finite_end_fail_at_once():
     with pytest.raises(SequenceExhausted,
                        match=r"prefix of length 11 beyond sequence length 10"):
         seq.chunks(0, 11)
+    # a prefix, or its heavy atoms, fails before it allocates the values
+    for read in (seq.prefix, lambda n: prefix_atoms(seq, n, 0.1)):
+        with pytest.raises(SequenceExhausted, match=r"prefix of length "
+                           r"1000000000000 beyond sequence length 10"):
+            read(10 ** 12)
     assert calls == []
 
 
@@ -780,46 +774,6 @@ def test_walk_steps_read_the_same_values_in_any_share(monkeypatch, forks):
         assert np.array_equal(got_table, want_table)
         assert np.array_equal(got_table, brute_grid_counts(
             [seqs[r]], points, rows[r]))
-
-
-def test_materialized_sequence_reads_its_kept_terms():
-    # chunks, prefixes and eval within the kept terms are slices of them,
-    # bit for bit the source's; anything past them is the source's
-    source = KroneckerSequence("golden")
-    calls = []
-    evaluate = source._eval_batch
-    source._eval_batch = lambda ns: (calls.append(ns.size), evaluate(ns))[1]
-    kept = sequences.MaterializedSequence(source, 2 * _CHUNK + 5)
-    assert sum(calls) == 2 * _CHUNK + 5
-    assert (kept.label, kept.interval, kept.length) == \
-        (source.label, source.interval, None)
-    calls.clear()
-    got = list(kept.chunks(100, 2 * _CHUNK + 5))
-    assert [c.size for c in got] == [_CHUNK - 100, _CHUNK, 5]
-    assert _same_bits(np.concatenate(got), kept.values[100:])
-    assert _same_bits(kept.prefix(_CHUNK + 1),
-                      source.prefix(_CHUNK + 1)[:_CHUNK + 1])
-    assert kept.eval(7) == source.eval(7)
-    calls.clear()
-    assert _same_bits(kept.prefix(3 * _CHUNK),
-                      source.prefix(3 * _CHUNK))
-    # past the kept terms, only the indices past them are the source's:
-    # the last _CHUNK - 5 of the third block here, then all three blocks
-    # of the source's own prefix
-    assert calls == [_CHUNK - 5] + [_CHUNK] * 3
-    calls.clear()
-    got = list(kept.chunks(_CHUNK + 3, 4 * _CHUNK - 1))
-    assert [c.size for c in got] == [_CHUNK - 3, _CHUNK, _CHUNK - 1]
-    assert calls == [_CHUNK - 5, _CHUNK - 1]
-    assert _same_bits(np.concatenate(got),
-                      source.prefix(4 * _CHUNK - 1)[_CHUNK + 3:])
-    # a finite source keeps what it has, and fails past its end as before
-    short = sequences.MaterializedSequence(
-        FileSequence(np.full(10, 0.5), UNIT, "ten"), 100)
-    assert short.values.size == 10 and short.length == 10
-    with pytest.raises(SequenceExhausted,
-                       match=r"prefix of length 11 beyond sequence length 10"):
-        short.prefix(11)
 
 
 # -- vectorized file parsing ---------------------------------------------------
